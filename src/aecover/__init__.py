@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     EmptyLevels,
     GenerationFailed,
+    IncompleteCover,
     Infeasible,
     InvalidInstance,
     IsolatedTerminal,

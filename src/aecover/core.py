@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import EmptyLevels, InvalidInstance, IsolatedTerminal
 
@@ -121,6 +121,27 @@ class Instance:
         return tuple(sorted(self.terminals, key=self.index.__getitem__))
 
     @cached_property
+    def scale(self) -> int:
+        """LCM of the threshold denominators: it makes every threshold, and
+        every sum or difference of thresholds, an integer."""
+        return math.lcm(1, *(t.denominator for e in self.edges for t in (e.tu, e.tv)))
+
+    def scaled(self, x: Fraction) -> int:
+        """``x`` times :attr:`scale`, for ``x`` built from thresholds."""
+        return x.numerator * (self.scale // x.denominator)
+
+    @cached_property
+    def scaled_rows(self) -> Mapping[str, tuple[tuple[int, str, int], ...]]:
+        """Per node, one ``(t_here, other, t_there)`` row per incident edge,
+        thresholds times :attr:`scale`, sorted by ``t_here``."""
+        rows: dict[str, list[tuple[int, str, int]]] = {n: [] for n in self.nodes}
+        for e in self.edges:
+            tu, tv = self.scaled(e.tu), self.scaled(e.tv)
+            rows[e.u].append((tu, e.v, tv))
+            rows[e.v].append((tv, e.u, tu))
+        return {n: tuple(sorted(r, key=lambda row: row[0])) for n, r in rows.items()}
+
+    @cached_property
     def terminals_independent(self) -> bool:
         return not any(e.u in self.terminals and e.v in self.terminals for e in self.edges)
 
@@ -129,14 +150,17 @@ class Instance:
 
 
 def _prune_dominated(sorted_edges: list[Edge]) -> list[Edge]:
-    # Drop e when an earlier parallel edge has both thresholds <= e's.
+    # Drop e when an earlier parallel edge has both thresholds <= e's.  The
+    # sort puts parallel edges together in (tu, tv) order, so every earlier
+    # one has tu <= e.tu, and the kept ones have strictly falling tv: e is
+    # dominated iff the last kept edge is parallel with tv <= e.tv.
     kept: list[Edge] = []
     for e in sorted_edges:
-        dominated = any(
-            k.u == e.u and k.v == e.v and k.tu <= e.tu and k.tv <= e.tv for k in kept
-        )
-        if not dominated:
-            kept.append(e)
+        if kept:
+            k = kept[-1]
+            if k.u == e.u and k.v == e.v and k.tv <= e.tv:
+                continue
+        kept.append(e)
     return kept
 
 
@@ -194,10 +218,20 @@ def activated_edge_ids(inst: Instance, values: Mapping[str, Fraction]) -> tuple[
     )
 
 
-def covered_terminals(inst: Instance, values: Mapping[str, Fraction]) -> frozenset[str]:
+def covered_terminals(
+    inst: Instance,
+    values: Mapping[str, Fraction],
+    nodes: Optional[Iterable[str]] = None,
+) -> frozenset[str]:
+    """Terminals on an edge that ``values`` activates; with ``nodes``, only
+    the edges incident to those nodes are checked."""
+    if nodes is None:
+        edges: Iterable[Edge] = inst.edges
+    else:
+        edges = [inst.edges[i] for i in {i for n in nodes for i in inst.edges_at[n]}]
     get = values.get
     covered = set()
-    for e in inst.edges:
+    for e in edges:
         if get(e.u, ZERO) >= e.tu and get(e.v, ZERO) >= e.tv:
             if e.u in inst.terminals:
                 covered.add(e.u)

@@ -54,7 +54,16 @@ class DomainError(AecError):
 
 
 class OracleViolation(AecError):
-    """An augmentation oracle returned a potential-increasing step."""
+    """An augmentation oracle returned a potential-increasing step, or one
+    whose applied state missed its predicted potential."""
+
+
+class IncompleteCover(AecError):
+    """A solver's completion step left terminals uncovered."""
+
+    def __init__(self, uncovered):
+        super().__init__(f"completion left terminals uncovered: {list(uncovered)}")
+        self.uncovered = tuple(uncovered)
 
 
 class LimitExceeded(AecError):

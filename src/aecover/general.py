@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from functools import cmp_to_key
+from typing import Iterable, Mapping, Optional
 
 from .bounds import omega
 from .core import (
@@ -26,6 +27,7 @@ from .core import (
     derive_costs,
     uncovered_cost,
 )
+from .errors import IncompleteCover
 from .fileio import instance_digest
 from .gmc import Augmentation, GreedyTrace, gmc_greedy
 from .report import SolveReport
@@ -47,10 +49,20 @@ class CandidateStar:
 
 @dataclass(frozen=True)
 class GeneralSolveState:
+    """Greedy state.  ``scaled`` repeats ``totals`` times ``inst.scale`` as
+    ints, and ``stars`` caches the best star of each root that has one, on
+    that integer view (see :func:`_best_star_at`)."""
+
     totals: Mapping[str, Fraction]
     extra: Mapping[str, Fraction]
     covered: frozenset[str]
     nu: Fraction
+    scaled: Mapping[str, int]
+    stars: Mapping[str, tuple]
+
+
+def _scaled_costs(inst: Instance, costs: DerivedCosts) -> dict[str, int]:
+    return {u: inst.scaled(c) for u, c in costs.c.items()}
 
 
 def initial_state(inst: Instance, costs: DerivedCosts) -> GeneralSolveState:
@@ -58,7 +70,91 @@ def initial_state(inst: Instance, costs: DerivedCosts) -> GeneralSolveState:
     totals.update(costs.q)
     covered = covered_terminals(inst, totals)
     nu = costs.Q + uncovered_cost(inst, costs, covered)
-    return GeneralSolveState(totals=totals, extra={}, covered=covered, nu=nu)
+    scaled = {n: inst.scaled(x) for n, x in totals.items()}
+    c = _scaled_costs(inst, costs)
+    stars = {
+        v: s for v in inst.nodes if (s := _best_star_at(inst, c, scaled, covered, v))
+    }
+    return GeneralSolveState(totals, {}, covered, nu, scaled, stars)
+
+
+def _best_star_at(
+    inst: Instance,
+    c: Mapping[str, int],
+    totals: Mapping[str, int],
+    covered: frozenset[str],
+    root: str,
+) -> Optional[tuple]:
+    """Best star rooted at ``root`` as ``(pay, gain, index, w, leaves)``, or
+    None when no star there gains anything.
+
+    ``c``, ``totals`` and the results are scaled by ``inst.scale``.  The
+    star's density is pay/gain and its key is (density, index, w).  The
+    root increment w runs over zero and the root's shortfalls on its edges;
+    a w that reaches no new leaf, and no cheaper one, only pays more, so it
+    is skipped.
+    """
+    index = inst.index
+
+    def by_ratio(a: tuple[str, int], b: tuple[str, int]) -> int:
+        # Increment per unit of c, then node order.
+        return (a[1] * c[b[0]] - b[1] * c[a[0]]) or index[a[0]] - index[b[0]]
+
+    rows = inst.scaled_rows[root]
+    tot = totals[root]
+    root_gain = 0 if root in covered else c.get(root, 0)
+    reachable: dict[str, int] = {}
+    best: Optional[tuple] = None
+    i = 0
+    while i < len(rows):
+        w = max(0, rows[i][0] - tot)
+        grew = False
+        while i < len(rows) and rows[i][0] <= tot + w:
+            _, u, t_there = rows[i]
+            i += 1
+            if not c.get(u) or u in covered:
+                continue
+            need = max(0, t_there - totals[u])
+            if need < reachable.get(u, need + 1):
+                reachable[u] = need
+                grew = True
+        if not grew:
+            continue
+        pay, gain = w, root_gain
+        leaves: list[tuple[str, int]] = []
+        for u, b in sorted(reachable.items(), key=cmp_to_key(by_ratio)):
+            # Adding u lowers the density iff b/c_u < pay/gain.
+            if leaves and b * gain >= pay * c[u]:
+                break
+            leaves.append((u, b))
+            pay += b
+            gain += c[u]
+        if best is None or pay * best[1] < best[0] * gain:
+            best = (pay, gain, index[root], w, tuple(leaves))
+    return best
+
+
+def _min_star(inst: Instance, stars: Iterable[tuple]) -> Optional[CandidateStar]:
+    """The star of least key among per-root bests, converted to Fractions."""
+    best = None
+    for s in stars:
+        if best is None:
+            best = s
+            continue
+        lhs, rhs = s[0] * best[1], best[0] * s[1]
+        if lhs < rhs or (lhs == rhs and s[2] < best[2]):
+            best = s
+    if best is None:
+        return None
+    pay, gain, i, w, leaves = best
+    L = inst.scale
+    return CandidateStar(
+        root=inst.nodes[i],
+        root_increment=Fraction(w, L),
+        leaves=tuple((u, Fraction(b, L)) for u, b in leaves),
+        gain=Fraction(gain, L),
+        density=Fraction(pay, gain),
+    )
 
 
 def min_density_star(
@@ -73,62 +169,21 @@ def min_density_star(
     strictly decreases.  Terminals with zero c never enter a leaf set; an
     uncovered terminal root contributes its own c to the gain.  Ties are
     broken by (density, root id, increment).
+
+    This is a full scan over :func:`_best_star_at` from ``state.totals``.
+    The greedy runs the same function but keeps each root's best star in
+    ``state.stars``; after a step it recomputes only the dirty roots, the
+    closed neighbourhood of the nodes whose total rose and the terminals
+    that became covered.  That is complete: a root's best star reads only
+    its own total and covered flag and those of its neighbours.  A lazy
+    heap in the style of Minoux's accelerated greedy would be wrong here:
+    a root's best density can fall after a step, since raising a root
+    lowers its own increments.
     """
-    index = inst.index
-    best: Optional[tuple] = None
-    best_star: Optional[CandidateStar] = None
-    for v in inst.nodes:
-        ids = inst.edges_at[v]
-        if not ids:
-            continue
-        tot_v = state.totals[v]
-        increments = {ZERO}
-        for ei in ids:
-            increments.add(max(ZERO, inst.edges[ei].threshold_at(v) - tot_v))
-        root_gain = (
-            costs.c[v]
-            if v in inst.terminals and v not in state.covered
-            else ZERO
-        )
-        for w in sorted(increments):
-            reachable: dict[str, Fraction] = {}
-            for ei in ids:
-                e = inst.edges[ei]
-                if e.threshold_at(v) > tot_v + w:
-                    continue
-                u = e.other(v)
-                if u not in inst.terminals or u in state.covered:
-                    continue
-                if costs.c[u] == 0:
-                    continue
-                need = max(ZERO, e.threshold_at(u) - state.totals[u])
-                if u not in reachable or need < reachable[u]:
-                    reachable[u] = need
-            if not reachable:
-                continue
-            order = sorted(reachable, key=lambda u: (reachable[u] / costs.c[u], index[u]))
-            pay, gain = w, root_gain
-            leaves: list[tuple[str, Fraction]] = []
-            for u in order:
-                b_u, c_u = reachable[u], costs.c[u]
-                # Adding u lowers the density iff b_u/c_u < pay/gain.
-                if leaves and b_u * gain >= pay * c_u:
-                    break
-                leaves.append((u, b_u))
-                pay += b_u
-                gain += c_u
-            density = pay / gain
-            key = (density, index[v], w)
-            if best is None or key < best:
-                best = key
-                best_star = CandidateStar(
-                    root=v,
-                    root_increment=w,
-                    leaves=tuple(leaves),
-                    gain=gain,
-                    density=density,
-                )
-    return best_star
+    c = _scaled_costs(inst, costs)
+    totals = {n: inst.scaled(x) for n, x in state.totals.items()}
+    stars = (_best_star_at(inst, c, totals, state.covered, v) for v in inst.nodes)
+    return _min_star(inst, (s for s in stars if s))
 
 
 class _GeneralGmcProblem:
@@ -137,6 +192,7 @@ class _GeneralGmcProblem:
     def __init__(self, inst: Instance, costs: DerivedCosts):
         self.inst = inst
         self.costs = costs
+        self.c = _scaled_costs(inst, costs)
 
     def initial_state(self) -> GeneralSolveState:
         return initial_state(self.inst, self.costs)
@@ -148,7 +204,7 @@ class _GeneralGmcProblem:
         return self.costs.Q
 
     def best_augmentation(self, state: GeneralSolveState) -> Optional[Augmentation]:
-        star = min_density_star(self.inst, self.costs, state)
+        star = _min_star(self.inst, state.stars.values())
         if star is None:
             return None
         return Augmentation(
@@ -159,15 +215,32 @@ class _GeneralGmcProblem:
 
     def apply(self, state: GeneralSolveState, aug: Augmentation) -> GeneralSolveState:
         star: CandidateStar = aug.payload
+        inst = self.inst
         totals = dict(state.totals)
         extra = dict(state.extra)
+        scaled = dict(state.scaled)
+        changed = []
         for node, inc in ((star.root, star.root_increment), *star.leaves):
             if inc != 0:
                 totals[node] += inc
                 extra[node] = extra.get(node, ZERO) + inc
-        covered = covered_terminals(self.inst, totals)
-        nu = self.costs.Q + uncovered_cost(self.inst, self.costs, covered)
-        return GeneralSolveState(totals=totals, extra=extra, covered=covered, nu=nu)
+                scaled[node] += inst.scaled(inc)
+                changed.append(node)
+        # Only edges at a raised node can have become active.
+        newly = covered_terminals(inst, totals, changed) - state.covered
+        covered = state.covered | newly
+        nu = state.nu - sum((self.costs.c[u] for u in newly), ZERO)
+        dirty = set(changed) | newly
+        for x in tuple(dirty):
+            dirty.update(u for _, u, _ in inst.scaled_rows[x])
+        stars = dict(state.stars)
+        for v in dirty:
+            s = _best_star_at(inst, self.c, scaled, covered, v)
+            if s:
+                stars[v] = s
+            else:
+                stars.pop(v, None)
+        return GeneralSolveState(totals, extra, covered, nu, scaled, stars)
 
 
 def complete(inst: Instance, costs: DerivedCosts, state: GeneralSolveState) -> Assignment:
@@ -231,7 +304,8 @@ def solve_general(inst: Instance) -> SolveReport:
     state, trace = run_general_greedy(inst, costs)
     assignment = complete(inst, costs, state)
     ok, uncovered = covers(inst, assignment)
-    assert ok, f"completion left terminals uncovered: {uncovered}"
+    if not ok:
+        raise IncompleteCover(uncovered)
 
     candidates = general_bound_candidates(costs, inst.terminals_independent)
     label, bound = min(candidates, key=lambda it: (float(it[1]), it[0]))

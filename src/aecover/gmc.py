@@ -80,8 +80,9 @@ def gmc_greedy(problem: GmcProblem[S]) -> tuple[S, GreedyTrace]:
     """Run the density greedy until the target is reached or no augmentation
     with density <= 1 remains.
 
-    A returned augmentation must never increase the potential
-    (OracleViolation); zero-gain augmentations stop the loop even at zero
+    A returned augmentation must never increase the potential, and the
+    applied state must have the potential it predicted (OracleViolation,
+    also under ``python -O``); zero-gain augmentations stop the loop even at zero
     payment, which guarantees termination.
     """
     state = problem.initial_state()
@@ -102,9 +103,9 @@ def gmc_greedy(problem: GmcProblem[S]) -> tuple[S, GreedyTrace]:
             # pays more than it saves, so the caller finishes differently.
             break
         state = problem.apply(state, aug)
-        if __debug__:
-            actual = problem.potential(state)
-            assert actual == aug.predicted_potential, (
+        actual = problem.potential(state)
+        if actual != aug.predicted_potential:
+            raise OracleViolation(
                 f"oracle predicted potential {aug.predicted_potential}, got {actual}"
             )
         trace.steps.append(TraceStep(aug.payment, nu, aug.predicted_potential))

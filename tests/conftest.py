@@ -109,18 +109,26 @@ def enum_setcover_optimum(elements, sets) -> int:
 
 def random_set_system(rng: random.Random, n_elements: int, n_sets: int, max_size: int):
     """Random feasible set system with sizes capped at max_size; the element
-    count is clamped so the sets can actually cover them."""
+    count is clamped so the sets can actually cover them.
+
+    Feasible by construction: each element first joins a random set with
+    spare capacity, then every set is filled with random other elements up
+    to a random size between its current size (at least 1) and the cap.
+    """
     from aecover.unit import SetCoverInstance
 
     n_elements = min(n_elements, n_sets * max_size)
+    cap = min(max_size, n_elements)
     elements = tuple(f"x{i:02d}" for i in range(n_elements))
-    while True:
-        sets = {}
-        for j in range(n_sets):
-            size = rng.randint(1, max_size)
-            sets[f"s{j:02d}"] = frozenset(rng.sample(elements, min(size, n_elements)))
-        if set().union(*sets.values()) == set(elements):
-            return SetCoverInstance(elements=elements, sets=sets)
+    members: list[set[str]] = [set() for _ in range(n_sets)]
+    for x in elements:
+        members[rng.choice([j for j, m in enumerate(members) if len(m) < cap])].add(x)
+    sets = {}
+    for j, m in enumerate(members):
+        size = rng.randint(max(1, len(m)), cap)
+        rest = [x for x in elements if x not in m]
+        sets[f"s{j:02d}"] = frozenset(m | set(rng.sample(rest, size - len(m))))
+    return SetCoverInstance(elements=elements, sets=sets)
 
 
 @pytest.fixture

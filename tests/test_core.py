@@ -14,16 +14,32 @@ from aecover.core import (
     SpecEdge,
     TableActivation,
     ZERO,
+    Edge,
+    _prune_dominated,
     activated_edges,
     cheapest_edge_cover,
+    covered_terminals,
     covers,
     derive_costs,
     levels_reduction,
     q_assignment,
 )
 from aecover.errors import EmptyLevels, InvalidInstance, IsolatedTerminal
-from aecover.generators import random_general, random_minpower
+from aecover.generators import generate, random_general, random_minpower
 from aecover.oracle import exact_solve
+
+
+def quadratic_prune(sorted_edges):
+    """The former pruning loop, kept as the reference: drop e when any kept
+    parallel edge has both thresholds <= e's."""
+    kept = []
+    for e in sorted_edges:
+        dominated = any(
+            k.u == e.u and k.v == e.v and k.tu <= e.tu and k.tv <= e.tv for k in kept
+        )
+        if not dominated:
+            kept.append(e)
+    return kept
 
 
 class TestInstance:
@@ -50,6 +66,37 @@ class TestInstance:
         )
         assert len(inst.edges) == 2  # (1,2) and (2,1) are incomparable
         assert {(e.tu, e.tv) for e in inst.edges} == {(1, 2), (2, 1)}
+
+    def test_prune_matches_quadratic_reference(self):
+        # Few node pairs and a small threshold pool: many parallel edges,
+        # duplicates and incomparable pairs.
+        rng = random.Random(11)
+        pool = [0, 1, 2, 3, Fraction(1, 2), Fraction(5, 2)]
+        for case in range(200):
+            n = rng.randint(2, 4)
+            idx = {f"n{i}": i for i in range(n)}
+            edges = []
+            for _ in range(rng.randint(1, 40)):
+                u, v = sorted(rng.sample(list(idx), 2), key=idx.__getitem__)
+                edges.append(Edge(u, v, Fraction(rng.choice(pool)), Fraction(rng.choice(pool))))
+            edges.sort(key=lambda e: (idx[e.u], idx[e.v], e.tu, e.tv))
+            assert _prune_dominated(edges) == quadratic_prune(edges), case
+
+    def test_scaled_rows_are_exact(self):
+        for seed in range(10):
+            inst = generate("setcover-t10", seed)
+            L = inst.scale
+            assert L in (10, 20)
+            for n in inst.nodes:
+                rows = inst.scaled_rows[n]
+                assert [r[0] for r in rows] == sorted(r[0] for r in rows)
+                expect = sorted(
+                    (inst.edges[i].threshold_at(n) * L, inst.edges[i].other(n),
+                     inst.edges[i].threshold_at(inst.edges[i].other(n)) * L)
+                    for i in inst.edges_at[n]
+                )
+                assert sorted(rows) == expect
+                assert all(isinstance(x, int) for r in rows for x in (r[0], r[2]))
 
     def test_validation_errors(self):
         with pytest.raises(InvalidInstance):
@@ -133,6 +180,22 @@ class TestActivation:
             hi_vals = {n: v + Fraction(rng.randint(0, 3), 2) for n, v in lo_vals.items()}
             lo, hi = Assignment.of(lo_vals), Assignment.of(hi_vals)
             assert set(activated_edges(inst, lo)) <= set(activated_edges(inst, hi))
+
+    def test_covered_terminals_node_subset(self):
+        rng = random.Random(3)
+        for seed in range(20):
+            inst = random_general(8, 14, 3, seed)
+            values = {n: Fraction(rng.randint(0, 6), 2) for n in inst.nodes}
+            nodes = rng.sample(inst.nodes, 3)
+            expect = set()
+            for i in activated_edges(inst, Assignment.of(values)):
+                e = inst.edges[i]
+                if e.u in nodes or e.v in nodes:
+                    expect |= {e.u, e.v} & inst.terminals
+            assert covered_terminals(inst, values, nodes) == expect
+            assert covered_terminals(inst, values, inst.nodes) == covered_terminals(
+                inst, values
+            )
 
     def test_cheapest_cover_feasible_and_bounded(self):
         for seed in range(30):

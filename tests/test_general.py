@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from aecover import general
 from aecover.bounds import omega
-from aecover.core import Instance, ZERO, covers, derive_costs
-from aecover.errors import IsolatedTerminal
+from aecover.core import Assignment, Instance, ZERO, covers, derive_costs
+from aecover.errors import IncompleteCover, IsolatedTerminal
 from aecover.general import (
+    _GeneralGmcProblem,
     complete,
     initial_state,
     min_density_star,
@@ -78,8 +80,6 @@ class TestMinDensityStar:
                 assert star.density == brute
 
     def test_matches_enumeration_along_trajectory(self):
-        from aecover.general import _GeneralGmcProblem
-
         for inst in seeded_mix(24):
             costs = derive_costs(inst)
             problem = _GeneralGmcProblem(inst, costs)
@@ -131,6 +131,53 @@ class TestMinDensityStar:
                 assert chosen <= at_most
 
 
+def cached_picks_match_full_scan(inst):
+    """Run the greedy's own problem until no star is left, checking at every
+    step that the cached pick equals the full scan; returns the picks."""
+    costs = derive_costs(inst)
+    problem = _GeneralGmcProblem(inst, costs)
+    state = problem.initial_state()
+    picks = []
+    while True:
+        aug = problem.best_augmentation(state)
+        full = min_density_star(inst, costs, state)
+        assert (aug.payload if aug else None) == full
+        if aug is None:
+            return picks
+        picks.append(full)
+        state = problem.apply(state, aug)
+        assert state.nu == aug.predicted_potential
+
+
+class TestStarCache:
+    def test_matches_full_scan_on_seeded_mix(self):
+        for inst in seeded_mix(40):
+            cached_picks_match_full_scan(inst)
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_matches_full_scan_on_general_ladder(self, n):
+        for s in range(4):
+            picks = cached_picks_match_full_scan(
+                random_general(n, 3 * n, 6, s, r=round(0.4 * n))
+            )
+            assert picks
+
+    def test_newly_covered_neighbour_dirties_unchanged_root(self):
+        # Roots a and b tie at density 1/2; a wins on node order and covers
+        # t1 and t3 without raising them.  b is not adjacent to a, so only
+        # the newly covered t1 makes it dirty; its best star must drop t1.
+        inst = Instance.from_data(
+            ["a", "b", "t1", "t2", "t3"],
+            ["t1", "t2", "t3"],
+            [("t1", "a", 1, 1), ("t3", "a", 1, 1), ("t1", "b", 1, 1), ("t2", "b", 1, 1)],
+        )
+        picks = cached_picks_match_full_scan(inst)
+        assert [(p.root, p.leaves, p.density) for p in picks] == [
+            ("a", (("t1", ZERO), ("t3", ZERO)), Fraction(1, 2)),
+            ("b", (("t2", ZERO),), Fraction(1)),
+        ]
+
+
 class TestSolveGeneral:
     def test_single_edge_value(self, tiny_instance):
         report = solve_general(tiny_instance)
@@ -162,6 +209,12 @@ class TestSolveGeneral:
                 assert float(ratio) <= 1 + omega(costs.theta) + 1e-12
             assert float(ratio) <= 1 + math.log(costs.delta + 1) + 1e-12
 
+    def test_incomplete_completion_raises_typed_error(self, tiny_instance, monkeypatch):
+        monkeypatch.setattr(general, "complete", lambda inst, costs, state: Assignment.zero())
+        with pytest.raises(IncompleteCover) as err:
+            solve_general(tiny_instance)
+        assert err.value.uncovered == ("u",)
+
     def test_zero_slope_instances_solved_exactly(self):
         inst = Instance.from_data(["u", "v"], ["u"], [("u", "v", 2, 0)])
         report = solve_general(inst)
@@ -188,8 +241,6 @@ class TestComplete:
         assert done.total() <= costs.Q + costs.C
 
     def test_interrupted_greedy_still_feasible(self):
-        from aecover.general import _GeneralGmcProblem
-
         for inst in seeded_mix(20):
             costs = derive_costs(inst)
             problem = _GeneralGmcProblem(inst, costs)

@@ -1,10 +1,14 @@
 """The generic density greedy and its ratio certificate."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import aecover
 from aecover.bounds import omega
 from aecover.errors import DomainError, OracleViolation
 from aecover.gmc import Augmentation, gmc_greedy, greedy_ratio_bound, trace_payment_bound
@@ -71,6 +75,40 @@ def test_oracle_violation_detected():
     problem = TableProblem(5, 0, [(1, -1)])  # potential would increase
     with pytest.raises(OracleViolation):
         gmc_greedy(problem)
+
+
+def test_mispredicted_potential_detected():
+    # The applied state lands one unit below the predicted potential.
+    class Mispredicting(TableProblem):
+        def apply(self, state, aug):
+            nu, i = super().apply(state, aug)
+            return (nu - 1, i)
+
+    with pytest.raises(OracleViolation, match="predicted potential 4, got 3"):
+        gmc_greedy(Mispredicting(5, 0, [(1, 1)]))
+
+
+def test_potential_check_survives_optimize_flag():
+    # Under python -O every assert is gone; the check must still raise.
+    code = (
+        "from fractions import Fraction\n"
+        "from aecover.errors import OracleViolation\n"
+        "from aecover.gmc import Augmentation, gmc_greedy\n"
+        "class P:\n"
+        "    def initial_state(self): return Fraction(5)\n"
+        "    def potential(self, s): return s\n"
+        "    def target(self): return Fraction(0)\n"
+        "    def best_augmentation(self, s): return Augmentation(None, Fraction(1), s - 1)\n"
+        "    def apply(self, s, a): return s - 2\n"
+        "try:\n"
+        "    gmc_greedy(P())\n"
+        "except OracleViolation:\n"
+        "    raise SystemExit(7)\n"
+    )
+    src = os.path.dirname(os.path.dirname(aecover.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert done.returncode == 7
 
 
 def test_trace_doc_round_trips_exact_values():
