@@ -37,6 +37,7 @@ from .errors import (
     NotBipartite,
     NotUnitThresholds,
     OracleViolation,
+    PhaseInvariantViolated,
     SizeBoundViolated,
 )
 from .fileio import instance_digest, load_instance, loads_instance, save_instance

@@ -66,6 +66,10 @@ class IncompleteCover(AecError):
         self.uncovered = tuple(uncovered)
 
 
+class PhaseInvariantViolated(AecError):
+    """The multi-phase unit solver broke an invariant its phase analysis rests on."""
+
+
 class LimitExceeded(AecError):
     """Instance exceeds the configured exact-solver limits."""
 

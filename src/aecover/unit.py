@@ -12,13 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 import networkx as nx
 
 from .bounds import A1_RATIO, RHO
 from .core import Assignment, Instance, covers, derive_costs
-from .errors import Infeasible, NotUnitThresholds, SizeBoundViolated
+from .errors import (
+    IncompleteCover,
+    Infeasible,
+    NotUnitThresholds,
+    PhaseInvariantViolated,
+    SizeBoundViolated,
+)
 from .fileio import instance_digest
 from .report import SolveReport
 
@@ -144,51 +150,84 @@ def exact_2setcover(sc: SetCoverInstance) -> SetCoverSolution:
 
 
 def exact_bb(sc: SetCoverInstance, k: int) -> SetCoverSolution:
-    """Optimal cover by element-branching search with a covered-mask memo and
-    the ceil(remaining/k) admissible lower bound."""
+    """Optimal cover by incumbent-bounded element branching on bit masks.
+
+    A mask ``free`` holds the uncovered elements, bit i for ``elements[i]``.
+    The search branches on the lowest free element and tries the sets that
+    contain it in ``sc.sets`` insertion order; a branch replaces the best
+    count found so far only when it is strictly smaller.  So each mask's
+    answer is its first minimum-size cover in that order, and the returned
+    cover is the one that order defines.
+
+    ``search(free, ub)`` returns the optimum of ``free`` when it is below
+    ``ub``, and otherwise a proven lower bound that is at least ``ub``.  A
+    branch runs with ``ub`` equal to the best count so far minus one, so it
+    can only report a count that beats the incumbent.  Exact answers are
+    memoized as ``mask -> (count, set index)``, and the cover is rebuilt by
+    following the stored set indices; a mask whose search failed under ``ub``
+    keeps ``ub`` as a proven floor.
+
+    The lower bound at a mask is the largest of ceil(|free|/k), its floor,
+    and a packing count: free elements taken lowest first so that no two
+    share a set, each of which needs a set of its own.  The search returns
+    at once when the bound reaches ``ub``, and stops trying sets once the
+    incumbent equals the bound.  Every such skip drops only branches that
+    cannot be strictly smaller than the incumbent, so the first minimum, and
+    with it the cover, is the one a full search in the same order finds.
+    """
     if sc.max_set_size() > k:
         raise SizeBoundViolated(f"set larger than k={k}")
     sc.check_feasible()
-    n = len(sc.elements)
     rank = sc.element_rank()
-    full = (1 << n) - 1
-    set_masks: list[tuple[str, int]] = []
-    for v, s in sc.sets.items():
-        mask = 0
-        for x in s:
-            mask |= 1 << rank[x]
-        set_masks.append((v, mask))
-    by_element: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    for v, mask in set_masks:
-        for i in range(n):
-            if mask >> i & 1:
-                by_element[i].append((v, mask))
+    names = list(sc.sets)
+    masks = [sum(1 << rank[x] for x in s) for s in sc.sets.values()]
+    by_element: list[list[tuple[int, int]]] = [[] for _ in sc.elements]
+    # reach[i]: every element that shares a set with element i, i included.
+    reach = [0] * len(sc.elements)
+    for j, mask in enumerate(masks):
+        rest = mask
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            by_element[i].append((j, mask))
+            reach[i] |= mask
+            rest &= rest - 1
+    exact: dict[int, tuple[int, int]] = {}
+    floor: dict[int, int] = {}
 
-    memo: dict[int, tuple[int, tuple[str, ...]]] = {}
-
-    def solve(mask: int) -> tuple[int, tuple[str, ...]]:
-        if mask == full:
-            return 0, ()
-        hit = memo.get(mask)
+    def search(free: int, ub: int) -> int:
+        if not free:
+            return 0
+        hit = exact.get(free)
         if hit is not None:
-            return hit
-        i = next(j for j in range(n) if not mask >> j & 1)
-        best: Optional[tuple[int, tuple[str, ...]]] = None
-        for v, smask in by_element[i]:
-            new_mask = mask | smask
-            if best is not None:
-                remaining = n - bin(new_mask).count("1")
-                if 1 + -(-remaining // k) >= best[0]:
-                    continue
-            count, picks = solve(new_mask)
-            cand = (count + 1, (v,) + picks)
-            if best is None or cand[0] < best[0]:
-                best = cand
-        assert best is not None
-        memo[mask] = best
+            return hit[0]
+        packing = 0
+        rest = free
+        while rest:
+            packing += 1
+            rest &= ~reach[(rest & -rest).bit_length() - 1]
+        lb = max(-(-free.bit_count() // k), packing, floor.get(free, 0))
+        if lb >= ub:
+            return lb
+        best, best_j = ub, -1
+        for j, mask in by_element[(free & -free).bit_length() - 1]:
+            count = search(free & ~mask, best - 1) + 1
+            if count < best:
+                best, best_j = count, j
+                if best == lb:
+                    break
+        if best_j < 0:
+            floor[free] = ub
+            return ub
+        exact[free] = (best, best_j)
         return best
 
-    _, picks = solve(0)
+    free = (1 << len(sc.elements)) - 1
+    search(free, len(sc.elements) + 1)
+    picks = []
+    while free:
+        j = exact[free][1]
+        picks.append(names[j])
+        free &= ~masks[j]
     return SetCoverSolution(chosen=tuple(sorted(picks)), covered=True)
 
 
@@ -253,7 +292,8 @@ def _unit_report(
     inst = res.inst
     assignment = _unit_assignment(inst, chosen)
     ok, uncovered = covers(inst, assignment)
-    assert ok, f"unit solver left terminals uncovered: {uncovered}"
+    if not ok:
+        raise IncompleteCover(uncovered)
     costs = derive_costs(inst)
     return SolveReport(
         instance_digest=instance_digest(inst),
@@ -329,7 +369,8 @@ def solve_unit_a2(
             if v in removed:
                 continue
             avail = sc.sets[v] & uncovered
-            assert len(avail) <= k + 1, "phase invariant violated"
+            if len(avail) > k + 1:
+                raise PhaseInvariantViolated(f"set {v!r} has {len(avail)} free elements at k={k}")
             if len(avail) == k + 1:
                 roots.append(v)
                 uncovered -= avail
@@ -342,7 +383,8 @@ def solve_unit_a2(
         if k > 6:
             continue
         if k == 0:
-            assert not uncovered, "1-star phase must cover everything"
+            if uncovered:
+                raise PhaseInvariantViolated("1-star phase must cover everything")
             finish: tuple[str, ...] = ()
         else:
             residual = _restrict(sc, uncovered, removed)
@@ -350,7 +392,8 @@ def solve_unit_a2(
                 finish = subsolver.fn(residual, k).chosen
             else:
                 finish = ()
-        assert not (set(roots) & set(finish))
+        if set(roots) & set(finish):
+            raise PhaseInvariantViolated(f"subsolver finish at k={k} reuses a root")
         candidates.append(
             (len(roots) + len(finish), k, len(roots), len(finish), tuple(roots) + finish)
         )

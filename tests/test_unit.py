@@ -1,19 +1,33 @@
 """Unit-threshold reduction, exact 2-set-cover, subsolvers, both solvers."""
 
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
+import aecover
 from aecover.bounds import A1_RATIO, RHO, harmonic
 from aecover.core import Instance, covers
-from aecover.errors import Infeasible, NotUnitThresholds, SizeBoundViolated
+from aecover.errors import (
+    IncompleteCover,
+    Infeasible,
+    NotUnitThresholds,
+    PhaseInvariantViolated,
+    SizeBoundViolated,
+)
 from aecover.generators import random_unit, tight73
 from aecover.oracle import exact_solve
 from aecover.unit import (
     EXACT_SUBSOLVER,
     GREEDY_SUBSOLVER,
+    KSetCoverSolver,
     SetCoverInstance,
+    SetCoverSolution,
     exact_2setcover,
     exact_bb,
     greedy_hk,
@@ -23,6 +37,69 @@ from aecover.unit import (
     solve_unit_a2,
 )
 from conftest import enum_setcover_optimum, random_set_system
+
+
+def _reference_exact_bb(sc: SetCoverInstance, k: int) -> SetCoverSolution:
+    """The former exact_bb, kept as the reference: element branching with a
+    covered-mask memo of whole pick tuples and the ceil(remaining/k) bound."""
+    if sc.max_set_size() > k:
+        raise SizeBoundViolated(f"set larger than k={k}")
+    sc.check_feasible()
+    n = len(sc.elements)
+    rank = sc.element_rank()
+    full = (1 << n) - 1
+    set_masks: list[tuple[str, int]] = []
+    for v, s in sc.sets.items():
+        mask = 0
+        for x in s:
+            mask |= 1 << rank[x]
+        set_masks.append((v, mask))
+    by_element: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+    for v, mask in set_masks:
+        for i in range(n):
+            if mask >> i & 1:
+                by_element[i].append((v, mask))
+
+    memo: dict[int, tuple[int, tuple[str, ...]]] = {}
+
+    def solve(mask: int) -> tuple[int, tuple[str, ...]]:
+        if mask == full:
+            return 0, ()
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
+        i = next(j for j in range(n) if not mask >> j & 1)
+        best: Optional[tuple[int, tuple[str, ...]]] = None
+        for v, smask in by_element[i]:
+            new_mask = mask | smask
+            if best is not None:
+                remaining = n - bin(new_mask).count("1")
+                if 1 + -(-remaining // k) >= best[0]:
+                    continue
+            count, picks = solve(new_mask)
+            cand = (count + 1, (v,) + picks)
+            if best is None or cand[0] < best[0]:
+                best = cand
+        assert best is not None
+        memo[mask] = best
+        return best
+
+    _, picks = solve(0)
+    return SetCoverSolution(chosen=tuple(sorted(picks)), covered=True)
+
+
+REFERENCE_SUBSOLVER = KSetCoverSolver(name="exact", fn=_reference_exact_bb, certified=True)
+
+
+def facility_unit_instance(n: int, rng: random.Random) -> Instance:
+    """n terminals and n facilities; f_j joins t_j and 3 sampled terminals."""
+    terms = [f"t{i}" for i in range(n)]
+    facs = [f"f{j}" for j in range(n)]
+    edges = []
+    for j, f in enumerate(facs):
+        edges.append((terms[j], f, 1, 1))
+        edges.extend((t, f, 1, 1) for t in rng.sample(terms, 3))
+    return Instance.from_data(terms + facs, terms, edges)
 
 
 class TestReduceUnit:
@@ -130,6 +207,38 @@ class TestExactBB:
             sc = random_set_system(rng, rng.randint(2, 10), rng.randint(2, 8), k)
             got = exact_bb(sc, k)
             assert len(got.chosen) == enum_setcover_optimum(sc.elements, sc.sets)
+
+    def test_matches_reference_on_random_systems(self):
+        rng = random.Random(13)
+        for case in range(300):
+            k = case % 6 + 1
+            sc = random_set_system(rng, rng.randint(1, 14), rng.randint(1, 10), k)
+            assert exact_bb(sc, k) == _reference_exact_bb(sc, k), (case, sc)
+
+    def test_empty_system(self):
+        empty = SetCoverInstance((), {})
+        for k in range(1, 4):
+            assert exact_bb(empty, k) == _reference_exact_bb(empty, k)
+            assert exact_bb(empty, k) == SetCoverSolution((), True)
+
+    def test_matches_reference_on_unit_a2_residuals(self):
+        # Every phase residual of solve-unit shaped instances: the whole
+        # solution and the final report must equal the reference's.
+        calls = []
+
+        def checked(sc, k):
+            got = exact_bb(sc, k)
+            assert got == _reference_exact_bb(sc, k), (k, sc)
+            calls.append(k)
+            return got
+
+        checking = KSetCoverSolver(name="exact", fn=checked, certified=True)
+        rng = random.Random(17)
+        for n in range(10, 31):
+            res = reduce_unit(facility_unit_instance(n, rng))
+            report = solve_unit_a2(res, subsolver=checking)
+            assert report.to_json() == solve_unit_a2(res, REFERENCE_SUBSOLVER).to_json()
+        assert len(calls) >= 21
 
     def test_matching2_agrees_with_bb(self):
         rng = random.Random(4)
@@ -260,6 +369,55 @@ class TestSolveUnitA2:
         )
         opt_after = exact_solve(residual).value
         assert opt_before - opt_after >= len(leaves)
+
+    def test_roadmap_45_terminals_in_bounded_time(self):
+        # The 45-terminal instance took about 1.4 s with the reference search.
+        inst = facility_unit_instance(45, random.Random(7))
+        res = reduce_unit(inst)
+        start = time.perf_counter()
+        report = solve_unit_a2(res)
+        elapsed = time.perf_counter() - start
+        assert report.to_json() == solve_unit_a2(res, REFERENCE_SUBSOLVER).to_json()
+        assert elapsed < 10, elapsed
+
+    def test_finish_reusing_a_root_raises(self):
+        # A subsolver finish that picks a phase root breaks the phase analysis.
+        res = reduce_unit(facility_unit_instance(12, random.Random(1)))
+        roots_first = KSetCoverSolver(
+            name="bad", fn=lambda sc, k: SetCoverSolution(tuple(res.system.sets), True),
+            certified=False,
+        )
+        with pytest.raises(PhaseInvariantViolated):
+            solve_unit_a2(res, subsolver=roots_first)
+
+    def test_uncovering_subsolver_raises_incomplete_cover(self):
+        res = reduce_unit(facility_unit_instance(12, random.Random(1)))
+        nothing = KSetCoverSolver(
+            name="bad", fn=lambda sc, k: SetCoverSolution((), True), certified=False
+        )
+        with pytest.raises(IncompleteCover):
+            solve_unit_a2(res, subsolver=nothing)
+
+    def test_phase_check_survives_optimize_flag(self):
+        # Under python -O every assert is gone; the check must still raise.
+        code = (
+            "import random\n"
+            "from aecover.core import Instance\n"
+            "from aecover.errors import PhaseInvariantViolated\n"
+            "from aecover.unit import KSetCoverSolver, SetCoverSolution, reduce_unit, solve_unit_a2\n"
+            "t = [f't{i}' for i in range(4)]\n"
+            "edges = [(x, 'v', 1, 1) for x in t[:3]] + [(t[3], 'w', 1, 1), (t[2], 'w', 1, 1)]\n"
+            "res = reduce_unit(Instance.from_data(t + ['v', 'w'], t, edges))\n"
+            "bad = KSetCoverSolver('bad', lambda sc, k: SetCoverSolution(('v', 'w'), True), False)\n"
+            "try:\n"
+            "    solve_unit_a2(res, subsolver=bad)\n"
+            "except PhaseInvariantViolated:\n"
+            "    raise SystemExit(7)\n"
+        )
+        src = os.path.dirname(os.path.dirname(aecover.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+        assert done.returncode == 7
 
     def test_infeasible_element(self):
         inst = Instance.from_data(
