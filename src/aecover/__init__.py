@@ -39,6 +39,7 @@ from .errors import (
     OracleViolation,
     PhaseInvariantViolated,
     SizeBoundViolated,
+    StarDecompositionViolated,
 )
 from .fileio import instance_digest, load_instance, loads_instance, save_instance
 from .general import CandidateStar, complete, min_density_star, solve_general

@@ -21,7 +21,11 @@ from .errors import AecError, BudgetExceeded, DomainError, Infeasible, LimitExce
 from .fileio import assignment_doc, format_fraction, instance_digest, load_instance, save_instance
 from .general import solve_general
 from .generators import FAMILIES, generate, tight73
-from .locally_uniform import solve_locally_uniform, validate_locally_uniform
+from .locally_uniform import (
+    UniformBipartiteInstance,
+    solve_locally_uniform,
+    validate_locally_uniform,
+)
 from .oracle import DEFAULT_MAX_NODES, DEFAULT_MAX_TERMINALS, exact_solve
 from .report import BenchReport, SolveReport
 from .unit import SUBSOLVERS, reduce_unit, solve_unit_a1, solve_unit_a2
@@ -45,14 +49,18 @@ _BENCH_ALGORITHMS = {
 }
 
 
-def pick_algorithm(inst: Instance) -> str:
+def _pick(inst: Instance) -> tuple[str, Optional[UniformBipartiteInstance]]:
+    """The auto choice, with the validated view when it is locally uniform."""
     if inst.is_unit():
-        return "unit-a2"
+        return "unit-a2", None
     try:
-        validate_locally_uniform(inst)
-        return "locally-uniform"
+        return "locally-uniform", validate_locally_uniform(inst)
     except AecError:
-        return "general"
+        return "general", None
+
+
+def pick_algorithm(inst: Instance) -> str:
+    return _pick(inst)[0]
 
 
 def run_algorithm(
@@ -62,12 +70,14 @@ def run_algorithm(
     priority: Optional[Sequence[str]] = None,
     subsolver: str = "exact",
 ) -> SolveReport:
+    ubi = None
     if algorithm == "auto":
-        algorithm = pick_algorithm(inst)
+        algorithm, ubi = _pick(inst)
     if algorithm == "general":
         return solve_general(inst)
     if algorithm == "locally-uniform":
-        ubi = validate_locally_uniform(inst)
+        if ubi is None:
+            ubi = validate_locally_uniform(inst)
         return solve_locally_uniform(ubi, tie_break=tie_break, priority=priority)
     if algorithm == "unit-a1":
         return solve_unit_a1(reduce_unit(inst))

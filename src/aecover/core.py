@@ -27,8 +27,11 @@ def as_fraction(x: Rational) -> Fraction:
     """Parse a threshold or value exactly ("3/2", "0.25", 2, Fraction)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InvalidInstance(f"not an exact rational: {x!r}")
 
 
@@ -95,7 +98,7 @@ class Instance:
             if u == v:
                 raise InvalidInstance(f"self loop at {u!r}")
             ftu, ftv = as_fraction(tu), as_fraction(tv)
-            if ftu < 0 or ftv < 0:
+            if ftu.numerator < 0 or ftv.numerator < 0:
                 raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
             if idx[u] > idx[v]:
                 u, v, ftu, ftv = v, u, ftv, ftu
@@ -121,22 +124,33 @@ class Instance:
         return tuple(sorted(self.terminals, key=self.index.__getitem__))
 
     @cached_property
+    def _distinct_thresholds(self) -> Mapping[int, Fraction]:
+        # Loaded instances share one Fraction per distinct threshold literal,
+        # so keying by identity visits each of them once.
+        return {id(t): t for e in self.edges for t in (e.tu, e.tv)}
+
+    @cached_property
     def scale(self) -> int:
         """LCM of the threshold denominators: it makes every threshold, and
         every sum or difference of thresholds, an integer."""
-        return math.lcm(1, *(t.denominator for e in self.edges for t in (e.tu, e.tv)))
+        return math.lcm(1, *{t.denominator for t in self._distinct_thresholds.values()})
 
     def scaled(self, x: Fraction) -> int:
         """``x`` times :attr:`scale`, for ``x`` built from thresholds."""
         return x.numerator * (self.scale // x.denominator)
 
     @cached_property
+    def scaled_thresholds(self) -> tuple[tuple[int, int], ...]:
+        """Per edge, ``(tu, tv)`` times :attr:`scale`."""
+        s = {i: self.scaled(t) for i, t in self._distinct_thresholds.items()}
+        return tuple((s[id(e.tu)], s[id(e.tv)]) for e in self.edges)
+
+    @cached_property
     def scaled_rows(self) -> Mapping[str, tuple[tuple[int, str, int], ...]]:
         """Per node, one ``(t_here, other, t_there)`` row per incident edge,
         thresholds times :attr:`scale`, sorted by ``t_here``."""
         rows: dict[str, list[tuple[int, str, int]]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            tu, tv = self.scaled(e.tu), self.scaled(e.tv)
+        for e, (tu, tv) in zip(self.edges, self.scaled_thresholds):
             rows[e.u].append((tu, e.v, tv))
             rows[e.v].append((tv, e.u, tu))
         return {n: tuple(sorted(r, key=lambda row: row[0])) for n, r in rows.items()}
@@ -271,42 +285,65 @@ class DerivedCosts:
 
 
 def derive_costs(inst: Instance) -> DerivedCosts:
-    """Compute q, c, Q, C, slope and degree bound; raises IsolatedTerminal."""
+    """Compute q, c, Q, C, slope and degree bound; raises IsolatedTerminal.
+
+    The work runs on thresholds times ``inst.scale``, with slopes compared by
+    cross-multiplication; only the returned values become ``Fraction``s.
+    """
+    L = inst.scale
+    edges, scaled = inst.edges, inst.scaled_thresholds
+    exact: dict[int, Fraction] = {}
+
+    def as_exact(x: int) -> Fraction:
+        f = exact.get(x)
+        if f is None:
+            f = exact[x] = Fraction(x, L)
+        return f
+
     q: dict[str, Fraction] = {}
     c: dict[str, Fraction] = {}
     cheapest: dict[str, int] = {}
+    Q = C = 0
+    # The slope so far is num/den, or unbounded.
+    num, den, unbounded = 0, 1, False
     for u in inst.terminal_list:
         ids = inst.edges_at[u]
         if not ids:
             raise IsolatedTerminal(u)
-        q[u] = min(inst.edges[i].threshold_at(u) for i in ids)
-        best = min(ids, key=lambda i: (inst.edges[i].value(), i))
-        c[u] = inst.edges[best].value() - q[u]
-        cheapest[u] = best
-
-    theta: Union[Fraction, float] = ZERO
-    for u in inst.terminal_list:
-        if q[u] > 0:
-            ratio = c[u] / q[u]
-            if theta != math.inf and ratio > theta:
-                theta = ratio
-        elif c[u] > 0:
+        qu = best_value = best = None
+        for i in ids:  # ascending, so the first minimum has the lowest index
+            tu, tv = scaled[i]
+            here = tu if edges[i].u == u else tv
+            if qu is None or here < qu:
+                qu = here
+            if best_value is None or tu + tv < best_value:
+                best_value, best = tu + tv, i
+        cu = best_value - qu
+        q[u], c[u], cheapest[u] = as_exact(qu), as_exact(cu), best
+        Q += qu
+        C += cu
+        if qu > 0:
+            if cu * den > num * qu:
+                num, den = cu, qu
+        elif cu > 0:
             # q = 0 < c leaves the slope unbounded.
-            theta = math.inf
+            unbounded = True
         # q = c = 0 imposes no constraint.
 
-    delta = 0
-    for v in inst.nodes:
-        neigh = {inst.edges[i].other(v) for i in inst.edges_at[v]}
-        delta = max(delta, len(neigh & inst.terminals))
+    terminal_neighbors: dict[str, set[str]] = {}
+    for e in edges:
+        if e.v in inst.terminals:
+            terminal_neighbors.setdefault(e.u, set()).add(e.v)
+        if e.u in inst.terminals:
+            terminal_neighbors.setdefault(e.v, set()).add(e.u)
 
     return DerivedCosts(
         q=q,
         c=c,
-        Q=sum(q.values(), ZERO),
-        C=sum(c.values(), ZERO),
-        theta=theta,
-        delta=delta,
+        Q=Fraction(Q, L),
+        C=Fraction(C, L),
+        theta=math.inf if unbounded else Fraction(num, den),
+        delta=max(map(len, terminal_neighbors.values()), default=0),
         cheapest=cheapest,
     )
 

@@ -70,6 +70,11 @@ class PhaseInvariantViolated(AecError):
     """The multi-phase unit solver broke an invariant its phase analysis rests on."""
 
 
+class StarDecompositionViolated(AecError):
+    """A minimal activated cover did not split into node-disjoint stars with
+    terminal leaves."""
+
+
 class LimitExceeded(AecError):
     """Instance exceeds the configured exact-solver limits."""
 

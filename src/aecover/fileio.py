@@ -5,6 +5,17 @@ Instance files are JSON documents with exactly the keys ``nodes``,
 "3/2" or decimal/integer literals, parsed exactly.  Files written by
 :func:`save_instance` are canonical: loading and re-saving one reproduces the
 bytes.
+
+The canonical text is what ``json.dumps(doc, sort_keys=True, indent=2)``
+followed by a newline gives for the document ``{"nodes": [...], "terminals":
+[...], "edges": [{"u", "v", "tu", "tv"}, ...]}``: keys sorted (``edges``,
+``nodes``, ``terminals``; per edge ``tu``, ``tv``, ``u``, ``v``), two spaces
+per level, one item per line, ``[]`` for an empty list, node ids escaped to
+ASCII and thresholds as fraction strings such as "3/2".  :func:`dumps_instance`
+writes that layout directly with string joins, because any ``indent`` makes
+``json.dumps`` fall back to its pure-Python encoder, which cost more than
+the solve it was reporting on.  The instance digest is the sha256 of the
+UTF-8 bytes of this text.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping, Union
 
@@ -33,31 +45,52 @@ def format_float(x: float) -> str:
 
 
 def parse_instance_doc(doc: Mapping[str, Any]) -> Instance:
+    if not isinstance(doc, dict):
+        raise InvalidInstance("an instance must be a JSON object")
     unknown = set(doc) - _INSTANCE_KEYS
     if unknown:
         raise InvalidInstance(f"unknown instance keys: {sorted(unknown)}")
     missing = _INSTANCE_KEYS - set(doc)
     if missing:
         raise InvalidInstance(f"missing instance keys: {sorted(missing)}")
+    for key in ("nodes", "terminals", "edges"):
+        if not isinstance(doc[key], list):
+            raise InvalidInstance(f"{key} must be a list")
     for key in ("nodes", "terminals"):
         if not all(isinstance(x, str) for x in doc[key]):
             raise InvalidInstance(f"{key} must be strings")
+    # Instances repeat a few threshold literals many times; parse each once.
+    parsed: dict[str, Fraction] = {}
+
+    def threshold(raw: Any) -> Fraction:
+        if not isinstance(raw, str):
+            return as_fraction(raw)
+        x = parsed.get(raw)
+        if x is None:
+            x = parsed[raw] = as_fraction(raw)
+        return x
+
     edges = []
     for rec in doc["edges"]:
-        bad = set(rec) - _EDGE_KEYS
-        if bad:
-            raise InvalidInstance(f"unknown edge keys: {sorted(bad)}")
-        if set(rec) != _EDGE_KEYS:
+        if not isinstance(rec, dict):
+            raise InvalidInstance(f"edge record must be an object: {rec!r}")
+        if rec.keys() != _EDGE_KEYS:
+            bad = rec.keys() - _EDGE_KEYS
+            if bad:
+                raise InvalidInstance(f"unknown edge keys: {sorted(bad)}")
             raise InvalidInstance(f"incomplete edge record: {rec}")
         if not isinstance(rec["u"], str) or not isinstance(rec["v"], str):
             raise InvalidInstance(f"edge endpoints must be strings: {rec}")
-        edges.append((rec["u"], rec["v"], as_fraction(rec["tu"]), as_fraction(rec["tv"])))
+        edges.append((rec["u"], rec["v"], threshold(rec["tu"]), threshold(rec["tv"])))
     return Instance.from_data(doc["nodes"], doc["terminals"], edges)
 
 
 def loads_instance(text: str) -> Instance:
     # parse_float hands the raw literal to Fraction, so "0.1" loads as 1/10.
-    doc = json.loads(text, parse_float=Fraction)
+    try:
+        doc = json.loads(text, parse_float=Fraction)
+    except ValueError as exc:
+        raise InvalidInstance(f"not a JSON document: {exc}") from None
     return parse_instance_doc(doc)
 
 
@@ -65,31 +98,45 @@ def load_instance(path: Union[str, Path]) -> Instance:
     return loads_instance(Path(path).read_text())
 
 
-def instance_doc(inst: Instance) -> dict[str, Any]:
-    return {
-        "nodes": list(inst.nodes),
-        "terminals": list(inst.terminal_list),
-        "edges": [
-            {"u": e.u, "v": e.v, "tu": format_fraction(e.tu), "tv": format_fraction(e.tv)}
-            for e in inst.edges
-        ],
-    }
-
-
-def canonical_bytes(doc: Mapping[str, Any]) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+def _json_list(items: list[str]) -> str:
+    """A list value at the document's top level, one item per line."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
 def dumps_instance(inst: Instance) -> str:
-    return canonical_bytes(instance_doc(inst)).decode()
+    """The canonical instance text; the module docstring gives the layout."""
+    name = {n: encode_basestring_ascii(n) for n in inst.nodes}
+    # Keyed by identity: hashing a Fraction costs more than formatting it,
+    # and the instance keeps every threshold alive while this runs.
+    literal: dict[int, str] = {}
+
+    def quoted(x: Fraction) -> str:
+        s = literal.get(id(x))
+        if s is None:
+            s = literal[id(x)] = f'"{format_fraction(x)}"'
+        return s
+
+    edges = [
+        f'{{\n      "tu": {quoted(e.tu)},\n      "tv": {quoted(e.tv)},'
+        f'\n      "u": {name[e.u]},\n      "v": {name[e.v]}\n    }}'
+        for e in inst.edges
+    ]
+    return (
+        '{\n  "edges": ' + _json_list(edges)
+        + ',\n  "nodes": ' + _json_list([name[n] for n in inst.nodes])
+        + ',\n  "terminals": ' + _json_list([name[t] for t in inst.terminal_list])
+        + "\n}\n"
+    )
 
 
 def save_instance(inst: Instance, path: Union[str, Path]) -> None:
-    Path(path).write_bytes(canonical_bytes(instance_doc(inst)))
+    Path(path).write_bytes(dumps_instance(inst).encode())
 
 
 def instance_digest(inst: Instance) -> str:
-    return hashlib.sha256(canonical_bytes(instance_doc(inst))).hexdigest()
+    return hashlib.sha256(dumps_instance(inst).encode()).hexdigest()
 
 
 def assignment_doc(a: Assignment) -> dict[str, str]:

@@ -104,6 +104,12 @@ def solve_locally_uniform(
 
     ``tie_break`` picks among equal prices: "lowest-id" by node order,
     "adversarial-order" by an explicit facility priority list.
+
+    Each facility keeps its count k of uncovered clients, lowered through a
+    client-to-facility index as clients are served.  With w and t times
+    ``inst.scale``, the scaled price is (w + t*k)/k, compared by
+    cross-multiplication; facilities are scanned in tie order, so the first
+    strict minimum wins.  Only the winner's price becomes a ``Fraction``.
     """
     inst = ubi.inst
     if tie_break == "adversarial-order":
@@ -117,36 +123,46 @@ def solve_locally_uniform(
     else:
         raise ValueError(f"unknown tie break {tie_break!r}")
 
+    L = inst.scale
+    order = [v for v in sorted(ubi.facilities, key=tie_key.__getitem__) if ubi.adjacency[v]]
+    w = {v: inst.scaled(ubi.weight[v]) for v in order}
+    t = {v: inst.scaled(ubi.service[v]) for v in order}
+    count = {v: len(ubi.adjacency[v]) for v in order}
+    facilities_of: dict[str, list[str]] = {}
+    for v in order:
+        for c in ubi.adjacency[v]:
+            facilities_of.setdefault(c, []).append(v)
+
     uncovered = set(ubi.clients)
     values: dict[str, Fraction] = {}
     steps: list[dict] = []
     while uncovered:
         best = None
-        for v in ubi.facilities:
-            if v in values:
-                continue
-            k = sum(1 for c in ubi.adjacency[v] if c in uncovered)
+        for v in order:
+            k = count[v]
             if k == 0:
                 continue
-            price = ubi.weight[v] / k + ubi.service[v]
-            key = (price, tie_key[v])
-            if best is None or key < best[0]:
-                best = (key, v, k, price)
+            num = w[v] + t[v] * k
+            # num/k < best_num/best_k, so ties keep the earlier facility.
+            if best is None or num * best_k < best_num * k:
+                best, best_num, best_k = v, num, k
         if best is None:
             stuck = sorted(uncovered, key=inst.index.__getitem__)
             raise Infeasible(f"clients without an open facility: {stuck}")
-        _, v, k, price = best
+        v = best
         served = tuple(c for c in ubi.adjacency[v] if c in uncovered)
         values[v] = ubi.weight[v]
         for c in served:
             values[c] = ubi.service[v]
-        uncovered -= set(served)
+            for f in facilities_of[c]:
+                count[f] -= 1
+        uncovered.difference_update(served)
         steps.append(
             {
                 "facility": v,
                 "clients": list(served),
-                "k": k,
-                "price": str(price),
+                "k": best_k,
+                "price": str(Fraction(best_num, best_k * L)),
             }
         )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     Assignment,
@@ -21,7 +21,7 @@ from .core import (
     cheapest_edge_cover,
     derive_costs,
 )
-from .errors import BudgetExceeded, LimitExceeded
+from .errors import BudgetExceeded, LimitExceeded, StarDecompositionViolated
 
 DEFAULT_MAX_TERMINALS = 10
 DEFAULT_MAX_NODES = 64
@@ -146,13 +146,9 @@ class Star:
     edge_ids: tuple[int, ...]
 
 
-def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Star]:
-    """Node-disjoint rooted stars with terminal leaves covering all terminals.
-
-    Extracts an inclusion-minimal activated cover, whose components are stars
-    (each edge of a minimal cover covers a private terminal).
-    """
-    active = list(activated_edge_ids(inst, assignment.values))
+def _minimal_cover(inst: Instance, active: Sequence[int]) -> list[int]:
+    """An inclusion-minimal subset of the edges ``active`` that still touches
+    every terminal they touch: each kept edge covers a private terminal."""
     count = {t: 0 for t in inst.terminals}
     for ei in active:
         e = inst.edges[ei]
@@ -169,9 +165,17 @@ def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Sta
         elif ends:
             kept.append(ei)
         # Edges touching no terminal are always dropped.
+    return kept
 
+
+def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Star]:
+    """Node-disjoint rooted stars with terminal leaves covering all terminals.
+
+    Extracts an inclusion-minimal activated cover, whose components are stars
+    (each edge of a minimal cover covers a private terminal).
+    """
     adj: dict[str, list[int]] = {}
-    for ei in kept:
+    for ei in _minimal_cover(inst, activated_edge_ids(inst, assignment.values)):
         e = inst.edges[ei]
         adj.setdefault(e.u, []).append(ei)
         adj.setdefault(e.v, []).append(ei)
@@ -193,7 +197,8 @@ def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Sta
                     stack.append(other)
         seen |= component
         centers = [n for n in component if len(adj[n]) >= 2]
-        assert len(centers) <= 1, "minimal cover component is not a star"
+        if len(centers) > 1:
+            raise StarDecompositionViolated(f"minimal cover component has {len(centers)} centers")
         if centers:
             root = centers[0]
         else:
@@ -203,7 +208,8 @@ def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Sta
                 (e.u, e.v), key=inst.index.__getitem__
             )
         leaves = tuple(sorted(component - {root}, key=inst.index.__getitem__))
-        assert all(leaf in inst.terminals for leaf in leaves)
+        if not all(leaf in inst.terminals for leaf in leaves):
+            raise StarDecompositionViolated(f"star at {root!r} has a non-terminal leaf: {leaves}")
         stars.append(Star(root=root, leaves=leaves, edge_ids=tuple(sorted(comp_edges))))
     stars.sort(key=lambda s: inst.index[s.root])
     return stars

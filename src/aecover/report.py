@@ -23,10 +23,6 @@ Bound = Union[Fraction, float]
 _FLOAT_BOUND_SLACK = 1e-12
 
 
-def bound_to_float(bound: Bound) -> float:
-    return float(bound)
-
-
 def ratio_within(ratio: Fraction, bound: Optional[Bound]) -> bool:
     if bound is None:
         return True
@@ -77,7 +73,7 @@ class SolveReport:
             "delta": self.delta,
             "claimed_bound": None
             if self.claimed_bound is None
-            else format_float(bound_to_float(self.claimed_bound)),
+            else format_float(float(self.claimed_bound)),
             "bound_label": self.bound_label,
         }
         if with_assignment:
@@ -122,7 +118,7 @@ class BenchReport:
                 "value": format_fraction(rep.value),
                 "claimed_bound": None
                 if rep.claimed_bound is None
-                else format_float(bound_to_float(rep.claimed_bound)),
+                else format_float(float(rep.claimed_bound)),
                 "bound_label": rep.bound_label,
                 "empirical_ratio": None if ratio is None else format_float(float(ratio)),
             }
@@ -133,7 +129,7 @@ class BenchReport:
                         "algorithm": name,
                         "value": format_fraction(rep.value),
                         "exact_value": format_fraction(rep.exact_value),
-                        "claimed_bound": format_float(bound_to_float(rep.claimed_bound))
+                        "claimed_bound": format_float(float(rep.claimed_bound))
                         if rep.claimed_bound is not None
                         else None,
                     }

@@ -240,12 +240,14 @@ def greedy_hk(sc: SetCoverInstance, k: int) -> SetCoverSolution:
     order = list(sc.sets)
     chosen: list[str] = []
     while uncovered:
-        best = max(
+        size, _, v = max(
             ((len(sc.sets[v] & uncovered), -i, v) for i, v in enumerate(order)),
+            default=(0, 0, None),
         )
-        _, _, v = best
+        if size == 0:
+            # Unreachable after check_feasible; kept as a guard that -O keeps.
+            raise IncompleteCover(sorted(uncovered, key=sc.element_rank().__getitem__))
         gain = sc.sets[v] & uncovered
-        assert gain, "feasibility was checked"
         chosen.append(v)
         uncovered -= gain
         order.remove(v)

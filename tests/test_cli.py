@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from aecover.cli import main, pick_algorithm
 from aecover.fileio import load_instance, save_instance
 from aecover.generators import generate, random_uniform, tight73
@@ -101,6 +103,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     path.write_text('{"nodes": [], "terminals": [], "edges": [], "oops": 1}')
     code, _, err = run(capsys, "solve", str(path))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "fragment",
+    [
+        '"terminals": ["a"], "edges": [{"u": "a", "v": "b", "tu": "x", "tv": 1}]',
+        '"terminals": ["a"], "edges": [{"u": "a", "v": "b", "tu": "nan", "tv": 1}]',
+        '"terminals": ["a"], "edges": [{"u": "a", "v": "b", "tu": "1/0", "tv": 1}]',
+        '"terminals": ["a"], "edges": [{"u": "a", "v": "b", "tu": true, "tv": 1}]',
+        '"terminals": "ab", "edges": []',
+    ],
+)
+def test_malformed_instance_exit_code(tmp_path, capsys, fragment):
+    path = tmp_path / "malformed.json"
+    path.write_text('{"nodes": ["a", "b"], ' + fragment + "}")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_bench_deterministic_and_clean(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Instance model, derived costs, activation, and the levels reduction."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from aecover.core import (
     SpecEdge,
     TableActivation,
     ZERO,
+    DerivedCosts,
     Edge,
     _prune_dominated,
     activated_edges,
@@ -25,7 +27,7 @@ from aecover.core import (
     q_assignment,
 )
 from aecover.errors import EmptyLevels, InvalidInstance, IsolatedTerminal
-from aecover.generators import generate, random_general, random_minpower
+from aecover.generators import FAMILIES, generate, random_general, random_minpower
 from aecover.oracle import exact_solve
 
 
@@ -40,6 +42,54 @@ def quadratic_prune(sorted_edges):
         if not dominated:
             kept.append(e)
     return kept
+
+
+def fraction_derive_costs(inst):
+    """The former Fraction-arithmetic derive_costs, kept as the reference."""
+    q, c, cheapest = {}, {}, {}
+    for u in inst.terminal_list:
+        ids = inst.edges_at[u]
+        if not ids:
+            raise IsolatedTerminal(u)
+        q[u] = min(inst.edges[i].threshold_at(u) for i in ids)
+        best = min(ids, key=lambda i: (inst.edges[i].value(), i))
+        c[u] = inst.edges[best].value() - q[u]
+        cheapest[u] = best
+    theta = ZERO
+    for u in inst.terminal_list:
+        if q[u] > 0:
+            ratio = c[u] / q[u]
+            if theta != math.inf and ratio > theta:
+                theta = ratio
+        elif c[u] > 0:
+            theta = math.inf
+    delta = 0
+    for v in inst.nodes:
+        neigh = {inst.edges[i].other(v) for i in inst.edges_at[v]}
+        delta = max(delta, len(neigh & inst.terminals))
+    return DerivedCosts(
+        q=q, c=c, Q=sum(q.values(), ZERO), C=sum(c.values(), ZERO),
+        theta=theta, delta=delta, cheapest=cheapest,
+    )
+
+
+def assert_same_costs(got, want):
+    assert got == want
+    assert type(got.theta) is type(want.theta)
+    for x in (got.Q, got.C, *got.q.values(), *got.c.values()):
+        assert type(x) is Fraction
+
+
+def random_multigraph(rng):
+    """Few nodes, many parallel edges, zero and fractional thresholds."""
+    pool = [0, 0, 1, 2, 3, Fraction(1, 2), Fraction(5, 2), Fraction(2, 3)]
+    nodes = [f"n{i}" for i in range(rng.randint(2, 6))]
+    terminals = rng.sample(nodes, rng.randint(0, len(nodes)))
+    edges = []
+    for _ in range(rng.randint(1, 30)):
+        u, v = rng.sample(nodes, 2)
+        edges.append((u, v, rng.choice(pool), rng.choice(pool)))
+    return Instance.from_data(nodes, terminals, edges)
 
 
 class TestInstance:
@@ -157,6 +207,37 @@ class TestDeriveCosts:
         inst = Instance.from_data(["u", "v"], ["u"], [("u", "v", 0, 5)])
         costs = derive_costs(inst)
         assert costs.theta == float("inf")
+
+    def test_matches_fraction_reference_on_families(self):
+        for family in sorted(FAMILIES):
+            for seed in range(30):
+                inst = generate(family, seed)
+                assert_same_costs(derive_costs(inst), fraction_derive_costs(inst))
+
+    def test_matches_fraction_reference_on_random_multigraphs(self):
+        rng = random.Random(5)
+        kinds = set()
+        for case in range(600):
+            inst = random_multigraph(rng)
+            try:
+                want = fraction_derive_costs(inst)
+            except IsolatedTerminal as exc:
+                with pytest.raises(IsolatedTerminal) as got:
+                    derive_costs(inst)
+                assert got.value.node == exc.node, case
+                kinds.add("isolated")
+                continue
+            assert_same_costs(derive_costs(inst), want)
+            kinds.add("inf" if want.theta == math.inf else "zero" if want.theta == 0 else "finite")
+        assert kinds == {"isolated", "inf", "zero", "finite"}
+
+    def test_scaled_thresholds_are_exact(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            inst = random_multigraph(rng)
+            assert inst.scaled_thresholds == tuple(
+                (e.tu * inst.scale, e.tv * inst.scale) for e in inst.edges
+            )
 
 
 class TestActivation:

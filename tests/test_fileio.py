@@ -1,18 +1,49 @@
 """Canonical instance files: exact parsing, round trips, strict keys."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from aecover.core import Instance
 from aecover.errors import InvalidInstance
 from aecover.fileio import (
     dumps_instance,
+    format_fraction,
     instance_digest,
     loads_instance,
     save_instance,
     load_instance,
 )
-from aecover.generators import random_general, random_minpower, tight73
+from aecover.generators import FAMILIES, generate, random_general, random_minpower, tight73
+
+
+def instance_doc(inst):
+    """The former document builder, kept as the reference for the writer."""
+    return {
+        "nodes": list(inst.nodes),
+        "terminals": list(inst.terminal_list),
+        "edges": [
+            {"u": e.u, "v": e.v, "tu": format_fraction(e.tu), "tv": format_fraction(e.tv)}
+            for e in inst.edges
+        ],
+    }
+
+
+def canonical_bytes(doc):
+    """The former canonical encoding: the layout the writer must reproduce."""
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+def instance_text(tu, tv=1):
+    return json.dumps(
+        {
+            "nodes": ["a", "b"],
+            "terminals": ["a"],
+            "edges": [{"u": "a", "v": "b", "tu": tu, "tv": tv}],
+        }
+    )
 
 
 def test_rational_forms_parse_exactly():
@@ -68,3 +99,71 @@ def test_dumps_parses_back_to_equal_instance():
     inst, _ = tight73()
     again = loads_instance(dumps_instance(inst))
     assert again == inst
+
+
+def assert_writer_matches_reference(inst, tmp_path):
+    expected = canonical_bytes(instance_doc(inst))
+    assert dumps_instance(inst).encode() == expected
+    assert instance_digest(inst) == hashlib.sha256(expected).hexdigest()
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    assert path.read_bytes() == expected
+
+
+def test_writer_matches_json_dumps_on_families(tmp_path):
+    for family in sorted(FAMILIES):
+        for seed in range(30):
+            assert_writer_matches_reference(generate(family, seed), tmp_path)
+
+
+def test_writer_matches_json_dumps_on_edge_cases(tmp_path):
+    cases = [
+        Instance.from_data([], [], []),
+        Instance.from_data(["a"], [], []),
+        Instance.from_data(["a"], ["a"], []),
+        Instance.from_data(["a", "b"], [], [("a", "b", 0, "7/3")]),
+        Instance.from_data(
+            ['q"uote', "back\\slash", "new\nline", "tab\t", "\u00e9t\u00e9", "\U0001f600",
+             "\u2028", "\x7f"],
+            ['q"uote', "\u00e9t\u00e9", "\U0001f600"],
+            [
+                ('q"uote', "back\\slash", "1/3", 2),
+                ("\u00e9t\u00e9", "new\nline", 0, "5/2"),
+                ("\U0001f600", "tab\t", 1, 1),
+                ("\U0001f600", "\u2028", "3/7", 0),
+                ("\x7f", "\u00e9t\u00e9", 4, "1/9"),
+            ],
+        ),
+    ]
+    for inst in cases:
+        assert_writer_matches_reference(inst, tmp_path)
+        assert loads_instance(dumps_instance(inst)) == inst
+
+
+def test_equal_rationals_load_to_equal_instances():
+    loaded = [loads_instance(instance_text(tu)) for tu in ("1/2", 0.5, "0.5")]
+    assert loaded[0] == loaded[1] == loaded[2]
+    assert loaded[0].edges[0].tu == Fraction(1, 2)
+    assert len({dumps_instance(inst) for inst in loaded}) == 1
+
+
+@pytest.mark.parametrize("tu", ["x", "nan", "inf", "1/0", "", True, False, None, [1], {"n": 1}])
+def test_malformed_threshold_raises_invalid_instance(tu):
+    with pytest.raises(InvalidInstance):
+        loads_instance(instance_text(tu))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"nodes": ["a", "b"], "terminals": "ab", "edges": []}',
+        '{"nodes": "ab", "terminals": [], "edges": []}',
+        '{"nodes": [], "terminals": [], "edges": {}}',
+        '{"nodes": [], "terminals": [], "edges": ["ab"]}',
+        '["nodes", "terminals", "edges"]',
+        '{"nodes": [], "terminals": [],',
+    ],
+)
+def test_malformed_structure_raises_invalid_instance(text):
+    with pytest.raises(InvalidInstance):
+        loads_instance(text)

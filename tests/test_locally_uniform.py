@@ -1,20 +1,105 @@
 """Average-price greedy: validation, worst case, and per-star accounting."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import aecover.cli
 from aecover.bounds import harmonic, omega_bar
-from aecover.core import Instance, covers, derive_costs
+from aecover.cli import run_algorithm
+from aecover.core import Assignment, Instance, covers, derive_costs
 from aecover.errors import Infeasible, NonUniformFacility, NotBipartite
+from aecover.fileio import instance_digest
 from aecover.generators import (
     from_facility_location,
     from_theta_setcover,
+    generate,
     random_uniform,
     tight73,
 )
-from aecover.locally_uniform import solve_locally_uniform, validate_locally_uniform
+from aecover.locally_uniform import (
+    solve_locally_uniform,
+    uniform_bound,
+    validate_locally_uniform,
+)
 from aecover.oracle import exact_solve, exact_star_decomposition
+from aecover.report import SolveReport
+
+
+def rescan_solve_locally_uniform(ubi, tie_break="lowest-id", priority=None):
+    """The former greedy, kept as the reference: every step rescans every
+    facility, recounts its uncovered clients and prices it in Fraction."""
+    inst = ubi.inst
+    if tie_break == "adversarial-order":
+        rank = {v: i for i, v in enumerate(priority)}
+        tie_key = {v: (rank.get(v, len(rank)), inst.index[v]) for v in ubi.facilities}
+    else:
+        tie_key = {v: (0, inst.index[v]) for v in ubi.facilities}
+    uncovered = set(ubi.clients)
+    values = {}
+    steps = []
+    while uncovered:
+        best = None
+        for v in ubi.facilities:
+            if v in values:
+                continue
+            k = sum(1 for c in ubi.adjacency[v] if c in uncovered)
+            if k == 0:
+                continue
+            price = ubi.weight[v] / k + ubi.service[v]
+            key = (price, tie_key[v])
+            if best is None or key < best[0]:
+                best = (key, v, k, price)
+        if best is None:
+            raise Infeasible("stuck")
+        _, v, k, price = best
+        served = tuple(c for c in ubi.adjacency[v] if c in uncovered)
+        values[v] = ubi.weight[v]
+        for c in served:
+            values[c] = ubi.service[v]
+        uncovered -= set(served)
+        steps.append({"facility": v, "clients": list(served), "k": k, "price": str(price)})
+    assignment = Assignment.of(values)
+    label, bound = uniform_bound(ubi)
+    costs = derive_costs(inst)
+    return SolveReport(
+        instance_digest=instance_digest(inst),
+        algorithm="locally-uniform",
+        assignment=assignment,
+        value=assignment.total(),
+        theta=ubi.theta,
+        delta=ubi.delta,
+        claimed_bound=bound,
+        bound_label=label,
+        trace={"steps": steps},
+        extras={
+            "tie_break": tie_break,
+            "instance_slope": "inf" if costs.theta == math.inf else str(costs.theta),
+        },
+    )
+
+
+def tied_facility_instance(rng):
+    """Few price levels, so equal prices between facilities are common; some
+    facilities are free (weight 0) and some clients have several links."""
+    nf = rng.randint(1, 8)
+    clients = [f"c{i}" for i in range(rng.randint(1, 14))]
+    facilities = [f"f{j}" for j in range(nf)]
+    service = {f: rng.choice([0, 1, Fraction(1, 2), 2]) for f in facilities}
+    opening = {f: rng.choice([0, 0, 1, 2, 3, Fraction(3, 2)]) for f in facilities}
+    links = {}
+    for c in clients:
+        for f in rng.sample(facilities, rng.randint(1, nf)):
+            links[(c, f)] = service[f]
+    return from_facility_location(clients, facilities, opening, links)
+
+
+def assert_same_report(ubi, **kwargs):
+    got = solve_locally_uniform(ubi, **kwargs)
+    assert got.to_json() == rescan_solve_locally_uniform(ubi, **kwargs).to_json()
+    return got
 
 
 class TestValidate:
@@ -191,3 +276,54 @@ class TestPerStarAccounting:
                     assert price_of[c] <= w / i + t
                     total += price_of[c]
                 assert total <= w * harmonic(k) + k * t
+
+
+class TestIncrementalGreedy:
+    def test_matches_rescan_on_families(self):
+        for family in ("uniform", "uniform-unit"):
+            for seed in range(30):
+                assert_same_report(validate_locally_uniform(generate(family, seed)))
+
+    def test_matches_rescan_on_tied_and_free_facilities(self):
+        rng = random.Random(3)
+        free = 0
+        for case in range(400):
+            ubi = validate_locally_uniform(tied_facility_instance(rng))
+            free += any(w == 0 for w in ubi.weight.values())
+            assert_same_report(ubi)
+            priority = list(ubi.facilities)
+            rng.shuffle(priority)
+            del priority[rng.randint(0, len(priority)):]
+            assert_same_report(ubi, tie_break="adversarial-order", priority=priority)
+        assert free > 100
+
+    def test_matches_rescan_on_tight73_both_orders(self):
+        inst, priority = tight73()
+        ubi = validate_locally_uniform(inst)
+        assert assert_same_report(ubi).value == 60
+        assert assert_same_report(ubi, tie_break="adversarial-order", priority=priority).value == 73
+
+    def test_infeasible_client_matches_rescan(self):
+        inst = Instance.from_data(
+            ["a", "b", "f"], ["a", "b"], [("a", "f", 1, 2)]
+        )
+        ubi = validate_locally_uniform(inst)
+        for solve in (solve_locally_uniform, rescan_solve_locally_uniform):
+            with pytest.raises(Infeasible):
+                solve(ubi)
+
+    def test_auto_validates_once(self, monkeypatch):
+        calls = []
+
+        def counting(inst):
+            calls.append(inst)
+            return validate_locally_uniform(inst)
+
+        monkeypatch.setattr(aecover.cli, "validate_locally_uniform", counting)
+        inst = random_uniform(4, theta=3)
+        report = run_algorithm(inst, "auto")
+        assert report.algorithm == "locally-uniform"
+        assert calls == [inst]
+        calls.clear()
+        assert run_algorithm(inst, "locally-uniform").to_json() == report.to_json()
+        assert calls == [inst]

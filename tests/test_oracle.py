@@ -1,11 +1,16 @@
 """Exact branch-and-bound oracle and its star decomposition."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from aecover.core import Instance, covers, derive_costs
-from aecover.errors import BudgetExceeded, LimitExceeded
+import aecover
+import aecover.oracle
+from aecover.core import Assignment, Instance, covers, derive_costs
+from aecover.errors import BudgetExceeded, LimitExceeded, StarDecompositionViolated
 from aecover.fileio import dumps_instance
 from aecover.generators import random_general, random_minpower, random_unit, tight73
 from aecover.oracle import exact_solve, exact_star_decomposition
@@ -128,3 +133,57 @@ def test_instance_unchanged_by_solve():
     before = dumps_instance(inst)
     exact_solve(inst)
     assert dumps_instance(inst) == before
+
+
+class TestStarDecompositionGuards:
+    """The decomposition's shape checks, tripped by a cover-minimization step
+    that keeps every activated edge."""
+
+    @staticmethod
+    def decompose_unminimized(monkeypatch, inst):
+        monkeypatch.setattr(aecover.oracle, "_minimal_cover", lambda inst, active: list(active))
+        return exact_star_decomposition(inst, Assignment.of({n: 1 for n in inst.nodes}))
+
+    def test_path_component_is_not_a_star(self, monkeypatch):
+        nodes = ["a", "b", "c", "d"]
+        path = [("a", "b", 1, 1), ("b", "c", 1, 1), ("c", "d", 1, 1)]
+        inst = Instance.from_data(nodes, nodes, path)
+        assert len(exact_star_decomposition(inst, Assignment.of({n: 1 for n in nodes}))) == 2
+        with pytest.raises(StarDecompositionViolated):
+            self.decompose_unminimized(monkeypatch, inst)
+
+    def test_non_terminal_leaf_is_rejected(self, monkeypatch):
+        inst = Instance.from_data(["t", "v", "w"], ["t"], [("t", "v", 1, 1), ("v", "w", 1, 1)])
+        with pytest.raises(StarDecompositionViolated, match="non-terminal leaf"):
+            self.decompose_unminimized(monkeypatch, inst)
+
+
+def test_output_guards_survive_optimize_flag():
+    # Under python -O every assert is gone; each guard must still raise.
+    code = (
+        "import aecover.oracle as oracle\n"
+        "from aecover.core import Assignment, Instance\n"
+        "from aecover.errors import IncompleteCover, StarDecompositionViolated\n"
+        "from aecover.unit import SetCoverInstance, greedy_hk\n"
+        "oracle._minimal_cover = lambda inst, active: list(active)\n"
+        "raised = 0\n"
+        "for nodes, terms, edges in [\n"
+        "    ('abcd', 'abcd', [('a', 'b', 1, 1), ('b', 'c', 1, 1), ('c', 'd', 1, 1)]),\n"
+        "    ('tvw', 't', [('t', 'v', 1, 1), ('v', 'w', 1, 1)]),\n"
+        "]:\n"
+        "    inst = Instance.from_data(list(nodes), list(terms), edges)\n"
+        "    try:\n"
+        "        oracle.exact_star_decomposition(inst, Assignment.of({n: 1 for n in nodes}))\n"
+        "    except StarDecompositionViolated:\n"
+        "        raised += 1\n"
+        "SetCoverInstance.check_feasible = lambda self: None\n"
+        "try:\n"
+        "    greedy_hk(SetCoverInstance(('a', 'b'), {'s': frozenset({'a'})}), 2)\n"
+        "except IncompleteCover:\n"
+        "    raised += 1\n"
+        "raise SystemExit(raised + 4)\n"
+    )
+    src = os.path.dirname(os.path.dirname(aecover.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert done.returncode == 7

@@ -260,6 +260,17 @@ class TestGreedyHk:
             assert greedy_size <= harmonic(k) * opt
 
 
+    def test_unchecked_infeasible_system_raises_incomplete_cover(self, monkeypatch):
+        # With the feasibility check bypassed, an element in no set leaves
+        # the greedy without a gain; that must raise, not loop or assert.
+        monkeypatch.setattr(SetCoverInstance, "check_feasible", lambda self: None)
+        for sets in ({"s": {"a", "b"}}, {"s": {"a", "b"}, "t": {"a"}}):
+            sc = SetCoverInstance(("a", "c", "b"), {v: frozenset(m) for v, m in sets.items()})
+            with pytest.raises(IncompleteCover) as exc:
+                greedy_hk(sc, 2)
+            assert exc.value.uncovered == ("c",)
+
+
 class TestSolveUnitA1:
     def test_small_sets_solved_exactly(self):
         for seed in range(40):
