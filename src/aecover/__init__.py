@@ -15,8 +15,8 @@ from .core import (
     Instance,
     SpecEdge,
     TableActivation,
-    activated_edges,
-    cheapest_edge_cover,
+    active_edges,
+    complete,
     covers,
     derive_costs,
     levels_reduction,
@@ -42,9 +42,8 @@ from .errors import (
     StarDecompositionViolated,
 )
 from .fileio import instance_digest, load_instance, loads_instance, save_instance
-from .general import CandidateStar, complete, min_density_star, solve_general
+from .general import CandidateStar, min_density_star, solve_general
 from .generators import (
-    FamilySpec,
     from_facility_location,
     from_installation,
     from_theta_setcover,
@@ -64,7 +63,7 @@ from .locally_uniform import (
     validate_locally_uniform,
 )
 from .oracle import ExactResult, exact_solve, exact_star_decomposition
-from .report import BenchReport, SolveReport
+from .report import BenchReport, SolveReport, solve_report
 from .unit import (
     EXACT_SUBSOLVER,
     GREEDY_SUBSOLVER,
@@ -75,7 +74,6 @@ from .unit import (
     exact_2setcover,
     exact_bb,
     greedy_hk,
-    matching2,
     reduce_unit,
     solve_unit_a1,
     solve_unit_a2,

@@ -162,11 +162,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _parse_seeds(text: str) -> tuple[int, int]:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return int(a), int(b)
-    v = int(text)
-    return v, v
+    a, dots, b = text.partition("..")
+    try:
+        start, end = int(a), int(b if dots else a)
+    except ValueError:
+        raise DomainError(f"--seeds takes an integer or a range a..b, not {text!r}") from None
+    if start > end:
+        raise DomainError(f"--seeds range {text!r} is empty")
+    return start, end
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -213,7 +216,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         return 0
     if not args.theta:
         raise DomainError("pass --table1 or --theta")
-    thetas = [Fraction(tok) for tok in args.theta.split(",")]
+    try:
+        thetas = [Fraction(tok) for tok in args.theta.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"--theta takes comma-separated rationals, not {args.theta!r}") from None
     rows = {
         name: tuple(bounds_mod.bound_row(t)[name] for t in thetas)
         for name in bounds_mod.TABLE1_ROWS

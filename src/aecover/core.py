@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Container, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import EmptyLevels, InvalidInstance, IsolatedTerminal
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Rational = Union[int, str, Fraction]
 
@@ -205,31 +204,18 @@ class Assignment:
     def total(self) -> Fraction:
         return sum(self.values.values(), ZERO)
 
-    def __add__(self, other: "Assignment") -> "Assignment":
-        vals = dict(self.values)
-        for node, x in other.values.items():
-            vals[node] = vals.get(node, ZERO) + x
-        return Assignment(vals)
 
-    def leq(self, other: "Assignment") -> bool:
-        return all(x <= other.get(node) for node, x in self.values.items())
-
-    def support(self) -> frozenset[str]:
-        return frozenset(self.values)
-
-
-def activated_edges(inst: Instance, a: Assignment) -> tuple[int, ...]:
-    """Indices of edges whose both endpoint thresholds are met by ``a``."""
-    return activated_edge_ids(inst, a.values)
-
-
-def activated_edge_ids(inst: Instance, values: Mapping[str, Fraction]) -> tuple[int, ...]:
-    get = values.get
-    return tuple(
-        i
-        for i, e in enumerate(inst.edges)
-        if get(e.u, ZERO) >= e.tu and get(e.v, ZERO) >= e.tv
-    )
+def active_edges(
+    inst: Instance, values: Mapping[str, Fraction], ids: Optional[Iterable[int]] = None
+) -> Iterator[int]:
+    """Indices of the edges whose both endpoint thresholds ``values`` meets
+    (missing nodes count as zero): among ``ids`` in their order, or among
+    all edges in index order."""
+    get, edges = values.get, inst.edges
+    for i in range(len(edges)) if ids is None else ids:
+        e = edges[i]
+        if get(e.u, ZERO) >= e.tu and get(e.v, ZERO) >= e.tv:
+            yield i
 
 
 def covered_terminals(
@@ -239,25 +225,25 @@ def covered_terminals(
 ) -> frozenset[str]:
     """Terminals on an edge that ``values`` activates; with ``nodes``, only
     the edges incident to those nodes are checked."""
-    if nodes is None:
-        edges: Iterable[Edge] = inst.edges
-    else:
-        edges = [inst.edges[i] for i in {i for n in nodes for i in inst.edges_at[n]}]
-    get = values.get
+    ids = None if nodes is None else {i for n in nodes for i in inst.edges_at[n]}
     covered = set()
-    for e in edges:
-        if get(e.u, ZERO) >= e.tu and get(e.v, ZERO) >= e.tv:
-            if e.u in inst.terminals:
-                covered.add(e.u)
-            if e.v in inst.terminals:
-                covered.add(e.v)
+    for i in active_edges(inst, values, ids):
+        e = inst.edges[i]
+        if e.u in inst.terminals:
+            covered.add(e.u)
+        if e.v in inst.terminals:
+            covered.add(e.v)
     return frozenset(covered)
 
 
 def covers(inst: Instance, a: Assignment) -> tuple[bool, tuple[str, ...]]:
-    """Whether every terminal touches an activated edge, plus the uncovered list."""
-    covered = covered_terminals(inst, a.values)
-    uncovered = tuple(t for t in inst.terminal_list if t not in covered)
+    """Whether every terminal touches an activated edge, plus the uncovered
+    list; each terminal's scan stops at its first active edge."""
+    uncovered = tuple(
+        u
+        for u in inst.terminal_list
+        if next(active_edges(inst, a.values, inst.edges_at[u]), None) is None
+    )
     return (not uncovered, uncovered)
 
 
@@ -279,9 +265,6 @@ class DerivedCosts:
     theta: Union[Fraction, float]
     delta: int
     cheapest: Mapping[str, int]
-
-    def theta_finite(self) -> bool:
-        return self.theta != math.inf
 
 
 def derive_costs(inst: Instance) -> DerivedCosts:
@@ -439,20 +422,25 @@ def levels_reduction(spec: ActivationSpec, terminals: Iterable[str]) -> Instance
     return Instance.from_data(spec.nodes, terminals, edges)
 
 
-def q_assignment(costs: DerivedCosts) -> Assignment:
-    """The assignment putting q on every terminal (zero elsewhere)."""
-    return Assignment.of(dict(costs.q))
-
-
-def cheapest_edge_cover(inst: Instance, costs: DerivedCosts) -> Assignment:
-    """Feasible cover of value <= Q + C: per terminal, its minimum-value edge."""
-    values: dict[str, Fraction] = dict(costs.q)
+def complete(
+    inst: Instance,
+    costs: DerivedCosts,
+    totals: Mapping[str, Fraction],
+    covered: Container[str],
+) -> Assignment:
+    """Feasible assignment: ``totals``, with both endpoints of the cheapest
+    edge of every terminal not in ``covered`` raised to that edge's
+    thresholds.  From the q totals with nothing covered it is the
+    cheapest-edge cover, of value at most Q + C."""
+    values = dict(totals)
     for u in inst.terminal_list:
+        if u in covered:
+            continue
         e = inst.edges[costs.cheapest[u]]
-        for node in (e.u, e.v):
-            t = e.threshold_at(node)
-            if values.get(node, ZERO) < t:
-                values[node] = t
+        if values.get(e.u, ZERO) < e.tu:
+            values[e.u] = e.tu
+        if values.get(e.v, ZERO) < e.tv:
+            values[e.v] = e.tv
     return Assignment.of(values)
 
 

@@ -18,19 +18,16 @@ from typing import Iterable, Mapping, Optional
 
 from .bounds import omega
 from .core import (
-    Assignment,
     DerivedCosts,
     Instance,
     ZERO,
+    complete,
     covered_terminals,
-    covers,
     derive_costs,
     uncovered_cost,
 )
-from .errors import IncompleteCover
-from .fileio import instance_digest
 from .gmc import Augmentation, GreedyTrace, gmc_greedy
-from .report import SolveReport
+from .report import SolveReport, solve_report
 
 
 @dataclass(frozen=True)
@@ -243,21 +240,6 @@ class _GeneralGmcProblem:
         return GeneralSolveState(totals, extra, covered, nu, scaled, stars)
 
 
-def complete(inst: Instance, costs: DerivedCosts, state: GeneralSolveState) -> Assignment:
-    """Feasible assignment of value at most payment + potential: every still
-    uncovered terminal raises both endpoints of its cheapest edge."""
-    values = {n: x for n, x in state.totals.items() if x > 0}
-    for u in inst.terminal_list:
-        if u in state.covered:
-            continue
-        e = inst.edges[costs.cheapest[u]]
-        for node in (e.u, e.v):
-            t = e.threshold_at(node)
-            if values.get(node, ZERO) < t:
-                values[node] = t
-    return Assignment.of(values)
-
-
 def run_general_greedy(
     inst: Instance, costs: DerivedCosts
 ) -> tuple[GeneralSolveState, GreedyTrace]:
@@ -302,17 +284,14 @@ def solve_general(inst: Instance) -> SolveReport:
     """Density-greedy solver with the slope/degree ratio certificate."""
     costs = derive_costs(inst)
     state, trace = run_general_greedy(inst, costs)
-    assignment = complete(inst, costs, state)
-    ok, uncovered = covers(inst, assignment)
-    if not ok:
-        raise IncompleteCover(uncovered)
-
+    # The completed value is at most the greedy's payment plus its potential.
+    assignment = complete(inst, costs, state.totals, state.covered)
     candidates = general_bound_candidates(costs, inst.terminals_independent)
     label, bound = min(candidates, key=lambda it: (float(it[1]), it[0]))
-    return SolveReport(
-        instance_digest=instance_digest(inst),
-        algorithm="general",
-        assignment=assignment,
+    return solve_report(
+        inst,
+        "general",
+        assignment,
         value=assignment.total(),
         theta=costs.theta,
         delta=costs.delta,

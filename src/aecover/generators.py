@@ -9,7 +9,6 @@ infeasible graphs instead of repairing them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -300,17 +299,6 @@ def tight73() -> tuple[Instance, tuple[str, ...]]:
 
 # ---------------------------------------------------------------------------
 # Family registry for the CLI and bench harness
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Seedable family descriptor; equal specs yield byte-identical instances."""
-
-    family: str
-    seed: int
-
-    def build(self) -> Instance:
-        return generate(self.family, self.seed)
 
 
 def _gen_minpower(seed: int) -> Instance:

@@ -18,10 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 from .bounds import omega_bar
 from .core import Assignment, Instance, ZERO, derive_costs
 from .errors import Infeasible, NonUniformFacility, NotBipartite
-from .fileio import instance_digest
-from .report import SolveReport
-
-TieBreak = str  # "lowest-id" or "adversarial-order"
+from .report import SolveReport, solve_report
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def uniform_bound(ubi: UniformBipartiteInstance) -> tuple[str, Union[Fraction, f
 
 def solve_locally_uniform(
     ubi: UniformBipartiteInstance,
-    tie_break: TieBreak = "lowest-id",
+    tie_break: str = "lowest-id",
     priority: Optional[Sequence[str]] = None,
 ) -> SolveReport:
     """Greedy by average price w/k + t over facilities with uncovered clients.
@@ -169,10 +166,10 @@ def solve_locally_uniform(
     assignment = Assignment.of(values)
     label, bound = uniform_bound(ubi)
     costs = derive_costs(inst)
-    return SolveReport(
-        instance_digest=instance_digest(inst),
-        algorithm="locally-uniform",
-        assignment=assignment,
+    return solve_report(
+        inst,
+        "locally-uniform",
+        assignment,
         value=assignment.total(),
         theta=ubi.theta,
         delta=ubi.delta,

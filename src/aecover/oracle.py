@@ -13,14 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .core import (
-    Assignment,
-    Instance,
-    ZERO,
-    activated_edge_ids,
-    cheapest_edge_cover,
-    derive_costs,
-)
+from .core import Assignment, Instance, ZERO, active_edges, complete, derive_costs
 from .errors import BudgetExceeded, LimitExceeded, StarDecompositionViolated
 
 DEFAULT_MAX_TERMINALS = 10
@@ -60,7 +53,7 @@ def exact_solve(
         raise LimitExceeded(f"{len(inst.nodes)} nodes exceed the limit {max_nodes}")
 
     costs = derive_costs(inst)
-    incumbent = cheapest_edge_cover(inst, costs)
+    incumbent = complete(inst, costs, costs.q, ())
     best_value = incumbent.total()
     best_values = dict(incumbent.values)
     best_choice: dict[str, int] = dict(costs.cheapest)
@@ -80,13 +73,6 @@ def exact_solve(
             if gap > 0:
                 need += gap
         return need
-
-    def is_covered(u: str) -> bool:
-        for ei in inst.edges_at[u]:
-            e = inst.edges[ei]
-            if values[e.u] >= e.tu and values[e.v] >= e.tv:
-                return True
-        return False
 
     def search(i: int, total: Fraction) -> None:
         nonlocal best_value, best_values, best_choice
@@ -110,7 +96,7 @@ def exact_solve(
             best_choice = dict(choice)
             return
         u = terms[i]
-        if is_covered(u):
+        if next(active_edges(inst, values, inst.edges_at[u]), None) is not None:
             search(i + 1, total)
             return
         options = []
@@ -175,7 +161,7 @@ def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Sta
     (each edge of a minimal cover covers a private terminal).
     """
     adj: dict[str, list[int]] = {}
-    for ei in _minimal_cover(inst, activated_edge_ids(inst, assignment.values)):
+    for ei in _minimal_cover(inst, list(active_edges(inst, assignment.values))):
         e = inst.edges[ei]
         adj.setdefault(e.u, []).append(ei)
         adj.setdefault(e.v, []).append(ei)

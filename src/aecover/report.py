@@ -13,8 +13,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .core import Assignment
-from .fileio import SCHEMA_VERSION, assignment_doc, format_float, format_fraction
+from .core import Assignment, Instance, covers
+from .errors import IncompleteCover
+from .fileio import (
+    SCHEMA_VERSION,
+    assignment_doc,
+    format_float,
+    format_fraction,
+    instance_digest,
+)
 
 Bound = Union[Fraction, float]
 
@@ -91,6 +98,40 @@ class SolveReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+
+
+def solve_report(
+    inst: Instance,
+    algorithm: str,
+    assignment: Assignment,
+    *,
+    value: Fraction,
+    theta: Union[Fraction, float],
+    delta: int,
+    claimed_bound: Optional[Bound],
+    bound_label: str,
+    trace: Optional[dict] = None,
+    extras: dict,
+) -> SolveReport:
+    """The report of a solver's ``assignment`` on ``inst``, named by the
+    instance digest.  Raises IncompleteCover, also under ``python -O``,
+    unless the assignment covers every terminal.  ``value`` must equal
+    ``assignment.total()``; a caller that knows it saves the sum."""
+    ok, uncovered = covers(inst, assignment)
+    if not ok:
+        raise IncompleteCover(uncovered)
+    return SolveReport(
+        instance_digest=instance_digest(inst),
+        algorithm=algorithm,
+        assignment=assignment,
+        value=value,
+        theta=theta,
+        delta=delta,
+        claimed_bound=claimed_bound,
+        bound_label=bound_label,
+        trace=trace,
+        extras=extras,
+    )
 
 
 @dataclass

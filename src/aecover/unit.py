@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import networkx as nx
 
 from .bounds import A1_RATIO, RHO
-from .core import Assignment, Instance, covers, derive_costs
+from .core import Assignment, Instance, derive_costs
 from .errors import (
     IncompleteCover,
     Infeasible,
@@ -25,8 +25,7 @@ from .errors import (
     PhaseInvariantViolated,
     SizeBoundViolated,
 )
-from .fileio import instance_digest
-from .report import SolveReport
+from .report import SolveReport, solve_report
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class SetCoverInstance:
 @dataclass(frozen=True)
 class SetCoverSolution:
     chosen: tuple[str, ...]
-    covered: bool
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,7 @@ def exact_2setcover(sc: SetCoverInstance) -> SetCoverSolution:
     for x in sc.elements:
         if x not in matched:
             chosen.add(incident[x])
-    return SetCoverSolution(chosen=tuple(sorted(chosen)), covered=True)
+    return SetCoverSolution(chosen=tuple(sorted(chosen)))
 
 
 def exact_bb(sc: SetCoverInstance, k: int) -> SetCoverSolution:
@@ -228,7 +226,7 @@ def exact_bb(sc: SetCoverInstance, k: int) -> SetCoverSolution:
         j = exact[free][1]
         picks.append(names[j])
         free &= ~masks[j]
-    return SetCoverSolution(chosen=tuple(sorted(picks)), covered=True)
+    return SetCoverSolution(chosen=tuple(sorted(picks)))
 
 
 def greedy_hk(sc: SetCoverInstance, k: int) -> SetCoverSolution:
@@ -251,14 +249,7 @@ def greedy_hk(sc: SetCoverInstance, k: int) -> SetCoverSolution:
         chosen.append(v)
         uncovered -= gain
         order.remove(v)
-    return SetCoverSolution(chosen=tuple(sorted(chosen)), covered=True)
-
-
-def matching2(sc: SetCoverInstance, k: int = 2) -> SetCoverSolution:
-    """Matching-based exact solver; valid only for k <= 2."""
-    if k > 2:
-        raise SizeBoundViolated("matching2 only handles k <= 2")
-    return exact_2setcover(sc)
+    return SetCoverSolution(chosen=tuple(sorted(chosen)))
 
 
 @dataclass(frozen=True)
@@ -280,34 +271,6 @@ SUBSOLVERS = {s.name: s for s in (EXACT_SUBSOLVER, GREEDY_SUBSOLVER)}
 
 # ---------------------------------------------------------------------------
 # Unit solvers
-
-
-def _unit_assignment(inst: Instance, chosen: tuple[str, ...]) -> Assignment:
-    values = {u: Fraction(1) for u in inst.terminal_list}
-    values.update({v: Fraction(1) for v in chosen})
-    return Assignment.of(values)
-
-
-def _unit_report(
-    res: UnitResidual, algorithm: str, chosen: tuple[str, ...], bound, label: str, extras: dict
-) -> SolveReport:
-    inst = res.inst
-    assignment = _unit_assignment(inst, chosen)
-    ok, uncovered = covers(inst, assignment)
-    if not ok:
-        raise IncompleteCover(uncovered)
-    costs = derive_costs(inst)
-    return SolveReport(
-        instance_digest=instance_digest(inst),
-        algorithm=algorithm,
-        assignment=assignment,
-        value=Fraction(res.base_value + len(chosen)),
-        theta=costs.theta,
-        delta=costs.delta,
-        claimed_bound=bound,
-        bound_label=label,
-        extras=extras,
-    )
 
 
 def solve_unit_a1(res: UnitResidual) -> SolveReport:
@@ -333,15 +296,19 @@ def solve_unit_a1(res: UnitResidual) -> SolveReport:
         uncovered -= sc.sets[v]
         removed.add(v)
     residual = _restrict(sc, uncovered, removed)
-    tail = exact_2setcover(residual) if residual.elements else SetCoverSolution((), True)
-    all_chosen = tuple(chosen) + tail.chosen
-    return _unit_report(
-        res,
+    tail = exact_2setcover(residual).chosen if residual.elements else ()
+    all_chosen = (*chosen, *tail)
+    costs = derive_costs(res.inst)
+    return solve_report(
+        res.inst,
         "unit-a1",
-        all_chosen,
-        A1_RATIO,
-        "1+67/360",
-        {"greedy_stars": len(chosen), "exact_phase": len(tail.chosen)},
+        Assignment.of(dict.fromkeys((*res.inst.terminal_list, *all_chosen), 1)),
+        value=Fraction(res.base_value + len(all_chosen)),
+        theta=costs.theta,
+        delta=costs.delta,
+        claimed_bound=A1_RATIO,
+        bound_label="1+67/360",
+        extras={"greedy_stars": len(chosen), "exact_phase": len(tail)},
     )
 
 
@@ -403,20 +370,21 @@ def solve_unit_a2(
         candidates = [(0, 0, 0, 0, ())]
     # min() keeps the first (largest-k) candidate on size ties.
     size, k_winner, c_size, a_size, chosen = min(candidates, key=lambda cand: cand[0])
-    bound = RHO if subsolver.certified else None
-    label = "1555/1347" if subsolver.certified else f"uncertified ({subsolver.name})"
-    report = _unit_report(
-        res,
+    costs = derive_costs(res.inst)
+    return solve_report(
+        res.inst,
         "unit-a2",
-        chosen,
-        bound,
-        label,
-        {
+        Assignment.of(dict.fromkeys((*res.inst.terminal_list, *chosen), 1)),
+        value=Fraction(res.base_value + len(chosen)),
+        theta=costs.theta,
+        delta=costs.delta,
+        claimed_bound=RHO if subsolver.certified else None,
+        bound_label="1555/1347" if subsolver.certified else f"uncertified ({subsolver.name})",
+        trace={"phases": phases},
+        extras={
             "k_winner": k_winner,
             "C_size": c_size,
             "A_size": a_size,
             "subsolver": subsolver.name,
         },
     )
-    report.trace = {"phases": phases}
-    return report

@@ -30,6 +30,23 @@ def test_bounds_theta_list(capsys):
     assert "1+omega" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--family", "minpower", "--seeds", "x..3"),
+        ("bench", "--family", "minpower", "--seeds", "5..2"),
+        ("bench", "--family", "minpower", "--seeds", "3.."),
+        ("bounds", "--theta", "abc"),
+        ("bounds", "--theta", "1,1/0"),
+    ],
+)
+def test_malformed_numeric_argument_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_gen_solve_exact_roundtrip(tmp_path, capsys):
     path = tmp_path / "inst.json"
     code, _, err = run(capsys, "gen", "--family", "minpower", "--seed", "3", "--out", str(path))

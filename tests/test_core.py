@@ -18,13 +18,12 @@ from aecover.core import (
     DerivedCosts,
     Edge,
     _prune_dominated,
-    activated_edges,
-    cheapest_edge_cover,
+    active_edges,
+    complete,
     covered_terminals,
     covers,
     derive_costs,
     levels_reduction,
-    q_assignment,
 )
 from aecover.errors import EmptyLevels, InvalidInstance, IsolatedTerminal
 from aecover.generators import FAMILIES, generate, random_general, random_minpower
@@ -163,9 +162,7 @@ class TestInstance:
         b = Assignment.of({"x": "3/2", "z": 1})
         assert a.total() == Fraction(1, 2)
         assert "y" not in a.values
-        assert (a + b).total() == (b + a).total() == Fraction(3)
-        assert (a + b).get("x") == 2
-        assert a.leq(a + b)
+        assert b.get("x") == Fraction(3, 2) and b.get("y") == 0
 
 
 class TestDeriveCosts:
@@ -242,14 +239,50 @@ class TestDeriveCosts:
 
 class TestActivation:
     def test_zero_assignment_activates_nothing(self, tiny_instance):
-        assert activated_edges(tiny_instance, Assignment.zero()) == ()
+        assert tuple(active_edges(tiny_instance, Assignment.zero().values)) == ()
         ok, uncovered = covers(tiny_instance, Assignment.zero())
         assert not ok and uncovered == ("u",)
 
     def test_boundary_equality_activates(self, tiny_instance):
         a = Assignment.of({"u": 2, "v": 3})
-        assert activated_edges(tiny_instance, a) == (0,)
+        assert tuple(active_edges(tiny_instance, a.values)) == (0,)
         assert covers(tiny_instance, a) == (True, ())
+
+    def test_terminal_covered_only_by_edge_zero(self):
+        # Edge index 0 is falsy: a check written as any() over the indices
+        # would call this terminal uncovered.
+        inst = Instance.from_data(
+            ["t", "a", "b"], ["t"], [("t", "a", 1, 1), ("t", "b", 5, 5)]
+        )
+        assert (inst.edges[0].u, inst.edges[0].v) == ("t", "a")
+        a = Assignment.of({"t": 1, "a": 1})
+        assert list(active_edges(inst, a.values)) == [0]
+        assert list(active_edges(inst, a.values, inst.edges_at["t"])) == [0]
+        assert covered_terminals(inst, a.values) == {"t"}
+        assert covered_terminals(inst, a.values, ["a"]) == {"t"}
+        assert covers(inst, a) == (True, ())
+
+    def test_matches_hand_rolled_predicate_on_random_multigraphs(self):
+        rng = random.Random(11)
+        pool = [0, Fraction(1, 2), 1, Fraction(2, 3), 2, 3]
+        for case in range(500):
+            inst = random_multigraph(rng)
+            # Nodes left out of ``values`` count as zero.
+            values = {n: rng.choice(pool) for n in inst.nodes if rng.random() < 0.8}
+
+            def met(e):
+                return values.get(e.u, 0) >= e.tu and values.get(e.v, 0) >= e.tv
+
+            active = [i for i, e in enumerate(inst.edges) if met(e)]
+            assert list(active_edges(inst, values)) == active, case
+            ids = rng.sample(range(len(inst.edges)), rng.randint(0, len(inst.edges)))
+            want = [i for i in ids if met(inst.edges[i])]
+            assert list(active_edges(inst, values, ids)) == want, case
+            covered = {n for i in active for n in (inst.edges[i].u, inst.edges[i].v)}
+            covered &= inst.terminals
+            assert covered_terminals(inst, values) == covered, case
+            uncovered = tuple(t for t in inst.terminal_list if t not in covered)
+            assert covers(inst, Assignment.of(values)) == (not uncovered, uncovered), case
 
     def test_monotonicity(self):
         rng = random.Random(7)
@@ -260,7 +293,7 @@ class TestActivation:
             }
             hi_vals = {n: v + Fraction(rng.randint(0, 3), 2) for n, v in lo_vals.items()}
             lo, hi = Assignment.of(lo_vals), Assignment.of(hi_vals)
-            assert set(activated_edges(inst, lo)) <= set(activated_edges(inst, hi))
+            assert set(active_edges(inst, lo.values)) <= set(active_edges(inst, hi.values))
 
     def test_covered_terminals_node_subset(self):
         rng = random.Random(3)
@@ -269,7 +302,7 @@ class TestActivation:
             values = {n: Fraction(rng.randint(0, 6), 2) for n in inst.nodes}
             nodes = rng.sample(inst.nodes, 3)
             expect = set()
-            for i in activated_edges(inst, Assignment.of(values)):
+            for i in active_edges(inst, values):
                 e = inst.edges[i]
                 if e.u in nodes or e.v in nodes:
                     expect |= {e.u, e.v} & inst.terminals
@@ -282,7 +315,7 @@ class TestActivation:
         for seed in range(30):
             inst = random_general(8, 14, 3, seed)
             costs = derive_costs(inst)
-            cover = cheapest_edge_cover(inst, costs)
+            cover = complete(inst, costs, costs.q, ())
             assert covers(inst, cover)[0]
             assert cover.total() <= costs.Q + costs.C
 
@@ -292,7 +325,7 @@ class TestActivation:
             costs = derive_costs(inst)
             opt = exact_solve(inst).value
             assert costs.Q <= opt <= costs.Q + costs.C
-            if costs.theta_finite():
+            if costs.theta != math.inf:
                 assert costs.Q + costs.C <= (costs.theta + 1) * opt
 
 
@@ -396,10 +429,3 @@ class TestLevelsReduction:
                     best = total
         assert best is not None
         return best
-
-
-class TestQAssignment:
-    def test_q_on_terminals_only(self, tiny_instance):
-        costs = derive_costs(tiny_instance)
-        qa = q_assignment(costs)
-        assert qa.get("u") == 2 and qa.get("v") == 0

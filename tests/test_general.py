@@ -7,11 +7,10 @@ import pytest
 
 from aecover import general
 from aecover.bounds import omega
-from aecover.core import Assignment, Instance, ZERO, covers, derive_costs
+from aecover.core import Assignment, Instance, ZERO, complete, covers, derive_costs
 from aecover.errors import IncompleteCover, IsolatedTerminal
 from aecover.general import (
     _GeneralGmcProblem,
-    complete,
     initial_state,
     min_density_star,
     run_general_greedy,
@@ -205,12 +204,12 @@ class TestSolveGeneral:
             assert covers(inst, report.assignment)[0]
             opt = exact_solve(inst).value
             ratio = report.value / opt if opt else Fraction(1)
-            if costs.theta_finite() and costs.theta > 0:
+            if costs.theta != math.inf and costs.theta > 0:
                 assert float(ratio) <= 1 + omega(costs.theta) + 1e-12
             assert float(ratio) <= 1 + math.log(costs.delta + 1) + 1e-12
 
     def test_incomplete_completion_raises_typed_error(self, tiny_instance, monkeypatch):
-        monkeypatch.setattr(general, "complete", lambda inst, costs, state: Assignment.zero())
+        monkeypatch.setattr(general, "complete", lambda *args: Assignment.zero())
         with pytest.raises(IncompleteCover) as err:
             solve_general(tiny_instance)
         assert err.value.uncovered == ("u",)
@@ -230,13 +229,13 @@ class TestComplete:
         costs = derive_costs(inst)
         state = initial_state(inst, costs)
         assert state.covered == frozenset({"t"})
-        done = complete(inst, costs, state)
+        done = complete(inst, costs, state.totals, state.covered)
         assert done.total() == costs.Q
 
     def test_empty_extra_gives_cheapest_cover(self, tiny_instance):
         costs = derive_costs(tiny_instance)
         state = initial_state(tiny_instance, costs)
-        done = complete(tiny_instance, costs, state)
+        done = complete(tiny_instance, costs, state.totals, state.covered)
         assert covers(tiny_instance, done)[0]
         assert done.total() <= costs.Q + costs.C
 
@@ -250,7 +249,7 @@ class TestComplete:
                 state = problem.apply(
                     state, Augmentation(star, star.payment(), state.nu - star.gain)
                 )
-            done = complete(inst, costs, state)
+            done = complete(inst, costs, state.totals, state.covered)
             assert covers(inst, done)[0]
             assert done.total() <= sum(state.extra.values(), ZERO) + state.nu
 
@@ -260,7 +259,7 @@ class TestGreedyCertificates:
         for inst in seeded_mix(40):
             costs = derive_costs(inst)
             state, trace = run_general_greedy(inst, costs)
-            done = complete(inst, costs, state)
+            done = complete(inst, costs, state.totals, state.covered)
             tau = sum(state.extra.values(), ZERO)
             assert done.total() <= tau + state.nu
 

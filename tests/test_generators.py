@@ -11,7 +11,6 @@ from aecover.errors import DomainError
 from aecover.fileio import dumps_instance
 from aecover.generators import (
     FAMILIES,
-    FamilySpec,
     from_facility_location,
     from_installation,
     from_theta_setcover,
@@ -108,9 +107,6 @@ class TestRandomFamilies:
             a = generate(family, 7)
             b = generate(family, 7)
             assert dumps_instance(a) == dumps_instance(b)
-        assert dumps_instance(FamilySpec("unit", 3).build()) == dumps_instance(
-            generate("unit", 3)
-        )
 
     def test_every_family_feasible(self):
         for family in sorted(FAMILIES):

@@ -1,10 +1,15 @@
-"""Golden bytes: canonical ``bench`` and ``gen`` output pinned by sha256.
+"""Golden bytes: canonical ``bench``, ``gen``, ``solve`` and ``exact`` output
+pinned by sha256.
 
-The digests were recorded with the ``json.dumps`` instance encoder, the
-``Fraction`` version of ``derive_costs`` and the full-rescan average-price
-greedy, before the direct writer and the integer versions replaced them.  Any
-change to these bytes is a change to the canonical format or to a solver's
-output and must be deliberate.
+The ``bench`` and ``gen`` digests were recorded with the ``json.dumps``
+instance encoder, the ``Fraction`` version of ``derive_costs`` and the
+full-rescan average-price greedy, before the direct writer and the integer
+versions replaced them.  The ``solve`` and ``exact`` digests were recorded
+before the activation predicate, the completion step and the report builder
+were each merged into one function; unlike ``bench`` they cover the
+assignment, theta, delta, trace, extras and ``nodes_expanded``.  Any change
+to these bytes is a change to the canonical format or to a solver's output
+and must be deliberate.
 """
 
 import hashlib
@@ -74,3 +79,92 @@ def test_canonical_output_matches_golden_bytes(family, tmp_path):
     assert main(["bench", "--family", family, "--seeds", "0..19", "--out", str(bench_path)]) == 0
     assert main(["gen", "--family", family, "--seed", "0", "--out", str(gen_path)]) == 0
     assert (sha256_of(bench_path), sha256_of(gen_path)) == GOLDEN[family]
+
+
+SEEDS = range(20)
+
+# family -> the `solve` argument lists run on each seed: `auto`, then each
+# algorithm `bench` runs on the family, then the non-default runs.
+SOLVE_RUNS = {
+    "minpower": (["auto"], ["general"]),
+    "setcover-t2": (["auto"], ["general"]),
+    "setcover-t5": (["auto"], ["general"]),
+    "setcover-t10": (["auto"], ["general"]),
+    "installation": (["auto"], ["general"]),
+    "general": (["auto"], ["general"]),
+    "uniform": (["auto"], ["locally-uniform"]),
+    "uniform-unit": (["auto"], ["locally-uniform"]),
+    "unit": (["auto"], ["unit-a1"], ["unit-a2"], ["unit-a2", "--subsolver", "greedy"]),
+    "tight73": (
+        ["auto"],
+        ["locally-uniform"],
+        ["locally-uniform", "--tie-break", "adversarial-order", "--priority-file", "{priority}"],
+    ),
+}
+
+EXACT_ARGS = {"tight73": ["--force"]}
+
+# family -> (sha256 of the `solve` outputs of SOLVE_RUNS over SEEDS, in order,
+#            sha256 of the `aecover exact` outputs over SEEDS, in order)
+GOLDEN_SOLVE_EXACT = {
+    "general": (
+        "e2a104098a3b5c2064648f1dcf89f90eb038d957eee9a8b83c0f9b819e16390a",
+        "ff414223667cf3fe53836f04f194ab51ed2baf75b56bf3127bb8203f0ea467d2",
+    ),
+    "installation": (
+        "5140a7828772a470361bf43992cfc5113802ce62f1cf15d163b4105c6ab5d7aa",
+        "8d763c058b3cf259e351ba9d9c605f24c99447952ae03acff846b7e747f70715",
+    ),
+    "minpower": (
+        "6df7af06e781ec5316817b168bbce005427e1fb31128fcee662340c45f5770dc",
+        "6b7e76913cf05ca8767cd07481a5359740209562daf03ba8c3ef1fdac1e9d5f4",
+    ),
+    "setcover-t10": (
+        "ac8fe2325d2fb7578cba7df23ee7db5593ee5aa539f38fff15343deae4b7f601",
+        "83ec4640d6abccf5fb56c764be0728ea8c690c35222c0bbfd5c9501239b2819a",
+    ),
+    "setcover-t2": (
+        "eb4a564f106e34348be91b84ec2d9a23e2a51ddcd2177a9ad5adb53f6b74ecde",
+        "caf5b5f22f243b38836b85a15f3aebc057e69205fe21e72b537c92153cb351a1",
+    ),
+    "setcover-t5": (
+        "b01d7c7cc2cf7e49d6b3ea5b2da556375ab4dc7e20c04f9c3fd967575bc784b9",
+        "268c8e9b43225c98202f2bdfd3be767e8c17ec8c1dd9749a51952c9109c7d963",
+    ),
+    "tight73": (
+        "b9706037789a71ba1de5b0a9ce3f16d4a5be1fa62d6809e93e8988ced12bb072",
+        "7a6cec1283dd9717974b88b691cf765e5bb599d907e247ed4afc7836281c7f1a",
+    ),
+    "uniform": (
+        "3147e809d680db33607437c7f83df52d3d6ca4c67b16407436960a2d5c11020c",
+        "2d7fe58eb19a035d6579efc3c524193a798083ba91ff2f47514ee1de2f7e408d",
+    ),
+    "uniform-unit": (
+        "60fbc781590399a6e9a94d800ddf04b1b4dd554a769a7c4387489ec35ae63914",
+        "bdba2325d043a18596f3acf754363e419f1b2b6c94973ccb5f00a3dd5c59d96f",
+    ),
+    "unit": (
+        "3b1b548eb33eca3ec6680b904adbf92d00e7e994c0033526d4d1458e83acae7c",
+        "05836fb4568204c3017e9d42a961a926618ab2928edbad1e692309420ab30619",
+    ),
+}
+
+
+def test_every_family_has_solve_and_exact_pins():
+    assert set(SOLVE_RUNS) == set(GOLDEN_SOLVE_EXACT) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_SOLVE_EXACT))
+def test_solve_and_exact_output_match_golden_bytes(family, tmp_path):
+    inst, out = str(tmp_path / "inst.json"), tmp_path / "out.json"
+    solved, exact = hashlib.sha256(), hashlib.sha256()
+    for seed in SEEDS:
+        assert main(["gen", "--family", family, "--seed", str(seed), "--out", inst]) == 0
+        for run in SOLVE_RUNS[family]:
+            algorithm, *extra = (arg.format(priority=inst + ".priority") for arg in run)
+            argv = ["solve", inst, "--algorithm", algorithm, *extra, "--out", str(out)]
+            assert main(argv) == 0
+            solved.update(out.read_bytes())
+        assert main(["exact", inst, *EXACT_ARGS.get(family, []), "--out", str(out)]) == 0
+        exact.update(out.read_bytes())
+    assert (solved.hexdigest(), exact.hexdigest()) == GOLDEN_SOLVE_EXACT[family]

@@ -1,5 +1,6 @@
 """Average-price greedy: validation, worst case, and per-star accounting."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import aecover.cli
 from aecover.bounds import harmonic, omega_bar
 from aecover.cli import run_algorithm
 from aecover.core import Assignment, Instance, covers, derive_costs
-from aecover.errors import Infeasible, NonUniformFacility, NotBipartite
+from aecover.errors import IncompleteCover, Infeasible, NonUniformFacility, NotBipartite
 from aecover.fileio import instance_digest
 from aecover.generators import (
     from_facility_location,
@@ -185,6 +186,17 @@ class TestSolve:
         )
         with pytest.raises(Infeasible):
             solve_locally_uniform(validate_locally_uniform(inst))
+
+    def test_uncovering_output_raises_incomplete_cover(self):
+        # A view that understates the service threshold makes the greedy pay
+        # every client too little; the report builder must refuse the output.
+        clients = ["c0", "c1", "c2"]
+        inst = from_facility_location(clients, ["f"], {"f": 1}, {(c, "f"): 2 for c in clients})
+        ubi = validate_locally_uniform(inst)
+        understated = dataclasses.replace(ubi, service={"f": Fraction(1)})
+        with pytest.raises(IncompleteCover) as err:
+            solve_locally_uniform(understated)
+        assert err.value.uncovered == tuple(clients)
 
     def test_certified_on_seeds(self):
         for seed in range(60):

@@ -31,7 +31,6 @@ from aecover.unit import (
     exact_2setcover,
     exact_bb,
     greedy_hk,
-    matching2,
     reduce_unit,
     solve_unit_a1,
     solve_unit_a2,
@@ -85,7 +84,7 @@ def _reference_exact_bb(sc: SetCoverInstance, k: int) -> SetCoverSolution:
         return best
 
     _, picks = solve(0)
-    return SetCoverSolution(chosen=tuple(sorted(picks)), covered=True)
+    return SetCoverSolution(chosen=tuple(sorted(picks)))
 
 
 REFERENCE_SUBSOLVER = KSetCoverSolver(name="exact", fn=_reference_exact_bb, certified=True)
@@ -219,7 +218,7 @@ class TestExactBB:
         empty = SetCoverInstance((), {})
         for k in range(1, 4):
             assert exact_bb(empty, k) == _reference_exact_bb(empty, k)
-            assert exact_bb(empty, k) == SetCoverSolution((), True)
+            assert exact_bb(empty, k) == SetCoverSolution(())
 
     def test_matches_reference_on_unit_a2_residuals(self):
         # Every phase residual of solve-unit shaped instances: the whole
@@ -240,13 +239,11 @@ class TestExactBB:
             assert report.to_json() == solve_unit_a2(res, REFERENCE_SUBSOLVER).to_json()
         assert len(calls) >= 21
 
-    def test_matching2_agrees_with_bb(self):
+    def test_exact_2setcover_agrees_with_bb(self):
         rng = random.Random(4)
         for _ in range(60):
             sc = random_set_system(rng, rng.randint(2, 9), rng.randint(2, 7), 2)
-            assert len(matching2(sc, 2).chosen) == len(exact_bb(sc, 2).chosen)
-        with pytest.raises(SizeBoundViolated):
-            matching2(SetCoverInstance((), {}), 3)
+            assert len(exact_2setcover(sc).chosen) == len(exact_bb(sc, 2).chosen)
 
 
 class TestGreedyHk:
@@ -395,7 +392,7 @@ class TestSolveUnitA2:
         # A subsolver finish that picks a phase root breaks the phase analysis.
         res = reduce_unit(facility_unit_instance(12, random.Random(1)))
         roots_first = KSetCoverSolver(
-            name="bad", fn=lambda sc, k: SetCoverSolution(tuple(res.system.sets), True),
+            name="bad", fn=lambda sc, k: SetCoverSolution(tuple(res.system.sets)),
             certified=False,
         )
         with pytest.raises(PhaseInvariantViolated):
@@ -404,7 +401,7 @@ class TestSolveUnitA2:
     def test_uncovering_subsolver_raises_incomplete_cover(self):
         res = reduce_unit(facility_unit_instance(12, random.Random(1)))
         nothing = KSetCoverSolver(
-            name="bad", fn=lambda sc, k: SetCoverSolution((), True), certified=False
+            name="bad", fn=lambda sc, k: SetCoverSolution(()), certified=False
         )
         with pytest.raises(IncompleteCover):
             solve_unit_a2(res, subsolver=nothing)
@@ -419,7 +416,7 @@ class TestSolveUnitA2:
             "t = [f't{i}' for i in range(4)]\n"
             "edges = [(x, 'v', 1, 1) for x in t[:3]] + [(t[3], 'w', 1, 1), (t[2], 'w', 1, 1)]\n"
             "res = reduce_unit(Instance.from_data(t + ['v', 'w'], t, edges))\n"
-            "bad = KSetCoverSolver('bad', lambda sc, k: SetCoverSolution(('v', 'w'), True), False)\n"
+            "bad = KSetCoverSolver('bad', lambda sc, k: SetCoverSolution(('v', 'w')), False)\n"
             "try:\n"
             "    solve_unit_a2(res, subsolver=bad)\n"
             "except PhaseInvariantViolated:\n"
