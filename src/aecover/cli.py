@@ -1,8 +1,9 @@
 """Command-line front end: solve, exact, gen, bench, and bound tables.
 
-Exit codes: 0 ok, 1 internal error, 2 infeasible input, 3 certification
-violation.  All outputs are deterministic given identical inputs; wall-clock
-timings go to stderr only.
+Exit codes: 0 ok, 1 error (a typed library error or a file that cannot be
+read or written), 2 infeasible input, 3 certification violation.  All
+outputs are deterministic given identical inputs; wall-clock timings go to
+stderr only.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from typing import Optional, Sequence
 from . import bounds as bounds_mod
 from .core import Instance
 from .errors import AecError, BudgetExceeded, DomainError, Infeasible, LimitExceeded
-from .fileio import assignment_doc, format_fraction, instance_digest, load_instance, save_instance
+from .fileio import (
+    SCHEMA_VERSION,
+    assignment_doc,
+    format_fraction,
+    instance_digest,
+    load_instance,
+    save_instance,
+)
 from .general import solve_general
 from .generators import FAMILIES, generate, tight73
 from .locally_uniform import (
@@ -49,7 +57,7 @@ _BENCH_ALGORITHMS = {
 }
 
 
-def _pick(inst: Instance) -> tuple[str, Optional[UniformBipartiteInstance]]:
+def pick_algorithm(inst: Instance) -> tuple[str, Optional[UniformBipartiteInstance]]:
     """The auto choice, with the validated view when it is locally uniform."""
     if inst.is_unit():
         return "unit-a2", None
@@ -57,10 +65,6 @@ def _pick(inst: Instance) -> tuple[str, Optional[UniformBipartiteInstance]]:
         return "locally-uniform", validate_locally_uniform(inst)
     except AecError:
         return "general", None
-
-
-def pick_algorithm(inst: Instance) -> str:
-    return _pick(inst)[0]
 
 
 def run_algorithm(
@@ -72,7 +76,7 @@ def run_algorithm(
 ) -> SolveReport:
     ubi = None
     if algorithm == "auto":
-        algorithm, ubi = _pick(inst)
+        algorithm, ubi = pick_algorithm(inst)
     if algorithm == "general":
         return solve_general(inst)
     if algorithm == "locally-uniform":
@@ -139,7 +143,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         limits = {"max_terminals": 10**9, "max_nodes": 10**9}
     result = exact_solve(inst, time_budget=args.time_budget, **limits)
     doc = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "kind": "exact_result",
         "instance_digest": instance_digest(inst),
         "value": format_fraction(result.value),
@@ -288,7 +292,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except AecError as exc:
+    except (AecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -57,9 +57,6 @@ class Edge:
             return self.u
         raise KeyError(node)
 
-    def value(self) -> Fraction:
-        return self.tu + self.tv
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -158,6 +155,13 @@ class Instance:
     def terminals_independent(self) -> bool:
         return not any(e.u in self.terminals and e.v in self.terminals for e in self.edges)
 
+    @cached_property
+    def costs(self) -> DerivedCosts:
+        """The instance's q, c, Q, C, slope and degree bound, derived once by
+        :func:`derive_costs`.  Solvers share the result and must not mutate
+        it.  An isolated terminal raises IsolatedTerminal on every access."""
+        return derive_costs(self)
+
     def is_unit(self) -> bool:
         return all(e.tu == 1 and e.tv == 1 for e in self.edges)
 
@@ -193,10 +197,6 @@ class Assignment:
             if f != 0:
                 vals[node] = f
         return cls(vals)
-
-    @classmethod
-    def zero(cls) -> "Assignment":
-        return cls({})
 
     def get(self, node: str) -> Fraction:
         return self.values.get(node, ZERO)
@@ -423,10 +423,7 @@ def levels_reduction(spec: ActivationSpec, terminals: Iterable[str]) -> Instance
 
 
 def complete(
-    inst: Instance,
-    costs: DerivedCosts,
-    totals: Mapping[str, Fraction],
-    covered: Container[str],
+    inst: Instance, totals: Mapping[str, Fraction], covered: Container[str]
 ) -> Assignment:
     """Feasible assignment: ``totals``, with both endpoints of the cheapest
     edge of every terminal not in ``covered`` raised to that edge's
@@ -436,13 +433,10 @@ def complete(
     for u in inst.terminal_list:
         if u in covered:
             continue
-        e = inst.edges[costs.cheapest[u]]
+        e = inst.edges[inst.costs.cheapest[u]]
         if values.get(e.u, ZERO) < e.tu:
             values[e.u] = e.tu
         if values.get(e.v, ZERO) < e.tv:
             values[e.v] = e.tv
     return Assignment.of(values)
 
-
-def uncovered_cost(inst: Instance, costs: DerivedCosts, covered: frozenset[str]) -> Fraction:
-    return sum((costs.c[u] for u in inst.terminal_list if u not in covered), ZERO)

@@ -17,15 +17,7 @@ from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional
 
 from .bounds import omega
-from .core import (
-    DerivedCosts,
-    Instance,
-    ZERO,
-    complete,
-    covered_terminals,
-    derive_costs,
-    uncovered_cost,
-)
+from .core import Instance, ZERO, complete, covered_terminals
 from .gmc import Augmentation, GreedyTrace, gmc_greedy
 from .report import SolveReport, solve_report
 
@@ -51,28 +43,28 @@ class GeneralSolveState:
     that integer view (see :func:`_best_star_at`)."""
 
     totals: Mapping[str, Fraction]
-    extra: Mapping[str, Fraction]
     covered: frozenset[str]
     nu: Fraction
     scaled: Mapping[str, int]
     stars: Mapping[str, tuple]
 
 
-def _scaled_costs(inst: Instance, costs: DerivedCosts) -> dict[str, int]:
-    return {u: inst.scaled(c) for u, c in costs.c.items()}
+def _scaled_costs(inst: Instance) -> dict[str, int]:
+    return {u: inst.scaled(c) for u, c in inst.costs.c.items()}
 
 
-def initial_state(inst: Instance, costs: DerivedCosts) -> GeneralSolveState:
+def initial_state(inst: Instance) -> GeneralSolveState:
+    costs = inst.costs
     totals = {n: ZERO for n in inst.nodes}
     totals.update(costs.q)
     covered = covered_terminals(inst, totals)
-    nu = costs.Q + uncovered_cost(inst, costs, covered)
+    nu = costs.Q + sum((costs.c[u] for u in inst.terminal_list if u not in covered), ZERO)
     scaled = {n: inst.scaled(x) for n, x in totals.items()}
-    c = _scaled_costs(inst, costs)
+    c = _scaled_costs(inst)
     stars = {
         v: s for v in inst.nodes if (s := _best_star_at(inst, c, scaled, covered, v))
     }
-    return GeneralSolveState(totals, {}, covered, nu, scaled, stars)
+    return GeneralSolveState(totals, covered, nu, scaled, stars)
 
 
 def _best_star_at(
@@ -154,9 +146,7 @@ def _min_star(inst: Instance, stars: Iterable[tuple]) -> Optional[CandidateStar]
     )
 
 
-def min_density_star(
-    inst: Instance, costs: DerivedCosts, state: GeneralSolveState
-) -> Optional[CandidateStar]:
+def min_density_star(inst: Instance, state: GeneralSolveState) -> Optional[CandidateStar]:
     """Star of globally minimum density, or None when no star gains anything.
 
     Enumerates every (root, root increment) pair with the increment drawn
@@ -177,7 +167,7 @@ def min_density_star(
     a root's best density can fall after a step, since raising a root
     lowers its own increments.
     """
-    c = _scaled_costs(inst, costs)
+    c = _scaled_costs(inst)
     totals = {n: inst.scaled(x) for n, x in state.totals.items()}
     stars = (_best_star_at(inst, c, totals, state.covered, v) for v in inst.nodes)
     return _min_star(inst, (s for s in stars if s))
@@ -186,19 +176,18 @@ def min_density_star(
 class _GeneralGmcProblem:
     """Potential Q + c(uncovered), payment = total increment, star oracle."""
 
-    def __init__(self, inst: Instance, costs: DerivedCosts):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.costs = costs
-        self.c = _scaled_costs(inst, costs)
+        self.c = _scaled_costs(inst)
 
     def initial_state(self) -> GeneralSolveState:
-        return initial_state(self.inst, self.costs)
+        return initial_state(self.inst)
 
     def potential(self, state: GeneralSolveState) -> Fraction:
         return state.nu
 
     def target(self) -> Fraction:
-        return self.costs.Q
+        return self.inst.costs.Q
 
     def best_augmentation(self, state: GeneralSolveState) -> Optional[Augmentation]:
         star = _min_star(self.inst, state.stars.values())
@@ -214,19 +203,17 @@ class _GeneralGmcProblem:
         star: CandidateStar = aug.payload
         inst = self.inst
         totals = dict(state.totals)
-        extra = dict(state.extra)
         scaled = dict(state.scaled)
         changed = []
         for node, inc in ((star.root, star.root_increment), *star.leaves):
             if inc != 0:
                 totals[node] += inc
-                extra[node] = extra.get(node, ZERO) + inc
                 scaled[node] += inst.scaled(inc)
                 changed.append(node)
         # Only edges at a raised node can have become active.
         newly = covered_terminals(inst, totals, changed) - state.covered
         covered = state.covered | newly
-        nu = state.nu - sum((self.costs.c[u] for u in newly), ZERO)
+        nu = state.nu - sum((inst.costs.c[u] for u in newly), ZERO)
         dirty = set(changed) | newly
         for x in tuple(dirty):
             dirty.update(u for _, u, _ in inst.scaled_rows[x])
@@ -237,18 +224,14 @@ class _GeneralGmcProblem:
                 stars[v] = s
             else:
                 stars.pop(v, None)
-        return GeneralSolveState(totals, extra, covered, nu, scaled, stars)
+        return GeneralSolveState(totals, covered, nu, scaled, stars)
 
 
-def run_general_greedy(
-    inst: Instance, costs: DerivedCosts
-) -> tuple[GeneralSolveState, GreedyTrace]:
-    return gmc_greedy(_GeneralGmcProblem(inst, costs))
+def run_general_greedy(inst: Instance) -> tuple[GeneralSolveState, GreedyTrace]:
+    return gmc_greedy(_GeneralGmcProblem(inst))
 
 
-def general_bound_candidates(
-    costs: DerivedCosts, terminals_independent: bool
-) -> list[tuple[str, object]]:
+def general_bound_candidates(inst: Instance) -> list[tuple[str, object]]:
     """Every ratio certificate the instance qualifies for, as (label, bound).
 
     The degree bounds rest on the spread of the greedy ratio
@@ -268,6 +251,7 @@ def general_bound_candidates(
     over terminals, C <= (A - Q) + delta * (opt - A) <= delta * tau* since
     delta >= 1, which gives 1 + ln(delta).
     """
+    costs = inst.costs
     candidates: list[tuple[str, object]] = []
     if costs.theta == 0:
         candidates.append(("value=Q (slope 0)", Fraction(1)))
@@ -275,19 +259,18 @@ def general_bound_candidates(
         candidates.append(("1+omega(theta)", 1.0 + omega(costs.theta)))
     if costs.delta >= 1:
         candidates.append(("1+ln(delta+1)", 1.0 + math.log(costs.delta + 1)))
-        if terminals_independent:
+        if inst.terminals_independent:
             candidates.append(("1+ln(delta)", 1.0 + math.log(costs.delta)))
     return candidates
 
 
 def solve_general(inst: Instance) -> SolveReport:
     """Density-greedy solver with the slope/degree ratio certificate."""
-    costs = derive_costs(inst)
-    state, trace = run_general_greedy(inst, costs)
+    costs = inst.costs
+    state, trace = run_general_greedy(inst)
     # The completed value is at most the greedy's payment plus its potential.
-    assignment = complete(inst, costs, state.totals, state.covered)
-    candidates = general_bound_candidates(costs, inst.terminals_independent)
-    label, bound = min(candidates, key=lambda it: (float(it[1]), it[0]))
+    assignment = complete(inst, state.totals, state.covered)
+    label, bound = min(general_bound_candidates(inst), key=lambda it: (float(it[1]), it[0]))
     return solve_report(
         inst,
         "general",

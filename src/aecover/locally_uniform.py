@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .bounds import omega_bar
-from .core import Assignment, Instance, ZERO, derive_costs
-from .errors import Infeasible, NonUniformFacility, NotBipartite
+from .core import Assignment, Instance, ZERO
+from .errors import DomainError, Infeasible, NonUniformFacility, NotBipartite
 from .report import SolveReport, solve_report
 
 
@@ -111,14 +111,14 @@ def solve_locally_uniform(
     inst = ubi.inst
     if tie_break == "adversarial-order":
         if priority is None:
-            raise ValueError("adversarial-order tie-breaking needs a priority list")
+            raise DomainError("adversarial-order tie-breaking needs a priority list")
         rank = {v: i for i, v in enumerate(priority)}
         offset = len(rank)
         tie_key = {v: (rank.get(v, offset), inst.index[v]) for v in ubi.facilities}
     elif tie_break == "lowest-id":
         tie_key = {v: (0, inst.index[v]) for v in ubi.facilities}
     else:
-        raise ValueError(f"unknown tie break {tie_break!r}")
+        raise DomainError(f"unknown tie break {tie_break!r}")
 
     L = inst.scale
     order = [v for v in sorted(ubi.facilities, key=tie_key.__getitem__) if ubi.adjacency[v]]
@@ -165,7 +165,7 @@ def solve_locally_uniform(
 
     assignment = Assignment.of(values)
     label, bound = uniform_bound(ubi)
-    costs = derive_costs(inst)
+    slope = inst.costs.theta
     return solve_report(
         inst,
         "locally-uniform",
@@ -178,6 +178,6 @@ def solve_locally_uniform(
         trace={"steps": steps},
         extras={
             "tie_break": tie_break,
-            "instance_slope": "inf" if costs.theta == math.inf else str(costs.theta),
+            "instance_slope": "inf" if slope == math.inf else str(slope),
         },
     )

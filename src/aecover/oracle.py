@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .core import Assignment, Instance, ZERO, active_edges, complete, derive_costs
+from .core import Assignment, Instance, ZERO, active_edges, complete
 from .errors import BudgetExceeded, LimitExceeded, StarDecompositionViolated
 
 DEFAULT_MAX_TERMINALS = 10
@@ -52,8 +52,8 @@ def exact_solve(
     if len(inst.nodes) > max_nodes:
         raise LimitExceeded(f"{len(inst.nodes)} nodes exceed the limit {max_nodes}")
 
-    costs = derive_costs(inst)
-    incumbent = complete(inst, costs, costs.q, ())
+    costs = inst.costs
+    incumbent = complete(inst, costs.q, ())
     best_value = incumbent.total()
     best_values = dict(incumbent.values)
     best_choice: dict[str, int] = dict(costs.cheapest)

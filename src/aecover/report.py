@@ -143,6 +143,8 @@ class BenchReport:
     entries: list[dict] = field(default_factory=list)
     violations: list[dict] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)
+    # Per algorithm, the empirical ratio of every entry that has one.
+    ratios: dict[str, list[Fraction]] = field(default_factory=dict, init=False)
 
     def add_entry(self, seed: int, digest: str, exact_value: Optional[Fraction],
                   reports: dict[str, SolveReport]) -> None:
@@ -163,6 +165,8 @@ class BenchReport:
                 "bound_label": rep.bound_label,
                 "empirical_ratio": None if ratio is None else format_float(float(ratio)),
             }
+            if ratio is not None:
+                self.ratios.setdefault(name, []).append(ratio)
             if not rep.certified():
                 self.violations.append(
                     {
@@ -180,12 +184,7 @@ class BenchReport:
     def aggregates(self) -> dict[str, Any]:
         stats: dict[str, Any] = {}
         for name in self.algorithms:
-            ratios = []
-            for entry in self.entries:
-                res = entry["results"].get(name)
-                if res and res["empirical_ratio"] is not None:
-                    ratios.append(Fraction(res["value"]) / Fraction(entry["exact_value"])
-                                  if Fraction(entry["exact_value"]) != 0 else Fraction(1))
+            ratios = self.ratios.get(name)
             if ratios:
                 stats[name] = {
                     "instances": len(ratios),

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import networkx as nx
 
 from .bounds import A1_RATIO, RHO
-from .core import Assignment, Instance, derive_costs
+from .core import Assignment, Instance
 from .errors import (
     IncompleteCover,
     Infeasible,
@@ -298,14 +298,13 @@ def solve_unit_a1(res: UnitResidual) -> SolveReport:
     residual = _restrict(sc, uncovered, removed)
     tail = exact_2setcover(residual).chosen if residual.elements else ()
     all_chosen = (*chosen, *tail)
-    costs = derive_costs(res.inst)
     return solve_report(
         res.inst,
         "unit-a1",
         Assignment.of(dict.fromkeys((*res.inst.terminal_list, *all_chosen), 1)),
         value=Fraction(res.base_value + len(all_chosen)),
-        theta=costs.theta,
-        delta=costs.delta,
+        theta=res.inst.costs.theta,
+        delta=res.inst.costs.delta,
         claimed_bound=A1_RATIO,
         bound_label="1+67/360",
         extras={"greedy_stars": len(chosen), "exact_phase": len(tail)},
@@ -370,14 +369,13 @@ def solve_unit_a2(
         candidates = [(0, 0, 0, 0, ())]
     # min() keeps the first (largest-k) candidate on size ties.
     size, k_winner, c_size, a_size, chosen = min(candidates, key=lambda cand: cand[0])
-    costs = derive_costs(res.inst)
     return solve_report(
         res.inst,
         "unit-a2",
         Assignment.of(dict.fromkeys((*res.inst.terminal_list, *chosen), 1)),
         value=Fraction(res.base_value + len(chosen)),
-        theta=costs.theta,
-        delta=costs.delta,
+        theta=res.inst.costs.theta,
+        delta=res.inst.costs.delta,
         claimed_bound=RHO if subsolver.certified else None,
         bound_label="1555/1347" if subsolver.certified else f"uncertified ({subsolver.name})",
         trace={"phases": phases},

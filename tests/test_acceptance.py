@@ -82,7 +82,7 @@ def general_runs():
             costs = derive_costs(inst)
             report = solve_general(inst)
             opt = exact_solve(inst).value
-            state, trace = run_general_greedy(inst, costs)
+            state, trace = run_general_greedy(inst)
             runs.append(
                 {
                     "family": family,
@@ -240,8 +240,8 @@ def test_criterion_7_suboracle_equivalences():
     for seed in SEEDS:
         inst = builders[seed % len(builders)](seed)
         costs = derive_costs(inst)
-        state = initial_state(inst, costs)
-        star = min_density_star(inst, costs, state)
+        state = initial_state(inst)
+        star = min_density_star(inst, state)
         brute = enum_min_density_star(inst, costs, state.totals, state.covered)
         if star is None:
             assert brute is None, seed

@@ -47,6 +47,24 @@ def test_malformed_numeric_argument_exit_code(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{inst}", "--algorithm", "locally-uniform", "--tie-break", "adversarial-order"),
+        ("solve", "{dir}/missing.json"),
+        ("solve", "{inst}", "--priority-file", "{dir}/nope"),
+        ("gen", "--family", "unit", "--out", "{dir}/no/such/dir/x.json"),
+    ],
+)
+def test_unusable_input_exit_code(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.json"
+    save_instance(tight73()[0], inst)
+    code, out, err = run(capsys, *(a.format(inst=inst, dir=tmp_path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_gen_solve_exact_roundtrip(tmp_path, capsys):
     path = tmp_path / "inst.json"
     code, _, err = run(capsys, "gen", "--family", "minpower", "--seed", "3", "--out", str(path))
@@ -180,10 +198,10 @@ def test_bench_uniform_family(tmp_path, capsys):
 
 
 def test_auto_dispatch():
-    assert pick_algorithm(generate("unit", 0)) == "unit-a2"
-    assert pick_algorithm(random_uniform(0, theta=3)) == "locally-uniform"
-    assert pick_algorithm(generate("minpower", 0)) == "general"
-    assert pick_algorithm(tight73()[0]) == "unit-a2"  # unit thresholds win
+    assert pick_algorithm(generate("unit", 0))[0] == "unit-a2"
+    assert pick_algorithm(random_uniform(0, theta=3))[0] == "locally-uniform"
+    assert pick_algorithm(generate("minpower", 0))[0] == "general"
+    assert pick_algorithm(tight73()[0])[0] == "unit-a2"  # unit thresholds win
 
 
 def test_instance_file_round_trip(tmp_path, capsys):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from aecover import core
+from aecover.cli import _BENCH_ALGORITHMS, _BENCH_LIMITS, run_algorithm
 from aecover.core import (
     ActivationSpec,
     Assignment,
@@ -51,8 +53,8 @@ def fraction_derive_costs(inst):
         if not ids:
             raise IsolatedTerminal(u)
         q[u] = min(inst.edges[i].threshold_at(u) for i in ids)
-        best = min(ids, key=lambda i: (inst.edges[i].value(), i))
-        c[u] = inst.edges[best].value() - q[u]
+        best = min(ids, key=lambda i: (inst.edges[i].tu + inst.edges[i].tv, i))
+        c[u] = inst.edges[best].tu + inst.edges[best].tv - q[u]
         cheapest[u] = best
     theta = ZERO
     for u in inst.terminal_list:
@@ -237,10 +239,38 @@ class TestDeriveCosts:
             )
 
 
+class TestInstanceCosts:
+    @pytest.mark.parametrize("family", sorted(_BENCH_ALGORITHMS))
+    def test_derived_once_across_oracle_and_solvers(self, family, monkeypatch):
+        calls = []
+
+        def counting(inst):
+            calls.append(inst)
+            return derive_costs(inst)
+
+        monkeypatch.setattr(core, "derive_costs", counting)
+        for seed in range(3):
+            inst = generate(family, seed)
+            calls.clear()
+            exact_solve(inst, **_BENCH_LIMITS.get(family, {}))
+            for algorithm in ("auto", *_BENCH_ALGORITHMS[family]):
+                run_algorithm(inst, algorithm)
+            assert len(calls) == 1 and calls[0] is inst, (family, seed)
+            # The solvers share one DerivedCosts; none may have mutated it.
+            assert_same_costs(inst.costs, derive_costs(inst))
+
+    def test_isolated_terminal_raises_on_every_access(self):
+        inst = Instance.from_data(["u", "v", "w"], ["u", "w"], [("u", "v", 1, 1)])
+        for _ in range(2):
+            with pytest.raises(IsolatedTerminal):
+                inst.costs
+        assert "costs" not in vars(inst)
+
+
 class TestActivation:
     def test_zero_assignment_activates_nothing(self, tiny_instance):
-        assert tuple(active_edges(tiny_instance, Assignment.zero().values)) == ()
-        ok, uncovered = covers(tiny_instance, Assignment.zero())
+        assert tuple(active_edges(tiny_instance, Assignment({}).values)) == ()
+        ok, uncovered = covers(tiny_instance, Assignment({}))
         assert not ok and uncovered == ("u",)
 
     def test_boundary_equality_activates(self, tiny_instance):
@@ -315,7 +345,7 @@ class TestActivation:
         for seed in range(30):
             inst = random_general(8, 14, 3, seed)
             costs = derive_costs(inst)
-            cover = complete(inst, costs, costs.q, ())
+            cover = complete(inst, costs.q, ())
             assert covers(inst, cover)[0]
             assert cover.total() <= costs.Q + costs.C
 

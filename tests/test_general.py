@@ -48,9 +48,8 @@ class TestMinDensityStar:
             ["t1", "t2"],
             [("t1", "v", 1, 1), ("t2", "v", 1, 1)],
         )
-        costs = derive_costs(inst)
-        state = initial_state(inst, costs)
-        star = min_density_star(inst, costs, state)
+        state = initial_state(inst)
+        star = min_density_star(inst, state)
         assert star is not None
         assert star.root == "v"
         assert star.root_increment == 1
@@ -61,17 +60,16 @@ class TestMinDensityStar:
         # From any reachable state the cheapest edge of an uncovered terminal
         # pays at most its c, so the minimum density cannot exceed 1.
         for inst in seeded_mix(40):
-            costs = derive_costs(inst)
-            state = initial_state(inst, costs)
-            star = min_density_star(inst, costs, state)
+            state = initial_state(inst)
+            star = min_density_star(inst, state)
             if star is not None:
                 assert star.density <= 1
 
     def test_matches_enumeration_at_initial_state(self):
         for inst in seeded_mix(80):
             costs = derive_costs(inst)
-            state = initial_state(inst, costs)
-            star = min_density_star(inst, costs, state)
+            state = initial_state(inst)
+            star = min_density_star(inst, state)
             brute = enum_min_density_star(inst, costs, state.totals, state.covered)
             if star is None:
                 assert brute is None
@@ -81,10 +79,10 @@ class TestMinDensityStar:
     def test_matches_enumeration_along_trajectory(self):
         for inst in seeded_mix(24):
             costs = derive_costs(inst)
-            problem = _GeneralGmcProblem(inst, costs)
+            problem = _GeneralGmcProblem(inst)
             state = problem.initial_state()
             for _ in range(20):
-                star = min_density_star(inst, costs, state)
+                star = min_density_star(inst, state)
                 brute = enum_min_density_star(inst, costs, state.totals, state.covered)
                 if star is None:
                     assert brute is None
@@ -100,8 +98,8 @@ class TestMinDensityStar:
     def test_leaf_selection_fixed_point(self):
         for inst in seeded_mix(40):
             costs = derive_costs(inst)
-            state = initial_state(inst, costs)
-            star = min_density_star(inst, costs, state)
+            state = initial_state(inst)
+            star = min_density_star(inst, state)
             if star is None:
                 continue
             v, w = star.root, star.root_increment
@@ -133,13 +131,12 @@ class TestMinDensityStar:
 def cached_picks_match_full_scan(inst):
     """Run the greedy's own problem until no star is left, checking at every
     step that the cached pick equals the full scan; returns the picks."""
-    costs = derive_costs(inst)
-    problem = _GeneralGmcProblem(inst, costs)
+    problem = _GeneralGmcProblem(inst)
     state = problem.initial_state()
     picks = []
     while True:
         aug = problem.best_augmentation(state)
-        full = min_density_star(inst, costs, state)
+        full = min_density_star(inst, state)
         assert (aug.payload if aug else None) == full
         if aug is None:
             return picks
@@ -209,7 +206,7 @@ class TestSolveGeneral:
             assert float(ratio) <= 1 + math.log(costs.delta + 1) + 1e-12
 
     def test_incomplete_completion_raises_typed_error(self, tiny_instance, monkeypatch):
-        monkeypatch.setattr(general, "complete", lambda *args: Assignment.zero())
+        monkeypatch.setattr(general, "complete", lambda *args: Assignment({}))
         with pytest.raises(IncompleteCover) as err:
             solve_general(tiny_instance)
         assert err.value.uncovered == ("u",)
@@ -227,40 +224,40 @@ class TestComplete:
             ["t", "v"], ["t"], [("t", "v", 1, 0)]
         )
         costs = derive_costs(inst)
-        state = initial_state(inst, costs)
+        state = initial_state(inst)
         assert state.covered == frozenset({"t"})
-        done = complete(inst, costs, state.totals, state.covered)
+        done = complete(inst, state.totals, state.covered)
         assert done.total() == costs.Q
 
     def test_empty_extra_gives_cheapest_cover(self, tiny_instance):
         costs = derive_costs(tiny_instance)
-        state = initial_state(tiny_instance, costs)
-        done = complete(tiny_instance, costs, state.totals, state.covered)
+        state = initial_state(tiny_instance)
+        done = complete(tiny_instance, state.totals, state.covered)
         assert covers(tiny_instance, done)[0]
         assert done.total() <= costs.Q + costs.C
 
     def test_interrupted_greedy_still_feasible(self):
         for inst in seeded_mix(20):
-            costs = derive_costs(inst)
-            problem = _GeneralGmcProblem(inst, costs)
+            problem = _GeneralGmcProblem(inst)
             state = problem.initial_state()
-            star = min_density_star(inst, costs, state)
+            star = min_density_star(inst, state)
+            paid = ZERO
             if star is not None and star.payment() <= star.gain:
                 state = problem.apply(
                     state, Augmentation(star, star.payment(), state.nu - star.gain)
                 )
-            done = complete(inst, costs, state.totals, state.covered)
+                paid = star.payment()
+            done = complete(inst, state.totals, state.covered)
             assert covers(inst, done)[0]
-            assert done.total() <= sum(state.extra.values(), ZERO) + state.nu
+            assert done.total() <= paid + state.nu
 
 
 class TestGreedyCertificates:
     def test_value_at_most_payment_plus_potential(self):
         for inst in seeded_mix(40):
-            costs = derive_costs(inst)
-            state, trace = run_general_greedy(inst, costs)
-            done = complete(inst, costs, state.totals, state.covered)
-            tau = sum(state.extra.values(), ZERO)
+            state, trace = run_general_greedy(inst)
+            done = complete(inst, state.totals, state.covered)
+            tau = trace.total_payment()
             assert done.total() <= tau + state.nu
 
     def test_reduction_equivalence_on_seeds(self):
@@ -277,7 +274,7 @@ class TestGreedyCertificates:
         # The oracle's assignment dominates q on terminals, so its surplus
         # over q is a full-coverage state whose payment plus potential equals
         # the optimum exactly: both formulations share their optimal value.
-        from aecover.core import covered_terminals, uncovered_cost
+        from aecover.core import covered_terminals
 
         for inst in seeded_mix(30):
             costs = derive_costs(inst)
@@ -293,7 +290,7 @@ class TestGreedyCertificates:
             for n, x in surplus.items():
                 totals[n] += x
             covered = covered_terminals(inst, totals)
-            nu = costs.Q + uncovered_cost(inst, costs, covered)
+            nu = costs.Q + sum((costs.c[u] for u in inst.terminal_list if u not in covered), ZERO)
             assert nu == costs.Q
             tau = sum(surplus.values(), ZERO)
             assert tau + nu == best.value

@@ -11,7 +11,13 @@ import aecover.cli
 from aecover.bounds import harmonic, omega_bar
 from aecover.cli import run_algorithm
 from aecover.core import Assignment, Instance, covers, derive_costs
-from aecover.errors import IncompleteCover, Infeasible, NonUniformFacility, NotBipartite
+from aecover.errors import (
+    DomainError,
+    IncompleteCover,
+    Infeasible,
+    NonUniformFacility,
+    NotBipartite,
+)
 from aecover.fileio import instance_digest
 from aecover.generators import (
     from_facility_location,
@@ -175,10 +181,15 @@ class TestSolve:
 
     def test_adversarial_requires_priority(self):
         inst, _ = tight73()
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             solve_locally_uniform(
                 validate_locally_uniform(inst), tie_break="adversarial-order"
             )
+
+    def test_unknown_tie_break_is_a_domain_error(self):
+        inst, _ = tight73()
+        with pytest.raises(DomainError):
+            solve_locally_uniform(validate_locally_uniform(inst), tie_break="random")
 
     def test_infeasible_client(self):
         inst = Instance.from_data(

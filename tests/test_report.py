@@ -74,3 +74,15 @@ def test_bench_report_records_violations_and_orders_entries():
     assert [e["seed"] for e in doc["entries"]] == [0, 1]
     assert doc["aggregates"]["a"]["max_ratio"] == "2.2500"
     assert doc["aggregates"]["a"]["mean_ratio"] == "1.6250"
+
+
+def test_bench_aggregates_use_each_reports_empirical_ratio():
+    # A zero optimum counts as ratio 1 only when the value is zero too; an
+    # entry without a ratio is left out of the aggregates.
+    bench = BenchReport(family="unit", seed_start=0, seed_end=3, algorithms=("a", "b"))
+    for seed, value, exact in ((0, 0, 0), (1, 3, 0), (2, 6, 4)):
+        bench.add_entry(seed, "x" * 64, Fraction(exact), {"a": make_report(value, None, exact)})
+    bench.add_entry(3, "x" * 64, None, {"a": make_report(5, None), "b": make_report(5, None)})
+    assert bench.to_doc()["aggregates"] == {
+        "a": {"instances": 2, "max_ratio": "1.5000", "mean_ratio": "1.2500"}
+    }
