@@ -69,7 +69,6 @@ from .unit import (
     GREEDY_SUBSOLVER,
     KSetCoverSolver,
     SetCoverInstance,
-    SetCoverSolution,
     UnitResidual,
     exact_2setcover,
     exact_bb,

@@ -12,6 +12,7 @@ floats appear only at the reporting boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -66,30 +67,33 @@ def _harmonic_float(k: int) -> float:
 
 
 def _theta_fraction(theta: ThetaLike) -> Fraction:
+    """The slope as a Fraction; DomainError unless it is positive and at most
+    the largest float, which the float parts of the bounds need."""
     try:
         f = Fraction(theta)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"not a valid slope: {theta!r}") from exc
     if f <= 0:
         raise DomainError(f"slope must be positive, got {theta!r}")
+    if f > sys.float_info.max:
+        raise DomainError("slope beyond the float range the bounds are computed in")
     return f
 
 
 def omega(theta: ThetaLike) -> float:
     """Root of x + 1 = ln(theta/x), by bisection on the bracketing interval."""
-    if theta != math.inf:
-        _theta_fraction(theta)
-    else:
+    if theta == math.inf:
         raise DomainError("omega is undefined for infinite slope")
-    t = float(theta)
+    t = float(_theta_fraction(theta))
 
     def resid(x: float) -> float:
         return x + 1.0 - math.log(t / x)
 
-    hi = t  # resid(t) = t + 1 > 0
-    lo = t
-    while resid(lo) > 0:
+    hi = lo = t  # resid(t) = t + 1 > 0
+    while lo and resid(lo) > 0:
         lo /= 2.0
+    if not lo:
+        raise DomainError("slope below the float range omega is computed in")
     for _ in range(200):
         mid = (lo + hi) / 2.0
         r = resid(mid)
@@ -103,22 +107,33 @@ def omega(theta: ThetaLike) -> float:
 
 
 def k_theta(theta: ThetaLike) -> int:
-    """Smallest k with H_k >= 2 + (theta-1)/(k+1)."""
+    """Smallest k with H_k >= 2 + (theta-1)/(k+1).
+
+    k is scanned exactly up to ``_EXACT_SCAN_LIMIT``.  Past it theta > 1,
+    so the condition is monotone in k: doubling, then bisection on float
+    harmonic numbers, finds k in O(log k) steps.
+    """
     t = _theta_fraction(theta)
     h = Fraction(0)
-    k = 0
-    while k < _EXACT_SCAN_LIMIT:
-        k += 1
+    for k in range(1, _EXACT_SCAN_LIMIT + 1):
         h += Fraction(1, k)
         if h >= 2 + (t - 1) / (k + 1):
             return k
-    hf = float(h)
     tf = float(t)
-    while True:
-        k += 1
-        hf += 1.0 / k
-        if hf >= 2.0 + (tf - 1.0) / (k + 1):
-            return k
+
+    def holds(k: int) -> bool:
+        return _harmonic_float(k) >= 2.0 + (tf - 1.0) / (k + 1)
+
+    lo, hi = _EXACT_SCAN_LIMIT, 2 * _EXACT_SCAN_LIMIT
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def g_value(theta: ThetaLike, k: int) -> Union[Fraction, float]:
@@ -194,7 +209,7 @@ class BoundTable:
 
 
 def bound_row(theta: ThetaLike) -> dict[str, Optional[float]]:
-    t = float(theta)
+    t = float(_theta_fraction(theta))
     lnln = math.log(t) - math.log(math.log(t)) if t > 1 else None
     return {
         "1+omega": 1.0 + omega(theta),

@@ -9,7 +9,6 @@ stderr only.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
@@ -22,6 +21,7 @@ from .errors import AecError, BudgetExceeded, DomainError, Infeasible, LimitExce
 from .fileio import (
     SCHEMA_VERSION,
     assignment_doc,
+    dumps_doc,
     format_fraction,
     instance_digest,
     load_instance,
@@ -93,7 +93,11 @@ def run_algorithm(
 def _read_priority(path: Optional[str]) -> Optional[list[str]]:
     if path is None:
         return None
-    return [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"priority file is not UTF-8 text: {exc}") from None
+    return [line.strip() for line in text.splitlines() if line.strip()]
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
@@ -114,7 +118,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         priority=priority,
         subsolver=args.subsolver,
     )
-    report.wall_time_s = time.monotonic() - started
+    elapsed = time.monotonic() - started
     exit_code = 0
     if args.exact_check:
         exact = exact_solve(
@@ -129,7 +133,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             )
             exit_code = 3
     _write_or_print(report.to_json(), args.out)
-    print(f"solved in {report.wall_time_s:.3f}s", file=sys.stderr)
+    print(f"solved in {elapsed:.3f}s", file=sys.stderr)
     return exit_code
 
 
@@ -151,7 +155,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         "optimal": result.optimal,
         "nodes_expanded": result.nodes_expanded,
     }
-    _write_or_print(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    _write_or_print(dumps_doc(doc), args.out)
     return 0
 
 

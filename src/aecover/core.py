@@ -202,7 +202,12 @@ class Assignment:
         return self.values.get(node, ZERO)
 
     def total(self) -> Fraction:
-        return sum(self.values.values(), ZERO)
+        # Values share few denominators: summing integer numerators per
+        # denominator costs a fraction of one Fraction addition per value.
+        per_den: dict[int, int] = {}
+        for x in self.values.values():
+            per_den[x.denominator] = per_den.get(x.denominator, 0) + x.numerator
+        return sum((Fraction(n, d) for d, n in per_den.items()), ZERO)
 
 
 def active_edges(

@@ -1,4 +1,4 @@
-"""Canonical instance file format and report serialization helpers.
+"""Canonical instance file format and the one canonical document layout.
 
 Instance files are JSON documents with exactly the keys ``nodes``,
 ``terminals`` and ``edges``; thresholds are rational-valued strings such as
@@ -15,13 +15,15 @@ ASCII and thresholds as fraction strings such as "3/2".  :func:`dumps_instance`
 writes that layout directly with string joins, because any ``indent`` makes
 ``json.dumps`` fall back to its pure-Python encoder, which cost more than
 the solve it was reporting on.  The instance digest is the sha256 of the
-UTF-8 bytes of this text.
+UTF-8 bytes of this text.  Report documents are written by :func:`dumps_doc`
+in the same layout; this module is the only caller of ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -42,6 +44,16 @@ def format_fraction(x: Fraction) -> str:
 
 def format_float(x: float) -> str:
     return f"{x:.4f}"
+
+
+def format_slope(x: Union[Fraction, float]) -> str:
+    """A slope as a fraction string, or "inf" for an unbounded one."""
+    return "inf" if x == math.inf else format_fraction(Fraction(x))
+
+
+def dumps_doc(doc: Mapping[str, Any]) -> str:
+    """A report document as canonical text: sorted keys, two-space indent."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def parse_instance_doc(doc: Mapping[str, Any]) -> Instance:
@@ -95,7 +107,11 @@ def loads_instance(text: str) -> Instance:
 
 
 def load_instance(path: Union[str, Path]) -> Instance:
-    return loads_instance(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInstance(f"not UTF-8 text: {exc}") from None
+    return loads_instance(text)
 
 
 def _json_list(items: list[str]) -> str:

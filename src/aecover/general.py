@@ -275,9 +275,6 @@ def solve_general(inst: Instance) -> SolveReport:
         inst,
         "general",
         assignment,
-        value=assignment.total(),
-        theta=costs.theta,
-        delta=costs.delta,
         claimed_bound=bound,
         bound_label=label,
         trace=trace.to_doc(),

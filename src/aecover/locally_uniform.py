@@ -18,6 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 from .bounds import omega_bar
 from .core import Assignment, Instance, ZERO
 from .errors import DomainError, Infeasible, NonUniformFacility, NotBipartite
+from .fileio import format_slope
 from .report import SolveReport, solve_report
 
 
@@ -32,7 +33,6 @@ class UniformBipartiteInstance:
     service: Mapping[str, Fraction]
     adjacency: Mapping[str, tuple[str, ...]]
     theta: Union[Fraction, float]
-    delta: int
 
 
 def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
@@ -61,11 +61,9 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
         adjacency[fac].append(cli)
 
     theta: Union[Fraction, float] = ZERO
-    delta = 0
     for v in facilities:
         neighbors = sorted(set(adjacency[v]), key=inst.index.__getitem__)
         adjacency[v] = neighbors
-        delta = max(delta, len(neighbors))
         if not neighbors:
             continue
         w, t = weight[v], service[v]
@@ -82,14 +80,15 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
         service=dict(service),
         adjacency={v: tuple(c) for v, c in adjacency.items()},
         theta=theta,
-        delta=delta,
     )
 
 
 def uniform_bound(ubi: UniformBipartiteInstance) -> tuple[str, Union[Fraction, float]]:
-    if ubi.delta == 0 or ubi.theta == 0:
+    # The instance is bipartite, so this is the most clients at one facility.
+    delta = ubi.inst.costs.delta
+    if delta == 0 or ubi.theta == 0:
         return ("value=Q (free facilities)", Fraction(1))
-    return ("1+omega_bar(theta)", 1 + omega_bar(ubi.theta, delta_cap=ubi.delta))
+    return ("1+omega_bar(theta)", 1 + omega_bar(ubi.theta, delta_cap=delta))
 
 
 def solve_locally_uniform(
@@ -163,21 +162,14 @@ def solve_locally_uniform(
             }
         )
 
-    assignment = Assignment.of(values)
     label, bound = uniform_bound(ubi)
-    slope = inst.costs.theta
     return solve_report(
         inst,
         "locally-uniform",
-        assignment,
-        value=assignment.total(),
-        theta=ubi.theta,
-        delta=ubi.delta,
+        Assignment.of(values),
         claimed_bound=bound,
         bound_label=label,
         trace={"steps": steps},
-        extras={
-            "tie_break": tie_break,
-            "instance_slope": "inf" if slope == math.inf else str(slope),
-        },
+        extras={"tie_break": tie_break, "instance_slope": format_slope(inst.costs.theta)},
+        theta=ubi.theta,
     )

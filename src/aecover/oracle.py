@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import Assignment, Instance, ZERO, active_edges, complete
 from .errors import BudgetExceeded, LimitExceeded, StarDecompositionViolated
@@ -24,7 +24,6 @@ DEFAULT_MAX_NODES = 64
 class ExactResult:
     value: Fraction
     assignment: Assignment
-    choice: Mapping[str, int]
     nodes_expanded: int
     optimal: bool = True
 
@@ -56,11 +55,9 @@ def exact_solve(
     incumbent = complete(inst, costs.q, ())
     best_value = incumbent.total()
     best_values = dict(incumbent.values)
-    best_choice: dict[str, int] = dict(costs.cheapest)
 
     terms = sorted(inst.terminal_list, key=lambda u: (len(inst.edges_at[u]), inst.index[u]))
     values: dict[str, Fraction] = {n: ZERO for n in inst.nodes}
-    choice: dict[str, int] = {}
     counters = {"expanded": 0}
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
@@ -75,7 +72,7 @@ def exact_solve(
         return need
 
     def search(i: int, total: Fraction) -> None:
-        nonlocal best_value, best_values, best_choice
+        nonlocal best_value, best_values
         counters["expanded"] += 1
         if deadline is not None:
             if time.monotonic() > deadline:
@@ -83,7 +80,6 @@ def exact_solve(
                     ExactResult(
                         value=best_value,
                         assignment=Assignment.of(best_values),
-                        choice=dict(best_choice),
                         nodes_expanded=counters["expanded"],
                         optimal=False,
                     )
@@ -93,7 +89,6 @@ def exact_solve(
         if i == len(terms):
             best_value = total
             best_values = {n: x for n, x in values.items() if x > 0}
-            best_choice = dict(choice)
             return
         u = terms[i]
         if next(active_edges(inst, values, inst.edges_at[u]), None) is not None:
@@ -110,16 +105,13 @@ def exact_solve(
             old_u, old_v = values[e.u], values[e.v]
             values[e.u] = max(old_u, e.tu)
             values[e.v] = max(old_v, e.tv)
-            choice[u] = ei
             search(i + 1, total + (values[e.u] - old_u) + (values[e.v] - old_v))
-            del choice[u]
             values[e.u], values[e.v] = old_u, old_v
 
     search(0, ZERO)
     return ExactResult(
         value=best_value,
         assignment=Assignment.of(best_values),
-        choice=best_choice,
         nodes_expanded=counters["expanded"],
         optimal=True,
     )
@@ -129,7 +121,6 @@ def exact_solve(
 class Star:
     root: str
     leaves: tuple[str, ...]
-    edge_ids: tuple[int, ...]
 
 
 def _minimal_cover(inst: Instance, active: Sequence[int]) -> list[int]:
@@ -171,12 +162,11 @@ def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Sta
     for start in sorted(adj, key=inst.index.__getitem__):
         if start in seen:
             continue
-        component, comp_edges = {start}, set()
+        component = {start}
         stack = [start]
         while stack:
             node = stack.pop()
             for ei in adj[node]:
-                comp_edges.add(ei)
                 other = inst.edges[ei].other(node)
                 if other not in component:
                     component.add(other)
@@ -188,7 +178,8 @@ def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Sta
         if centers:
             root = centers[0]
         else:
-            (e,) = (inst.edges[ei] for ei in comp_edges)
+            # No node has two edges, so the component is one edge.
+            e = inst.edges[adj[start][0]]
             non_terminals = [n for n in (e.u, e.v) if n not in inst.terminals]
             root = non_terminals[0] if len(non_terminals) == 1 else min(
                 (e.u, e.v), key=inst.index.__getitem__
@@ -196,6 +187,6 @@ def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Sta
         leaves = tuple(sorted(component - {root}, key=inst.index.__getitem__))
         if not all(leaf in inst.terminals for leaf in leaves):
             raise StarDecompositionViolated(f"star at {root!r} has a non-terminal leaf: {leaves}")
-        stars.append(Star(root=root, leaves=leaves, edge_ids=tuple(sorted(comp_edges))))
+        stars.append(Star(root=root, leaves=leaves))
     stars.sort(key=lambda s: inst.index[s.root])
     return stars

@@ -7,8 +7,6 @@ canonical payload (it is reported on stderr by the CLI instead).
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Union
@@ -18,8 +16,10 @@ from .errors import IncompleteCover
 from .fileio import (
     SCHEMA_VERSION,
     assignment_doc,
+    dumps_doc,
     format_float,
     format_fraction,
+    format_slope,
     instance_digest,
 )
 
@@ -38,6 +38,10 @@ def ratio_within(ratio: Fraction, bound: Optional[Bound]) -> bool:
     return float(ratio) <= bound + _FLOAT_BOUND_SLACK
 
 
+def _format_bound(bound: Optional[Bound]) -> Optional[str]:
+    return None if bound is None else format_float(float(bound))
+
+
 @dataclass
 class SolveReport:
     instance_digest: str
@@ -49,10 +53,8 @@ class SolveReport:
     claimed_bound: Optional[Bound]
     bound_label: str
     exact_value: Optional[Fraction] = None
-    exact_optimal: bool = True
     trace: Optional[dict] = None
     extras: dict = field(default_factory=dict)
-    wall_time_s: Optional[float] = None
 
     @property
     def empirical_ratio(self) -> Optional[Fraction]:
@@ -69,25 +71,23 @@ class SolveReport:
             return self.exact_value is None
         return ratio_within(ratio, self.claimed_bound)
 
-    def to_doc(self, with_assignment: bool = True) -> dict[str, Any]:
+    def to_doc(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "schema_version": SCHEMA_VERSION,
             "kind": "solve_report",
             "instance_digest": self.instance_digest,
             "algorithm": self.algorithm,
             "value": format_fraction(self.value),
-            "theta": "inf" if self.theta == math.inf else format_fraction(Fraction(self.theta)),
+            "theta": format_slope(self.theta),
             "delta": self.delta,
-            "claimed_bound": None
-            if self.claimed_bound is None
-            else format_float(float(self.claimed_bound)),
+            "claimed_bound": _format_bound(self.claimed_bound),
             "bound_label": self.bound_label,
+            "assignment": assignment_doc(self.assignment),
         }
-        if with_assignment:
-            doc["assignment"] = assignment_doc(self.assignment)
         if self.exact_value is not None:
             doc["exact_value"] = format_fraction(self.exact_value)
-            doc["exact_optimal"] = self.exact_optimal
+            # Exact values come from a completed exact_solve, so they are optima.
+            doc["exact_optimal"] = True
             ratio = self.empirical_ratio
             doc["empirical_ratio"] = format_float(float(ratio)) if ratio is not None else None
         if self.trace is not None:
@@ -97,7 +97,7 @@ class SolveReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+        return dumps_doc(self.to_doc())
 
 
 def solve_report(
@@ -105,28 +105,28 @@ def solve_report(
     algorithm: str,
     assignment: Assignment,
     *,
-    value: Fraction,
-    theta: Union[Fraction, float],
-    delta: int,
     claimed_bound: Optional[Bound],
     bound_label: str,
     trace: Optional[dict] = None,
     extras: dict,
+    theta: Optional[Union[Fraction, float]] = None,
 ) -> SolveReport:
     """The report of a solver's ``assignment`` on ``inst``, named by the
     instance digest.  Raises IncompleteCover, also under ``python -O``,
-    unless the assignment covers every terminal.  ``value`` must equal
-    ``assignment.total()``; a caller that knows it saves the sum."""
+    unless the assignment covers every terminal.  The value is the
+    assignment's total; the slope and degree bound are the instance's,
+    unless the caller passes the slope its certificate rests on."""
     ok, uncovered = covers(inst, assignment)
     if not ok:
         raise IncompleteCover(uncovered)
+    costs = inst.costs
     return SolveReport(
         instance_digest=instance_digest(inst),
         algorithm=algorithm,
         assignment=assignment,
-        value=value,
-        theta=theta,
-        delta=delta,
+        value=assignment.total(),
+        theta=costs.theta if theta is None else theta,
+        delta=costs.delta,
         claimed_bound=claimed_bound,
         bound_label=bound_label,
         trace=trace,
@@ -159,9 +159,7 @@ class BenchReport:
             ratio = rep.empirical_ratio
             entry["results"][name] = {
                 "value": format_fraction(rep.value),
-                "claimed_bound": None
-                if rep.claimed_bound is None
-                else format_float(float(rep.claimed_bound)),
+                "claimed_bound": _format_bound(rep.claimed_bound),
                 "bound_label": rep.bound_label,
                 "empirical_ratio": None if ratio is None else format_float(float(ratio)),
             }
@@ -174,9 +172,7 @@ class BenchReport:
                         "algorithm": name,
                         "value": format_fraction(rep.value),
                         "exact_value": format_fraction(rep.exact_value),
-                        "claimed_bound": format_float(float(rep.claimed_bound))
-                        if rep.claimed_bound is not None
-                        else None,
+                        "claimed_bound": _format_bound(rep.claimed_bound),
                     }
                 )
         self.entries.append(entry)
@@ -207,7 +203,7 @@ class BenchReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+        return dumps_doc(self.to_doc())
 
     def ok(self) -> bool:
         return not self.violations

@@ -11,7 +11,6 @@ ratios possible than for plain set cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping
 
 import networkx as nx
@@ -52,18 +51,11 @@ class SetCoverInstance:
 
 
 @dataclass(frozen=True)
-class SetCoverSolution:
-    chosen: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class UnitResidual:
     """Residual set-cover instance left after terminal-terminal edges pay off."""
 
     inst: Instance
     system: SetCoverInstance
-    base_value: int
-    precovered: tuple[str, ...]
 
 
 def reduce_unit(inst: Instance) -> UnitResidual:
@@ -85,12 +77,7 @@ def reduce_unit(inst: Instance) -> UnitResidual:
         neigh = {inst.edges[ei].other(v) for ei in inst.edges_at[v]} & element_set
         if neigh:
             sets[v] = frozenset(neigh)
-    return UnitResidual(
-        inst=inst,
-        system=SetCoverInstance(elements=elements, sets=sets),
-        base_value=len(inst.terminals),
-        precovered=tuple(u for u in inst.terminal_list if u in precovered),
-    )
+    return UnitResidual(inst=inst, system=SetCoverInstance(elements=elements, sets=sets))
 
 
 def _restrict(sc: SetCoverInstance, remaining: set[str], removed_sets: set[str]) -> SetCoverInstance:
@@ -110,7 +97,7 @@ def _restrict(sc: SetCoverInstance, remaining: set[str], removed_sets: set[str])
 # k-set-cover subsolvers
 
 
-def exact_2setcover(sc: SetCoverInstance) -> SetCoverSolution:
+def exact_2setcover(sc: SetCoverInstance) -> tuple[str, ...]:
     """Minimum cover when every set has at most 2 elements.
 
     The optimal size is |elements| - |M| for a maximum matching M of the
@@ -144,10 +131,10 @@ def exact_2setcover(sc: SetCoverInstance) -> SetCoverSolution:
     for x in sc.elements:
         if x not in matched:
             chosen.add(incident[x])
-    return SetCoverSolution(chosen=tuple(sorted(chosen)))
+    return tuple(sorted(chosen))
 
 
-def exact_bb(sc: SetCoverInstance, k: int) -> SetCoverSolution:
+def exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
     """Optimal cover by incumbent-bounded element branching on bit masks.
 
     A mask ``free`` holds the uncovered elements, bit i for ``elements[i]``.
@@ -226,10 +213,10 @@ def exact_bb(sc: SetCoverInstance, k: int) -> SetCoverSolution:
         j = exact[free][1]
         picks.append(names[j])
         free &= ~masks[j]
-    return SetCoverSolution(chosen=tuple(sorted(picks)))
+    return tuple(sorted(picks))
 
 
-def greedy_hk(sc: SetCoverInstance, k: int) -> SetCoverSolution:
+def greedy_hk(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
     """Largest-set greedy; classical H_k quality on k-bounded systems."""
     if sc.max_set_size() > k:
         raise SizeBoundViolated(f"set larger than k={k}")
@@ -249,7 +236,7 @@ def greedy_hk(sc: SetCoverInstance, k: int) -> SetCoverSolution:
         chosen.append(v)
         uncovered -= gain
         order.remove(v)
-    return SetCoverSolution(chosen=tuple(sorted(chosen)))
+    return tuple(sorted(chosen))
 
 
 @dataclass(frozen=True)
@@ -259,7 +246,7 @@ class KSetCoverSolver:
     certificate of the multi-phase solver requires."""
 
     name: str
-    fn: Callable[[SetCoverInstance, int], SetCoverSolution]
+    fn: Callable[[SetCoverInstance, int], tuple[str, ...]]
     certified: bool
 
 
@@ -296,15 +283,12 @@ def solve_unit_a1(res: UnitResidual) -> SolveReport:
         uncovered -= sc.sets[v]
         removed.add(v)
     residual = _restrict(sc, uncovered, removed)
-    tail = exact_2setcover(residual).chosen if residual.elements else ()
+    tail = exact_2setcover(residual) if residual.elements else ()
     all_chosen = (*chosen, *tail)
     return solve_report(
         res.inst,
         "unit-a1",
         Assignment.of(dict.fromkeys((*res.inst.terminal_list, *all_chosen), 1)),
-        value=Fraction(res.base_value + len(all_chosen)),
-        theta=res.inst.costs.theta,
-        delta=res.inst.costs.delta,
         claimed_bound=A1_RATIO,
         bound_label="1+67/360",
         extras={"greedy_stars": len(chosen), "exact_phase": len(tail)},
@@ -357,7 +341,7 @@ def solve_unit_a2(
         else:
             residual = _restrict(sc, uncovered, removed)
             if residual.elements:
-                finish = subsolver.fn(residual, k).chosen
+                finish = subsolver.fn(residual, k)
             else:
                 finish = ()
         if set(roots) & set(finish):
@@ -373,9 +357,6 @@ def solve_unit_a2(
         res.inst,
         "unit-a2",
         Assignment.of(dict.fromkeys((*res.inst.terminal_list, *chosen), 1)),
-        value=Fraction(res.base_value + len(chosen)),
-        theta=res.inst.costs.theta,
-        delta=res.inst.costs.delta,
         claimed_bound=RHO if subsolver.certified else None,
         bound_label="1555/1347" if subsolver.certified else f"uncertified ({subsolver.name})",
         trace={"phases": phases},

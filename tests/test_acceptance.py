@@ -178,7 +178,7 @@ def test_criterion_5_locally_uniform_certification():
         report = solve_locally_uniform(ubi)
         opt = exact_solve(inst).value
         ratio = report.value / opt
-        bound = 1 + omega_bar(ubi.theta, delta_cap=ubi.delta)
+        bound = 1 + omega_bar(ubi.theta, delta_cap=ubi.inst.costs.delta)
         assert ratio <= bound, (seed, ratio, bound)
 
     # Unit weights and thresholds: identical choice sequence to the classical
@@ -251,7 +251,7 @@ def test_criterion_7_suboracle_equivalences():
     rng = random.Random(1234)
     for case in range(500):
         sc = random_set_system(rng, rng.randint(2, 12), rng.randint(2, 9), 2)
-        assert len(exact_2setcover(sc).chosen) == enum_setcover_optimum(
+        assert len(exact_2setcover(sc)) == enum_setcover_optimum(
             sc.elements, sc.sets
         ), case
 
@@ -259,7 +259,7 @@ def test_criterion_7_suboracle_equivalences():
     for case in range(500):
         k = rng.randint(2, 6)
         sc = random_set_system(rng, rng.randint(2, 12), rng.randint(2, 9), k)
-        assert len(exact_bb(sc, k).chosen) == enum_setcover_optimum(
+        assert len(exact_bb(sc, k)) == enum_setcover_optimum(
             sc.elements, sc.sets
         ), case
     elapsed = time.monotonic() - started

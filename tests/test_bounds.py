@@ -7,6 +7,7 @@ equals the printed digits.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,58 @@ class TestOmegaBar:
                 diff = values[k] - values[k - 1]
                 sign = 2 - harmonic(k) + (theta - 1) / (k + 1)
                 assert (diff > 0) == (sign > 0) and (diff == 0) == (sign == 0)
+
+
+def _reference_k_theta(theta) -> int:
+    """The former k_theta, kept as the reference: past the exact scan it
+    walks k one step at a time on a running float harmonic sum."""
+    t = Fraction(theta)
+    h = Fraction(0)
+    k = 0
+    while k < 2048:
+        k += 1
+        h += Fraction(1, k)
+        if h >= 2 + (t - 1) / (k + 1):
+            return k
+    hf, tf = float(h), float(t)
+    while True:
+        k += 1
+        hf += 1.0 / k
+        if hf >= 2.0 + (tf - 1.0) / (k + 1):
+            return k
+
+
+class TestKTheta:
+    def test_matches_reference_past_the_exact_scan(self):
+        rng = random.Random(8)
+        slopes = [10**4, 12345, 10**5, 10**6, Fraction(10**6, 7), 2 * 10**6]
+        slopes += [rng.randint(10**4, 2 * 10**6) for _ in range(10)]
+        for theta in slopes:
+            assert k_theta(theta) == _reference_k_theta(theta), theta
+        assert k_theta(10**6) > 2048
+
+    def test_matches_reference_inside_the_exact_scan(self):
+        for theta in (Fraction(1, 3), 1, 2, 10, 1000, 9999):
+            assert k_theta(theta) == _reference_k_theta(theta), theta
+
+    def test_huge_slope_in_bounded_time(self):
+        start = time.perf_counter()
+        k = k_theta(10**30)
+        assert time.perf_counter() - start < 1.0
+        h = math.log(k) + 0.5772156649015329 + 1 / (2 * k)
+        assert h >= 2 + (1e30 - 1) / (k + 1)
+        assert h - 1 / k < 2 + (1e30 - 1) / k
+
+    @pytest.mark.parametrize("fn", [k_theta, omega, omega_bar])
+    def test_slope_beyond_float_range_is_a_domain_error(self, fn):
+        with pytest.raises(DomainError):
+            fn(Fraction(10) ** 400)
+
+    def test_slope_below_float_range_is_a_domain_error_for_omega(self):
+        with pytest.raises(DomainError):
+            omega(Fraction(1, 10**400))
+        # The exact bounds still take it.
+        assert k_theta(Fraction(1, 10**400)) == 3
 
 
 class TestConstants:

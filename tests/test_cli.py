@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, and output determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -54,12 +55,64 @@ def test_malformed_numeric_argument_exit_code(capsys, argv):
         ("solve", "{dir}/missing.json"),
         ("solve", "{inst}", "--priority-file", "{dir}/nope"),
         ("gen", "--family", "unit", "--out", "{dir}/no/such/dir/x.json"),
+        ("solve", "{dir}/binary"),
+        ("exact", "{dir}/binary"),
+        ("solve", "{inst}", "--priority-file", "{dir}/binary"),
     ],
 )
 def test_unusable_input_exit_code(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     save_instance(tight73()[0], inst)
+    (tmp_path / "binary").write_bytes(b"\xff\xfe")
     code, out, err = run(capsys, *(a.format(inst=inst, dir=tmp_path) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def one_facility_instance(path, weight, service="1"):
+    """Two clients served by one facility with the given opening cost."""
+    edges = [(c, "f", service, weight) for c in ("a", "b")]
+    doc = {
+        "nodes": ["a", "b", "f"],
+        "terminals": ["a", "b"],
+        "edges": [{"u": u, "v": v, "tu": tu, "tv": tv} for u, v, tu, tv in edges],
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("weight", ["100000000", "10000000000"])
+def test_large_slope_solves_in_bounded_time(tmp_path, capsys, weight):
+    # Slopes past the exact k_theta scan once cost a linear walk in k.
+    inst = one_facility_instance(tmp_path / "inst.json", weight)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "solve", inst)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["algorithm"] == "locally-uniform" and doc["theta"] == weight
+
+
+def test_bounds_for_a_large_slope_in_bounded_time(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bounds", "--theta", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "1+omega_bar" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{inst}"),
+        ("solve", "{inst}", "--algorithm", "general"),
+        ("bounds", "--theta", "1e400"),
+        ("bounds", "--theta", "1e-400"),
+    ],
+)
+def test_slope_outside_float_range_exit_code(tmp_path, capsys, argv):
+    inst = one_facility_instance(tmp_path / "inst.json", "1", service="1e-4000")
+    code, out, err = run(capsys, *(a.format(inst=inst) for a in argv))
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")

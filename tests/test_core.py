@@ -166,6 +166,20 @@ class TestInstance:
         assert "y" not in a.values
         assert b.get("x") == Fraction(3, 2) and b.get("y") == 0
 
+    def test_total_matches_fraction_sum(self):
+        # The reference: one Fraction addition per value.
+        rng = random.Random(21)
+        for _ in range(300):
+            values = {
+                str(i): Fraction(rng.randint(0, 40), rng.choice((1, 2, 3, 4, 6, 7, 12)))
+                for i in range(rng.randint(0, 30))
+            }
+            a = Assignment.of(values)
+            total = a.total()
+            assert type(total) is Fraction
+            assert total == sum(a.values.values(), Fraction(0))
+        assert Assignment({}).total() == 0
+
 
 class TestDeriveCosts:
     def test_single_edge(self, tiny_instance):

@@ -7,7 +7,10 @@ full-rescan average-price greedy, before the direct writer and the integer
 versions replaced them.  The ``solve`` and ``exact`` digests were recorded
 before the activation predicate, the completion step and the report builder
 were each merged into one function; unlike ``bench`` they cover the
-assignment, theta, delta, trace, extras and ``nodes_expanded``.  Any change
+assignment, theta, delta, trace, extras and ``nodes_expanded``.  The
+``solve --exact-check`` digests were recorded before the report builder took
+over the value, slope and degree bound from the solvers; they add the
+``exact_value``, ``exact_optimal`` and ``empirical_ratio`` fields.  Any change
 to these bytes is a change to the canonical format or to a solver's output
 and must be deliberate.
 """
@@ -168,3 +171,42 @@ def test_solve_and_exact_output_match_golden_bytes(family, tmp_path):
         assert main(["exact", inst, *EXACT_ARGS.get(family, []), "--out", str(out)]) == 0
         exact.update(out.read_bytes())
     assert (solved.hexdigest(), exact.hexdigest()) == GOLDEN_SOLVE_EXACT[family]
+
+
+# Oracle limits for `solve --exact-check`; the tight example needs all 48
+# terminals, as in `bench`.
+EXACT_CHECK_LIMITS = {"tight73": ["--max-terminals", "48", "--max-nodes", "80"]}
+
+# family -> sha256 of the `solve --exact-check` outputs of SOLVE_RUNS over
+# SEEDS, in order.
+GOLDEN_EXACT_CHECK = {
+    "general": "a22cd5edeeae7505eadeb4905f75c129705979ecddf9ecd78a00993b2a0284ce",
+    "installation": "19bf621415296e3c436e9e71e7846e729f22e70cefc704be15caf03139fd8bed",
+    "minpower": "db5e3062b463d7b4f44bde4d54b292e599669222482eeff05c88feeb4670bf30",
+    "setcover-t10": "212654f73ef2f87260bb1ece71646b37228487b977f59777530cb85aacb9db9f",
+    "setcover-t2": "f55a9355d5ce8f7e34d787990e124d6b3abdf318b1b1e1a6ba705dd71abf631b",
+    "setcover-t5": "ac53e5367e237314038d48ec3ff24e9cd916ad7d74e26a2739520c19ccc0eaf1",
+    "tight73": "cb564cc7a099d113dc306de2449a4f6ee5013afb333afce7d4a753750bdc29ad",
+    "uniform": "cdbb08fd55b18fe04f6c56335dc8dd7cc945ce8f9b3c30489fb2e958167fefb4",
+    "uniform-unit": "a5b11dfb6eabcf1b88be20da9044621832c6abdbd7d959ac92deaf9994b07c63",
+    "unit": "41ea2a45271c23b23b9766c9b80f6423d2b522ece51b500212983090b89ae5f3",
+}
+
+
+def test_every_family_has_an_exact_check_pin():
+    assert set(GOLDEN_EXACT_CHECK) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_EXACT_CHECK))
+def test_exact_check_output_matches_golden_bytes(family, tmp_path):
+    inst, out = str(tmp_path / "inst.json"), tmp_path / "out.json"
+    solved = hashlib.sha256()
+    for seed in SEEDS:
+        assert main(["gen", "--family", family, "--seed", str(seed), "--out", inst]) == 0
+        for run in SOLVE_RUNS[family]:
+            algorithm, *extra = (arg.format(priority=inst + ".priority") for arg in run)
+            argv = ["solve", inst, "--algorithm", algorithm, *extra, "--exact-check",
+                    *EXACT_CHECK_LIMITS.get(family, []), "--out", str(out)]
+            assert main(argv) == 0
+            solved.update(out.read_bytes())
+    assert solved.hexdigest() == GOLDEN_EXACT_CHECK[family]

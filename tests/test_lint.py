@@ -4,6 +4,10 @@
   invariant checks that guard solver output must still run there.
 - ``derive_costs`` is called only by ``Instance.costs``, so an instance's
   derived costs are computed once and shared by every solver.
+- ``json.dumps`` is called only in ``fileio``, which owns the canonical
+  document layout.
+- ``SolveReport`` is constructed only by ``report.solve_report``, the one
+  builder, which derives the value, slope and degree bound itself.
 """
 
 import ast
@@ -13,13 +17,16 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "aecover"
 COSTS_OWNER = ("Instance", "costs")
+REPORT_BUILDER = ("solve_report",)
 
 
 def assert_statements(tree: ast.AST) -> list[int]:
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
-def derive_costs_calls_outside_owner(tree: ast.AST) -> list[int]:
+def calls_outside(tree: ast.AST, callee: str, owner: tuple[str, ...]) -> list[int]:
+    """Lines that call ``callee`` (by name or attribute) outside the scope
+    ``owner``, a path of class and function names from the module top."""
     found = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -28,7 +35,7 @@ def derive_costs_calls_outside_owner(tree: ast.AST) -> list[int]:
         if isinstance(node, ast.Call):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == "derive_costs" and scope != COSTS_OWNER:
+            if name == callee and scope != owner:
                 found.append(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -37,7 +44,29 @@ def derive_costs_calls_outside_owner(tree: ast.AST) -> list[int]:
     return found
 
 
-RULES = [assert_statements, derive_costs_calls_outside_owner]
+def derive_costs_calls_outside_owner(tree: ast.AST) -> list[int]:
+    return calls_outside(tree, "derive_costs", COSTS_OWNER)
+
+
+def solve_reports_built_outside_builder(tree: ast.AST) -> list[int]:
+    return calls_outside(tree, "SolveReport", REPORT_BUILDER)
+
+
+def json_dumps_uses(tree: ast.AST) -> list[int]:
+    """Lines that call ``json.dumps`` or import ``dumps`` from ``json``;
+    applied to every module but fileio, where the one layout lives."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "dumps":
+            if isinstance(node.value, ast.Name) and node.value.id == "json":
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            if any(alias.name == "dumps" for alias in node.names):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+RULES = [assert_statements, derive_costs_calls_outside_owner, solve_reports_built_outside_builder]
 
 
 def library_trees():
@@ -52,6 +81,14 @@ def test_library_obeys(rule):
     assert breaches == {}
 
 
+def test_json_dumps_only_in_fileio():
+    trees = dict(library_trees())
+    breaches = {name: lines for name, tree in trees.items()
+                if name != "fileio.py" and (lines := json_dumps_uses(tree))}
+    assert breaches == {}
+    assert json_dumps_uses(trees["fileio.py"]), "the layout owner lost its json.dumps"
+
+
 def test_derive_costs_has_its_owner():
     # The rule is vacuous if the one permitted call disappears.
     core = dict(library_trees())["core.py"]
@@ -59,6 +96,19 @@ def test_derive_costs_has_its_owner():
         node
         for node in ast.walk(core)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "derive_costs"
+    ]
+    assert len(calls) == 1
+
+
+def test_solve_report_has_its_builder():
+    report = dict(library_trees())["report.py"]
+    builder = next(
+        node for node in report.body
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_report"
+    )
+    calls = [
+        node for node in ast.walk(builder)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SolveReport"
     ]
     assert len(calls) == 1
 
@@ -89,3 +139,27 @@ def test_rules_catch_breaches():
     tree = ast.parse(BROKEN)
     assert assert_statements(tree) == [14]
     assert derive_costs_calls_outside_owner(tree) == [11, 15, 19]
+
+
+BROKEN_REPORTS = '''
+import json
+from json import dumps
+from .report import SolveReport, solve_report
+
+def solve_report(inst):
+    return SolveReport(inst)
+
+def solve(inst):
+    text = json.dumps({"a": 1}, sort_keys=True)
+    return report.SolveReport(inst), dumps, text
+
+class SolveReportBuilder:
+    def solve_report(self):
+        return SolveReport(self)
+'''
+
+
+def test_report_rules_catch_breaches():
+    tree = ast.parse(BROKEN_REPORTS)
+    assert solve_reports_built_outside_builder(tree) == [11, 15]
+    assert json_dumps_uses(tree) == [3, 10]

@@ -77,7 +77,7 @@ def rescan_solve_locally_uniform(ubi, tie_break="lowest-id", priority=None):
         assignment=assignment,
         value=assignment.total(),
         theta=ubi.theta,
-        delta=ubi.delta,
+        delta=ubi.inst.costs.delta,
         claimed_bound=bound,
         bound_label=label,
         trace={"steps": steps},
@@ -120,7 +120,7 @@ class TestValidate:
         ubi = validate_locally_uniform(inst)
         assert ubi.weight["f"] == 3 and ubi.service["f"] == 2
         assert ubi.theta == Fraction(3, 2)
-        assert ubi.delta == 2
+        assert ubi.inst.costs.delta == 2
 
     def test_non_uniform_facility(self):
         inst = Instance.from_data(
@@ -169,7 +169,7 @@ class TestSolve:
     def test_tight_example_both_orders(self):
         inst, priority = tight73()
         ubi = validate_locally_uniform(inst)
-        assert ubi.theta == 1 and ubi.delta == 4
+        assert ubi.theta == 1 and ubi.inst.costs.delta == 4
         best = solve_locally_uniform(ubi)
         worst = solve_locally_uniform(ubi, tie_break="adversarial-order", priority=priority)
         assert best.value == 60
@@ -217,7 +217,7 @@ class TestSolve:
             assert covers(inst, report.assignment)[0]
             opt = exact_solve(inst).value
             ratio = report.value / opt
-            assert ratio <= 1 + omega_bar(ubi.theta, delta_cap=ubi.delta)
+            assert ratio <= 1 + omega_bar(ubi.theta, delta_cap=ubi.inst.costs.delta)
 
     def test_facility_slope_bounds_instance_slope(self):
         for seed in range(30):
@@ -235,7 +235,7 @@ class TestSolve:
             [("a", "f", 0, 2), ("b", "f", 0, 2), ("b", "g", 0, 1)],
         )
         ubi = validate_locally_uniform(inst)
-        assert ubi.theta == float("inf") and ubi.delta == 2
+        assert ubi.theta == float("inf") and ubi.inst.costs.delta == 2
         report = solve_locally_uniform(ubi)
         assert report.claimed_bound == harmonic(2)
         assert report.value == 2  # one facility serves both clients

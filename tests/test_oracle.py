@@ -72,7 +72,6 @@ def test_deterministic_result():
     b = exact_solve(inst)
     assert a.value == b.value
     assert a.assignment == b.assignment
-    assert a.choice == b.choice
     assert a.nodes_expanded == b.nodes_expanded
 
 

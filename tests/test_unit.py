@@ -27,7 +27,6 @@ from aecover.unit import (
     GREEDY_SUBSOLVER,
     KSetCoverSolver,
     SetCoverInstance,
-    SetCoverSolution,
     exact_2setcover,
     exact_bb,
     greedy_hk,
@@ -38,7 +37,7 @@ from aecover.unit import (
 from conftest import enum_setcover_optimum, random_set_system
 
 
-def _reference_exact_bb(sc: SetCoverInstance, k: int) -> SetCoverSolution:
+def _reference_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
     """The former exact_bb, kept as the reference: element branching with a
     covered-mask memo of whole pick tuples and the ceil(remaining/k) bound."""
     if sc.max_set_size() > k:
@@ -84,7 +83,7 @@ def _reference_exact_bb(sc: SetCoverInstance, k: int) -> SetCoverSolution:
         return best
 
     _, picks = solve(0)
-    return SetCoverSolution(chosen=tuple(sorted(picks)))
+    return tuple(sorted(picks))
 
 
 REFERENCE_SUBSOLVER = KSetCoverSolver(name="exact", fn=_reference_exact_bb, certified=True)
@@ -106,8 +105,6 @@ class TestReduceUnit:
         inst = Instance.from_data(["a", "b"], ["a", "b"], [("a", "b", 1, 1)])
         res = reduce_unit(inst)
         assert res.system.elements == ()
-        assert res.precovered == ("a", "b")
-        assert res.base_value == 2
         assert solve_unit_a1(res).value == 2
         assert solve_unit_a2(res).value == 2
 
@@ -132,7 +129,7 @@ class TestReduceUnit:
                 tau = enum_setcover_optimum(res.system.elements, res.system.sets)
             else:
                 tau = 0
-            assert res.base_value + tau == exact_solve(inst).value
+            assert len(inst.terminals) + tau == exact_solve(inst).value
 
     def test_oracle_output_has_unit_structure(self):
         for seed in range(40):
@@ -155,14 +152,14 @@ class TestExact2SetCover:
             ("1", "2", "3", "4"),
             {"a": frozenset({"1", "2"}), "b": frozenset({"3", "4"})},
         )
-        assert len(exact_2setcover(sc).chosen) == 2
+        assert len(exact_2setcover(sc)) == 2
 
     def test_shared_element_path(self):
         sc = SetCoverInstance(
             ("1", "2", "3"),
             {"a": frozenset({"1", "2"}), "b": frozenset({"2", "3"})},
         )
-        assert len(exact_2setcover(sc).chosen) == 2
+        assert len(exact_2setcover(sc)) == 2
 
     def test_size_bound(self):
         sc = SetCoverInstance(("1", "2", "3"), {"a": frozenset({"1", "2", "3"})})
@@ -180,9 +177,9 @@ class TestExact2SetCover:
             sc = random_set_system(rng, rng.randint(2, 10), rng.randint(2, 8), 2)
             got = exact_2setcover(sc)
             want = enum_setcover_optimum(sc.elements, sc.sets)
-            assert len(got.chosen) == want
+            assert len(got) == want
             covered = set()
-            for v in got.chosen:
+            for v in got:
                 covered |= sc.sets[v]
             assert covered >= set(sc.elements)
 
@@ -192,7 +189,7 @@ class TestExactBB:
         sc = SetCoverInstance(
             ("1", "2"), {"a": frozenset({"1"}), "b": frozenset({"2"})}
         )
-        assert len(exact_bb(sc, 1).chosen) == 2
+        assert len(exact_bb(sc, 1)) == 2
 
     def test_size_bound(self):
         sc = SetCoverInstance(("1", "2"), {"a": frozenset({"1", "2"})})
@@ -205,7 +202,7 @@ class TestExactBB:
             k = rng.randint(2, 5)
             sc = random_set_system(rng, rng.randint(2, 10), rng.randint(2, 8), k)
             got = exact_bb(sc, k)
-            assert len(got.chosen) == enum_setcover_optimum(sc.elements, sc.sets)
+            assert len(got) == enum_setcover_optimum(sc.elements, sc.sets)
 
     def test_matches_reference_on_random_systems(self):
         rng = random.Random(13)
@@ -218,7 +215,7 @@ class TestExactBB:
         empty = SetCoverInstance((), {})
         for k in range(1, 4):
             assert exact_bb(empty, k) == _reference_exact_bb(empty, k)
-            assert exact_bb(empty, k) == SetCoverSolution(())
+            assert exact_bb(empty, k) == ()
 
     def test_matches_reference_on_unit_a2_residuals(self):
         # Every phase residual of solve-unit shaped instances: the whole
@@ -243,7 +240,7 @@ class TestExactBB:
         rng = random.Random(4)
         for _ in range(60):
             sc = random_set_system(rng, rng.randint(2, 9), rng.randint(2, 7), 2)
-            assert len(exact_2setcover(sc).chosen) == len(exact_bb(sc, 2).chosen)
+            assert len(exact_2setcover(sc)) == len(exact_bb(sc, 2))
 
 
 class TestGreedyHk:
@@ -252,7 +249,7 @@ class TestGreedyHk:
         for _ in range(80):
             k = rng.randint(2, 6)
             sc = random_set_system(rng, rng.randint(2, 10), rng.randint(2, 8), k)
-            greedy_size = len(greedy_hk(sc, k).chosen)
+            greedy_size = len(greedy_hk(sc, k))
             opt = enum_setcover_optimum(sc.elements, sc.sets)
             assert greedy_size <= harmonic(k) * opt
 
@@ -346,7 +343,7 @@ class TestSolveUnitA2:
             assert report.value / opt <= RHO
             assert report.extras["C_size"] + report.extras["A_size"] == int(
                 report.value
-            ) - res.base_value
+            ) - len(inst.terminals)
 
     def test_local_ratio_step_for_large_stars(self):
         # A facility with 8 clients forces an 8-star removal at phase k=7;
@@ -392,7 +389,7 @@ class TestSolveUnitA2:
         # A subsolver finish that picks a phase root breaks the phase analysis.
         res = reduce_unit(facility_unit_instance(12, random.Random(1)))
         roots_first = KSetCoverSolver(
-            name="bad", fn=lambda sc, k: SetCoverSolution(tuple(res.system.sets)),
+            name="bad", fn=lambda sc, k: tuple(res.system.sets),
             certified=False,
         )
         with pytest.raises(PhaseInvariantViolated):
@@ -401,7 +398,7 @@ class TestSolveUnitA2:
     def test_uncovering_subsolver_raises_incomplete_cover(self):
         res = reduce_unit(facility_unit_instance(12, random.Random(1)))
         nothing = KSetCoverSolver(
-            name="bad", fn=lambda sc, k: SetCoverSolution(()), certified=False
+            name="bad", fn=lambda sc, k: (), certified=False
         )
         with pytest.raises(IncompleteCover):
             solve_unit_a2(res, subsolver=nothing)
@@ -412,11 +409,11 @@ class TestSolveUnitA2:
             "import random\n"
             "from aecover.core import Instance\n"
             "from aecover.errors import PhaseInvariantViolated\n"
-            "from aecover.unit import KSetCoverSolver, SetCoverSolution, reduce_unit, solve_unit_a2\n"
+            "from aecover.unit import KSetCoverSolver, reduce_unit, solve_unit_a2\n"
             "t = [f't{i}' for i in range(4)]\n"
             "edges = [(x, 'v', 1, 1) for x in t[:3]] + [(t[3], 'w', 1, 1), (t[2], 'w', 1, 1)]\n"
             "res = reduce_unit(Instance.from_data(t + ['v', 'w'], t, edges))\n"
-            "bad = KSetCoverSolver('bad', lambda sc, k: SetCoverSolution(('v', 'w')), False)\n"
+            "bad = KSetCoverSolver('bad', lambda sc, k: ('v', 'w'), False)\n"
             "try:\n"
             "    solve_unit_a2(res, subsolver=bad)\n"
             "except PhaseInvariantViolated:\n"
