@@ -67,24 +67,34 @@ def _harmonic_float(k: int) -> float:
 
 
 def _theta_fraction(theta: ThetaLike) -> Fraction:
-    """The slope as a Fraction; DomainError unless it is positive and at most
-    the largest float, which the float parts of the bounds need."""
+    """The slope as a Fraction; DomainError unless it is positive."""
     try:
         f = Fraction(theta)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"not a valid slope: {theta!r}") from exc
     if f <= 0:
         raise DomainError(f"slope must be positive, got {theta!r}")
-    if f > sys.float_info.max:
-        raise DomainError("slope beyond the float range the bounds are computed in")
     return f
+
+
+def _float_slope(t: Fraction) -> float:
+    """The slope as a float, for the float parts of the bounds; DomainError
+    beyond the largest float."""
+    if t > sys.float_info.max:
+        raise DomainError("slope beyond the float range the bounds are computed in")
+    return float(t)
+
+
+def _needed(t: Union[Fraction, float], k: int) -> Union[Fraction, float]:
+    """2 + (t-1)/(k+1): k_theta is the smallest k whose H_k reaches it."""
+    return 2 + (t - 1) / (k + 1)
 
 
 def omega(theta: ThetaLike) -> float:
     """Root of x + 1 = ln(theta/x), by bisection on the bracketing interval."""
     if theta == math.inf:
         raise DomainError("omega is undefined for infinite slope")
-    t = float(_theta_fraction(theta))
+    t = _float_slope(_theta_fraction(theta))
 
     def resid(x: float) -> float:
         return x + 1.0 - math.log(t / x)
@@ -107,22 +117,33 @@ def omega(theta: ThetaLike) -> float:
 
 
 def k_theta(theta: ThetaLike) -> int:
-    """Smallest k with H_k >= 2 + (theta-1)/(k+1).
+    """Smallest k with H_k >= 2 + (theta-1)/(k+1)."""
+    return _capped_k_theta(_theta_fraction(theta), None)
 
-    k is scanned exactly up to ``_EXACT_SCAN_LIMIT``.  Past it theta > 1,
-    so the condition is monotone in k: doubling, then bisection on float
-    harmonic numbers, finds k in O(log k) steps.
+
+def _capped_k_theta(t: Fraction, cap: Optional[int]) -> int:
+    """min(k_theta, cap) for the slope ``t``; no cap when ``cap`` is None.
+
+    The condition is monotone in k for every t > 0: the step from k to k+1
+    adds (k + 1 + t)/((k+1)(k+2)) > 0 to H_k - 2 - (t-1)/(k+1).  So the scan
+    may stop at the cap, and a cap within the exact scan needs no float, nor
+    a slope that fits one.  k is scanned exactly up to ``_EXACT_SCAN_LIMIT``;
+    past it, doubling, then bisection on float harmonic numbers, finds k in
+    O(log k) steps.
     """
-    t = _theta_fraction(theta)
+    exact_only = cap is not None and cap <= _EXACT_SCAN_LIMIT
+    if not exact_only:
+        tf = _float_slope(t)  # no k within the exact scan serves a slope this large
     h = Fraction(0)
-    for k in range(1, _EXACT_SCAN_LIMIT + 1):
+    for k in range(1, (cap if exact_only else _EXACT_SCAN_LIMIT) + 1):
         h += Fraction(1, k)
-        if h >= 2 + (t - 1) / (k + 1):
+        if h >= _needed(t, k):
             return k
-    tf = float(t)
+    if exact_only:
+        return cap
 
     def holds(k: int) -> bool:
-        return _harmonic_float(k) >= 2.0 + (tf - 1.0) / (k + 1)
+        return _harmonic_float(k) >= _needed(tf, k)
 
     lo, hi = _EXACT_SCAN_LIMIT, 2 * _EXACT_SCAN_LIMIT
     while not holds(hi):
@@ -133,7 +154,7 @@ def k_theta(theta: ThetaLike) -> int:
             hi = mid
         else:
             lo = mid
-    return hi
+    return hi if cap is None else min(hi, cap)
 
 
 def g_value(theta: ThetaLike, k: int) -> Union[Fraction, float]:
@@ -143,7 +164,8 @@ def g_value(theta: ThetaLike, k: int) -> Union[Fraction, float]:
         raise DomainError(f"g needs k >= 1, got {k}")
     if k <= _EXACT_SCAN_LIMIT:
         return t * (harmonic(k) - 1) / (t + k)
-    return float(t) * (_harmonic_float(k) - 1.0) / (float(t) + k)
+    tf = _float_slope(t)
+    return tf * (_harmonic_float(k) - 1.0) / (tf + k)
 
 
 def omega_bar(theta: ThetaLike, delta_cap: Optional[int] = None) -> Union[Fraction, float]:
@@ -159,12 +181,9 @@ def omega_bar(theta: ThetaLike, delta_cap: Optional[int] = None) -> Union[Fracti
         if delta_cap < 1:
             raise DomainError(f"cap must be >= 1, got {delta_cap}")
         return harmonic(delta_cap) - 1
-    k = k_theta(theta)
-    if delta_cap is not None:
-        if delta_cap < 1:
-            raise DomainError(f"cap must be >= 1, got {delta_cap}")
-        k = min(k, delta_cap)
-    return g_value(theta, k)
+    if delta_cap is not None and delta_cap < 1:
+        raise DomainError(f"cap must be >= 1, got {delta_cap}")
+    return g_value(theta, _capped_k_theta(_theta_fraction(theta), delta_cap))
 
 
 def setcover_greedy_bound(n: int, tau: int, m_margin: ThetaLike) -> float:
@@ -209,7 +228,7 @@ class BoundTable:
 
 
 def bound_row(theta: ThetaLike) -> dict[str, Optional[float]]:
-    t = float(_theta_fraction(theta))
+    t = _float_slope(_theta_fraction(theta))
     lnln = math.log(t) - math.log(math.log(t)) if t > 1 else None
     return {
         "1+omega": 1.0 + omega(theta),

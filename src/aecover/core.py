@@ -5,6 +5,8 @@ a terminal set.  An assignment of values to nodes activates every edge whose
 two endpoint thresholds are met; a feasible assignment activates an edge at
 every terminal.  All numeric data is kept as exact ``fractions.Fraction`` so
 that density comparisons and reported ratios are tie-stable and reproducible.
+Hot comparisons run on the integer view instead: values and thresholds times
+``Instance.scale``, the LCM of the threshold denominators, as ints.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Iterable, Iterator, Mapping, Optional, Union
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .errors import EmptyLevels, InvalidInstance, IsolatedTerminal
 
@@ -34,8 +36,7 @@ def as_fraction(x: Rational) -> Fraction:
     raise InvalidInstance(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A uv-edge with threshold ``tu`` at ``u`` and ``tv`` at ``v``."""
 
     u: str
@@ -87,21 +88,27 @@ class Instance:
         for t in term_set:
             if t not in idx:
                 raise InvalidInstance(f"terminal {t!r} is not a node")
-        canon = []
+        get = idx.get
+        rows = []
         for u, v, tu, tv in edges:
-            if u not in idx or v not in idx:
+            iu, iv = get(u), get(v)
+            if iu is None or iv is None:
                 raise InvalidInstance(f"edge endpoint not a node: {u!r}-{v!r}")
-            if u == v:
+            if iu == iv:
                 raise InvalidInstance(f"self loop at {u!r}")
             ftu, ftv = as_fraction(tu), as_fraction(tv)
             if ftu.numerator < 0 or ftv.numerator < 0:
                 raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
-            if idx[u] > idx[v]:
-                u, v, ftu, ftv = v, u, ftv, ftu
-            canon.append(Edge(u, v, ftu, ftv))
-        canon.sort(key=lambda e: (idx[e.u], idx[e.v], e.tu, e.tv))
-        kept = _prune_dominated(canon)
-        return cls(tuple(node_list), term_set, tuple(kept))
+            rows.append((iu, iv, ftu, ftv) if iu < iv else (iv, iu, ftv, ftu))
+        rows.sort()
+        # tuple.__new__ builds an Edge without the Python frame of its
+        # generated constructor, at half the cost per edge.
+        new = tuple.__new__
+        kept = tuple([
+            new(Edge, (node_list[iu], node_list[iv], tu, tv))
+            for iu, iv, tu, tv in _prune_dominated(rows)
+        ])
+        return cls(tuple(node_list), term_set, kept)
 
     @cached_property
     def index(self) -> Mapping[str, int]:
@@ -132,23 +139,30 @@ class Instance:
         return math.lcm(1, *{t.denominator for t in self._distinct_thresholds.values()})
 
     def scaled(self, x: Fraction) -> int:
-        """``x`` times :attr:`scale`, for ``x`` built from thresholds."""
-        return x.numerator * (self.scale // x.denominator)
+        """``x`` times :attr:`scale`, rounded down; exact for ``x`` built
+        from thresholds."""
+        return x.numerator * self.scale // x.denominator
+
+    def levels(self, values: Mapping[str, Fraction]) -> dict[str, int]:
+        """``values`` on the integer view that :func:`active_at_levels`
+        reads: :meth:`scaled` of each value."""
+        L = self.scale
+        return {n: x.numerator * L // x.denominator for n, x in values.items()}
 
     @cached_property
-    def scaled_thresholds(self) -> tuple[tuple[int, int], ...]:
-        """Per edge, ``(tu, tv)`` times :attr:`scale`."""
+    def scaled_edges(self) -> tuple[tuple[str, str, int, int], ...]:
+        """Per edge, ``(u, v, tu, tv)`` with the thresholds times :attr:`scale`."""
         s = {i: self.scaled(t) for i, t in self._distinct_thresholds.items()}
-        return tuple((s[id(e.tu)], s[id(e.tv)]) for e in self.edges)
+        return tuple([(u, v, s[id(tu)], s[id(tv)]) for u, v, tu, tv in self.edges])
 
     @cached_property
     def scaled_rows(self) -> Mapping[str, tuple[tuple[int, str, int], ...]]:
         """Per node, one ``(t_here, other, t_there)`` row per incident edge,
         thresholds times :attr:`scale`, sorted by ``t_here``."""
         rows: dict[str, list[tuple[int, str, int]]] = {n: [] for n in self.nodes}
-        for e, (tu, tv) in zip(self.edges, self.scaled_thresholds):
-            rows[e.u].append((tu, e.v, tv))
-            rows[e.v].append((tv, e.u, tu))
+        for u, v, tu, tv in self.scaled_edges:
+            rows[u].append((tu, v, tv))
+            rows[v].append((tv, u, tu))
         return {n: tuple(sorted(r, key=lambda row: row[0])) for n, r in rows.items()}
 
     @cached_property
@@ -166,16 +180,17 @@ class Instance:
         return all(e.tu == 1 and e.tv == 1 for e in self.edges)
 
 
-def _prune_dominated(sorted_edges: list[Edge]) -> list[Edge]:
-    # Drop e when an earlier parallel edge has both thresholds <= e's.  The
-    # sort puts parallel edges together in (tu, tv) order, so every earlier
-    # one has tu <= e.tu, and the kept ones have strictly falling tv: e is
-    # dominated iff the last kept edge is parallel with tv <= e.tv.
-    kept: list[Edge] = []
-    for e in sorted_edges:
+def _prune_dominated(sorted_rows: list[tuple]) -> list[tuple]:
+    # Rows start (u, v, tu, tv), as edges and from_data's rows do.  Drop a
+    # row when an earlier parallel one has both thresholds <= its own.  The
+    # sort puts parallel rows together in (tu, tv) order, so every earlier
+    # one has tu <= e's, and the kept ones have strictly falling tv: e is
+    # dominated iff the last kept row is parallel with tv <= e's.
+    kept: list[tuple] = []
+    for e in sorted_rows:
         if kept:
             k = kept[-1]
-            if k.u == e.u and k.v == e.v and k.tv <= e.tv:
+            if k[0] == e[0] and k[1] == e[1] and k[3] <= e[3]:
                 continue
         kept.append(e)
     return kept
@@ -215,24 +230,40 @@ def active_edges(
 ) -> Iterator[int]:
     """Indices of the edges whose both endpoint thresholds ``values`` meets
     (missing nodes count as zero): among ``ids`` in their order, or among
-    all edges in index order."""
-    get, edges = values.get, inst.edges
-    for i in range(len(edges)) if ids is None else ids:
-        e = edges[i]
-        if get(e.u, ZERO) >= e.tu and get(e.v, ZERO) >= e.tv:
+    all edges in index order.  The test runs on the integer view, through
+    :func:`active_at_levels`."""
+    return active_at_levels(inst, inst.levels(values), ids)
+
+
+def active_at_levels(
+    inst: Instance, levels: Mapping[str, int], ids: Optional[Iterable[int]] = None
+) -> Iterator[int]:
+    """:func:`active_edges` on the integer view, the one activation test.
+
+    ``levels`` holds the values as ``inst.levels(values)`` gives them
+    (missing nodes count as zero).  An edge is met at ``u`` iff
+    ``floor(a_u * L) >= t_u * L`` with ``L = inst.scale``, which is exact
+    because ``t_u * L`` is an integer."""
+    get, scaled = levels.get, inst.scaled_edges
+    for i in range(len(scaled)) if ids is None else ids:
+        u, v, tu, tv = scaled[i]
+        if get(u, 0) >= tu and get(v, 0) >= tv:
             yield i
 
 
 def covered_terminals(
     inst: Instance,
-    values: Mapping[str, Fraction],
+    *,
+    levels: Mapping[str, int],
     nodes: Optional[Iterable[str]] = None,
 ) -> frozenset[str]:
-    """Terminals on an edge that ``values`` activates; with ``nodes``, only
-    the edges incident to those nodes are checked."""
+    """Terminals on an edge that ``levels`` (as for :func:`active_at_levels`)
+    activates; with ``nodes``, only the edges incident to those nodes are
+    checked.  ``levels`` is keyword-only: a value map passed where the
+    integer view belongs fails loudly instead of testing the wrong scale."""
     ids = None if nodes is None else {i for n in nodes for i in inst.edges_at[n]}
     covered = set()
-    for i in active_edges(inst, values, ids):
+    for i in active_at_levels(inst, levels, ids):
         e = inst.edges[i]
         if e.u in inst.terminals:
             covered.add(e.u)
@@ -244,10 +275,11 @@ def covered_terminals(
 def covers(inst: Instance, a: Assignment) -> tuple[bool, tuple[str, ...]]:
     """Whether every terminal touches an activated edge, plus the uncovered
     list; each terminal's scan stops at its first active edge."""
+    levels = inst.levels(a.values)
     uncovered = tuple(
         u
         for u in inst.terminal_list
-        if next(active_edges(inst, a.values, inst.edges_at[u]), None) is None
+        if next(active_at_levels(inst, levels, inst.edges_at[u]), None) is None
     )
     return (not uncovered, uncovered)
 
@@ -279,7 +311,7 @@ def derive_costs(inst: Instance) -> DerivedCosts:
     cross-multiplication; only the returned values become ``Fraction``s.
     """
     L = inst.scale
-    edges, scaled = inst.edges, inst.scaled_thresholds
+    edges, scaled = inst.edges, inst.scaled_edges
     exact: dict[int, Fraction] = {}
 
     def as_exact(x: int) -> Fraction:
@@ -300,8 +332,8 @@ def derive_costs(inst: Instance) -> DerivedCosts:
             raise IsolatedTerminal(u)
         qu = best_value = best = None
         for i in ids:  # ascending, so the first minimum has the lowest index
-            tu, tv = scaled[i]
-            here = tu if edges[i].u == u else tv
+            eu, _, tu, tv = scaled[i]
+            here = tu if eu == u else tv
             if qu is None or here < qu:
                 qu = here
             if best_value is None or tu + tv < best_value:
@@ -318,12 +350,18 @@ def derive_costs(inst: Instance) -> DerivedCosts:
             unbounded = True
         # q = c = 0 imposes no constraint.
 
-    terminal_neighbors: dict[str, set[str]] = {}
-    for e in edges:
-        if e.v in inst.terminals:
-            terminal_neighbors.setdefault(e.u, set()).add(e.v)
-        if e.u in inst.terminals:
-            terminal_neighbors.setdefault(e.v, set()).add(e.u)
+    # Parallel edges are adjacent in the canonical order, so counting each
+    # run of one (u, v) pair once counts terminal neighbours.
+    terminal_neighbors = dict.fromkeys(inst.nodes, 0)
+    pu = pv = None
+    for u, v, _, _ in edges:
+        if v == pv and u == pu:
+            continue
+        pu, pv = u, v
+        if v in inst.terminals:
+            terminal_neighbors[u] += 1
+        if u in inst.terminals:
+            terminal_neighbors[v] += 1
 
     return DerivedCosts(
         q=q,
@@ -331,7 +369,7 @@ def derive_costs(inst: Instance) -> DerivedCosts:
         Q=Fraction(Q, L),
         C=Fraction(C, L),
         theta=math.inf if unbounded else Fraction(num, den),
-        delta=max(map(len, terminal_neighbors.values()), default=0),
+        delta=max(terminal_neighbors.values(), default=0),
         cheapest=cheapest,
     )
 

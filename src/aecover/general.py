@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Optional
 
 from .bounds import omega
 from .core import Instance, ZERO, complete, covered_terminals
+from .errors import DomainError
 from .gmc import Augmentation, GreedyTrace, gmc_greedy
 from .report import SolveReport, solve_report
 
@@ -57,9 +58,9 @@ def initial_state(inst: Instance) -> GeneralSolveState:
     costs = inst.costs
     totals = {n: ZERO for n in inst.nodes}
     totals.update(costs.q)
-    covered = covered_terminals(inst, totals)
+    scaled = inst.levels(totals)
+    covered = covered_terminals(inst, levels=scaled)
     nu = costs.Q + sum((costs.c[u] for u in inst.terminal_list if u not in covered), ZERO)
-    scaled = {n: inst.scaled(x) for n, x in totals.items()}
     c = _scaled_costs(inst)
     stars = {
         v: s for v in inst.nodes if (s := _best_star_at(inst, c, scaled, covered, v))
@@ -168,7 +169,7 @@ def min_density_star(inst: Instance, state: GeneralSolveState) -> Optional[Candi
     lowers its own increments.
     """
     c = _scaled_costs(inst)
-    totals = {n: inst.scaled(x) for n, x in state.totals.items()}
+    totals = inst.levels(state.totals)
     stars = (_best_star_at(inst, c, totals, state.covered, v) for v in inst.nodes)
     return _min_star(inst, (s for s in stars if s))
 
@@ -211,7 +212,7 @@ class _GeneralGmcProblem:
                 scaled[node] += inst.scaled(inc)
                 changed.append(node)
         # Only edges at a raised node can have become active.
-        newly = covered_terminals(inst, totals, changed) - state.covered
+        newly = covered_terminals(inst, levels=scaled, nodes=changed) - state.covered
         covered = state.covered | newly
         nu = state.nu - sum((inst.costs.c[u] for u in newly), ZERO)
         dirty = set(changed) | newly
@@ -256,7 +257,10 @@ def general_bound_candidates(inst: Instance) -> list[tuple[str, object]]:
     if costs.theta == 0:
         candidates.append(("value=Q (slope 0)", Fraction(1)))
     elif costs.theta != math.inf:
-        candidates.append(("1+omega(theta)", 1.0 + omega(costs.theta)))
+        try:
+            candidates.append(("1+omega(theta)", 1.0 + omega(costs.theta)))
+        except DomainError:
+            pass  # a slope outside float range; the degree bounds remain
     if costs.delta >= 1:
         candidates.append(("1+ln(delta+1)", 1.0 + math.log(costs.delta + 1)))
         if inst.terminals_independent:

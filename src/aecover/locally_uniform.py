@@ -41,43 +41,53 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
     The reported slope is the facility-based one, max weight/service, which is
     the quantity the average-price guarantee depends on.
     """
-    for e in inst.edges:
-        u_term = e.u in inst.terminals
-        v_term = e.v in inst.terminals
-        if u_term == v_term:
-            raise NotBipartite(f"edge {e.u!r}-{e.v!r} stays on one side")
-
-    clients = inst.terminal_list
-    facilities = tuple(n for n in inst.nodes if n not in inst.terminals)
+    terminals = inst.terminals
+    facilities = tuple(n for n in inst.nodes if n not in terminals)
     weight: dict[str, Fraction] = {}
     service: dict[str, Fraction] = {}
     adjacency: dict[str, list[str]] = {v: [] for v in facilities}
-    for e in inst.edges:
-        fac, cli = (e.u, e.v) if e.u not in inst.terminals else (e.v, e.u)
-        w, t = e.threshold_at(fac), e.threshold_at(cli)
-        if fac in weight and (weight[fac], service[fac]) != (w, t):
-            raise NonUniformFacility(fac)
-        weight[fac], service[fac] = w, t
+    mismatch = None
+    for u, v, tu, tv in inst.edges:
+        if u in terminals:
+            if v in terminals:
+                raise NotBipartite(f"edge {u!r}-{v!r} stays on one side")
+            fac, cli, w, t = v, u, tv, tu
+        elif v in terminals:
+            fac, cli, w, t = u, v, tu, tv
+        else:
+            raise NotBipartite(f"edge {u!r}-{v!r} stays on one side")
+        # Loaded thresholds share one object per literal: identity settles
+        # most comparisons before a Fraction == has to.
+        w0 = weight.setdefault(fac, w)
+        t0 = service.setdefault(fac, t)
+        if mismatch is None and not ((w0 is w or w0 == w) and (t0 is t or t0 == t)):
+            mismatch = fac
         adjacency[fac].append(cli)
+    # Every edge is checked for bipartiteness before uniformity.
+    if mismatch is not None:
+        raise NonUniformFacility(mismatch)
 
+    # The canonical edge order lists each facility's clients by node index,
+    # and a uniform facility has no parallel edges left after pruning, so
+    # the adjacency lists are sorted and free of repeats.
     theta: Union[Fraction, float] = ZERO
-    for v in facilities:
-        neighbors = sorted(set(adjacency[v]), key=inst.index.__getitem__)
-        adjacency[v] = neighbors
-        if not neighbors:
-            continue
-        w, t = weight[v], service[v]
-        if t > 0:
-            if theta != math.inf:
-                theta = max(theta, w / t)
-        elif w > 0:
+    num, den = 0, 1  # the largest finite w/t so far
+    for v, w in weight.items():
+        t = service[v]
+        if t.numerator > 0:
+            wn, wd = w.numerator * t.denominator, w.denominator * t.numerator
+            if wn * den > num * wd:
+                num, den = wn, wd
+        elif w.numerator > 0:
             theta = math.inf
+    if theta != math.inf:
+        theta = Fraction(num, den)
     return UniformBipartiteInstance(
         inst=inst,
-        clients=clients,
+        clients=inst.terminal_list,
         facilities=facilities,
-        weight=dict(weight),
-        service=dict(service),
+        weight=weight,
+        service=service,
         adjacency={v: tuple(c) for v, c in adjacency.items()},
         theta=theta,
     )

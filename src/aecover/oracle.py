@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Assignment, Instance, ZERO, active_edges, complete
+from .core import Assignment, Instance, ZERO, active_at_levels, active_edges, complete
 from .errors import BudgetExceeded, LimitExceeded, StarDecompositionViolated
 
 DEFAULT_MAX_TERMINALS = 10
@@ -58,6 +58,8 @@ def exact_solve(
 
     terms = sorted(inst.terminal_list, key=lambda u: (len(inst.edges_at[u]), inst.index[u]))
     values: dict[str, Fraction] = {n: ZERO for n in inst.nodes}
+    # ``values`` on the integer view, for the activation test.
+    levels: dict[str, int] = {n: 0 for n in inst.nodes}
     counters = {"expanded": 0}
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
@@ -91,7 +93,7 @@ def exact_solve(
             best_values = {n: x for n, x in values.items() if x > 0}
             return
         u = terms[i]
-        if next(active_edges(inst, values, inst.edges_at[u]), None) is not None:
+        if next(active_at_levels(inst, levels, inst.edges_at[u]), None) is not None:
             search(i + 1, total)
             return
         options = []
@@ -101,12 +103,12 @@ def exact_solve(
             options.append((inc, ei))
         options.sort()
         for _, ei in options:
-            e = inst.edges[ei]
-            old_u, old_v = values[e.u], values[e.v]
-            values[e.u] = max(old_u, e.tu)
-            values[e.v] = max(old_v, e.tv)
+            e, (_, _, tu, tv) = inst.edges[ei], inst.scaled_edges[ei]
+            old_u, old_v, level_u, level_v = values[e.u], values[e.v], levels[e.u], levels[e.v]
+            values[e.u], levels[e.u] = max(old_u, e.tu), max(level_u, tu)
+            values[e.v], levels[e.v] = max(old_v, e.tv), max(level_v, tv)
             search(i + 1, total + (values[e.u] - old_u) + (values[e.v] - old_v))
-            values[e.u], values[e.v] = old_u, old_v
+            values[e.u], values[e.v], levels[e.u], levels[e.v] = old_u, old_v, level_u, level_v
 
     search(0, ZERO)
     return ExactResult(

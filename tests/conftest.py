@@ -80,7 +80,7 @@ def brute_force_node_levels(inst) -> Fraction:
     best = None
     for values in itertools.product(*candidates):
         valmap = dict(zip(inst.nodes, values))
-        if covered_terminals(inst, valmap) == inst.terminals:
+        if covered_terminals(inst, levels=inst.levels(valmap)) == inst.terminals:
             total = sum(values, ZERO)
             if best is None or total < best:
                 best = total
@@ -129,6 +129,18 @@ def random_set_system(rng: random.Random, n_elements: int, n_sets: int, max_size
         rest = [x for x in elements if x not in m]
         sets[f"s{j:02d}"] = frozenset(m | set(rng.sample(rest, size - len(m))))
     return SetCoverInstance(elements=elements, sets=sets)
+
+
+def random_multigraph(rng):
+    """Few nodes, many parallel edges, zero and fractional thresholds."""
+    pool = [0, 0, 1, 2, 3, Fraction(1, 2), Fraction(5, 2), Fraction(2, 3)]
+    nodes = [f"n{i}" for i in range(rng.randint(2, 6))]
+    terminals = rng.sample(nodes, rng.randint(0, len(nodes)))
+    edges = []
+    for _ in range(rng.randint(1, 30)):
+        u, v = rng.sample(nodes, 2)
+        edges.append((u, v, rng.choice(pool), rng.choice(pool)))
+    return Instance.from_data(nodes, terminals, edges)
 
 
 @pytest.fixture

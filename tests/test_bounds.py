@@ -161,6 +161,21 @@ class TestKTheta:
         with pytest.raises(DomainError):
             fn(Fraction(10) ** 400)
 
+    def test_capped_omega_bar_takes_a_slope_beyond_float_range(self):
+        # The condition fails at the cap, so k_theta, which needs a float
+        # slope, is never asked; g_value is exact at k = 2.
+        huge = Fraction(10) ** 4000
+        assert omega_bar(huge, delta_cap=2) == g_value(huge, 2) == huge / (2 * (huge + 2))
+        with pytest.raises(DomainError):
+            g_value(huge, 4096)
+
+    def test_capped_omega_bar_matches_k_theta(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            theta = Fraction(rng.randint(1, 4000), rng.randint(1, 40))
+            cap = rng.randint(1, 60)
+            assert omega_bar(theta, delta_cap=cap) == g_value(theta, min(k_theta(theta), cap))
+
     def test_slope_below_float_range_is_a_domain_error_for_omega(self):
         with pytest.raises(DomainError):
             omega(Fraction(1, 10**400))

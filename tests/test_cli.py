@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from aecover.bounds import g_value
 from aecover.cli import main, pick_algorithm
-from aecover.fileio import load_instance, save_instance
+from aecover.fileio import format_float, load_instance, save_instance
 from aecover.generators import generate, random_uniform, tight73
 from aecover.core import Instance
 
@@ -104,18 +105,37 @@ def test_bounds_for_a_large_slope_in_bounded_time(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("solve", "{inst}"),
-        ("solve", "{inst}", "--algorithm", "general"),
+        # An out-of-range slope after an in-range one: no partial table.
+        ("bounds", "--theta", "2,1e400"),
+        ("bounds", "--theta", "2,1e-400"),
         ("bounds", "--theta", "1e400"),
         ("bounds", "--theta", "1e-400"),
     ],
 )
 def test_slope_outside_float_range_exit_code(tmp_path, capsys, argv):
-    inst = one_facility_instance(tmp_path / "inst.json", "1", service="1e-4000")
-    code, out, err = run(capsys, *(a.format(inst=inst) for a in argv))
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "algorithm, label",
+    [("auto", "1+omega_bar(theta)"), ("general", "1+ln(delta)")],
+    ids=["auto", "general"],
+)
+def test_slope_outside_float_range_still_solves(tmp_path, capsys, algorithm, label):
+    # A slope of 10^4000: omega has no float value, but the degree bounds and
+    # the capped omega_bar, exact at k = delta = 2, still certify the solve.
+    inst = one_facility_instance(tmp_path / "inst.json", "1", service="1e-4000")
+    code, out, _ = run(capsys, "solve", inst, "--algorithm", algorithm, "--exact-check")
+    assert code == 0  # a ratio over the claimed bound would exit 3
+    doc = json.loads(out)
+    assert doc["theta"] == str(10**4000) and doc["delta"] == 2
+    assert doc["bound_label"] == label
+    assert doc["empirical_ratio"] == "1.0000"
+    if algorithm == "auto":
+        assert doc["claimed_bound"] == format_float(float(1 + g_value(10**4000, 2)))
 
 
 def test_gen_solve_exact_roundtrip(tmp_path, capsys):

@@ -20,6 +20,7 @@ from aecover.core import (
     DerivedCosts,
     Edge,
     _prune_dominated,
+    active_at_levels,
     active_edges,
     complete,
     covered_terminals,
@@ -30,6 +31,7 @@ from aecover.core import (
 from aecover.errors import EmptyLevels, InvalidInstance, IsolatedTerminal
 from aecover.generators import FAMILIES, generate, random_general, random_minpower
 from aecover.oracle import exact_solve
+from conftest import random_multigraph
 
 
 def quadratic_prune(sorted_edges):
@@ -74,23 +76,70 @@ def fraction_derive_costs(inst):
     )
 
 
+def reference_from_data(nodes, terminals, edges):
+    """The former Instance.from_data, kept as the reference: per-edge parsing
+    and checks, a key sort on (u index, v index, tu, tv) and the quadratic
+    prune.  Returns the node tuple, terminal set and edge tuples."""
+    node_list = list(nodes)
+    if len(set(node_list)) != len(node_list):
+        raise InvalidInstance("duplicate node ids")
+    idx = {n: i for i, n in enumerate(node_list)}
+    term_set = frozenset(terminals)
+    for t in term_set:
+        if t not in idx:
+            raise InvalidInstance(f"terminal {t!r} is not a node")
+    canon = []
+    for u, v, tu, tv in edges:
+        if u not in idx or v not in idx:
+            raise InvalidInstance(f"edge endpoint not a node: {u!r}-{v!r}")
+        if u == v:
+            raise InvalidInstance(f"self loop at {u!r}")
+        ftu, ftv = core.as_fraction(tu), core.as_fraction(tv)
+        if ftu.numerator < 0 or ftv.numerator < 0:
+            raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
+        if idx[u] > idx[v]:
+            u, v, ftu, ftv = v, u, ftv, ftu
+        canon.append(Edge(u, v, ftu, ftv))
+    canon.sort(key=lambda e: (idx[e.u], idx[e.v], e.tu, e.tv))
+    kept = [tuple(e) for e in quadratic_prune(canon)]
+    return tuple(node_list), term_set, kept
+
+
+def build_outcome(build, nodes, terminals, edges):
+    """``build``'s result as plain tuples, or its error's type and message."""
+    try:
+        got = build(nodes, terminals, edges)
+    except InvalidInstance as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Instance):
+        got = got.nodes, got.terminals, [tuple(e) for e in got.edges]
+    for e in got[2]:
+        assert type(e[2]) is Fraction and type(e[3]) is Fraction
+    return got
+
+
+def fraction_active_edges(inst, values, ids=None):
+    """The former Fraction activation predicate, kept as the reference."""
+    for i in range(len(inst.edges)) if ids is None else ids:
+        e = inst.edges[i]
+        if values.get(e.u, ZERO) >= e.tu and values.get(e.v, ZERO) >= e.tv:
+            yield i
+
+
+def fraction_covers(inst, a):
+    """The former Fraction coverage check, kept as the reference."""
+    uncovered = tuple(
+        u for u in inst.terminal_list
+        if next(fraction_active_edges(inst, a.values, inst.edges_at[u]), None) is None
+    )
+    return (not uncovered, uncovered)
+
+
 def assert_same_costs(got, want):
     assert got == want
     assert type(got.theta) is type(want.theta)
     for x in (got.Q, got.C, *got.q.values(), *got.c.values()):
         assert type(x) is Fraction
-
-
-def random_multigraph(rng):
-    """Few nodes, many parallel edges, zero and fractional thresholds."""
-    pool = [0, 0, 1, 2, 3, Fraction(1, 2), Fraction(5, 2), Fraction(2, 3)]
-    nodes = [f"n{i}" for i in range(rng.randint(2, 6))]
-    terminals = rng.sample(nodes, rng.randint(0, len(nodes)))
-    edges = []
-    for _ in range(rng.randint(1, 30)):
-        u, v = rng.sample(nodes, 2)
-        edges.append((u, v, rng.choice(pool), rng.choice(pool)))
-    return Instance.from_data(nodes, terminals, edges)
 
 
 class TestInstance:
@@ -132,6 +181,65 @@ class TestInstance:
                 edges.append(Edge(u, v, Fraction(rng.choice(pool)), Fraction(rng.choice(pool))))
             edges.sort(key=lambda e: (idx[e.u], idx[e.v], e.tu, e.tv))
             assert _prune_dominated(edges) == quadratic_prune(edges), case
+
+    def test_from_data_matches_reference_on_families(self):
+        # Each family instance is fed back reversed in order and orientation,
+        # with a dominated copy of every third edge.
+        for family in FAMILIES:
+            for seed in range(20):
+                inst = generate(family, seed)
+                edges = []
+                for j, e in enumerate(reversed(inst.edges)):
+                    edges.append((e.v, e.u, e.tv, e.tu))
+                    if j % 3 == 0:
+                        edges.append((e.u, e.v, e.tu + 1, e.tv))
+                args = (inst.nodes, inst.terminals, edges)
+                got = build_outcome(Instance.from_data, *args)
+                assert got == build_outcome(reference_from_data, *args), (family, seed)
+                assert Instance.from_data(*args) == inst
+
+    def test_from_data_matches_reference_on_random_multigraphs(self):
+        rng = random.Random(17)
+        pool = [0, 1, 2, "3/2", "0.25", Fraction(2, 3), Fraction(5, 2), "1/2", "2/4"]
+        for case in range(400):
+            nodes = [f"n{i}" for i in range(rng.randint(2, 6))]
+            terminals = rng.sample(nodes, rng.randint(0, len(nodes)))
+            # Shared objects for some thresholds, fresh ones for others.
+            shared = [Fraction(x) for x in ("1/3", "4", "0")]
+            edges = []
+            for _ in range(rng.randint(0, 30)):
+                u, v = rng.sample(nodes, 2)
+                ts = [rng.choice(pool + shared) for _ in range(2)]
+                edges.append((u, v, *ts))
+            args = (nodes, terminals, edges)
+            assert build_outcome(Instance.from_data, *args) == build_outcome(
+                reference_from_data, *args
+            ), case
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("a", "b", 1, 1), ("a", "b", -1, 2)],
+            [("a", "b", 1, 1), ("b", "a", 2, "-1/2")],
+            [("a", "b", 1, 1), ("a", "a", 1, 1)],
+            [("a", "b", 1, 1), ("a", "z", 1, 1)],
+            [("z", "b", -1, 1)],
+            [("a", "b", True, 1)],
+            [("a", "b", 1, 1), ("a", "b", 1, False)],
+            [("a", "b", 1, 1), ("a", "b", 1.5, 1)],
+            [("a", "b", "x", -1)],
+            [("a", "b", -1, "x")],
+        ],
+    )
+    def test_from_data_raises_the_reference_errors(self, edges):
+        # The parse and sign of a shared threshold object are checked once;
+        # an object seen again must not skip the checks of the other one.
+        neg = Fraction(-1)
+        edges = edges + [("a", "b", neg, 1), ("b", "a", 1, neg)]
+        args = (["a", "b", "c"], ["a"], edges)
+        got = build_outcome(Instance.from_data, *args)
+        assert got == build_outcome(reference_from_data, *args)
+        assert got[0] is InvalidInstance
 
     def test_scaled_rows_are_exact(self):
         for seed in range(10):
@@ -248,8 +356,8 @@ class TestDeriveCosts:
         rng = random.Random(8)
         for _ in range(100):
             inst = random_multigraph(rng)
-            assert inst.scaled_thresholds == tuple(
-                (e.tu * inst.scale, e.tv * inst.scale) for e in inst.edges
+            assert inst.scaled_edges == tuple(
+                (e.u, e.v, e.tu * inst.scale, e.tv * inst.scale) for e in inst.edges
             )
 
 
@@ -302,8 +410,9 @@ class TestActivation:
         a = Assignment.of({"t": 1, "a": 1})
         assert list(active_edges(inst, a.values)) == [0]
         assert list(active_edges(inst, a.values, inst.edges_at["t"])) == [0]
-        assert covered_terminals(inst, a.values) == {"t"}
-        assert covered_terminals(inst, a.values, ["a"]) == {"t"}
+        levels = inst.levels(a.values)
+        assert covered_terminals(inst, levels=levels) == {"t"}
+        assert covered_terminals(inst, levels=levels, nodes=["a"]) == {"t"}
         assert covers(inst, a) == (True, ())
 
     def test_matches_hand_rolled_predicate_on_random_multigraphs(self):
@@ -324,9 +433,37 @@ class TestActivation:
             assert list(active_edges(inst, values, ids)) == want, case
             covered = {n for i in active for n in (inst.edges[i].u, inst.edges[i].v)}
             covered &= inst.terminals
-            assert covered_terminals(inst, values) == covered, case
+            assert covered_terminals(inst, levels=inst.levels(values)) == covered, case
             uncovered = tuple(t for t in inst.terminal_list if t not in covered)
             assert covers(inst, Assignment.of(values)) == (not uncovered, uncovered), case
+
+    def test_integer_view_matches_fraction_predicate_off_the_grid(self):
+        # Values at a threshold t, just below it (t - 1/(3L)) and just above
+        # it (t + 1/(7L)) fall on and between the points of the 1/L grid.
+        rng = random.Random(23)
+        for case in range(500):
+            inst = random_multigraph(rng)
+            L = inst.scale
+            values = {}
+            for n in inst.nodes:
+                if rng.random() < 0.15:
+                    continue  # missing nodes count as zero
+                at = [inst.edges[i].threshold_at(n) for i in inst.edges_at[n]] or [ZERO]
+                t = rng.choice(at)
+                x = t + rng.choice([0, -Fraction(1, 3 * L), Fraction(1, 7 * L)])
+                values[n] = max(x, ZERO)
+            a = Assignment.of(values)
+            levels = inst.levels(a.values)
+            want = list(fraction_active_edges(inst, a.values))
+            assert list(active_at_levels(inst, levels)) == want, case
+            assert list(active_edges(inst, a.values)) == want, case
+            ids = rng.sample(range(len(inst.edges)), rng.randint(0, len(inst.edges)))
+            want_ids = list(fraction_active_edges(inst, a.values, ids))
+            assert list(active_at_levels(inst, levels, ids)) == want_ids, case
+            assert list(active_edges(inst, a.values, ids)) == want_ids, case
+            covered = {n for i in want for n in inst.edges[i][:2]} & inst.terminals
+            assert covered_terminals(inst, levels=levels) == covered, case
+            assert covers(inst, a) == fraction_covers(inst, a), case
 
     def test_monotonicity(self):
         rng = random.Random(7)
@@ -346,14 +483,21 @@ class TestActivation:
             values = {n: Fraction(rng.randint(0, 6), 2) for n in inst.nodes}
             nodes = rng.sample(inst.nodes, 3)
             expect = set()
+            levels = inst.levels(values)
             for i in active_edges(inst, values):
                 e = inst.edges[i]
                 if e.u in nodes or e.v in nodes:
                     expect |= {e.u, e.v} & inst.terminals
-            assert covered_terminals(inst, values, nodes) == expect
-            assert covered_terminals(inst, values, inst.nodes) == covered_terminals(
-                inst, values
-            )
+            assert covered_terminals(inst, levels=levels, nodes=nodes) == expect
+            assert covered_terminals(
+                inst, levels=levels, nodes=inst.nodes
+            ) == covered_terminals(inst, levels=levels)
+
+    def test_covered_terminals_refuses_a_positional_value_map(self, tiny_instance):
+        # The map must be named as the integer view: a value map passed
+        # positionally fails instead of being compared on the wrong scale.
+        with pytest.raises(TypeError):
+            covered_terminals(tiny_instance, {"u": Fraction(2), "v": Fraction(3)})
 
     def test_cheapest_cover_feasible_and_bounded(self):
         for seed in range(30):

@@ -289,7 +289,7 @@ class TestGreedyCertificates:
             totals = {n: costs.q.get(n, ZERO) for n in inst.nodes}
             for n, x in surplus.items():
                 totals[n] += x
-            covered = covered_terminals(inst, totals)
+            covered = covered_terminals(inst, levels=inst.levels(totals))
             nu = costs.Q + sum((costs.c[u] for u in inst.terminal_list if u not in covered), ZERO)
             assert nu == costs.Q
             tau = sum(surplus.values(), ZERO)

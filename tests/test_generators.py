@@ -168,7 +168,7 @@ class TestInstallation:
 
         for values in itertools.product(*candidates):
             valmap = dict(zip(inst.nodes, values))
-            if covered_terminals(inst, valmap) == inst.terminals:
+            if covered_terminals(inst, levels=inst.levels(valmap)) == inst.terminals:
                 total = sum(values, ZERO)
                 if best is None or total < best:
                     best = total

@@ -16,11 +16,15 @@ and must be deliberate.
 """
 
 import hashlib
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from aecover.cli import main
-from aecover.generators import FAMILIES
+from aecover.fileio import save_instance
+from aecover.generators import FAMILIES, from_facility_location
 
 # family -> (sha256 of `aecover bench --family F --seeds 0..19`,
 #            sha256 of `aecover gen --family F --seed 0`)
@@ -210,3 +214,43 @@ def test_exact_check_output_matches_golden_bytes(family, tmp_path):
             assert main(argv) == 0
             solved.update(out.read_bytes())
     assert solved.hexdigest() == GOLDEN_EXACT_CHECK[family]
+
+
+def facility_instance(pairs, seed):
+    """A seeded locally uniform facility instance with about ``pairs``
+    client-facility pairs: twice as many clients as facilities, each pair
+    present with probability 1/4, one weight and one service threshold per
+    facility."""
+    rng = random.Random(seed)
+    nf = round(math.sqrt(2 * pairs))
+    clients = [f"c{i:03d}" for i in range(2 * nf)]
+    facilities = [f"f{j:03d}" for j in range(nf)]
+    threshold = {f: rng.choice(("1", "3/2", "2")) for f in facilities}
+    opening = {
+        f: Fraction(threshold[f]) * (2 if j == 0 else rng.choice((Fraction(1, 2), 1, 2, 3, 5)))
+        for j, f in enumerate(facilities)
+    }
+    service = {}
+    for c in clients:
+        linked = [f for f in facilities if rng.random() < 0.25]
+        for f in linked or [rng.choice(facilities)]:
+            service[(c, f)] = threshold[f]
+    return from_facility_location(clients, facilities, opening, service)
+
+
+# pairs -> sha256 of `aecover solve` on facility_instance(pairs, seed=pairs),
+# recorded before the activation predicate, the instance build and the
+# locally uniform validation moved onto the integer view.
+GOLDEN_FACILITY = {
+    200: "c9e85da4bcbba3eda5504657fd6951b259fb367a384bf67ade58dfc579069359",
+    800: "6a0d22cf3372727ab70bbda02dcd3b86c459f7bc570be2bc877ccd914eeb3e46",
+    1600: "5230a5f84b51999ffdc815f69a8539f4785cea63d22388b866a9128ca9b45dcc",
+}
+
+
+@pytest.mark.parametrize("pairs", sorted(GOLDEN_FACILITY))
+def test_facility_solve_matches_golden_bytes(pairs, tmp_path):
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    save_instance(facility_instance(pairs, seed=pairs), inst)
+    assert main(["solve", str(inst), "--out", str(out)]) == 0
+    assert sha256_of(out) == GOLDEN_FACILITY[pairs]

@@ -8,6 +8,9 @@
   document layout.
 - ``SolveReport`` is constructed only by ``report.solve_report``, the one
   builder, which derives the value, slope and degree bound itself.
+- No module tests a value against an edge's ``.tu`` or ``.tv`` with ``>=``
+  (or the threshold with ``<=``), the Fraction form of the activation test:
+  ``core.active_at_levels``, on the integer view, is the one predicate.
 """
 
 import ast
@@ -66,7 +69,30 @@ def json_dumps_uses(tree: ast.AST) -> list[int]:
     return sorted(found)
 
 
-RULES = [assert_statements, derive_costs_calls_outside_owner, solve_reports_built_outside_builder]
+def fraction_activation_tests(tree: ast.AST) -> list[int]:
+    """Lines that compare ``x >= e.tu`` or ``e.tv <= x``, for any ``e``."""
+
+    def threshold(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in ("tu", "tv")
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, a, b in zip(node.ops, operands, operands[1:]):
+                if (isinstance(op, ast.GtE) and threshold(b)) or (
+                    isinstance(op, ast.LtE) and threshold(a)
+                ):
+                    found.append(node.lineno)
+    return sorted(set(found))
+
+
+RULES = [
+    assert_statements,
+    derive_costs_calls_outside_owner,
+    solve_reports_built_outside_builder,
+    fraction_activation_tests,
+]
 
 
 def library_trees():
@@ -163,3 +189,32 @@ def test_report_rules_catch_breaches():
     tree = ast.parse(BROKEN_REPORTS)
     assert solve_reports_built_outside_builder(tree) == [11, 15]
     assert json_dumps_uses(tree) == [3, 10]
+
+
+BROKEN_PREDICATE = '''
+def met(inst, values, e):
+    if values.get(e.u, ZERO) >= e.tu and values.get(e.v, ZERO) >= e.tv:
+        return True
+    return e.tv <= values[e.v] < e.tu
+
+def fine(inst, values, e, levels, tu):
+    return values[e.u] < e.tu or levels[e.u] >= tu or e.tu >= 0 or max(e.tu, e.tv)
+'''
+
+
+def test_predicate_rule_catches_breaches():
+    assert fraction_activation_tests(ast.parse(BROKEN_PREDICATE)) == [3, 5]
+
+
+def test_predicate_rule_sees_the_integer_view():
+    # The rule is vacuous if the one predicate stops reading edges' thresholds
+    # on the integer view.
+    core = dict(library_trees())["core.py"]
+    predicate = next(
+        node for node in core.body
+        if isinstance(node, ast.FunctionDef) and node.name == "active_at_levels"
+    )
+    assert any(
+        isinstance(node, ast.Attribute) and node.attr == "scaled_edges"
+        for node in ast.walk(predicate)
+    )

@@ -1,6 +1,7 @@
 """Average-price greedy: validation, worst case, and per-star accounting."""
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,8 +19,9 @@ from aecover.errors import (
     NonUniformFacility,
     NotBipartite,
 )
-from aecover.fileio import instance_digest
+from aecover.fileio import instance_digest, loads_instance
 from aecover.generators import (
+    FAMILIES,
     from_facility_location,
     from_theta_setcover,
     generate,
@@ -33,6 +35,7 @@ from aecover.locally_uniform import (
 )
 from aecover.oracle import exact_solve, exact_star_decomposition
 from aecover.report import SolveReport
+from conftest import random_multigraph
 
 
 def rescan_solve_locally_uniform(ubi, tie_break="lowest-id", priority=None):
@@ -154,6 +157,114 @@ class TestValidate:
         ubi = validate_locally_uniform(inst)
         assert all(t == eps for t in ubi.service.values())
         assert ubi.theta == 4  # slope 1/eps for unit weights
+
+
+def reference_validate(inst):
+    """The former validate_locally_uniform, kept as the reference: a pass for
+    bipartiteness, then (weight, service) tuples compared per edge, sorted
+    adjacency sets and Fraction division per facility."""
+    for e in inst.edges:
+        if (e.u in inst.terminals) == (e.v in inst.terminals):
+            raise NotBipartite(f"edge {e.u!r}-{e.v!r} stays on one side")
+    facilities = tuple(n for n in inst.nodes if n not in inst.terminals)
+    weight, service = {}, {}
+    adjacency = {v: [] for v in facilities}
+    for e in inst.edges:
+        fac, cli = (e.u, e.v) if e.u not in inst.terminals else (e.v, e.u)
+        w, t = e.threshold_at(fac), e.threshold_at(cli)
+        if fac in weight and (weight[fac], service[fac]) != (w, t):
+            raise NonUniformFacility(fac)
+        weight[fac], service[fac] = w, t
+        adjacency[fac].append(cli)
+    theta = Fraction(0)
+    for v in facilities:
+        adjacency[v] = tuple(sorted(set(adjacency[v]), key=inst.index.__getitem__))
+        if not adjacency[v]:
+            continue
+        w, t = weight[v], service[v]
+        if t > 0:
+            if theta != math.inf:
+                theta = max(theta, w / t)
+        elif w > 0:
+            theta = math.inf
+    return weight, service, adjacency, theta
+
+
+def outcome(fn, inst):
+    """``fn(inst)``, or the type and message of the AecError it raises."""
+    try:
+        return fn(inst)
+    except (NotBipartite, NonUniformFacility) as exc:
+        return type(exc), str(exc)
+
+
+class TestValidateAgainstReference:
+    def view(self, inst):
+        ubi = validate_locally_uniform(inst)
+        return ubi.weight, ubi.service, ubi.adjacency, ubi.theta
+
+    def test_families_and_random_multigraphs(self):
+        instances = [generate(family, seed) for family in FAMILIES
+                     for seed in range(20)]
+        rng = random.Random(9)
+        instances += [random_multigraph(rng) for _ in range(300)]
+        for inst in instances:
+            got, want = outcome(self.view, inst), outcome(reference_validate, inst)
+            assert got == want
+            if not isinstance(got[0], type):
+                assert type(got[3]) is type(want[3])
+
+    def test_equal_thresholds_need_not_be_one_object(self):
+        # "1/2", "2/4" and the JSON number 0.5 load as three Fraction objects
+        # of one value; the first two are equal strings of no shared object.
+        doc = {
+            "nodes": ["a", "b", "c", "f"],
+            "terminals": ["a", "b", "c"],
+            "edges": [
+                {"u": "a", "v": "f", "tu": "1", "tv": "1/2"},
+                {"u": "b", "v": "f", "tu": "1", "tv": "2/4"},
+                {"u": "c", "v": "f", "tu": "1", "tv": 0.5},
+            ],
+        }
+        inst = loads_instance(json.dumps(doc))
+        weights = [e.tv for e in inst.edges]
+        assert weights == [Fraction(1, 2)] * 3
+        assert len({id(w) for w in weights}) == 3
+        ubi = validate_locally_uniform(inst)
+        assert ubi.weight == {"f": Fraction(1, 2)} and ubi.theta == Fraction(1, 2)
+        assert ubi.adjacency["f"] == ("a", "b", "c")
+        same = json.loads(json.dumps(doc).replace('"2/4"', '"1/2"').replace("0.5", '"1/2"'))
+        assert solve_locally_uniform(ubi).to_json() == solve_locally_uniform(
+            validate_locally_uniform(loads_instance(json.dumps(same)))
+        ).to_json()
+
+    def test_mismatch_raises(self):
+        doc = {
+            "nodes": ["a", "b", "f"],
+            "terminals": ["a", "b"],
+            "edges": [
+                {"u": "a", "v": "f", "tu": "1", "tv": "1/2"},
+                {"u": "b", "v": "f", "tu": "1", "tv": "3/4"},
+            ],
+        }
+        with pytest.raises(NonUniformFacility):
+            validate_locally_uniform(loads_instance(json.dumps(doc)))
+        doc["edges"][1]["tv"] = "2/4"
+        doc["edges"][1]["tu"] = "3/2"
+        with pytest.raises(NonUniformFacility):
+            validate_locally_uniform(loads_instance(json.dumps(doc)))
+
+    def test_bipartiteness_is_checked_before_uniformity(self):
+        # f is not uniform on its first two edges; the later client-client
+        # edge still decides the error.
+        inst = Instance.from_data(
+            ["a", "b", "f"],
+            ["a", "b"],
+            [("a", "f", 1, 2), ("b", "f", 3, 2), ("a", "b", 1, 1)],
+        )
+        assert outcome(self.view, inst) == outcome(reference_validate, inst)
+        with pytest.raises(NotBipartite):
+            validate_locally_uniform(inst)
 
 
 class TestSolve:
