@@ -86,6 +86,8 @@ def run_algorithm(
     if algorithm == "unit-a1":
         return solve_unit_a1(reduce_unit(inst))
     if algorithm == "unit-a2":
+        if subsolver not in SUBSOLVERS:
+            raise DomainError(f"unknown subsolver {subsolver!r}; known: {sorted(SUBSOLVERS)}")
         return solve_unit_a2(reduce_unit(inst), subsolver=SUBSOLVERS[subsolver])
     raise DomainError(f"unknown algorithm {algorithm!r}")
 

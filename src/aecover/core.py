@@ -149,6 +149,13 @@ class Instance:
         L = self.scale
         return {n: x.numerator * L // x.denominator for n, x in values.items()}
 
+    def assignment(self, levels: Mapping[str, int]) -> Assignment:
+        """The inverse of :meth:`levels`: each nonzero level over
+        :attr:`scale`.  Exact, since every value here is a sum of
+        thresholds and so a whole number of ``1/scale``."""
+        L = self.scale
+        return Assignment({n: Fraction(x, L) for n, x in levels.items() if x})
+
     @cached_property
     def scaled_edges(self) -> tuple[tuple[str, str, int, int], ...]:
         """Per edge, ``(u, v, tu, tv)`` with the thresholds times :attr:`scale`."""
@@ -465,21 +472,20 @@ def levels_reduction(spec: ActivationSpec, terminals: Iterable[str]) -> Instance
     return Instance.from_data(spec.nodes, terminals, edges)
 
 
-def complete(
-    inst: Instance, totals: Mapping[str, Fraction], covered: Container[str]
-) -> Assignment:
-    """Feasible assignment: ``totals``, with both endpoints of the cheapest
-    edge of every terminal not in ``covered`` raised to that edge's
-    thresholds.  From the q totals with nothing covered it is the
-    cheapest-edge cover, of value at most Q + C."""
-    values = dict(totals)
+def complete(inst: Instance, covered: Container[str], *, levels: Mapping[str, int]) -> Assignment:
+    """Feasible assignment: ``levels`` (the integer view, as for
+    :func:`active_at_levels`), with both endpoints of the cheapest edge of
+    every terminal not in ``covered`` raised to that edge's thresholds.
+    From the q levels with nothing covered it is the cheapest-edge cover, of
+    value at most Q + C.  ``levels`` is keyword-only, as in
+    :func:`covered_terminals`."""
+    levels = dict(levels)
     for u in inst.terminal_list:
         if u in covered:
             continue
-        e = inst.edges[inst.costs.cheapest[u]]
-        if values.get(e.u, ZERO) < e.tu:
-            values[e.u] = e.tu
-        if values.get(e.v, ZERO) < e.tv:
-            values[e.v] = e.tv
-    return Assignment.of(values)
-
+        eu, ev, tu, tv = inst.scaled_edges[inst.costs.cheapest[u]]
+        if levels.get(eu, 0) < tu:
+            levels[eu] = tu
+        if levels.get(ev, 0) < tv:
+            levels[ev] = tv
+    return inst.assignment(levels)

@@ -124,18 +124,11 @@ def _json_list(items: list[str]) -> str:
 def dumps_instance(inst: Instance) -> str:
     """The canonical instance text; the module docstring gives the layout."""
     name = {n: encode_basestring_ascii(n) for n in inst.nodes}
-    # Keyed by identity: hashing a Fraction costs more than formatting it,
-    # and the instance keeps every threshold alive while this runs.
-    literal: dict[int, str] = {}
-
-    def quoted(x: Fraction) -> str:
-        s = literal.get(id(x))
-        if s is None:
-            s = literal[id(x)] = f'"{format_fraction(x)}"'
-        return s
-
+    # One literal per distinct threshold object, keyed by identity as the
+    # instance keys them: hashing a Fraction costs more than formatting it.
+    literal = {i: f'"{format_fraction(t)}"' for i, t in inst._distinct_thresholds.items()}
     edges = [
-        f'{{\n      "tu": {quoted(e.tu)},\n      "tv": {quoted(e.tv)},'
+        f'{{\n      "tu": {literal[id(e.tu)]},\n      "tv": {literal[id(e.tv)]},'
         f'\n      "u": {name[e.u]},\n      "v": {name[e.v]}\n    }}'
         for e in inst.edges
     ]

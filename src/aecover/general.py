@@ -39,14 +39,13 @@ class CandidateStar:
 
 @dataclass(frozen=True)
 class GeneralSolveState:
-    """Greedy state.  ``scaled`` repeats ``totals`` times ``inst.scale`` as
-    ints, and ``stars`` caches the best star of each root that has one, on
-    that integer view (see :func:`_best_star_at`)."""
+    """Greedy state.  ``levels`` holds every node's total on the integer
+    view (times ``inst.scale``, as ints), and ``stars`` caches the best star
+    of each root that has one, on that view (see :func:`_best_star_at`)."""
 
-    totals: Mapping[str, Fraction]
+    levels: Mapping[str, int]
     covered: frozenset[str]
     nu: Fraction
-    scaled: Mapping[str, int]
     stars: Mapping[str, tuple]
 
 
@@ -55,30 +54,20 @@ def _scaled_costs(inst: Instance) -> dict[str, int]:
 
 
 def initial_state(inst: Instance) -> GeneralSolveState:
-    costs = inst.costs
-    totals = {n: ZERO for n in inst.nodes}
-    totals.update(costs.q)
-    scaled = inst.levels(totals)
-    covered = covered_terminals(inst, levels=scaled)
-    nu = costs.Q + sum((costs.c[u] for u in inst.terminal_list if u not in covered), ZERO)
-    c = _scaled_costs(inst)
-    stars = {
-        v: s for v in inst.nodes if (s := _best_star_at(inst, c, scaled, covered, v))
-    }
-    return GeneralSolveState(totals, covered, nu, scaled, stars)
+    return _GeneralGmcProblem(inst).initial_state()
 
 
 def _best_star_at(
     inst: Instance,
     c: Mapping[str, int],
-    totals: Mapping[str, int],
+    levels: Mapping[str, int],
     covered: frozenset[str],
     root: str,
 ) -> Optional[tuple]:
     """Best star rooted at ``root`` as ``(pay, gain, index, w, leaves)``, or
     None when no star there gains anything.
 
-    ``c``, ``totals`` and the results are scaled by ``inst.scale``.  The
+    ``c``, ``levels`` and the results are scaled by ``inst.scale``.  The
     star's density is pay/gain and its key is (density, index, w).  The
     root increment w runs over zero and the root's shortfalls on its edges;
     a w that reaches no new leaf, and no cheaper one, only pays more, so it
@@ -91,7 +80,7 @@ def _best_star_at(
         return (a[1] * c[b[0]] - b[1] * c[a[0]]) or index[a[0]] - index[b[0]]
 
     rows = inst.scaled_rows[root]
-    tot = totals[root]
+    tot = levels[root]
     root_gain = 0 if root in covered else c.get(root, 0)
     reachable: dict[str, int] = {}
     best: Optional[tuple] = None
@@ -104,7 +93,7 @@ def _best_star_at(
             i += 1
             if not c.get(u) or u in covered:
                 continue
-            need = max(0, t_there - totals[u])
+            need = max(0, t_there - levels[u])
             if need < reachable.get(u, need + 1):
                 reachable[u] = need
                 grew = True
@@ -158,7 +147,7 @@ def min_density_star(inst: Instance, state: GeneralSolveState) -> Optional[Candi
     uncovered terminal root contributes its own c to the gain.  Ties are
     broken by (density, root id, increment).
 
-    This is a full scan over :func:`_best_star_at` from ``state.totals``.
+    This is a full scan over :func:`_best_star_at` from ``state.levels``.
     The greedy runs the same function but keeps each root's best star in
     ``state.stars``; after a step it recomputes only the dirty roots, the
     closed neighbourhood of the nodes whose total rose and the terminals
@@ -169,8 +158,7 @@ def min_density_star(inst: Instance, state: GeneralSolveState) -> Optional[Candi
     lowers its own increments.
     """
     c = _scaled_costs(inst)
-    totals = inst.levels(state.totals)
-    stars = (_best_star_at(inst, c, totals, state.covered, v) for v in inst.nodes)
+    stars = (_best_star_at(inst, c, state.levels, state.covered, v) for v in inst.nodes)
     return _min_star(inst, (s for s in stars if s))
 
 
@@ -182,7 +170,15 @@ class _GeneralGmcProblem:
         self.c = _scaled_costs(inst)
 
     def initial_state(self) -> GeneralSolveState:
-        return initial_state(self.inst)
+        inst, costs = self.inst, self.inst.costs
+        levels = dict.fromkeys(inst.nodes, 0)
+        levels.update(inst.levels(costs.q))
+        covered = covered_terminals(inst, levels=levels)
+        nu = costs.Q + sum((costs.c[u] for u in inst.terminal_list if u not in covered), ZERO)
+        stars = {
+            v: s for v in inst.nodes if (s := _best_star_at(inst, self.c, levels, covered, v))
+        }
+        return GeneralSolveState(levels, covered, nu, stars)
 
     def potential(self, state: GeneralSolveState) -> Fraction:
         return state.nu
@@ -203,16 +199,14 @@ class _GeneralGmcProblem:
     def apply(self, state: GeneralSolveState, aug: Augmentation) -> GeneralSolveState:
         star: CandidateStar = aug.payload
         inst = self.inst
-        totals = dict(state.totals)
-        scaled = dict(state.scaled)
+        levels = dict(state.levels)
         changed = []
         for node, inc in ((star.root, star.root_increment), *star.leaves):
             if inc != 0:
-                totals[node] += inc
-                scaled[node] += inst.scaled(inc)
+                levels[node] += inst.scaled(inc)
                 changed.append(node)
         # Only edges at a raised node can have become active.
-        newly = covered_terminals(inst, levels=scaled, nodes=changed) - state.covered
+        newly = covered_terminals(inst, levels=levels, nodes=changed) - state.covered
         covered = state.covered | newly
         nu = state.nu - sum((inst.costs.c[u] for u in newly), ZERO)
         dirty = set(changed) | newly
@@ -220,12 +214,12 @@ class _GeneralGmcProblem:
             dirty.update(u for _, u, _ in inst.scaled_rows[x])
         stars = dict(state.stars)
         for v in dirty:
-            s = _best_star_at(inst, self.c, scaled, covered, v)
+            s = _best_star_at(inst, self.c, levels, covered, v)
             if s:
                 stars[v] = s
             else:
                 stars.pop(v, None)
-        return GeneralSolveState(totals, covered, nu, scaled, stars)
+        return GeneralSolveState(levels, covered, nu, stars)
 
 
 def run_general_greedy(inst: Instance) -> tuple[GeneralSolveState, GreedyTrace]:
@@ -273,7 +267,7 @@ def solve_general(inst: Instance) -> SolveReport:
     costs = inst.costs
     state, trace = run_general_greedy(inst)
     # The completed value is at most the greedy's payment plus its potential.
-    assignment = complete(inst, state.totals, state.covered)
+    assignment = complete(inst, state.covered, levels=state.levels)
     label, bound = min(general_bound_candidates(inst), key=lambda it: (float(it[1]), it[0]))
     return solve_report(
         inst,

@@ -1,5 +1,5 @@
 """Exact optimum for small instances, by branch and bound over per-terminal
-covering-edge choices in exact rational arithmetic.
+covering-edge choices on the integer view.
 
 Any minimal feasible assignment is the pointwise threshold maximum of one
 covering edge chosen per terminal, so searching edge choices is complete.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Assignment, Instance, ZERO, active_at_levels, active_edges, complete
+from .core import Assignment, Instance, active_at_levels, active_edges, complete
 from .errors import BudgetExceeded, LimitExceeded, StarDecompositionViolated
 
 DEFAULT_MAX_TERMINALS = 10
@@ -38,11 +38,16 @@ def exact_solve(
     """Globally optimal assignment covering all terminals.
 
     Branches on terminals in order of fewest incident edges; a branch raises
-    both endpoints of a chosen edge to its thresholds.  Prunes on the partial
-    value plus the residual q lower bound against the incumbent, which starts
-    at the per-terminal cheapest-edge cover.  Raises LimitExceeded for
-    instances beyond the configured limits and BudgetExceeded (carrying the
-    non-optimal incumbent) when the time budget runs out.
+    both endpoints of a chosen edge to its thresholds, cheapest increment
+    first.  Prunes on the partial value plus the residual q lower bound (the
+    q gaps of the remaining terminals, rescanned at every node) against the
+    incumbent, which starts at the per-terminal cheapest-edge cover.  The
+    search runs on ``Instance.levels``, values times ``inst.scale`` as ints;
+    scaling keeps every comparison and the order of the options, and only
+    the result is converted back.  Raises LimitExceeded for instances beyond
+    the configured limits or too deep for the interpreter's recursion limit,
+    and BudgetExceeded (carrying the non-optimal incumbent) when the time
+    budget runs out.
     """
     if len(inst.terminals) > max_terminals:
         raise LimitExceeded(
@@ -51,46 +56,37 @@ def exact_solve(
     if len(inst.nodes) > max_nodes:
         raise LimitExceeded(f"{len(inst.nodes)} nodes exceed the limit {max_nodes}")
 
-    costs = inst.costs
-    incumbent = complete(inst, costs.q, ())
-    best_value = incumbent.total()
-    best_values = dict(incumbent.values)
+    q = inst.levels(inst.costs.q)
+    best_levels = inst.levels(complete(inst, (), levels=q).values)
+    best = sum(best_levels.values())
 
     terms = sorted(inst.terminal_list, key=lambda u: (len(inst.edges_at[u]), inst.index[u]))
-    values: dict[str, Fraction] = {n: ZERO for n in inst.nodes}
-    # ``values`` on the integer view, for the activation test.
-    levels: dict[str, int] = {n: 0 for n in inst.nodes}
-    counters = {"expanded": 0}
+    scaled = inst.scaled_edges
+    levels = dict.fromkeys(inst.nodes, 0)
+    expanded = 0
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    # Residual lower bound: every remaining terminal still needs at least q at
-    # itself; suffixes are recomputed incrementally from the current values.
-    def residual_need(i: int) -> Fraction:
-        need = ZERO
+    def result(optimal: bool) -> ExactResult:
+        return ExactResult(
+            Fraction(best, inst.scale), inst.assignment(best_levels), expanded, optimal
+        )
+
+    def search(i: int, total: int) -> None:
+        nonlocal best, best_levels, expanded
+        expanded += 1
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded(result(optimal=False))
+        # Every remaining terminal still needs at least q at itself.
+        need = 0
         for u in terms[i:]:
-            gap = costs.q[u] - values[u]
+            gap = q[u] - levels[u]
             if gap > 0:
                 need += gap
-        return need
-
-    def search(i: int, total: Fraction) -> None:
-        nonlocal best_value, best_values
-        counters["expanded"] += 1
-        if deadline is not None:
-            if time.monotonic() > deadline:
-                raise BudgetExceeded(
-                    ExactResult(
-                        value=best_value,
-                        assignment=Assignment.of(best_values),
-                        nodes_expanded=counters["expanded"],
-                        optimal=False,
-                    )
-                )
-        if total + residual_need(i) >= best_value:
+        if total + need >= best:
             return
         if i == len(terms):
-            best_value = total
-            best_values = {n: x for n, x in values.items() if x > 0}
+            best = total
+            best_levels = dict(levels)
             return
         u = terms[i]
         if next(active_at_levels(inst, levels, inst.edges_at[u]), None) is not None:
@@ -98,25 +94,23 @@ def exact_solve(
             return
         options = []
         for ei in inst.edges_at[u]:
-            e = inst.edges[ei]
-            inc = max(ZERO, e.tu - values[e.u]) + max(ZERO, e.tv - values[e.v])
-            options.append((inc, ei))
+            eu, ev, tu, tv = scaled[ei]
+            options.append((max(0, tu - levels[eu]) + max(0, tv - levels[ev]), ei))
         options.sort()
-        for _, ei in options:
-            e, (_, _, tu, tv) = inst.edges[ei], inst.scaled_edges[ei]
-            old_u, old_v, level_u, level_v = values[e.u], values[e.v], levels[e.u], levels[e.v]
-            values[e.u], levels[e.u] = max(old_u, e.tu), max(level_u, tu)
-            values[e.v], levels[e.v] = max(old_v, e.tv), max(level_v, tv)
-            search(i + 1, total + (values[e.u] - old_u) + (values[e.v] - old_v))
-            values[e.u], values[e.v], levels[e.u], levels[e.v] = old_u, old_v, level_u, level_v
+        for inc, ei in options:
+            eu, ev, tu, tv = scaled[ei]
+            old_u, old_v = levels[eu], levels[ev]
+            levels[eu], levels[ev] = max(old_u, tu), max(old_v, tv)
+            search(i + 1, total + inc)
+            levels[eu], levels[ev] = old_u, old_v
 
-    search(0, ZERO)
-    return ExactResult(
-        value=best_value,
-        assignment=Assignment.of(best_values),
-        nodes_expanded=counters["expanded"],
-        optimal=True,
-    )
+    try:
+        search(0, 0)
+    except RecursionError:
+        raise LimitExceeded(
+            f"{len(terms)} terminals exceed the search depth the recursion limit allows"
+        ) from None
+    return result(optimal=True)
 
 
 @dataclass(frozen=True)

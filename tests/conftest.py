@@ -18,6 +18,7 @@ from aecover.core import (
     ZERO,
     covered_terminals,
 )
+from aecover.errors import LimitExceeded
 
 
 def enum_min_density_star(inst, costs, totals, covered):
@@ -66,6 +67,72 @@ def enum_min_density_star(inst, costs, totals, covered):
             if best is None or density < best:
                 best = density
     return best
+
+
+def state_totals(inst, state):
+    """Every node's total in a general greedy state, as exact values."""
+    values = inst.assignment(state.levels)
+    return {n: values.get(n) for n in inst.nodes}
+
+
+def reference_exact_solve(inst, *, max_terminals=10, max_nodes=64):
+    """The former ``exact_solve``, kept as the reference: the same branch and
+    bound on exact ``Fraction`` values, with its own cheapest-edge incumbent.
+    Returns ``(value, assignment values, nodes_expanded)``; it has no time
+    budget."""
+    if len(inst.terminals) > max_terminals or len(inst.nodes) > max_nodes:
+        raise LimitExceeded("reference limits")
+    costs = inst.costs
+    best_values = dict(costs.q)
+    for u in inst.terminal_list:
+        e = inst.edges[costs.cheapest[u]]
+        best_values[e.u] = max(best_values.get(e.u, ZERO), e.tu)
+        best_values[e.v] = max(best_values.get(e.v, ZERO), e.tv)
+    best_values = {n: x for n, x in best_values.items() if x}
+    best_value = sum(best_values.values(), ZERO)
+
+    terms = sorted(inst.terminal_list, key=lambda u: (len(inst.edges_at[u]), inst.index[u]))
+    values = {n: ZERO for n in inst.nodes}
+    expanded = 0
+
+    def residual_need(i):
+        need = ZERO
+        for u in terms[i:]:
+            gap = costs.q[u] - values[u]
+            if gap > 0:
+                need += gap
+        return need
+
+    def search(i, total):
+        nonlocal best_value, best_values, expanded
+        expanded += 1
+        if total + residual_need(i) >= best_value:
+            return
+        if i == len(terms):
+            best_value = total
+            best_values = {n: x for n, x in values.items() if x > 0}
+            return
+        u = terms[i]
+        if any(values[inst.edges[ei].u] >= inst.edges[ei].tu
+               and values[inst.edges[ei].v] >= inst.edges[ei].tv
+               for ei in inst.edges_at[u]):
+            search(i + 1, total)
+            return
+        options = []
+        for ei in inst.edges_at[u]:
+            e = inst.edges[ei]
+            inc = max(ZERO, e.tu - values[e.u]) + max(ZERO, e.tv - values[e.v])
+            options.append((inc, ei))
+        options.sort()
+        for _, ei in options:
+            e = inst.edges[ei]
+            old_u, old_v = values[e.u], values[e.v]
+            values[e.u], values[e.v] = max(old_u, e.tu), max(old_v, e.tv)
+            search(i + 1, total + (values[e.u] - old_u) + (values[e.v] - old_v))
+            values[e.u], values[e.v] = old_u, old_v
+
+    search(0, ZERO)
+    return best_value, best_values, expanded
 
 
 def brute_force_node_levels(inst) -> Fraction:

@@ -44,7 +44,7 @@ from aecover.unit import (
     solve_unit_a1,
     solve_unit_a2,
 )
-from conftest import enum_min_density_star, enum_setcover_optimum, random_set_system
+from conftest import enum_min_density_star, enum_setcover_optimum, random_set_system, state_totals
 
 GENERAL_FAMILIES = (
     "minpower",
@@ -242,7 +242,7 @@ def test_criterion_7_suboracle_equivalences():
         costs = derive_costs(inst)
         state = initial_state(inst)
         star = min_density_star(inst, state)
-        brute = enum_min_density_star(inst, costs, state.totals, state.covered)
+        brute = enum_min_density_star(inst, costs, state_totals(inst, state), state.covered)
         if star is None:
             assert brute is None, seed
         else:

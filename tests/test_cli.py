@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from aecover.bounds import g_value
-from aecover.cli import main, pick_algorithm
+from aecover.cli import main, pick_algorithm, run_algorithm
+from aecover.errors import DomainError
 from aecover.fileio import format_float, load_instance, save_instance
 from aecover.generators import generate, random_uniform, tight73
 from aecover.core import Instance
@@ -195,6 +196,26 @@ def test_exact_limits_and_force(tmp_path, capsys):
     code, out, _ = run(capsys, "exact", str(path), "--force")
     assert code == 0
     assert json.loads(out)["value"] == "60"
+
+
+def test_exact_too_deep_for_the_recursion_limit_is_a_typed_error(tmp_path, capsys):
+    # Each terminal can be covered through the shared hub h or its own g_i;
+    # the search descends one level per terminal, past the recursion limit.
+    terms = [f"t{i}" for i in range(1000)]
+    edges = [e for i, t in enumerate(terms) for e in ((t, "h", 0, 1), (t, f"g{i}", 0, "1/2"))]
+    inst = Instance.from_data(["h", *terms, *(f"g{i}" for i in range(1000))], terms, edges)
+    path = tmp_path / "deep.json"
+    save_instance(inst, path)
+    code, out, err = run(capsys, "exact", str(path), "--force")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "recursion limit" in err
+    assert "Traceback" not in err
+
+
+def test_unknown_subsolver_is_a_domain_error():
+    with pytest.raises(DomainError, match="bogus"):
+        run_algorithm(generate("unit", 0), "unit-a2", subsolver="bogus")
 
 
 def test_infeasible_exit_code(tmp_path, capsys):

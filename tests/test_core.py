@@ -503,7 +503,7 @@ class TestActivation:
         for seed in range(30):
             inst = random_general(8, 14, 3, seed)
             costs = derive_costs(inst)
-            cover = complete(inst, costs.q, ())
+            cover = complete(inst, (), levels=inst.levels(costs.q))
             assert covers(inst, cover)[0]
             assert cover.total() <= costs.Q + costs.C
 

@@ -24,7 +24,7 @@ from aecover.generators import (
 )
 from aecover.gmc import Augmentation
 from aecover.oracle import exact_solve
-from conftest import enum_min_density_star
+from conftest import enum_min_density_star, state_totals
 
 
 def seeded_mix(count):
@@ -70,7 +70,7 @@ class TestMinDensityStar:
             costs = derive_costs(inst)
             state = initial_state(inst)
             star = min_density_star(inst, state)
-            brute = enum_min_density_star(inst, costs, state.totals, state.covered)
+            brute = enum_min_density_star(inst, costs, state_totals(inst, state), state.covered)
             if star is None:
                 assert brute is None
             else:
@@ -83,7 +83,7 @@ class TestMinDensityStar:
             state = problem.initial_state()
             for _ in range(20):
                 star = min_density_star(inst, state)
-                brute = enum_min_density_star(inst, costs, state.totals, state.covered)
+                brute = enum_min_density_star(inst, costs, state_totals(inst, state), state.covered)
                 if star is None:
                     assert brute is None
                     break
@@ -104,15 +104,16 @@ class TestMinDensityStar:
                 continue
             v, w = star.root, star.root_increment
             chosen = {u for u, _ in star.leaves}
+            totals = state_totals(inst, state)
             # Recompute the reachable set and minimal increments for (v, w).
             reachable = {}
             for ei in inst.edges_at[v]:
                 e = inst.edges[ei]
-                if e.threshold_at(v) > state.totals[v] + w:
+                if e.threshold_at(v) > totals[v] + w:
                     continue
                 u = e.other(v)
                 if u in inst.terminals and u not in state.covered and costs.c[u] > 0:
-                    need = max(ZERO, e.threshold_at(u) - state.totals[u])
+                    need = max(ZERO, e.threshold_at(u) - totals[u])
                     if u not in reachable or need < reachable[u]:
                         reachable[u] = need
             sigma = star.density
@@ -206,7 +207,7 @@ class TestSolveGeneral:
             assert float(ratio) <= 1 + math.log(costs.delta + 1) + 1e-12
 
     def test_incomplete_completion_raises_typed_error(self, tiny_instance, monkeypatch):
-        monkeypatch.setattr(general, "complete", lambda *args: Assignment({}))
+        monkeypatch.setattr(general, "complete", lambda *args, **kwargs: Assignment({}))
         with pytest.raises(IncompleteCover) as err:
             solve_general(tiny_instance)
         assert err.value.uncovered == ("u",)
@@ -226,13 +227,13 @@ class TestComplete:
         costs = derive_costs(inst)
         state = initial_state(inst)
         assert state.covered == frozenset({"t"})
-        done = complete(inst, state.totals, state.covered)
+        done = complete(inst, state.covered, levels=state.levels)
         assert done.total() == costs.Q
 
     def test_empty_extra_gives_cheapest_cover(self, tiny_instance):
         costs = derive_costs(tiny_instance)
         state = initial_state(tiny_instance)
-        done = complete(tiny_instance, state.totals, state.covered)
+        done = complete(tiny_instance, state.covered, levels=state.levels)
         assert covers(tiny_instance, done)[0]
         assert done.total() <= costs.Q + costs.C
 
@@ -247,7 +248,7 @@ class TestComplete:
                     state, Augmentation(star, star.payment(), state.nu - star.gain)
                 )
                 paid = star.payment()
-            done = complete(inst, state.totals, state.covered)
+            done = complete(inst, state.covered, levels=state.levels)
             assert covers(inst, done)[0]
             assert done.total() <= paid + state.nu
 
@@ -256,7 +257,7 @@ class TestGreedyCertificates:
     def test_value_at_most_payment_plus_potential(self):
         for inst in seeded_mix(40):
             state, trace = run_general_greedy(inst)
-            done = complete(inst, state.totals, state.covered)
+            done = complete(inst, state.covered, levels=state.levels)
             tau = trace.total_payment()
             assert done.total() <= tau + state.nu
 

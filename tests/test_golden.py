@@ -24,7 +24,8 @@ import pytest
 
 from aecover.cli import main
 from aecover.fileio import save_instance
-from aecover.generators import FAMILIES, from_facility_location
+from aecover.generators import FAMILIES, from_facility_location, random_general
+from aecover.oracle import exact_solve
 
 # family -> (sha256 of `aecover bench --family F --seeds 0..19`,
 #            sha256 of `aecover gen --family F --seed 0`)
@@ -254,3 +255,14 @@ def test_facility_solve_matches_golden_bytes(pairs, tmp_path):
     save_instance(facility_instance(pairs, seed=pairs), inst)
     assert main(["solve", str(inst), "--out", str(out)]) == 0
     assert sha256_of(out) == GOLDEN_FACILITY[pairs]
+
+
+# r -> (value, nodes_expanded) of the exact oracle on the ladder instance
+# random_general(32, 96, 6, seed=2, r), recorded with the Fraction search.
+GOLDEN_ORACLE_LADDER = {10: (27, 1858), 14: (37, 10313), 18: (44, 14544), 22: (48, 48755)}
+
+
+@pytest.mark.parametrize("r", sorted(GOLDEN_ORACLE_LADDER))
+def test_oracle_ladder_matches_golden_search(r):
+    result = exact_solve(random_general(32, 96, 6, seed=2, r=r), max_terminals=r)
+    assert (result.value, result.nodes_expanded) == GOLDEN_ORACLE_LADDER[r]

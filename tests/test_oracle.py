@@ -12,9 +12,16 @@ import aecover.oracle
 from aecover.core import Assignment, Instance, covers, derive_costs
 from aecover.errors import BudgetExceeded, LimitExceeded, StarDecompositionViolated
 from aecover.fileio import dumps_instance
-from aecover.generators import random_general, random_minpower, random_unit, tight73
+from aecover.generators import (
+    FAMILIES,
+    generate,
+    random_general,
+    random_minpower,
+    random_unit,
+    tight73,
+)
 from aecover.oracle import exact_solve, exact_star_decomposition
-from conftest import brute_force_node_levels
+from conftest import brute_force_node_levels, reference_exact_solve
 
 
 def test_single_edge(tiny_instance):
@@ -81,6 +88,28 @@ def test_limits():
         exact_solve(inst, max_terminals=3)
     with pytest.raises(LimitExceeded):
         exact_solve(inst, max_nodes=5)
+
+
+# Oracle limits per family, as in ``aecover bench``.
+FAMILY_LIMITS = {"tight73": {"max_terminals": 48, "max_nodes": 80}}
+
+
+def assert_matches_reference(inst, **limits):
+    result = exact_solve(inst, **limits)
+    got = (result.value, dict(result.assignment.values), result.nodes_expanded)
+    assert got == reference_exact_solve(inst, **limits)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_matches_fraction_reference_on_families(family):
+    # Same value, assignment and search order as the Fraction search.
+    for seed in range(50):
+        assert_matches_reference(generate(family, seed), **FAMILY_LIMITS.get(family, {}))
+
+
+@pytest.mark.parametrize("r", [10, 14])
+def test_matches_fraction_reference_on_the_ladder(r):
+    assert_matches_reference(random_general(32, 96, 6, seed=2, r=r), max_terminals=r)
 
 
 def test_budget_exceeded_carries_incumbent():
