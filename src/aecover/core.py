@@ -429,17 +429,20 @@ class ActivationSpec:
     edges: tuple[SpecEdge, ...]
 
 
-def _check_monotone(rule: TableActivation, lu: tuple[Fraction, ...], lv: tuple[Fraction, ...]) -> None:
-    for i, a in enumerate(lu):
-        for j, b in enumerate(lv):
-            if not rule.activates(a, b):
-                continue
-            for a2 in lu[i:]:
-                for b2 in lv[j:]:
-                    if not rule.activates(a2, b2):
-                        raise InvalidInstance(
-                            f"activation table not monotone at ({a},{b}) vs ({a2},{b2})"
-                        )
+def _monotone_grid(
+    rule: ActivationRule, lu: tuple[Fraction, ...], lv: tuple[Fraction, ...]
+) -> list[list[bool]]:
+    """``rule`` on the sorted level grids, checked to be monotone: act(i, j)
+    must imply act(i+1, j) and act(i, j+1), and so every pair above (i, j)."""
+    act = [[rule.activates(a, b) for b in lv] for a in lu]
+    for i, row in enumerate(act):
+        for j, on in enumerate(row):
+            for i2, j2 in ((i + 1, j), (i, j + 1)):
+                if on and i2 < len(lu) and j2 < len(lv) and not act[i2][j2]:
+                    raise InvalidInstance(
+                        f"activation rule not monotone at ({lu[i]},{lv[j]}) vs ({lu[i2]},{lv[j2]})"
+                    )
+    return act
 
 
 def levels_reduction(spec: ActivationSpec, terminals: Iterable[str]) -> Instance:
@@ -459,9 +462,8 @@ def levels_reduction(spec: ActivationSpec, terminals: Iterable[str]) -> Instance
                 raise EmptyLevels(node)
         lu = tuple(sorted(spec.levels[se.u]))
         lv = tuple(sorted(spec.levels[se.v]))
-        if isinstance(se.rule, TableActivation):
-            _check_monotone(se.rule, lu, lv)
-        active = [(a, b) for a in lu for b in lv if se.rule.activates(a, b)]
+        act = _monotone_grid(se.rule, lu, lv)
+        active = [(a, b) for a, row in zip(lu, act) for b, on in zip(lv, row) if on]
         minimal = [
             (a, b)
             for (a, b) in active

@@ -19,6 +19,7 @@ from .core import (
     Rational,
     SpecEdge,
     as_fraction,
+    levels_reduction,
 )
 from .errors import DomainError, GenerationFailed
 
@@ -93,8 +94,6 @@ def from_installation(
         levels={n: tuple(as_fraction(x) for x in lv) for n, lv in levels.items()},
         edges=tuple(spec_edges),
     )
-    from .core import levels_reduction
-
     return levels_reduction(spec, terminals)
 
 

@@ -10,10 +10,9 @@ ratios possible than for plain set cover.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping
-
-import networkx as nx
+from typing import Callable, Iterator, Mapping
 
 from .bounds import A1_RATIO, RHO
 from .core import Assignment, Instance
@@ -80,11 +79,9 @@ def reduce_unit(inst: Instance) -> UnitResidual:
     return UnitResidual(inst=inst, system=SetCoverInstance(elements=elements, sets=sets))
 
 
-def _restrict(sc: SetCoverInstance, remaining: set[str], removed_sets: set[str]) -> SetCoverInstance:
+def _restrict(sc: SetCoverInstance, remaining: set[str]) -> SetCoverInstance:
     sets = {}
     for v, s in sc.sets.items():
-        if v in removed_sets:
-            continue
         live = s & remaining
         if live:
             sets[v] = frozenset(live)
@@ -97,40 +94,121 @@ def _restrict(sc: SetCoverInstance, remaining: set[str], removed_sets: set[str])
 # k-set-cover subsolvers
 
 
+def maximum_matching(adj: list[list[int]]) -> list[int]:
+    """A maximum-cardinality matching of the graph ``adj`` (vertex ->
+    neighbours), as ``mate[v]``, -1 where v is free; Edmonds' blossom
+    algorithm ("Paths, trees, and flowers", 1965), O(V^3).
+
+    Vertices are taken from last to first, and neighbours in ``adj`` order.
+    First each free vertex is matched to its first free neighbour; then a
+    breadth-first alternating search from each vertex still free, which
+    contracts every odd cycle it closes into its base, augments along the
+    first path it finds.  A search that finds none leaves a Hungarian tree:
+    no augmenting path, now or after later augmentations, needs its
+    vertices, so they are dropped, and one pass is maximum.  The order
+    decides which maximum matching, and so which minimum cover, is reported.
+    """
+    n = len(adj)
+    mate = [-1] * n
+    for v in reversed(range(n)):
+        if mate[v] < 0:
+            for w in adj[v]:
+                if mate[w] < 0:
+                    mate[v], mate[w] = w, v
+                    break
+    base = list(range(n))
+    parent = [-1] * n  # odd vertex -> the even vertex that reached it
+    even = [False] * n
+    dead: set[int] = set()
+
+    def blossom_base(a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while base[b] not in seen:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, b: int, child: int, inside: set[int]) -> None:
+        while base[v] != b:
+            inside.update((base[v], base[mate[v]]))
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    def augment(root: int, reached: list[int]) -> None:
+        even[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if base[v] == base[w] or mate[v] == w or w in dead:
+                    continue
+                if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
+                    # w is even too: the edge closes an odd cycle.
+                    b = blossom_base(v, w)
+                    inside: set[int] = set()
+                    mark(v, b, w, inside)
+                    mark(w, b, v, inside)
+                    for u in reached:
+                        if base[u] in inside:
+                            base[u] = b
+                            if not even[u]:
+                                even[u] = True
+                                queue.append(u)
+                elif parent[w] < 0:
+                    parent[w] = v
+                    reached.append(w)
+                    if mate[w] < 0:
+                        while w >= 0:
+                            v = parent[w]
+                            mate[v], mate[w], w = w, v, mate[v]
+                        return
+                    even[mate[w]] = True
+                    reached.append(mate[w])
+                    queue.append(mate[w])
+        dead.update(reached)
+
+    for root in reversed(range(n)):
+        if mate[root] < 0:
+            reached = [root]
+            augment(root, reached)
+            for u in reached:
+                base[u], parent[u], even[u] = u, -1, False
+    return mate
+
+
 def exact_2setcover(sc: SetCoverInstance) -> tuple[str, ...]:
     """Minimum cover when every set has at most 2 elements.
 
-    The optimal size is |elements| - |M| for a maximum matching M of the
-    element graph whose edges are the 2-element sets; matched pairs take their
-    shared set, the rest take any incident set.
+    By Gallai's identity the optimal size is |elements| - |M| for a maximum
+    matching M of the element graph whose edges are the 2-element sets;
+    matched pairs take their first set in set order, the rest the first set
+    that contains them.
     """
     if sc.max_set_size() > 2:
         raise SizeBoundViolated("exact_2setcover needs sets of size <= 2")
     sc.check_feasible()
     rank = sc.element_rank()
-    pair_owner: dict[tuple[str, str], str] = {}
+    pair_owner: dict[tuple[int, int], str] = {}
     incident: dict[str, str] = {}
-    graph = nx.Graph()
-    graph.add_nodes_from(sc.elements)
+    adj: list[list[int]] = [[] for _ in sc.elements]
     for v, s in sc.sets.items():
-        members = sorted(s, key=rank.__getitem__)
-        for x in members:
+        for x in s:
             incident.setdefault(x, v)
-        if len(members) == 2:
-            pair = (members[0], members[1])
-            if pair not in pair_owner:
-                pair_owner[pair] = v
-                graph.add_edge(*pair)
-    matching = nx.max_weight_matching(graph, maxcardinality=True)
-    chosen: set[str] = set()
-    matched: set[str] = set()
-    for a, b in matching:
-        x, y = sorted((a, b), key=rank.__getitem__)
-        chosen.add(pair_owner[(x, y)])
-        matched.update((x, y))
-    for x in sc.elements:
-        if x not in matched:
-            chosen.add(incident[x])
+        if len(s) == 2:
+            a, b = sorted(map(rank.__getitem__, s))
+            if (a, b) not in pair_owner:
+                pair_owner[a, b] = v
+                adj[a].append(b)
+                adj[b].append(a)
+    mate = maximum_matching(adj)
+    chosen = {pair_owner[a, b] for a, b in enumerate(mate) if a < b}
+    chosen.update(incident[x] for x, b in zip(sc.elements, mate) if b < 0)
     return tuple(sorted(chosen))
 
 
@@ -260,38 +338,50 @@ SUBSOLVERS = {s.name: s for s in (EXACT_SUBSOLVER, GREEDY_SUBSOLVER)}
 # Unit solvers
 
 
-def solve_unit_a1(res: UnitResidual) -> SolveReport:
-    """Remove maximum stars while one has >= 3 elements, then finish exactly
-    on the residual 2-bounded system."""
-    sc = res.system
+def _star_phases(sc: SetCoverInstance) -> Iterator[tuple[int, list[str], list[dict], set[str]]]:
+    """Peel stars for k = delta..0: at phase k every set with k+1 free
+    elements, taken in set order, becomes a root and claims them.
+
+    Yields ``(k, roots, stars, uncovered)`` after each phase: every root so
+    far, the phase's stars (root and leaves in element order) and the free
+    elements.  ``roots`` and ``uncovered`` are live state, to be read before
+    the next phase.  Phase k+1 took every set with k+2 free elements and free
+    counts only fall, so no set has more than k+1 at phase k, and taking the
+    (k+1)-sets in set order takes the largest star, first in set order, each
+    time.  A root has no free element left, so it is never taken twice.
+    """
     sc.check_feasible()
+    rank = sc.element_rank()
     uncovered = set(sc.elements)
-    removed: set[str] = set()
-    chosen: list[str] = []
-    while True:
-        best = None
-        for v in sc.sets:
-            if v in removed:
-                continue
-            size = len(sc.sets[v] & uncovered)
-            if size >= 3 and (best is None or size > best[0]):
-                best = (size, v)
-        if best is None:
+    roots: list[str] = []
+    for k in range(sc.max_set_size(), -1, -1):
+        stars: list[dict] = []
+        for v, s in sc.sets.items():
+            avail = s & uncovered
+            if len(avail) > k + 1:
+                raise PhaseInvariantViolated(f"set {v!r} has {len(avail)} free elements at k={k}")
+            if len(avail) == k + 1:
+                roots.append(v)
+                uncovered -= avail
+                stars.append({"root": v, "leaves": sorted(avail, key=rank.__getitem__)})
+        yield k, roots, stars, uncovered
+
+
+def solve_unit_a1(res: UnitResidual) -> SolveReport:
+    """Peel stars through phase k=2, the last that takes stars of 3 or more
+    elements, then finish exactly on the residual 2-bounded system."""
+    sc = res.system
+    for k, roots, _, uncovered in _star_phases(sc):
+        if k <= 2:
             break
-        _, v = best
-        chosen.append(v)
-        uncovered -= sc.sets[v]
-        removed.add(v)
-    residual = _restrict(sc, uncovered, removed)
-    tail = exact_2setcover(residual) if residual.elements else ()
-    all_chosen = (*chosen, *tail)
+    tail = exact_2setcover(_restrict(sc, uncovered))
     return solve_report(
         res.inst,
         "unit-a1",
-        Assignment.of(dict.fromkeys((*res.inst.terminal_list, *all_chosen), 1)),
+        Assignment.of(dict.fromkeys((*res.inst.terminal_list, *roots, *tail), 1)),
         claimed_bound=A1_RATIO,
         bound_label="1+67/360",
-        extras={"greedy_stars": len(chosen), "exact_phase": len(tail)},
+        extras={"greedy_stars": len(roots), "exact_phase": len(tail)},
     )
 
 
@@ -306,51 +396,21 @@ def solve_unit_a2(
     instances stay feasible and roots are disjoint from later solutions.
     """
     sc = res.system
-    if sc.elements:
-        sc.check_feasible()
-    uncovered = set(sc.elements)
-    removed: set[str] = set()
-    roots: list[str] = []
     candidates: list[tuple[int, int, int, int, tuple[str, ...]]] = []
     phases: list[dict] = []
-    rank = sc.element_rank()
-    delta = sc.max_set_size()
-    for k in range(delta, -1, -1):
-        stars: list[dict] = []
-        for v in sc.sets:
-            if v in removed:
-                continue
-            avail = sc.sets[v] & uncovered
-            if len(avail) > k + 1:
-                raise PhaseInvariantViolated(f"set {v!r} has {len(avail)} free elements at k={k}")
-            if len(avail) == k + 1:
-                roots.append(v)
-                uncovered -= avail
-                removed.add(v)
-                stars.append(
-                    {"root": v, "leaves": sorted(avail, key=rank.__getitem__)}
-                )
+    for k, roots, stars, uncovered in _star_phases(sc):
         if stars:
             phases.append({"k": k, "stars": stars})
         if k > 6:
             continue
-        if k == 0:
-            if uncovered:
-                raise PhaseInvariantViolated("1-star phase must cover everything")
-            finish: tuple[str, ...] = ()
-        else:
-            residual = _restrict(sc, uncovered, removed)
-            if residual.elements:
-                finish = subsolver.fn(residual, k)
-            else:
-                finish = ()
+        if k == 0 and uncovered:
+            raise PhaseInvariantViolated("1-star phase must cover everything")
+        finish = subsolver.fn(_restrict(sc, uncovered), k) if uncovered else ()
         if set(roots) & set(finish):
             raise PhaseInvariantViolated(f"subsolver finish at k={k} reuses a root")
         candidates.append(
-            (len(roots) + len(finish), k, len(roots), len(finish), tuple(roots) + finish)
+            (len(roots) + len(finish), k, len(roots), len(finish), (*roots, *finish))
         )
-    if not sc.elements:
-        candidates = [(0, 0, 0, 0, ())]
     # min() keeps the first (largest-k) candidate on size ties.
     size, k_winner, c_size, a_size, chosen = min(candidates, key=lambda cand: cand[0])
     return solve_report(

@@ -561,6 +561,18 @@ class TestLevelsReduction:
         with pytest.raises(InvalidInstance):
             levels_reduction(spec, [])
 
+    def test_non_monotone_installation_rule_rejected(self):
+        # -a + b >= 1 holds at (0, 1) but not at (1, 1).
+        lv = (Fraction(0), Fraction(1))
+        rule = InstallationActivation(Fraction(1), Fraction(-1), Fraction(1))
+        spec = ActivationSpec(
+            nodes=("a", "b"),
+            levels={"a": lv, "b": lv},
+            edges=(SpecEdge("a", "b", rule),),
+        )
+        with pytest.raises(InvalidInstance):
+            levels_reduction(spec, [])
+
     def _random_monotone_table(self, rng, lu, lv):
         # Random threshold surface: activate above a random staircase.
         cuts = {a: rng.randint(0, len(lv)) for a in range(len(lu))}

@@ -24,8 +24,9 @@ import pytest
 
 from aecover.cli import main
 from aecover.fileio import save_instance
-from aecover.generators import FAMILIES, from_facility_location, random_general
+from aecover.generators import FAMILIES, from_facility_location, generate, random_general, random_unit
 from aecover.oracle import exact_solve
+from aecover.unit import reduce_unit, solve_unit_a1
 
 # family -> (sha256 of `aecover bench --family F --seeds 0..19`,
 #            sha256 of `aecover gen --family F --seed 0`)
@@ -266,3 +267,36 @@ GOLDEN_ORACLE_LADDER = {10: (27, 1858), 14: (37, 10313), 18: (44, 14544), 22: (4
 def test_oracle_ladder_matches_golden_search(r):
     result = exact_solve(random_general(32, 96, 6, seed=2, r=r), max_terminals=r)
     assert (result.value, result.nodes_expanded) == GOLDEN_ORACLE_LADDER[r]
+
+
+# sha256 of the unit-a1 reports (`SolveReport.to_json()`) on `unit` seeds
+# 0..199, in order, recorded with a1's own star loop and the networkx
+# matching in `exact_2setcover`.
+GOLDEN_UNIT_A1 = "b7f3fffd2977f5b5328a2753421ab6add76af6449692a1a2b40b9d153a7e9098"
+
+
+def test_unit_a1_reports_match_golden_bytes():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        digest.update(solve_unit_a1(reduce_unit(generate("unit", seed))).to_json().encode())
+    assert digest.hexdigest() == GOLDEN_UNIT_A1
+
+
+def random_unit_case(i):
+    """The i-th seeded unit instance: 8..40 nodes, n..3n edges, a quarter to
+    a half of the nodes terminals."""
+    rng = random.Random(i)
+    n = rng.randint(8, 40)
+    return random_unit(n, rng.randint(n, 3 * n), i, r=rng.randint(n // 4, n // 2))
+
+
+# sha256 of the space-joined unit-a1 values on random_unit_case(0..599),
+# recorded as GOLDEN_UNIT_A1 was.  A value does not depend on which maximum
+# matching finishes the 2-set phase, so any correct matcher keeps it; a
+# matcher that stops after its first-free-neighbour pass moves 4 of them.
+GOLDEN_UNIT_A1_VALUES = "102272f7cfe6511fc563b55e9b8b0afa2adb4817afb2a70cdf7797ce1dc83ede"
+
+
+def test_unit_a1_values_match_golden_on_random_unit():
+    values = " ".join(str(solve_unit_a1(reduce_unit(random_unit_case(i))).value) for i in range(600))
+    assert hashlib.sha256(values.encode()).hexdigest() == GOLDEN_UNIT_A1_VALUES

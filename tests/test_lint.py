@@ -11,9 +11,12 @@
 - No module tests a value against an edge's ``.tu`` or ``.tv`` with ``>=``
   (or the threshold with ``<=``), the Fraction form of the activation test:
   ``core.active_at_levels``, on the integer view, is the one predicate.
+- Every import names a standard-library module or the package itself, so the
+  library installs and runs with no third-party package.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,11 +90,29 @@ def fraction_activation_tests(tree: ast.AST) -> list[int]:
     return sorted(set(found))
 
 
+def third_party_imports(tree: ast.AST) -> list[int]:
+    """Lines that import a module from neither the standard library nor
+    ``aecover``; relative imports are the package's own."""
+    allowed = sys.stdlib_module_names | {"aecover"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.partition(".")[0] not in allowed for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
 RULES = [
     assert_statements,
     derive_costs_calls_outside_owner,
     solve_reports_built_outside_builder,
     fraction_activation_tests,
+    third_party_imports,
 ]
 
 
@@ -218,3 +239,22 @@ def test_predicate_rule_sees_the_integer_view():
         isinstance(node, ast.Attribute) and node.attr == "scaled_edges"
         for node in ast.walk(predicate)
     )
+
+
+BROKEN_IMPORTS = '''
+from __future__ import annotations
+import json, networkx as nx
+from collections import deque
+from . import core
+from .core import Instance
+from aecover.unit import exact_bb
+from numpy.linalg import norm
+import os.path
+
+def solve():
+    import scipy
+'''
+
+
+def test_import_rule_catches_breaches():
+    assert third_party_imports(ast.parse(BROKEN_IMPORTS)) == [3, 8, 12]

@@ -30,6 +30,7 @@ from aecover.unit import (
     exact_2setcover,
     exact_bb,
     greedy_hk,
+    maximum_matching,
     reduce_unit,
     solve_unit_a1,
     solve_unit_a2,
@@ -173,15 +174,49 @@ class TestExact2SetCover:
 
     def test_matches_enumeration(self):
         rng = random.Random(2)
-        for _ in range(150):
-            sc = random_set_system(rng, rng.randint(2, 10), rng.randint(2, 8), 2)
+        for _ in range(2000):
+            sc = random_set_system(rng, rng.randint(1, 12), rng.randint(1, 10), 2)
             got = exact_2setcover(sc)
             want = enum_setcover_optimum(sc.elements, sc.sets)
-            assert len(got) == want
+            assert len(got) == want == len(exact_bb(sc, 2)), sc
             covered = set()
             for v in got:
                 covered |= sc.sets[v]
             assert covered >= set(sc.elements)
+
+    def test_large_system_in_polynomial_time(self):
+        # 3,000 elements, 9,000 random pairs and a singleton per element.
+        rng = random.Random(0)
+        elements = tuple(f"x{i:04d}" for i in range(3000))
+        sets = {f"p{j:04d}": frozenset(rng.sample(elements, 2)) for j in range(9000)}
+        sets.update((f"s{i:04d}", frozenset((x,))) for i, x in enumerate(elements))
+        sc = SetCoverInstance(elements, sets)
+        start = time.perf_counter()
+        got = exact_2setcover(sc)
+        elapsed = time.perf_counter() - start
+        assert set().union(*(sc.sets[v] for v in got)) == set(elements)
+        assert len(got) >= len(elements) / 2
+        assert elapsed < 1, elapsed
+
+
+class TestMaximumMatching:
+    # In both graphs the first-free-neighbour pass leaves vertices 0 and 1
+    # free, and the search from 1 finds its augmenting path only by
+    # contracting an odd cycle; a search that skips the contraction drops
+    # that tree and ends with 3 pairs, not 4.
+    GRAPHS = {
+        # The 5-cycle 2-6-7-4-5 with the stem 1-3-2, and 0 hanging off 6.
+        "five-cycle-with-stem": [[6], [3], [3, 6, 5], [2, 1], [5, 7], [4, 2], [7, 2, 0], [6, 4]],
+        # The triangles 0-2-3 and 1-6-7 joined by the path 3-4-5-6.
+        "two-odd-cycles": [[2, 3], [6, 7], [3, 0], [2, 0, 4], [5, 3], [4, 6], [1, 7, 5], [6, 1]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_blossom_is_contracted(self, name):
+        adj = self.GRAPHS[name]
+        assert all(v in adj[w] for v, ns in enumerate(adj) for w in ns)
+        mate = maximum_matching(adj)
+        assert all(mate[w] == v and w in adj[v] for v, w in enumerate(mate))
 
 
 class TestExactBB:
