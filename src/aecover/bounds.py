@@ -41,17 +41,18 @@ ALPHA_K: dict[int, Fraction] = {
 #: Sum of the first five quality values.
 SIGMA: Fraction = sum((ALPHA_K[k] for k in range(1, 6)), Fraction(0))
 
-#: Guarantee of the unit-threshold solver with a quality-certified subsolver.
-RHO: Fraction = (7 * ALPHA_K[6] - SIGMA) / (6 * ALPHA_K[6] - SIGMA + 1)
-
-#: Guarantee of the unit-threshold solver using only the exact 2-set-cover phase.
-A1_RATIO: Fraction = 1 + Fraction(67, 360)
-
 
 def rho_from_alphas(alphas: dict[int, Fraction]) -> Fraction:
     """Evaluate (7*a6 - sigma)/(6*a6 - sigma + 1) for a quality table."""
     sigma = sum((alphas[k] for k in range(1, 6)), Fraction(0))
     return (7 * alphas[6] - sigma) / (6 * alphas[6] - sigma + 1)
+
+
+#: Guarantee of the unit-threshold solver with a quality-certified subsolver.
+RHO: Fraction = rho_from_alphas(ALPHA_K)
+
+#: Guarantee of the unit-threshold solver using only the exact 2-set-cover phase.
+A1_RATIO: Fraction = 1 + Fraction(67, 360)
 
 
 def harmonic(k: int) -> Fraction:
@@ -223,7 +224,7 @@ TABLE1_ROWS: tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class BoundTable:
-    thetas: tuple[int, ...]
+    thetas: tuple[ThetaLike, ...]
     rows: dict[str, tuple[Optional[float], ...]]
 
 
@@ -238,10 +239,10 @@ def bound_row(theta: ThetaLike) -> dict[str, Optional[float]]:
     }
 
 
-def table1() -> BoundTable:
-    cols = [bound_row(t) for t in TABLE1_THETAS]
+def table1(thetas: tuple[ThetaLike, ...] = TABLE1_THETAS) -> BoundTable:
+    cols = [bound_row(t) for t in thetas]
     rows = {name: tuple(col[name] for col in cols) for name in TABLE1_ROWS}
-    return BoundTable(thetas=TABLE1_THETAS, rows=rows)
+    return BoundTable(thetas=thetas, rows=rows)
 
 
 def format_bound_up(x: float, decimals: int = 4) -> str:

@@ -70,19 +70,22 @@ def pick_algorithm(inst: Instance) -> tuple[str, Optional[UniformBipartiteInstan
 def run_algorithm(
     inst: Instance,
     algorithm: str,
-    tie_break: str = "lowest-id",
     priority: Optional[Sequence[str]] = None,
     subsolver: str = "exact",
 ) -> SolveReport:
+    """Run ``algorithm`` ("auto" picks one).  Only the locally uniform greedy
+    reads a facility priority list; any other run given one is refused."""
     ubi = None
     if algorithm == "auto":
         algorithm, ubi = pick_algorithm(inst)
-    if algorithm == "general":
-        return solve_general(inst)
     if algorithm == "locally-uniform":
         if ubi is None:
             ubi = validate_locally_uniform(inst)
-        return solve_locally_uniform(ubi, tie_break=tie_break, priority=priority)
+        return solve_locally_uniform(ubi, priority)
+    if priority is not None:
+        raise DomainError(f"algorithm {algorithm!r} does not use a priority list")
+    if algorithm == "general":
+        return solve_general(inst)
     if algorithm == "unit-a1":
         return solve_unit_a1(reduce_unit(inst))
     if algorithm == "unit-a2":
@@ -113,13 +116,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.input)
     priority = _read_priority(args.priority_file)
     started = time.monotonic()
-    report = run_algorithm(
-        inst,
-        args.algorithm,
-        tie_break=args.tie_break,
-        priority=priority,
-        subsolver=args.subsolver,
-    )
+    report = run_algorithm(inst, args.algorithm, priority, args.subsolver)
     elapsed = time.monotonic() - started
     exit_code = 0
     if args.exact_check:
@@ -147,7 +144,10 @@ def cmd_exact(args: argparse.Namespace) -> int:
     }
     if args.force:
         limits = {"max_terminals": 10**9, "max_nodes": 10**9}
-    result = exact_solve(inst, time_budget=args.time_budget, **limits)
+    try:
+        result = exact_solve(inst, time_budget=args.time_budget, **limits)
+    except BudgetExceeded as exc:
+        result = exc.best  # the incumbent, with optimal False
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "exact_result",
@@ -227,15 +227,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if not args.theta:
         raise DomainError("pass --table1 or --theta")
     try:
-        thetas = [Fraction(tok) for tok in args.theta.split(",")]
+        thetas = tuple(Fraction(tok) for tok in args.theta.split(","))
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"--theta takes comma-separated rationals, not {args.theta!r}") from None
-    rows = {
-        name: tuple(bounds_mod.bound_row(t)[name] for t in thetas)
-        for name in bounds_mod.TABLE1_ROWS
-    }
-    table = bounds_mod.BoundTable(thetas=tuple(thetas), rows=rows)
-    print(bounds_mod.render_table(table))
+    print(bounds_mod.render_table(bounds_mod.table1(thetas)))
     return 0
 
 
@@ -249,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run an approximation solver on an instance file")
     p.add_argument("input")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
-    p.add_argument("--tie-break", choices=("lowest-id", "adversarial-order"), default="lowest-id")
-    p.add_argument("--priority-file", help="facility order for adversarial tie-breaking")
+    p.add_argument("--priority-file", help="facility order that breaks locally-uniform price ties")
     p.add_argument("--subsolver", choices=sorted(SUBSOLVERS), default="exact")
     p.add_argument("--exact-check", action="store_true", help="attach the exact optimum")
     p.add_argument("--max-terminals", type=int, default=DEFAULT_MAX_TERMINALS)

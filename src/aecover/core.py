@@ -429,20 +429,28 @@ class ActivationSpec:
     edges: tuple[SpecEdge, ...]
 
 
-def _monotone_grid(
+def _minimal_pairs(
     rule: ActivationRule, lu: tuple[Fraction, ...], lv: tuple[Fraction, ...]
-) -> list[list[bool]]:
-    """``rule`` on the sorted level grids, checked to be monotone: act(i, j)
-    must imply act(i+1, j) and act(i, j+1), and so every pair above (i, j)."""
+) -> list[tuple[Fraction, Fraction]]:
+    """The Pareto-minimal activating pairs of ``rule`` on the sorted level
+    grids, in row order.  The rule is checked to be monotone: act(i, j) must
+    imply act(i+1, j) and act(i, j+1), and so every pair above (i, j).  So an
+    active pair is minimal exactly when neither lower neighbour is active, and
+    of a repeated level only the first copy can be minimal."""
     act = [[rule.activates(a, b) for b in lv] for a in lu]
+    minimal = []
     for i, row in enumerate(act):
         for j, on in enumerate(row):
+            if not on:
+                continue
             for i2, j2 in ((i + 1, j), (i, j + 1)):
-                if on and i2 < len(lu) and j2 < len(lv) and not act[i2][j2]:
+                if i2 < len(lu) and j2 < len(lv) and not act[i2][j2]:
                     raise InvalidInstance(
                         f"activation rule not monotone at ({lu[i]},{lv[j]}) vs ({lu[i2]},{lv[j2]})"
                     )
-    return act
+            if not (i and act[i - 1][j]) and not (j and row[j - 1]):
+                minimal.append((lu[i], lv[j]))
+    return minimal
 
 
 def levels_reduction(spec: ActivationSpec, terminals: Iterable[str]) -> Instance:
@@ -462,14 +470,7 @@ def levels_reduction(spec: ActivationSpec, terminals: Iterable[str]) -> Instance
                 raise EmptyLevels(node)
         lu = tuple(sorted(spec.levels[se.u]))
         lv = tuple(sorted(spec.levels[se.v]))
-        act = _monotone_grid(se.rule, lu, lv)
-        active = [(a, b) for a, row in zip(lu, act) for b, on in zip(lv, row) if on]
-        minimal = [
-            (a, b)
-            for (a, b) in active
-            if not any((a2, b2) != (a, b) and a2 <= a and b2 <= b for (a2, b2) in active)
-        ]
-        for a, b in minimal:
+        for a, b in _minimal_pairs(se.rule, lu, lv):
             edges.append((se.u, se.v, a, b))
     return Instance.from_data(spec.nodes, terminals, edges)
 

@@ -4,8 +4,8 @@ Every facility carries one weight (its own side of each incident edge) and one
 service threshold (the client side).  The greedy repeatedly opens the facility
 with the cheapest average price per newly covered client, taking all of its
 uncovered neighbors; with uniform per-client prices a partial star is never
-better.  Tie-breaking is a run parameter; the adversarial mode exists to
-reproduce the worst-case example bundled with the generators.
+better.  Ties follow an optional facility priority list; the generators
+bundle the list that reproduces the paper's worst-case example.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .bounds import omega_bar
 from .core import Assignment, Instance, ZERO
-from .errors import DomainError, Infeasible, NonUniformFacility, NotBipartite
+from .errors import Infeasible, NonUniformFacility, NotBipartite
 from .fileio import format_slope
 from .report import SolveReport, solve_report
 
@@ -102,14 +102,13 @@ def uniform_bound(ubi: UniformBipartiteInstance) -> tuple[str, Union[Fraction, f
 
 
 def solve_locally_uniform(
-    ubi: UniformBipartiteInstance,
-    tie_break: str = "lowest-id",
-    priority: Optional[Sequence[str]] = None,
+    ubi: UniformBipartiteInstance, priority: Optional[Sequence[str]] = None
 ) -> SolveReport:
     """Greedy by average price w/k + t over facilities with uncovered clients.
 
-    ``tie_break`` picks among equal prices: "lowest-id" by node order,
-    "adversarial-order" by an explicit facility priority list.
+    Among equal prices the facility earliest in ``priority`` wins; facilities
+    not in it come after those that are, and any remaining tie goes to the
+    lowest node index.  Without a list that is plain node order.
 
     Each facility keeps its count k of uncovered clients, lowered through a
     client-to-facility index as clients are served.  With w and t times
@@ -118,19 +117,13 @@ def solve_locally_uniform(
     strict minimum wins.  Only the winner's price becomes a ``Fraction``.
     """
     inst = ubi.inst
-    if tie_break == "adversarial-order":
-        if priority is None:
-            raise DomainError("adversarial-order tie-breaking needs a priority list")
-        rank = {v: i for i, v in enumerate(priority)}
-        offset = len(rank)
-        tie_key = {v: (rank.get(v, offset), inst.index[v]) for v in ubi.facilities}
-    elif tie_break == "lowest-id":
-        tie_key = {v: (0, inst.index[v]) for v in ubi.facilities}
-    else:
-        raise DomainError(f"unknown tie break {tie_break!r}")
-
+    rank = {v: i for i, v in enumerate(priority or ())}
+    offset = len(rank)
     L = inst.scale
-    order = [v for v in sorted(ubi.facilities, key=tie_key.__getitem__) if ubi.adjacency[v]]
+    order = sorted(
+        (v for v in ubi.facilities if ubi.adjacency[v]),
+        key=lambda v: (rank.get(v, offset), inst.index[v]),
+    )
     w = {v: inst.scaled(ubi.weight[v]) for v in order}
     t = {v: inst.scaled(ubi.service[v]) for v in order}
     count = {v: len(ubi.adjacency[v]) for v in order}
@@ -180,6 +173,9 @@ def solve_locally_uniform(
         claimed_bound=bound,
         bound_label=label,
         trace={"steps": steps},
-        extras={"tie_break": tie_break, "instance_slope": format_slope(inst.costs.theta)},
+        extras={
+            "tie_break": "lowest-id" if priority is None else "adversarial-order",
+            "instance_slope": format_slope(inst.costs.theta),
+        },
         theta=ubi.theta,
     )

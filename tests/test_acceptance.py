@@ -142,7 +142,7 @@ def test_criterion_3_tight_example():
     opt = exact_solve(inst, max_terminals=48, max_nodes=80).value
     assert opt == 60
     ubi = validate_locally_uniform(inst)
-    worst = solve_locally_uniform(ubi, tie_break="adversarial-order", priority=priority)
+    worst = solve_locally_uniform(ubi, priority)
     assert worst.value == 73
     assert Fraction(worst.value) / opt == Fraction(73, 60)
     elapsed = time.monotonic() - started

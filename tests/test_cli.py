@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from aecover.cli import main, pick_algorithm, run_algorithm
 from aecover.errors import DomainError
 from aecover.fileio import format_float, load_instance, save_instance
 from aecover.generators import generate, random_uniform, tight73
-from aecover.core import Instance
+from aecover.core import Assignment, Instance, covers
 
 
 def run(capsys, *argv):
@@ -53,19 +54,24 @@ def test_malformed_numeric_argument_exit_code(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("solve", "{inst}", "--algorithm", "locally-uniform", "--tie-break", "adversarial-order"),
+        ("solve", "{inst}", "--algorithm", "general", "--priority-file", "{dir}/priority"),
         ("solve", "{dir}/missing.json"),
         ("solve", "{inst}", "--priority-file", "{dir}/nope"),
         ("gen", "--family", "unit", "--out", "{dir}/no/such/dir/x.json"),
         ("solve", "{dir}/binary"),
         ("exact", "{dir}/binary"),
         ("solve", "{inst}", "--priority-file", "{dir}/binary"),
+        # tight73 has unit thresholds, so auto picks unit-a2, which reads no list.
+        ("solve", "{inst}", "--priority-file", "{dir}/priority"),
+        ("solve", "{inst}", "--algorithm", "unit-a1", "--priority-file", "{dir}/priority"),
+        ("solve", "{inst}", "--algorithm", "unit-a2", "--priority-file", "{dir}/priority"),
     ],
 )
 def test_unusable_input_exit_code(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     save_instance(tight73()[0], inst)
     (tmp_path / "binary").write_bytes(b"\xff\xfe")
+    (tmp_path / "priority").write_text("\n".join(tight73()[1]) + "\n")
     code, out, err = run(capsys, *(a.format(inst=inst, dir=tmp_path) for a in argv))
     assert code == 1
     assert out == ""
@@ -177,15 +183,23 @@ def test_tight73_gen_and_adversarial_solve(tmp_path, capsys):
         str(path),
         "--algorithm",
         "locally-uniform",
-        "--tie-break",
-        "adversarial-order",
         "--priority-file",
         str(priority),
     )
     assert code == 0
-    assert json.loads(out)["value"] == "73"
+    doc = json.loads(out)
+    assert doc["value"] == "73" and doc["extras"]["tie_break"] == "adversarial-order"
     code, out, _ = run(capsys, "solve", str(path), "--algorithm", "locally-uniform")
-    assert json.loads(out)["value"] == "60"
+    doc = json.loads(out)
+    assert doc["value"] == "60" and doc["extras"]["tie_break"] == "lowest-id"
+
+
+def test_solve_has_no_tie_break_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--priority-file" in out and "--tie-break" not in out
 
 
 def test_exact_limits_and_force(tmp_path, capsys):
@@ -196,6 +210,19 @@ def test_exact_limits_and_force(tmp_path, capsys):
     code, out, _ = run(capsys, "exact", str(path), "--force")
     assert code == 0
     assert json.loads(out)["value"] == "60"
+
+
+def test_exact_over_its_time_budget_writes_the_incumbent(tmp_path, capsys):
+    path = tmp_path / "tight.json"
+    run(capsys, "gen", "--family", "tight73", "--out", str(path))
+    code, out, _ = run(capsys, "exact", str(path), "--force", "--time-budget", "-1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["optimal"] is False
+    assert Fraction(doc["value"]) >= 60
+    assignment = Assignment.of({n: Fraction(x) for n, x in doc["assignment"].items()})
+    assert assignment.total() == Fraction(doc["value"])
+    assert covers(load_instance(path), assignment)[0]
 
 
 def test_exact_too_deep_for_the_recursion_limit_is_a_typed_error(tmp_path, capsys):

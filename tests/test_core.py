@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,26 @@ def quadratic_prune(sorted_edges):
         if not dominated:
             kept.append(e)
     return kept
+
+
+def quadratic_minimal_pairs(rule, lu, lv):
+    """The former levels filter, kept as the reference: check the grid
+    monotone, then keep each active pair that no other active pair is below
+    or equal to on both levels.  Copies of a repeated level all stay."""
+    act = [[rule.activates(a, b) for b in lv] for a in lu]
+    for i, row in enumerate(act):
+        for j, on in enumerate(row):
+            for i2, j2 in ((i + 1, j), (i, j + 1)):
+                if on and i2 < len(lu) and j2 < len(lv) and not act[i2][j2]:
+                    raise InvalidInstance(
+                        f"activation rule not monotone at ({lu[i]},{lv[j]}) vs ({lu[i2]},{lv[j2]})"
+                    )
+    active = [(a, b) for a, row in zip(lu, act) for b, on in zip(lv, row) if on]
+    return [
+        (a, b)
+        for a, b in active
+        if not any((a2, b2) != (a, b) and a2 <= a and b2 <= b for a2, b2 in active)
+    ]
 
 
 def fraction_derive_costs(inst):
@@ -572,6 +593,60 @@ class TestLevelsReduction:
         )
         with pytest.raises(InvalidInstance):
             levels_reduction(spec, [])
+
+    def test_matches_the_quadratic_filter_on_random_specs(self):
+        rng = random.Random(11)
+        choices = [Fraction(x) for x in (0, 1, 2, 3)] + [Fraction(1, 2)]
+        rejected = 0
+        for _ in range(600):
+            nodes = tuple(f"n{i}" for i in range(rng.randint(2, 4)))
+            # Drawn with replacement, so levels repeat.
+            levels = {x: tuple(rng.choices(choices, k=rng.randint(1, 4))) for x in nodes}
+            edges = []
+            for u, v in itertools.combinations(nodes, 2):
+                lu, lv = sorted(levels[u]), sorted(levels[v])
+                kind = rng.randrange(3)
+                if kind == 0:
+                    rule = self._random_monotone_table(rng, lu, lv)
+                elif kind == 1:
+                    rule = TableActivation({(a, b): rng.random() < 0.5 for a in lu for b in lv})
+                else:
+                    rule = InstallationActivation(
+                        rng.choice(choices), rng.randint(-1, 2), rng.randint(-1, 2)
+                    )
+                edges.append(SpecEdge(u, v, rule))
+            spec = ActivationSpec(nodes=nodes, levels=levels, edges=tuple(edges))
+            terminals = rng.sample(nodes, rng.randint(0, len(nodes)))
+            try:
+                want = []
+                for se in spec.edges:
+                    lu, lv = sorted(levels[se.u]), sorted(levels[se.v])
+                    pairs = quadratic_minimal_pairs(se.rule, lu, lv)
+                    # Of equal copies only the first is kept.
+                    assert core._minimal_pairs(se.rule, lu, lv) == list(dict.fromkeys(pairs))
+                    want += [(se.u, se.v, a, b) for a, b in pairs]
+            except InvalidInstance as exc:
+                rejected += 1
+                with pytest.raises(InvalidInstance) as got:
+                    levels_reduction(spec, terminals)
+                assert str(got.value) == str(exc)
+                continue
+            got = levels_reduction(spec, terminals)
+            assert got.edges == Instance.from_data(nodes, terminals, want).edges
+        assert rejected > 50
+
+    def test_long_level_lists_reduce_fast(self):
+        # One installation edge needs level sum L-1: L minimal pairs of L*L.
+        L = 80
+        levels = tuple(Fraction(x) for x in range(L))
+        rule = InstallationActivation(Fraction(L - 1), Fraction(1), Fraction(1))
+        spec = ActivationSpec(
+            nodes=("u", "v"), levels={"u": levels, "v": levels}, edges=(SpecEdge("u", "v", rule),)
+        )
+        start = time.perf_counter()
+        inst = levels_reduction(spec, ["u"])
+        assert time.perf_counter() - start < 0.5
+        assert len(inst.edges) == L
 
     def _random_monotone_table(self, rng, lu, lv):
         # Random threshold surface: activate above a random staircase.

@@ -107,7 +107,7 @@ SOLVE_RUNS = {
     "tight73": (
         ["auto"],
         ["locally-uniform"],
-        ["locally-uniform", "--tie-break", "adversarial-order", "--priority-file", "{priority}"],
+        ["locally-uniform", "--priority-file", "{priority}"],
     ),
 }
 
@@ -163,19 +163,23 @@ def test_every_family_has_solve_and_exact_pins():
     assert set(SOLVE_RUNS) == set(GOLDEN_SOLVE_EXACT) == set(FAMILIES)
 
 
+def stdout_of(capsys, argv):
+    """What ``main(argv)`` writes to stdout, as bytes; it must exit 0."""
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
 @pytest.mark.parametrize("family", sorted(GOLDEN_SOLVE_EXACT))
-def test_solve_and_exact_output_match_golden_bytes(family, tmp_path):
-    inst, out = str(tmp_path / "inst.json"), tmp_path / "out.json"
+def test_solve_and_exact_output_match_golden_bytes(family, tmp_path, capsys):
+    inst = str(tmp_path / "inst.json")
     solved, exact = hashlib.sha256(), hashlib.sha256()
     for seed in SEEDS:
         assert main(["gen", "--family", family, "--seed", str(seed), "--out", inst]) == 0
         for run in SOLVE_RUNS[family]:
             algorithm, *extra = (arg.format(priority=inst + ".priority") for arg in run)
-            argv = ["solve", inst, "--algorithm", algorithm, *extra, "--out", str(out)]
-            assert main(argv) == 0
-            solved.update(out.read_bytes())
-        assert main(["exact", inst, *EXACT_ARGS.get(family, []), "--out", str(out)]) == 0
-        exact.update(out.read_bytes())
+            solved.update(stdout_of(capsys, ["solve", inst, "--algorithm", algorithm, *extra]))
+        exact.update(stdout_of(capsys, ["exact", inst, *EXACT_ARGS.get(family, [])]))
     assert (solved.hexdigest(), exact.hexdigest()) == GOLDEN_SOLVE_EXACT[family]
 
 
@@ -204,17 +208,16 @@ def test_every_family_has_an_exact_check_pin():
 
 
 @pytest.mark.parametrize("family", sorted(GOLDEN_EXACT_CHECK))
-def test_exact_check_output_matches_golden_bytes(family, tmp_path):
-    inst, out = str(tmp_path / "inst.json"), tmp_path / "out.json"
+def test_exact_check_output_matches_golden_bytes(family, tmp_path, capsys):
+    inst = str(tmp_path / "inst.json")
     solved = hashlib.sha256()
     for seed in SEEDS:
         assert main(["gen", "--family", family, "--seed", str(seed), "--out", inst]) == 0
         for run in SOLVE_RUNS[family]:
             algorithm, *extra = (arg.format(priority=inst + ".priority") for arg in run)
             argv = ["solve", inst, "--algorithm", algorithm, *extra, "--exact-check",
-                    *EXACT_CHECK_LIMITS.get(family, []), "--out", str(out)]
-            assert main(argv) == 0
-            solved.update(out.read_bytes())
+                    *EXACT_CHECK_LIMITS.get(family, [])]
+            solved.update(stdout_of(capsys, argv))
     assert solved.hexdigest() == GOLDEN_EXACT_CHECK[family]
 
 
