@@ -6,11 +6,14 @@ smallest ``k`` with ``H_k >= 2 + (theta-1)/(k+1)``.  Both approach
 ``ln(theta) - lnln(theta)`` as theta grows (slowly; see the table), and
 ``omega_bar < omega`` everywhere.  Constants that are plain fractions
 (73/60, 67/360, 1555/1347, the k-set-cover quality table) are kept exact;
-floats appear only at the reporting boundary.
+floats appear only at the reporting boundary.  ``omega`` and ``omega_bar``
+are memoized per slope (and cap): a solver asks for them once per solve, and a
+bench pass meets only a few distinct slopes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -26,6 +29,9 @@ ThetaLike = Union[int, float, Fraction]
 _EXACT_SCAN_LIMIT = 2048
 
 _EULER_GAMMA = 0.5772156649015329
+
+# Distinct (slope, cap) pairs whose omega or omega_bar value is kept.
+_SLOPE_CACHE_SIZE = 1024
 
 #: Best known k-set-cover approximation guarantees for small k.
 ALPHA_K: dict[int, Fraction] = {
@@ -86,13 +92,31 @@ def _float_slope(t: Fraction) -> float:
     return float(t)
 
 
+def _memoized_per_slope(fn):
+    """``fn(theta, *args)`` memoized on the slope as :func:`_theta_fraction`
+    reads it, so 2, 2.0 and Fraction(2) share one entry.  An infinite slope is
+    kept as itself, for ``fn`` to accept or refuse.  A slope that is not valid
+    raises DomainError before the cache is asked, and a call that raises
+    stores nothing.  ``__wrapped__`` is the uncached ``fn``."""
+    cached = functools.lru_cache(maxsize=_SLOPE_CACHE_SIZE)(fn)
+
+    @functools.wraps(fn)
+    def memoized(theta, *args, **kwargs):
+        slope = theta if theta == math.inf else _theta_fraction(theta)
+        return cached(slope, *args, **kwargs)
+
+    return memoized
+
+
 def _needed(t: Union[Fraction, float], k: int) -> Union[Fraction, float]:
     """2 + (t-1)/(k+1): k_theta is the smallest k whose H_k reaches it."""
     return 2 + (t - 1) / (k + 1)
 
 
+@_memoized_per_slope
 def omega(theta: ThetaLike) -> float:
-    """Root of x + 1 = ln(theta/x), by bisection on the bracketing interval."""
+    """Root of x + 1 = ln(theta/x), by bisection on the bracketing interval;
+    memoized per slope."""
     if theta == math.inf:
         raise DomainError("omega is undefined for infinite slope")
     t = _float_slope(_theta_fraction(theta))
@@ -169,12 +193,14 @@ def g_value(theta: ThetaLike, k: int) -> Union[Fraction, float]:
     return tf * (_harmonic_float(k) - 1.0) / (tf + k)
 
 
+@_memoized_per_slope
 def omega_bar(theta: ThetaLike, delta_cap: Optional[int] = None) -> Union[Fraction, float]:
     """max over 1 <= k <= cap of (H_k - 1)/(1 + k/theta).
 
     Exact Fraction whenever the maximizing k is small; float for the huge-theta
     regime.  With ``delta_cap`` the maximum is truncated at the cap.  Infinite
     slope is allowed only with a cap, where the value degenerates to H_cap - 1.
+    Memoized per slope and cap.
     """
     if theta == math.inf:
         if delta_cap is None:

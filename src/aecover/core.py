@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from itertools import chain
+from operator import itemgetter
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptyLevels, InvalidInstance, IsolatedTerminal
 
@@ -130,7 +132,8 @@ class Instance:
     def _distinct_thresholds(self) -> Mapping[int, Fraction]:
         # Loaded instances share one Fraction per distinct threshold literal,
         # so keying by identity visits each of them once.
-        return {id(t): t for e in self.edges for t in (e.tu, e.tv)}
+        edges = self.edges
+        return {id(t): t for t in chain(map(itemgetter(2), edges), map(itemgetter(3), edges))}
 
     @cached_property
     def scale(self) -> int:
@@ -394,6 +397,10 @@ class TableActivation:
     def activates(self, au: Fraction, av: Fraction) -> bool:
         return bool(self.table.get((au, av), False))
 
+    def grid(self, lu: Sequence[Fraction], lv: Sequence[Fraction]) -> list[list[bool]]:
+        """:meth:`activates` at every pair of levels, one row per ``lu`` level."""
+        return [[self.activates(a, b) for b in lv] for a in lu]
+
 
 @dataclass(frozen=True)
 class InstallationActivation:
@@ -408,6 +415,23 @@ class InstallationActivation:
 
     def activates(self, au: Fraction, av: Fraction) -> bool:
         return self.coef_u * au + self.coef_v * av >= self.demand
+
+    def grid(self, lu: Sequence[Fraction], lv: Sequence[Fraction]) -> list[list[bool]]:
+        """:meth:`activates` at every pair of levels, one row per ``lu`` level.
+
+        ``coef_u*a`` is formed once per row and ``coef_v*b`` once per column.
+        Over one common denominator with the demand they become ints, so a
+        cell costs one int comparison, not four Fraction operations."""
+        rows = [self.coef_u * a for a in lu]
+        cols = [self.coef_v * b for b in lv]
+        demand = self.demand
+        d = math.lcm(demand.denominator, *(x.denominator for x in chain(rows, cols)))
+        cols_d = [y.numerator * (d // y.denominator) for y in cols]
+        need = demand.numerator * (d // demand.denominator)
+        return [
+            [y >= rest for y in cols_d]
+            for rest in (need - x.numerator * (d // x.denominator) for x in rows)
+        ]
 
 
 ActivationRule = Union[TableActivation, InstallationActivation]
@@ -436,8 +460,9 @@ def _minimal_pairs(
     grids, in row order.  The rule is checked to be monotone: act(i, j) must
     imply act(i+1, j) and act(i, j+1), and so every pair above (i, j).  So an
     active pair is minimal exactly when neither lower neighbour is active, and
-    of a repeated level only the first copy can be minimal."""
-    act = [[rule.activates(a, b) for b in lv] for a in lu]
+    of a repeated level only the first copy can be minimal.  Every cell is
+    evaluated, by the rule's own :meth:`grid`."""
+    act = rule.grid(lu, lv)
     minimal = []
     for i, row in enumerate(act):
         for j, on in enumerate(row):

@@ -15,8 +15,9 @@ ASCII and thresholds as fraction strings such as "3/2".  :func:`dumps_instance`
 writes that layout directly with string joins, because any ``indent`` makes
 ``json.dumps`` fall back to its pure-Python encoder, which cost more than
 the solve it was reporting on.  The instance digest is the sha256 of the
-UTF-8 bytes of this text.  Report documents are written by :func:`dumps_doc`
-in the same layout; this module is the only caller of ``json.dumps``.
+UTF-8 bytes of this text, computed once per instance.  Report documents are
+written by :func:`dumps_doc` in the same layout; this module is the only
+caller of ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -145,7 +146,17 @@ def save_instance(inst: Instance, path: Union[str, Path]) -> None:
 
 
 def instance_digest(inst: Instance) -> str:
-    return hashlib.sha256(dumps_instance(inst).encode()).hexdigest()
+    """The sha256 of the canonical text, computed once per instance.
+
+    An instance is immutable, so the digest is kept in its ``__dict__``
+    beside its cached properties, and a bench loop, every report on the
+    instance and ``exact`` share one serialization."""
+    digest = inst.__dict__.get("_digest")
+    if digest is None:
+        digest = inst.__dict__["_digest"] = hashlib.sha256(
+            dumps_instance(inst).encode()
+        ).hexdigest()
+    return digest
 
 
 def assignment_doc(a: Assignment) -> dict[str, str]:

@@ -106,9 +106,10 @@ def solve_locally_uniform(
 ) -> SolveReport:
     """Greedy by average price w/k + t over facilities with uncovered clients.
 
-    Among equal prices the facility earliest in ``priority`` wins; facilities
-    not in it come after those that are, and any remaining tie goes to the
-    lowest node index.  Without a list that is plain node order.
+    Among equal prices the facility earliest in ``priority`` wins, ranked at
+    its first occurrence there; facilities not in it come after those that
+    are, and any remaining tie goes to the lowest node index.  Without a list
+    that is plain node order.
 
     Each facility keeps its count k of uncovered clients, lowered through a
     client-to-facility index as clients are served.  With w and t times
@@ -117,7 +118,8 @@ def solve_locally_uniform(
     strict minimum wins.  Only the winner's price becomes a ``Fraction``.
     """
     inst = ubi.inst
-    rank = {v: i for i, v in enumerate(priority or ())}
+    # dict.fromkeys keeps each facility's first occurrence only.
+    rank = {v: i for i, v in enumerate(dict.fromkeys(priority or ()))}
     offset = len(rank)
     L = inst.scale
     order = sorted(

@@ -183,6 +183,40 @@ class TestKTheta:
         assert k_theta(Fraction(1, 10**400)) == 3
 
 
+class TestMemoizedBounds:
+    @pytest.mark.parametrize("theta", [2, Fraction(2), 2.0, Fraction(7, 3), 1000])
+    def test_same_value_as_uncached(self, theta):
+        for _ in range(2):  # a miss, then a hit
+            assert omega(theta) == omega.__wrapped__(theta)
+            assert omega_bar(theta) == omega_bar.__wrapped__(theta)
+            assert omega_bar(theta, delta_cap=2) == omega_bar.__wrapped__(theta, delta_cap=2)
+            assert omega_bar(theta, 3) == omega_bar.__wrapped__(theta, 3)
+
+    def test_equal_slopes_share_one_value(self):
+        assert omega(2) == omega(Fraction(2)) == omega(2.0)
+        assert omega_bar(2) == omega_bar(Fraction(2)) == omega_bar(2.0) == Fraction(11, 30)
+
+    @pytest.mark.parametrize("theta", [[1], "x", 0, -1, math.nan, -math.inf])
+    def test_bad_slope_raises_on_every_call(self, theta):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                omega(theta)
+            with pytest.raises(DomainError):
+                omega_bar(theta)
+            with pytest.raises(DomainError):
+                omega_bar(theta, delta_cap=3)
+
+    def test_infinite_slope_is_refused_or_capped_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                omega(math.inf)
+            with pytest.raises(DomainError):
+                omega_bar(math.inf)
+            with pytest.raises(DomainError):
+                omega_bar(math.inf, delta_cap=0)
+            assert omega_bar(math.inf, delta_cap=4) == harmonic(4) - 1
+
+
 class TestConstants:
     def test_alpha_table_and_rho(self):
         assert SIGMA == Fraction(1581, 240)

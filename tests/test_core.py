@@ -635,6 +635,29 @@ class TestLevelsReduction:
             assert got.edges == Instance.from_data(nodes, terminals, want).edges
         assert rejected > 50
 
+    def test_installation_grid_matches_the_quadratic_filter_on_mixed_denominators(self):
+        # Coefficients, demands and levels over different denominators make
+        # the rule's grid put everything over one common denominator.
+        rng = random.Random(13)
+        values = [Fraction(x) for x in ("0", "1", "2", "1/3", "2/5", "7/4", "5/6", "3/7")]
+        coefs = values + [Fraction(x) for x in ("-1", "-2/3", "-7/4")]
+        rejected = 0
+        for _ in range(1500):
+            lu = sorted(rng.choices(values, k=rng.randint(1, 5)))
+            lv = sorted(rng.choices(values, k=rng.randint(1, 5)))
+            rule = InstallationActivation(rng.choice(values), rng.choice(coefs), rng.choice(coefs))
+            try:
+                pairs = quadratic_minimal_pairs(rule, lu, lv)
+            except InvalidInstance as exc:
+                rejected += 1
+                with pytest.raises(InvalidInstance) as got:
+                    core._minimal_pairs(rule, lu, lv)
+                assert str(got.value) == str(exc)
+                continue
+            assert core._minimal_pairs(rule, lu, lv) == list(dict.fromkeys(pairs))
+            assert rule.grid(lu, lv) == [[rule.activates(a, b) for b in lv] for a in lu]
+        assert 100 < rejected < 1400
+
     def test_long_level_lists_reduce_fast(self):
         # One installation edge needs level sum L-1: L minimal pairs of L*L.
         L = 80

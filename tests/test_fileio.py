@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import aecover.fileio
+from aecover.cli import _BENCH_ALGORITHMS, run_algorithm
 from aecover.core import Instance
 from aecover.errors import InvalidInstance
 from aecover.fileio import (
@@ -93,6 +95,25 @@ def test_digest_distinguishes_instances():
     a = random_minpower(8, 12, 0)
     b = random_minpower(8, 12, 1)
     assert instance_digest(a) != instance_digest(b)
+
+
+def test_digest_serializes_each_instance_once(monkeypatch):
+    calls = []
+
+    def counting(inst):
+        calls.append(inst)
+        return dumps_instance(inst)
+
+    monkeypatch.setattr(aecover.fileio, "dumps_instance", counting)
+    for family in ("unit", "general", "uniform"):
+        inst = generate(family, 3)
+        digest = instance_digest(inst)
+        assert digest == hashlib.sha256(dumps_instance(inst).encode()).hexdigest()
+        for alg in _BENCH_ALGORITHMS[family]:
+            assert run_algorithm(inst, alg).instance_digest == digest
+        assert instance_digest(inst) == digest
+        assert calls == [inst]
+        calls.clear()
 
 
 def test_dumps_parses_back_to_equal_instance():

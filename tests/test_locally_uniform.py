@@ -42,8 +42,10 @@ def rescan_solve_locally_uniform(ubi, tie_break="lowest-id", priority=None):
     facility, recounts its uncovered clients and prices it in Fraction."""
     inst = ubi.inst
     if tie_break == "adversarial-order":
-        rank = {v: i for i, v in enumerate(priority)}
-        tie_key = {v: (rank.get(v, len(rank)), inst.index[v]) for v in ubi.facilities}
+        rank = {}
+        for i, v in enumerate(priority):
+            rank.setdefault(v, i)  # a repeated facility ranks at its first occurrence
+        tie_key = {v: (rank.get(v, len(priority)), inst.index[v]) for v in ubi.facilities}
     else:
         tie_key = {v: (0, inst.index[v]) for v in ubi.facilities}
     uncovered = set(ubi.clients)
@@ -292,6 +294,19 @@ class TestSolve:
         opt = exact_solve(inst, max_terminals=48, max_nodes=80).value
         assert opt == 60
         assert worst.value / opt == Fraction(73, 60)
+
+    def test_repeated_facility_ranks_at_first_occurrence(self):
+        # f and g serve both clients at one price, so the list decides.
+        inst = from_facility_location(
+            ["c1", "c2"], ["f", "g"], {"f": 1, "g": 1},
+            {(c, v): 1 for c in ("c1", "c2") for v in ("f", "g")},
+        )
+        ubi = validate_locally_uniform(inst)
+        for priority, opened in ((["f", "g", "f"], "f"), (["g", "f", "g"], "g"),
+                                 (["g", "g", "f"], "g")):
+            report = solve_locally_uniform(ubi, priority)
+            assert [step["facility"] for step in report.trace["steps"]] == [opened]
+            assert_same_report(ubi, priority)
 
     def test_infeasible_client(self):
         inst = Instance.from_data(
