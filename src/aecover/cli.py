@@ -28,7 +28,7 @@ from .fileio import (
     save_instance,
 )
 from .general import solve_general
-from .generators import FAMILIES, generate, tight73
+from .generators import FAMILIES, generate
 from .locally_uniform import (
     UniformBipartiteInstance,
     solve_locally_uniform,
@@ -39,22 +39,6 @@ from .report import BenchReport, SolveReport
 from .unit import SUBSOLVERS, reduce_unit, solve_unit_a1, solve_unit_a2
 
 ALGORITHMS = ("auto", "general", "locally-uniform", "unit-a1", "unit-a2")
-
-# Oracle limits per family; the tight example needs all 48 terminals.
-_BENCH_LIMITS = {"tight73": {"max_terminals": 48, "max_nodes": 80}}
-
-_BENCH_ALGORITHMS = {
-    "minpower": ("general",),
-    "setcover-t2": ("general",),
-    "setcover-t5": ("general",),
-    "setcover-t10": ("general",),
-    "installation": ("general",),
-    "general": ("general",),
-    "uniform": ("locally-uniform",),
-    "uniform-unit": ("locally-uniform",),
-    "unit": ("unit-a1", "unit-a2"),
-    "tight73": ("locally-uniform",),
-}
 
 
 def pick_algorithm(inst: Instance) -> tuple[str, Optional[UniformBipartiteInstance]]:
@@ -164,8 +148,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     inst = generate(args.family, args.seed)
     save_instance(inst, args.out)
-    if args.family == "tight73":
-        _, priority = tight73()
+    priority = FAMILIES[args.family].priority
+    if priority:
         Path(str(args.out) + ".priority").write_text("\n".join(priority) + "\n")
     print(f"wrote {args.out} ({instance_digest(inst)[:12]})", file=sys.stderr)
     return 0
@@ -184,12 +168,8 @@ def _parse_seeds(text: str) -> tuple[int, int]:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     seed_start, seed_end = _parse_seeds(args.seeds)
-    algorithms = (
-        tuple(args.algorithms.split(","))
-        if args.algorithms
-        else _BENCH_ALGORITHMS[args.family]
-    )
-    limits = _BENCH_LIMITS.get(args.family, {})
+    family = FAMILIES[args.family]
+    algorithms = tuple(args.algorithms.split(",")) if args.algorithms else family.algorithms
     bench = BenchReport(
         family=args.family,
         seed_start=seed_start,
@@ -201,7 +181,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         inst = generate(args.family, seed)
         digest = instance_digest(inst)
         try:
-            exact = exact_solve(inst, time_budget=args.time_budget, **limits)
+            exact = exact_solve(inst, time_budget=args.time_budget, **family.limits)
         except (LimitExceeded, BudgetExceeded) as exc:
             bench.skipped.append({"seed": seed, "reason": str(exc)})
             continue

@@ -485,17 +485,18 @@ def levels_reduction(spec: ActivationSpec, terminals: Iterable[str]) -> Instance
     pair; dominated pairs are pruned.  The reduced instance has the same
     optimal value as the activation formulation restricted to the level sets.
     """
-    idx = {n: i for i, n in enumerate(spec.nodes)}
+    nodes = set(spec.nodes)
+    grids: dict[str, tuple[Fraction, ...]] = {}  # each endpoint's sorted levels
     edges: list[tuple[str, str, Fraction, Fraction]] = []
     for se in spec.edges:
         for node in (se.u, se.v):
-            if node not in idx:
-                raise InvalidInstance(f"spec edge endpoint {node!r} is not a node")
-            if not spec.levels.get(node):
-                raise EmptyLevels(node)
-        lu = tuple(sorted(spec.levels[se.u]))
-        lv = tuple(sorted(spec.levels[se.v]))
-        for a, b in _minimal_pairs(se.rule, lu, lv):
+            if node not in grids:
+                if node not in nodes:
+                    raise InvalidInstance(f"spec edge endpoint {node!r} is not a node")
+                if not spec.levels.get(node):
+                    raise EmptyLevels(node)
+                grids[node] = tuple(sorted(spec.levels[node]))
+        for a, b in _minimal_pairs(se.rule, grids[se.u], grids[se.v]):
             edges.append((se.u, se.v, a, b))
     return Instance.from_data(spec.nodes, terminals, edges)
 

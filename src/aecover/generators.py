@@ -9,8 +9,9 @@ infeasible graphs instead of repairing them.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     ActivationSpec,
@@ -259,105 +260,97 @@ def random_installation(
 # ---------------------------------------------------------------------------
 # The tight 73/60 example
 
+# 12 stars of 4 leaves, each star's upper node, and 12/d bottoms of each
+# degree d = 4, 3, 2.
+_T73_LEAVES = tuple(f"t{i:02d}" for i in range(48))
+_T73_UPPERS = tuple(f"u{i:02d}" for i in range(12))
+_T73_BOTTOMS = tuple(f"w{i:02d}" for i in range(13))
+_T73_PRIORITY = _T73_BOTTOMS + _T73_UPPERS
+
 
 def tight73() -> tuple[Instance, tuple[str, ...]]:
     """48 unit-threshold terminals, 12 upper covering nodes (the optimum) and
     13 bottom nodes wired so that a bottoms-first tie order makes the
     average-price greedy pay 73 instead of 60.
 
-    Bottom nodes of degree 4 hit leaf 0 of four distinct upper stars, degree 3
-    leaf 1 of three stars, degree 2 leaf 2 of two stars; leaf 3 of every star
-    is reachable only from its upper node.  Returns the instance and the
-    adversarial facility priority order (bottoms before uppers).
+    A bottom node of degree d covers leaf slot 4-d of d consecutive stars;
+    leaf 3 of every star is reachable only from its upper node.  Returns the
+    instance and the adversarial facility priority order (bottoms before
+    uppers).
     """
-    terminals = [f"t{i:02d}" for i in range(48)]
-    uppers = [f"u{i:02d}" for i in range(12)]
-    bottoms = [f"w{i:02d}" for i in range(13)]
     one = Fraction(1)
-    edges = []
-
-    def leaf(star: int, slot: int) -> str:
-        return terminals[4 * star + slot]
-
-    for i, up in enumerate(uppers):
-        for slot in range(4):
-            edges.append((leaf(i, slot), up, one, one))
-    for k in range(3):  # degree-4 bottoms cover leaf 0 of stars 4k..4k+3
-        for star in range(4 * k, 4 * k + 4):
-            edges.append((leaf(star, 0), bottoms[k], one, one))
-    for k in range(4):  # degree-3 bottoms cover leaf 1 of stars 3k..3k+2
-        for star in range(3 * k, 3 * k + 3):
-            edges.append((leaf(star, 1), bottoms[3 + k], one, one))
-    for k in range(6):  # degree-2 bottoms cover leaf 2 of stars 2k..2k+1
-        for star in range(2 * k, 2 * k + 2):
-            edges.append((leaf(star, 2), bottoms[7 + k], one, one))
-
-    inst = Instance.from_data(terminals + uppers + bottoms, terminals, edges)
-    return inst, tuple(bottoms + uppers)
+    edges = [
+        (_T73_LEAVES[4 * star + slot], up, one, one)
+        for star, up in enumerate(_T73_UPPERS)
+        for slot in range(4)
+    ]
+    bottoms = iter(_T73_BOTTOMS)
+    for d in (4, 3, 2):
+        for first, w in zip(range(0, 12, d), bottoms):
+            for star in range(first, first + d):
+                edges.append((_T73_LEAVES[4 * star + 4 - d], w, one, one))
+    inst = Instance.from_data(_T73_LEAVES + _T73_UPPERS + _T73_BOTTOMS, _T73_LEAVES, edges)
+    return inst, _T73_PRIORITY
 
 
 # ---------------------------------------------------------------------------
-# Family registry for the CLI and bench harness
+# Bench families: one record of facts per family, for the CLI and the tests
 
 
-def _gen_minpower(seed: int) -> Instance:
-    rng = random.Random(seed ^ 0x5EED)
-    n = rng.randint(6, 10)
-    return random_minpower(n, rng.randint(n, 2 * n), seed)
+@dataclass(frozen=True)
+class Family:
+    """A bench family: its seeded generator, the algorithms ``bench``
+    certifies on it, the oracle limits it needs beyond the defaults, and the
+    facility priority list ``gen`` writes beside its instance (none if empty)."""
+
+    generator: Callable[[int], Instance]
+    algorithms: tuple[str, ...]
+    limits: Mapping[str, int] = field(default_factory=dict)
+    priority: tuple[str, ...] = ()
 
 
-def _gen_setcover(theta: int):
+def _sized(
+    salt: int, low: int, high: int, make: Callable[[int, int, int], Instance]
+) -> Callable[[int], Instance]:
+    """A random graph family of n in low..high nodes and n..2n edges, with
+    n and the edge count drawn from ``seed ^ salt``."""
+
     def gen(seed: int) -> Instance:
-        return random_theta_setcover(seed, theta)
+        rng = random.Random(seed ^ salt)
+        n = rng.randint(low, high)
+        return make(n, rng.randint(n, 2 * n), seed)
 
     return gen
 
 
-def _gen_installation(seed: int) -> Instance:
-    return random_installation(seed)
-
-
-def _gen_uniform(seed: int) -> Instance:
-    return random_uniform(seed, theta=5)
-
-
-def _gen_uniform_unit(seed: int) -> Instance:
-    return random_uniform(seed, theta=1, unit=True)
-
-
-def _gen_unit(seed: int) -> Instance:
-    rng = random.Random(seed ^ 0xDEED)
-    n = rng.randint(8, 12)
-    return random_unit(n, rng.randint(n, 2 * n), seed)
-
-
-def _gen_general(seed: int) -> Instance:
-    rng = random.Random(seed ^ 0xFEED)
-    n = rng.randint(6, 10)
-    return random_general(n, rng.randint(n, 2 * n), 3, seed)
-
-
-def _gen_tight73(seed: int) -> Instance:
-    return tight73()[0]
-
+_GENERAL = ("general",)
+_UNIFORM = ("locally-uniform",)
 
 FAMILIES = {
-    "minpower": _gen_minpower,
-    "setcover-t2": _gen_setcover(2),
-    "setcover-t5": _gen_setcover(5),
-    "setcover-t10": _gen_setcover(10),
-    "installation": _gen_installation,
-    "uniform": _gen_uniform,
-    "uniform-unit": _gen_uniform_unit,
-    "unit": _gen_unit,
-    "general": _gen_general,
-    "tight73": _gen_tight73,
+    "minpower": Family(_sized(0x5EED, 6, 10, random_minpower), _GENERAL),
+    "setcover-t2": Family(lambda seed: random_theta_setcover(seed, 2), _GENERAL),
+    "setcover-t5": Family(lambda seed: random_theta_setcover(seed, 5), _GENERAL),
+    "setcover-t10": Family(lambda seed: random_theta_setcover(seed, 10), _GENERAL),
+    "installation": Family(random_installation, _GENERAL),
+    "uniform": Family(lambda seed: random_uniform(seed, theta=5), _UNIFORM),
+    "uniform-unit": Family(lambda seed: random_uniform(seed, theta=1, unit=True), _UNIFORM),
+    "unit": Family(_sized(0xDEED, 8, 12, random_unit), ("unit-a1", "unit-a2")),
+    "general": Family(
+        _sized(0xFEED, 6, 10, lambda n, m, seed: random_general(n, m, 3, seed)), _GENERAL
+    ),
+    # The oracle needs all 48 terminals; the generator ignores its seed.
+    "tight73": Family(
+        lambda seed: tight73()[0],
+        _UNIFORM,
+        limits={"max_terminals": 48, "max_nodes": 80},
+        priority=_T73_PRIORITY,
+    ),
 }
 
 
 def generate(family: str, seed: int) -> Instance:
     try:
-        gen = FAMILIES[family]
+        gen = FAMILIES[family].generator
     except KeyError:
         raise DomainError(f"unknown family {family!r}; known: {sorted(FAMILIES)}") from None
     return gen(seed)

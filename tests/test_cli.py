@@ -11,7 +11,7 @@ from aecover.bounds import g_value
 from aecover.cli import main, pick_algorithm, run_algorithm
 from aecover.errors import DomainError
 from aecover.fileio import format_float, load_instance, save_instance
-from aecover.generators import generate, random_uniform, tight73
+from aecover.generators import FAMILIES, generate, random_uniform, tight73
 from aecover.core import Assignment, Instance, covers
 
 
@@ -192,6 +192,19 @@ def test_tight73_gen_and_adversarial_solve(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(path), "--algorithm", "locally-uniform")
     doc = json.loads(out)
     assert doc["value"] == "60" and doc["extras"]["tie_break"] == "lowest-id"
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_gen_writes_the_family_priority_list(tmp_path, capsys, family):
+    path = tmp_path / "inst.json"
+    code, _, _ = run(capsys, "gen", "--family", family, "--out", str(path))
+    assert code == 0
+    side = Path(str(path) + ".priority")
+    priority = FAMILIES[family].priority
+    if priority:
+        assert side.read_text() == "\n".join(priority) + "\n"
+    else:
+        assert not side.exists()
 
 
 def test_solve_has_no_tie_break_option(capsys):

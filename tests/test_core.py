@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from aecover import core
-from aecover.cli import _BENCH_ALGORITHMS, _BENCH_LIMITS, run_algorithm
+from aecover.cli import run_algorithm
 from aecover.core import (
     ActivationSpec,
     Assignment,
@@ -383,7 +383,7 @@ class TestDeriveCosts:
 
 
 class TestInstanceCosts:
-    @pytest.mark.parametrize("family", sorted(_BENCH_ALGORITHMS))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_derived_once_across_oracle_and_solvers(self, family, monkeypatch):
         calls = []
 
@@ -395,8 +395,8 @@ class TestInstanceCosts:
         for seed in range(3):
             inst = generate(family, seed)
             calls.clear()
-            exact_solve(inst, **_BENCH_LIMITS.get(family, {}))
-            for algorithm in ("auto", *_BENCH_ALGORITHMS[family]):
+            exact_solve(inst, **FAMILIES[family].limits)
+            for algorithm in ("auto", *FAMILIES[family].algorithms):
                 run_algorithm(inst, algorithm)
             assert len(calls) == 1 and calls[0] is inst, (family, seed)
             # The solvers share one DerivedCosts; none may have mutated it.
@@ -570,6 +570,30 @@ class TestLevelsReduction:
         )
         with pytest.raises(EmptyLevels):
             levels_reduction(spec, [])
+
+    def test_first_bad_edge_raises(self):
+        # Each endpoint's levels are sorted once, on its first edge; the
+        # checks still run edge by edge, so the first bad edge is reported.
+        levels = {"u": (Fraction(1), Fraction(0)), "v": (Fraction(1),), "w": ()}
+        fine = TableActivation({(Fraction(1), Fraction(1)): True})
+        broken = TableActivation({(Fraction(0), Fraction(1)): True})
+        not_a_node = (InvalidInstance, "'x' is not a node")
+        no_levels = (EmptyLevels, "'w' has no levels")
+        cases = [
+            ([("u", "v", fine), ("v", "x", fine), ("u", "w", fine)], not_a_node),
+            ([("u", "v", fine), ("u", "w", fine), ("x", "v", fine)], no_levels),
+            ([("x", "w", fine), ("u", "w", fine)], not_a_node),
+            ([("w", "x", fine), ("u", "v", fine)], no_levels),
+            ([("u", "v", broken), ("u", "x", fine)], (InvalidInstance, "not monotone")),
+        ]
+        for edges, (error, text) in cases:
+            spec = ActivationSpec(
+                nodes=("u", "v", "w"),
+                levels=levels,
+                edges=tuple(SpecEdge(a, b, rule) for a, b, rule in edges),
+            )
+            with pytest.raises(error, match=text):
+                levels_reduction(spec, [])
 
     def test_non_monotone_table_rejected(self):
         lv = (Fraction(0), Fraction(1))

@@ -1,8 +1,10 @@
 """Reductions, random families, determinism, and the tight example wiring."""
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +121,19 @@ class TestRandomFamilies:
         with pytest.raises(DomainError):
             generate("nope", 0)
 
+    def test_benchmark_agrees_with_the_family_table(self):
+        # The benchmark keeps its own copy of what bench certifies on each
+        # family it runs; a family it does not run is not checked.
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        certify = workloads.Certify
+        assert certify.LIMITS.keys() <= certify.ALGORITHMS.keys()
+        for family, algorithms in certify.ALGORITHMS.items():
+            assert FAMILIES[family].algorithms == algorithms, family
+            assert FAMILIES[family].limits == certify.LIMITS.get(family, {}), family
+
 
 class TestInstallation:
     def test_height_menu_5_15_20_slope_four(self):
@@ -187,6 +202,11 @@ class TestTight73:
         assert all(len(inst.edges_at[u]) == 4 for u in uppers)
         assert set(priority) == set(bottoms) | set(uppers)
         assert list(priority[:13]) == bottoms
+
+    def test_family_record_carries_the_priority(self):
+        record = FAMILIES["tight73"]
+        assert record.priority == tight73()[1]
+        assert record.limits == {"max_terminals": 48, "max_nodes": 80}
 
     def test_leaf_slot_three_upper_only(self):
         inst, _ = tight73()

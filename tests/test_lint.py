@@ -13,6 +13,9 @@
   ``core.active_at_levels``, on the integer view, is the one predicate.
 - Every import names a standard-library module or the package itself, so the
   library installs and runs with no third-party package.
+- No module but ``generators`` holds a bench-family name as a string literal:
+  ``generators.FAMILIES`` owns each family's facts, so no other module can
+  branch on a family.
 """
 
 import ast
@@ -21,9 +24,15 @@ from pathlib import Path
 
 import pytest
 
+from aecover.cli import ALGORITHMS
+from aecover.generators import FAMILIES
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "aecover"
 COSTS_OWNER = ("Instance", "costs")
 REPORT_BUILDER = ("solve_report",)
+# "general" names an algorithm as well as a family; the algorithm's modules
+# must hold it, so it is not checked.
+FAMILY_NAMES = frozenset(FAMILIES) - frozenset(ALGORITHMS)
 
 
 def assert_statements(tree: ast.AST) -> list[int]:
@@ -107,6 +116,16 @@ def third_party_imports(tree: ast.AST) -> list[int]:
     return sorted(found)
 
 
+def family_name_literals(tree: ast.AST) -> list[int]:
+    """Lines holding a string literal equal to a checked bench-family name."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value in FAMILY_NAMES
+    })
+
+
 RULES = [
     assert_statements,
     derive_costs_calls_outside_owner,
@@ -134,6 +153,14 @@ def test_json_dumps_only_in_fileio():
                 if name != "fileio.py" and (lines := json_dumps_uses(tree))}
     assert breaches == {}
     assert json_dumps_uses(trees["fileio.py"]), "the layout owner lost its json.dumps"
+
+
+def test_family_names_only_in_generators():
+    trees = dict(library_trees())
+    breaches = {name: lines for name, tree in trees.items()
+                if name != "generators.py" and (lines := family_name_literals(tree))}
+    assert breaches == {}
+    assert family_name_literals(trees["generators.py"]), "the family table lost its names"
 
 
 def test_derive_costs_has_its_owner():
@@ -258,3 +285,18 @@ def solve():
 
 def test_import_rule_catches_breaches():
     assert third_party_imports(ast.parse(BROKEN_IMPORTS)) == [3, 8, 12]
+
+
+BROKEN_FAMILIES = '''
+ALGORITHMS = ("auto", "general", "unit-a1")
+
+def cmd_gen(args):
+    if args.family == "tight73":
+        return 1
+    limits = {"unit": {"max_nodes": 80}}.get(args.family)
+    return args.family in ("uniform-unit", "setcover", "tight") or limits
+'''
+
+
+def test_family_rule_catches_breaches():
+    assert family_name_literals(ast.parse(BROKEN_FAMILIES)) == [5, 7, 8]
