@@ -42,7 +42,7 @@ from .errors import (
     StarDecompositionViolated,
 )
 from .fileio import instance_digest, load_instance, loads_instance, save_instance
-from .general import CandidateStar, min_density_star, solve_general
+from .general import min_density_star, solve_general
 from .generators import (
     from_facility_location,
     from_installation,

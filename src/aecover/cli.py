@@ -55,28 +55,31 @@ def run_algorithm(
     inst: Instance,
     algorithm: str,
     priority: Optional[Sequence[str]] = None,
-    subsolver: str = "exact",
+    subsolver: Optional[str] = None,
 ) -> SolveReport:
     """Run ``algorithm`` ("auto" picks one).  Only the locally uniform greedy
-    reads a facility priority list; any other run given one is refused."""
+    reads a facility priority list, and only unit-a2 a k-set-cover subsolver
+    (exact when None); any other run given one is refused."""
+    if algorithm not in ALGORITHMS:
+        raise DomainError(f"unknown algorithm {algorithm!r}")
     ubi = None
     if algorithm == "auto":
         algorithm, ubi = pick_algorithm(inst)
-    if algorithm == "locally-uniform":
-        if ubi is None:
-            ubi = validate_locally_uniform(inst)
-        return solve_locally_uniform(ubi, priority)
-    if priority is not None:
+    if priority is not None and algorithm != "locally-uniform":
         raise DomainError(f"algorithm {algorithm!r} does not use a priority list")
+    if subsolver is not None and algorithm != "unit-a2":
+        raise DomainError(f"algorithm {algorithm!r} does not use a subsolver")
+    if algorithm == "locally-uniform":
+        return solve_locally_uniform(ubi or validate_locally_uniform(inst), priority)
     if algorithm == "general":
         return solve_general(inst)
     if algorithm == "unit-a1":
         return solve_unit_a1(reduce_unit(inst))
-    if algorithm == "unit-a2":
-        if subsolver not in SUBSOLVERS:
-            raise DomainError(f"unknown subsolver {subsolver!r}; known: {sorted(SUBSOLVERS)}")
-        return solve_unit_a2(reduce_unit(inst), subsolver=SUBSOLVERS[subsolver])
-    raise DomainError(f"unknown algorithm {algorithm!r}")
+    # Only unit-a2 is left.
+    name = "exact" if subsolver is None else subsolver
+    if name not in SUBSOLVERS:
+        raise DomainError(f"unknown subsolver {name!r}; known: {sorted(SUBSOLVERS)}")
+    return solve_unit_a2(reduce_unit(inst), subsolver=SUBSOLVERS[name])
 
 
 def _read_priority(path: Optional[str]) -> Optional[list[str]]:
@@ -170,6 +173,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     seed_start, seed_end = _parse_seeds(args.seeds)
     family = FAMILIES[args.family]
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms else family.algorithms
+    if args.subsolver is not None and "unit-a2" not in algorithms:
+        raise DomainError(f"--subsolver applies to unit-a2, which {','.join(algorithms)} lacks")
     bench = BenchReport(
         family=args.family,
         seed_start=seed_start,
@@ -187,7 +192,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             continue
         reports = {}
         for alg in algorithms:
-            rep = run_algorithm(inst, alg, subsolver=args.subsolver)
+            rep = run_algorithm(inst, alg, subsolver=args.subsolver if alg == "unit-a2" else None)
             rep.exact_value = exact.value
             reports[alg] = rep
         bench.add_entry(seed, digest, exact.value, reports)
@@ -225,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     p.add_argument("--priority-file", help="facility order that breaks locally-uniform price ties")
-    p.add_argument("--subsolver", choices=sorted(SUBSOLVERS), default="exact")
+    p.add_argument("--subsolver", choices=sorted(SUBSOLVERS),
+                   help="k-set-cover subsolver of unit-a2 (default exact)")
     p.add_argument("--exact-check", action="store_true", help="attach the exact optimum")
     p.add_argument("--max-terminals", type=int, default=DEFAULT_MAX_TERMINALS)
     p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
@@ -251,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--seeds", default="0..19", help="inclusive range a..b")
     p.add_argument("--algorithms", help="comma-separated algorithm list")
-    p.add_argument("--subsolver", choices=sorted(SUBSOLVERS), default="exact")
+    p.add_argument("--subsolver", choices=sorted(SUBSOLVERS),
+                   help="k-set-cover subsolver of unit-a2 (default exact)")
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)

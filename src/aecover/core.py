@@ -3,10 +3,13 @@
 An instance is an undirected multigraph with per-endpoint edge thresholds and
 a terminal set.  An assignment of values to nodes activates every edge whose
 two endpoint thresholds are met; a feasible assignment activates an edge at
-every terminal.  All numeric data is kept as exact ``fractions.Fraction`` so
-that density comparisons and reported ratios are tie-stable and reproducible.
-Hot comparisons run on the integer view instead: values and thresholds times
-``Instance.scale``, the LCM of the threshold denominators, as ints.
+every terminal.  Thresholds and assignment values are exact
+``fractions.Fraction``s, so reported values and ratios are reproducible.
+Derived costs, the activation test and the solvers' arithmetic run on the
+integer view: values and thresholds times ``Instance.scale``, the LCM of the
+threshold denominators, as ints.  This module alone produces that view
+(:meth:`Instance.scaled`, :meth:`Instance.levels` and what is built on them)
+and converts it back (:meth:`Instance.assignment`).
 """
 
 from __future__ import annotations
@@ -299,16 +302,18 @@ class DerivedCosts:
     """Per-terminal covering costs and instance-wide aggregates.
 
     ``q[u]`` is the smallest threshold at ``u`` over its incident edges;
-    ``q[u] + c[u]`` is the smallest total value of an edge covering ``u``.
-    ``theta`` is the slope ``max c/q`` (``math.inf`` when some terminal has
+    ``q[u] + c[u]`` is the smallest total value of an edge covering ``u``;
+    ``Q`` and ``C`` are their sums.  These four are on the integer view:
+    ints, the exact values times ``Instance.scale``.  ``theta`` is the slope
+    ``max c/q`` as a ``Fraction`` (``math.inf`` when some terminal has
     ``q = 0 < c``); ``delta`` is the largest number of terminal neighbors of
     any node.  ``cheapest`` maps each terminal to a minimum-value edge index.
     """
 
-    q: Mapping[str, Fraction]
-    c: Mapping[str, Fraction]
-    Q: Fraction
-    C: Fraction
+    q: Mapping[str, int]
+    c: Mapping[str, int]
+    Q: int
+    C: int
     theta: Union[Fraction, float]
     delta: int
     cheapest: Mapping[str, int]
@@ -318,20 +323,11 @@ def derive_costs(inst: Instance) -> DerivedCosts:
     """Compute q, c, Q, C, slope and degree bound; raises IsolatedTerminal.
 
     The work runs on thresholds times ``inst.scale``, with slopes compared by
-    cross-multiplication; only the returned values become ``Fraction``s.
+    cross-multiplication; only the slope becomes a ``Fraction``.
     """
-    L = inst.scale
     edges, scaled = inst.edges, inst.scaled_edges
-    exact: dict[int, Fraction] = {}
-
-    def as_exact(x: int) -> Fraction:
-        f = exact.get(x)
-        if f is None:
-            f = exact[x] = Fraction(x, L)
-        return f
-
-    q: dict[str, Fraction] = {}
-    c: dict[str, Fraction] = {}
+    q: dict[str, int] = {}
+    c: dict[str, int] = {}
     cheapest: dict[str, int] = {}
     Q = C = 0
     # The slope so far is num/den, or unbounded.
@@ -349,7 +345,7 @@ def derive_costs(inst: Instance) -> DerivedCosts:
             if best_value is None or tu + tv < best_value:
                 best_value, best = tu + tv, i
         cu = best_value - qu
-        q[u], c[u], cheapest[u] = as_exact(qu), as_exact(cu), best
+        q[u], c[u], cheapest[u] = qu, cu, best
         Q += qu
         C += cu
         if qu > 0:
@@ -376,8 +372,8 @@ def derive_costs(inst: Instance) -> DerivedCosts:
     return DerivedCosts(
         q=q,
         c=c,
-        Q=Fraction(Q, L),
-        C=Fraction(C, L),
+        Q=Q,
+        C=C,
         theta=math.inf if unbounded else Fraction(num, den),
         delta=max(terminal_neighbors.values(), default=0),
         cheapest=cheapest,
@@ -501,13 +497,15 @@ def levels_reduction(spec: ActivationSpec, terminals: Iterable[str]) -> Instance
     return Instance.from_data(spec.nodes, terminals, edges)
 
 
-def complete(inst: Instance, covered: Container[str], *, levels: Mapping[str, int]) -> Assignment:
-    """Feasible assignment: ``levels`` (the integer view, as for
-    :func:`active_at_levels`), with both endpoints of the cheapest edge of
-    every terminal not in ``covered`` raised to that edge's thresholds.
+def complete(
+    inst: Instance, covered: Container[str], *, levels: Mapping[str, int]
+) -> dict[str, int]:
+    """The levels of a feasible assignment: ``levels`` (the integer view, as
+    for :func:`active_at_levels`), with both endpoints of the cheapest edge
+    of every terminal not in ``covered`` raised to that edge's thresholds.
     From the q levels with nothing covered it is the cheapest-edge cover, of
-    value at most Q + C.  ``levels`` is keyword-only, as in
-    :func:`covered_terminals`."""
+    value at most Q + C; :meth:`Instance.assignment` turns it into values.
+    ``levels`` is keyword-only, as in :func:`covered_terminals`."""
     levels = dict(levels)
     for u in inst.terminal_list:
         if u in covered:
@@ -517,4 +515,4 @@ def complete(inst: Instance, covered: Container[str], *, levels: Mapping[str, in
             levels[eu] = tu
         if levels.get(ev, 0) < tv:
             levels[ev] = tv
-    return inst.assignment(levels)
+    return levels

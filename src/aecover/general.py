@@ -17,40 +17,23 @@ from functools import cmp_to_key
 from typing import Iterable, Mapping, Optional
 
 from .bounds import omega
-from .core import Instance, ZERO, complete, covered_terminals
+from .core import Instance, complete, covered_terminals
 from .errors import DomainError
 from .gmc import Augmentation, GreedyTrace, gmc_greedy
 from .report import SolveReport, solve_report
 
 
 @dataclass(frozen=True)
-class CandidateStar:
-    """A root increment plus leaf increments covering new terminals."""
-
-    root: str
-    root_increment: Fraction
-    leaves: tuple[tuple[str, Fraction], ...]
-    gain: Fraction
-    density: Fraction
-
-    def payment(self) -> Fraction:
-        return self.root_increment + sum((b for _, b in self.leaves), ZERO)
-
-
-@dataclass(frozen=True)
 class GeneralSolveState:
-    """Greedy state.  ``levels`` holds every node's total on the integer
-    view (times ``inst.scale``, as ints), and ``stars`` caches the best star
-    of each root that has one, on that view (see :func:`_best_star_at`)."""
+    """Greedy state on the integer view (times ``inst.scale``, as ints):
+    ``levels`` holds every node's total, ``nu`` the potential, and
+    ``stars`` caches the best star of each root that has one (see
+    :func:`_best_star_at`)."""
 
     levels: Mapping[str, int]
     covered: frozenset[str]
-    nu: Fraction
+    nu: int
     stars: Mapping[str, tuple]
-
-
-def _scaled_costs(inst: Instance) -> dict[str, int]:
-    return {u: inst.scaled(c) for u, c in inst.costs.c.items()}
 
 
 def initial_state(inst: Instance) -> GeneralSolveState:
@@ -113,8 +96,8 @@ def _best_star_at(
     return best
 
 
-def _min_star(inst: Instance, stars: Iterable[tuple]) -> Optional[CandidateStar]:
-    """The star of least key among per-root bests, converted to Fractions."""
+def _min_star(stars: Iterable[tuple]) -> Optional[tuple]:
+    """The star of least key among per-root bests."""
     best = None
     for s in stars:
         if best is None:
@@ -123,21 +106,12 @@ def _min_star(inst: Instance, stars: Iterable[tuple]) -> Optional[CandidateStar]
         lhs, rhs = s[0] * best[1], best[0] * s[1]
         if lhs < rhs or (lhs == rhs and s[2] < best[2]):
             best = s
-    if best is None:
-        return None
-    pay, gain, i, w, leaves = best
-    L = inst.scale
-    return CandidateStar(
-        root=inst.nodes[i],
-        root_increment=Fraction(w, L),
-        leaves=tuple((u, Fraction(b, L)) for u, b in leaves),
-        gain=Fraction(gain, L),
-        density=Fraction(pay, gain),
-    )
+    return best
 
 
-def min_density_star(inst: Instance, state: GeneralSolveState) -> Optional[CandidateStar]:
-    """Star of globally minimum density, or None when no star gains anything.
+def min_density_star(inst: Instance, state: GeneralSolveState) -> Optional[tuple]:
+    """Star of globally minimum density as ``(pay, gain, root index, w,
+    leaves)`` on the integer view, or None when no star gains anything.
 
     Enumerates every (root, root increment) pair with the increment drawn
     from the root's incident edge thresholds (zero included), collects the
@@ -157,58 +131,60 @@ def min_density_star(inst: Instance, state: GeneralSolveState) -> Optional[Candi
     a root's best density can fall after a step, since raising a root
     lowers its own increments.
     """
-    c = _scaled_costs(inst)
+    c = inst.costs.c
     stars = (_best_star_at(inst, c, state.levels, state.covered, v) for v in inst.nodes)
-    return _min_star(inst, (s for s in stars if s))
+    return _min_star(s for s in stars if s)
 
 
 class _GeneralGmcProblem:
-    """Potential Q + c(uncovered), payment = total increment, star oracle."""
+    """Potential Q + c(uncovered), payment = total increment, star oracle.
+    The state and stars are on the integer view; only the payment and the
+    potentials handed to :func:`gmc_greedy` become ``Fraction``s."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.c = _scaled_costs(inst)
+        self.c = inst.costs.c
 
     def initial_state(self) -> GeneralSolveState:
-        inst, costs = self.inst, self.inst.costs
+        inst, c = self.inst, self.c
         levels = dict.fromkeys(inst.nodes, 0)
-        levels.update(inst.levels(costs.q))
+        levels.update(inst.costs.q)
         covered = covered_terminals(inst, levels=levels)
-        nu = costs.Q + sum((costs.c[u] for u in inst.terminal_list if u not in covered), ZERO)
-        stars = {
-            v: s for v in inst.nodes if (s := _best_star_at(inst, self.c, levels, covered, v))
-        }
+        nu = inst.costs.Q + sum(c[u] for u in inst.terminal_list if u not in covered)
+        stars = {v: s for v in inst.nodes if (s := _best_star_at(inst, c, levels, covered, v))}
         return GeneralSolveState(levels, covered, nu, stars)
 
     def potential(self, state: GeneralSolveState) -> Fraction:
-        return state.nu
+        return Fraction(state.nu, self.inst.scale)
 
     def target(self) -> Fraction:
-        return self.inst.costs.Q
+        return Fraction(self.inst.costs.Q, self.inst.scale)
 
     def best_augmentation(self, state: GeneralSolveState) -> Optional[Augmentation]:
-        star = _min_star(self.inst, state.stars.values())
+        star = _min_star(state.stars.values())
         if star is None:
             return None
+        pay, gain = star[0], star[1]
+        L = self.inst.scale
         return Augmentation(
             payload=star,
-            payment=star.payment(),
-            predicted_potential=state.nu - star.gain,
+            payment=Fraction(pay, L),
+            predicted_potential=Fraction(state.nu - gain, L),
         )
 
     def apply(self, state: GeneralSolveState, aug: Augmentation) -> GeneralSolveState:
-        star: CandidateStar = aug.payload
+        _, _, root, w, leaves = aug.payload
         inst = self.inst
         levels = dict(state.levels)
         changed = []
-        for node, inc in ((star.root, star.root_increment), *star.leaves):
-            if inc != 0:
-                levels[node] += inst.scaled(inc)
+        for node, inc in ((inst.nodes[root], w), *leaves):
+            if inc:
+                levels[node] += inc
                 changed.append(node)
         # Only edges at a raised node can have become active.
         newly = covered_terminals(inst, levels=levels, nodes=changed) - state.covered
         covered = state.covered | newly
-        nu = state.nu - sum((inst.costs.c[u] for u in newly), ZERO)
+        nu = state.nu - sum(self.c[u] for u in newly)
         dirty = set(changed) | newly
         for x in tuple(dirty):
             dirty.update(u for _, u, _ in inst.scaled_rows[x])
@@ -267,7 +243,7 @@ def solve_general(inst: Instance) -> SolveReport:
     costs = inst.costs
     state, trace = run_general_greedy(inst)
     # The completed value is at most the greedy's payment plus its potential.
-    assignment = complete(inst, state.covered, levels=state.levels)
+    assignment = inst.assignment(complete(inst, state.covered, levels=state.levels))
     label, bound = min(general_bound_candidates(inst), key=lambda it: (float(it[1]), it[0]))
     return solve_report(
         inst,
@@ -277,8 +253,8 @@ def solve_general(inst: Instance) -> SolveReport:
         bound_label=label,
         trace=trace.to_doc(),
         extras={
-            "Q": str(costs.Q),
-            "C": str(costs.C),
+            "Q": str(Fraction(costs.Q, inst.scale)),
+            "C": str(Fraction(costs.C, inst.scale)),
             "greedy_steps": len(trace.steps),
         },
     )

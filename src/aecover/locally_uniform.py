@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .bounds import omega_bar
-from .core import Assignment, Instance, ZERO
+from .core import Instance
 from .errors import Infeasible, NonUniformFacility, NotBipartite
 from .fileio import format_slope
 from .report import SolveReport, solve_report
@@ -24,13 +24,16 @@ from .report import SolveReport, solve_report
 
 @dataclass(frozen=True)
 class UniformBipartiteInstance:
-    """Validated bipartite view: clients (terminals) vs weighted facilities."""
+    """Validated bipartite view: clients (terminals) vs weighted facilities.
+
+    ``weight`` and ``service`` are on the integer view: each facility's
+    thresholds times ``inst.scale``, as ints."""
 
     inst: Instance
     clients: tuple[str, ...]
     facilities: tuple[str, ...]
-    weight: Mapping[str, Fraction]
-    service: Mapping[str, Fraction]
+    weight: Mapping[str, int]
+    service: Mapping[str, int]
     adjacency: Mapping[str, tuple[str, ...]]
     theta: Union[Fraction, float]
 
@@ -43,11 +46,11 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
     """
     terminals = inst.terminals
     facilities = tuple(n for n in inst.nodes if n not in terminals)
-    weight: dict[str, Fraction] = {}
-    service: dict[str, Fraction] = {}
+    weight: dict[str, int] = {}
+    service: dict[str, int] = {}
     adjacency: dict[str, list[str]] = {v: [] for v in facilities}
     mismatch = None
-    for u, v, tu, tv in inst.edges:
+    for u, v, tu, tv in inst.scaled_edges:
         if u in terminals:
             if v in terminals:
                 raise NotBipartite(f"edge {u!r}-{v!r} stays on one side")
@@ -56,11 +59,8 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
             fac, cli, w, t = u, v, tu, tv
         else:
             raise NotBipartite(f"edge {u!r}-{v!r} stays on one side")
-        # Loaded thresholds share one object per literal: identity settles
-        # most comparisons before a Fraction == has to.
-        w0 = weight.setdefault(fac, w)
-        t0 = service.setdefault(fac, t)
-        if mismatch is None and not ((w0 is w or w0 == w) and (t0 is t or t0 == t)):
+        w0, t0 = weight.setdefault(fac, w), service.setdefault(fac, t)
+        if mismatch is None and (w0 != w or t0 != t):
             mismatch = fac
         adjacency[fac].append(cli)
     # Every edge is checked for bipartiteness before uniformity.
@@ -70,18 +70,15 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
     # The canonical edge order lists each facility's clients by node index,
     # and a uniform facility has no parallel edges left after pruning, so
     # the adjacency lists are sorted and free of repeats.
-    theta: Union[Fraction, float] = ZERO
+    unbounded = False
     num, den = 0, 1  # the largest finite w/t so far
     for v, w in weight.items():
         t = service[v]
-        if t.numerator > 0:
-            wn, wd = w.numerator * t.denominator, w.denominator * t.numerator
-            if wn * den > num * wd:
-                num, den = wn, wd
-        elif w.numerator > 0:
-            theta = math.inf
-    if theta != math.inf:
-        theta = Fraction(num, den)
+        if t > 0:
+            if w * den > num * t:
+                num, den = w, t
+        elif w > 0:
+            unbounded = True
     return UniformBipartiteInstance(
         inst=inst,
         clients=inst.terminal_list,
@@ -89,7 +86,7 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
         weight=weight,
         service=service,
         adjacency={v: tuple(c) for v, c in adjacency.items()},
-        theta=theta,
+        theta=math.inf if unbounded else Fraction(num, den),
     )
 
 
@@ -115,7 +112,8 @@ def solve_locally_uniform(
     client-to-facility index as clients are served.  With w and t times
     ``inst.scale``, the scaled price is (w + t*k)/k, compared by
     cross-multiplication; facilities are scanned in tie order, so the first
-    strict minimum wins.  Only the winner's price becomes a ``Fraction``.
+    strict minimum wins.  Only the winner's price and the final levels
+    become ``Fraction``s.
     """
     inst = ubi.inst
     # dict.fromkeys keeps each facility's first occurrence only.
@@ -126,8 +124,7 @@ def solve_locally_uniform(
         (v for v in ubi.facilities if ubi.adjacency[v]),
         key=lambda v: (rank.get(v, offset), inst.index[v]),
     )
-    w = {v: inst.scaled(ubi.weight[v]) for v in order}
-    t = {v: inst.scaled(ubi.service[v]) for v in order}
+    w, t = ubi.weight, ubi.service
     count = {v: len(ubi.adjacency[v]) for v in order}
     facilities_of: dict[str, list[str]] = {}
     for v in order:
@@ -135,7 +132,7 @@ def solve_locally_uniform(
             facilities_of.setdefault(c, []).append(v)
 
     uncovered = set(ubi.clients)
-    values: dict[str, Fraction] = {}
+    levels: dict[str, int] = {}
     steps: list[dict] = []
     while uncovered:
         best = None
@@ -152,9 +149,9 @@ def solve_locally_uniform(
             raise Infeasible(f"clients without an open facility: {stuck}")
         v = best
         served = tuple(c for c in ubi.adjacency[v] if c in uncovered)
-        values[v] = ubi.weight[v]
+        levels[v] = w[v]
         for c in served:
-            values[c] = ubi.service[v]
+            levels[c] = t[v]
             for f in facilities_of[c]:
                 count[f] -= 1
         uncovered.difference_update(served)
@@ -171,7 +168,7 @@ def solve_locally_uniform(
     return solve_report(
         inst,
         "locally-uniform",
-        Assignment.of(values),
+        inst.assignment(levels),
         claimed_bound=bound,
         bound_label=label,
         trace={"steps": steps},

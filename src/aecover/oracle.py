@@ -42,7 +42,7 @@ def exact_solve(
     first.  Prunes on the partial value plus the residual q lower bound (the
     q gaps of the remaining terminals, rescanned at every node) against the
     incumbent, which starts at the per-terminal cheapest-edge cover.  The
-    search runs on ``Instance.levels``, values times ``inst.scale`` as ints;
+    search runs on the integer view, values times ``inst.scale`` as ints;
     scaling keeps every comparison and the order of the options, and only
     the result is converted back.  Raises LimitExceeded for instances beyond
     the configured limits or too deep for the interpreter's recursion limit,
@@ -56,8 +56,8 @@ def exact_solve(
     if len(inst.nodes) > max_nodes:
         raise LimitExceeded(f"{len(inst.nodes)} nodes exceed the limit {max_nodes}")
 
-    q = inst.levels(inst.costs.q)
-    best_levels = inst.levels(complete(inst, (), levels=q).values)
+    q = inst.costs.q
+    best_levels = complete(inst, (), levels=q)
     best = sum(best_levels.values())
 
     terms = sorted(inst.terminal_list, key=lambda u: (len(inst.edges_at[u]), inst.index[u]))

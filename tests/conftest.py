@@ -8,17 +8,50 @@ have teeth.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from aecover.core import (
+    DerivedCosts,
     Instance,
     ZERO,
     covered_terminals,
 )
-from aecover.errors import LimitExceeded
+from aecover.errors import IsolatedTerminal, LimitExceeded
+
+
+def exact_costs(inst):
+    """The instance's derived costs with q, c, Q and C as exact ``Fraction``s,
+    computed by the former Fraction-arithmetic ``derive_costs``, kept as the
+    reference: ``derive_costs`` must give these values times ``inst.scale``."""
+    q, c, cheapest = {}, {}, {}
+    for u in inst.terminal_list:
+        ids = inst.edges_at[u]
+        if not ids:
+            raise IsolatedTerminal(u)
+        q[u] = min(inst.edges[i].threshold_at(u) for i in ids)
+        best = min(ids, key=lambda i: (inst.edges[i].tu + inst.edges[i].tv, i))
+        c[u] = inst.edges[best].tu + inst.edges[best].tv - q[u]
+        cheapest[u] = best
+    theta = ZERO
+    for u in inst.terminal_list:
+        if q[u] > 0:
+            ratio = c[u] / q[u]
+            if theta != math.inf and ratio > theta:
+                theta = ratio
+        elif c[u] > 0:
+            theta = math.inf
+    delta = 0
+    for v in inst.nodes:
+        neigh = {inst.edges[i].other(v) for i in inst.edges_at[v]}
+        delta = max(delta, len(neigh & inst.terminals))
+    return DerivedCosts(
+        q=q, c=c, Q=sum(q.values(), ZERO), C=sum(c.values(), ZERO),
+        theta=theta, delta=delta, cheapest=cheapest,
+    )
 
 
 def enum_min_density_star(inst, costs, totals, covered):
@@ -82,7 +115,7 @@ def reference_exact_solve(inst, *, max_terminals=10, max_nodes=64):
     budget."""
     if len(inst.terminals) > max_terminals or len(inst.nodes) > max_nodes:
         raise LimitExceeded("reference limits")
-    costs = inst.costs
+    costs = exact_costs(inst)
     best_values = dict(costs.q)
     for u in inst.terminal_list:
         e = inst.edges[costs.cheapest[u]]

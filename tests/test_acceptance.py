@@ -23,7 +23,7 @@ from aecover.bounds import (
 )
 from aecover.bounds import ALPHA_K
 from aecover.cli import main
-from aecover.core import covers, derive_costs
+from aecover.core import covers
 from aecover.general import initial_state, min_density_star, run_general_greedy, solve_general
 from aecover.generators import (
     generate,
@@ -44,7 +44,13 @@ from aecover.unit import (
     solve_unit_a1,
     solve_unit_a2,
 )
-from conftest import enum_min_density_star, enum_setcover_optimum, random_set_system, state_totals
+from conftest import (
+    enum_min_density_star,
+    enum_setcover_optimum,
+    exact_costs,
+    random_set_system,
+    state_totals,
+)
 
 GENERAL_FAMILIES = (
     "minpower",
@@ -79,7 +85,7 @@ def general_runs():
         for seed in SEEDS:
             inst = generate(family, seed)
             assert len(inst.terminals) <= 6 and len(inst.nodes) <= 10
-            costs = derive_costs(inst)
+            costs = exact_costs(inst)
             report = solve_general(inst)
             opt = exact_solve(inst).value
             state, trace = run_general_greedy(inst)
@@ -239,14 +245,14 @@ def test_criterion_7_suboracle_equivalences():
     )
     for seed in SEEDS:
         inst = builders[seed % len(builders)](seed)
-        costs = derive_costs(inst)
+        costs = exact_costs(inst)
         state = initial_state(inst)
         star = min_density_star(inst, state)
         brute = enum_min_density_star(inst, costs, state_totals(inst, state), state.covered)
         if star is None:
             assert brute is None, seed
         else:
-            assert star.density == brute, seed
+            assert Fraction(star[0], star[1]) == brute, seed
 
     rng = random.Random(1234)
     for case in range(500):
@@ -344,7 +350,7 @@ def test_criterion_9_spread_bound_defect_witness():
         ["u", "w"],
         [("u", "w", Fraction(3, 2), Fraction(3, 2)), ("u", "x", 1, 1)],
     )
-    costs = derive_costs(inst)
+    costs = exact_costs(inst)
     assert costs.Q == Fraction(5, 2) and costs.C == Fraction(5, 2)
     assert costs.delta == 1
     opt = exact_solve(inst).value

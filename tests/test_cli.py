@@ -65,11 +65,20 @@ def test_malformed_numeric_argument_exit_code(capsys, argv):
         ("solve", "{inst}", "--priority-file", "{dir}/priority"),
         ("solve", "{inst}", "--algorithm", "unit-a1", "--priority-file", "{dir}/priority"),
         ("solve", "{inst}", "--algorithm", "unit-a2", "--priority-file", "{dir}/priority"),
+        ("solve", "{inst}", "--algorithm", "general", "--subsolver", "greedy"),
+        ("solve", "{inst}", "--algorithm", "unit-a1", "--subsolver", "greedy"),
+        ("solve", "{inst}", "--algorithm", "locally-uniform", "--subsolver", "exact"),
+        # On a general instance auto picks general, which reads no subsolver.
+        ("solve", "{dir}/general.json", "--subsolver", "greedy"),
+        ("bench", "--family", "general", "--seeds", "0", "--subsolver", "greedy"),
+        ("bench", "--family", "unit", "--seeds", "0", "--algorithms", "auto,unit-a1",
+         "--subsolver", "exact"),
     ],
 )
 def test_unusable_input_exit_code(tmp_path, capsys, argv):
     inst = tmp_path / "inst.json"
     save_instance(tight73()[0], inst)
+    save_instance(generate("general", 0), tmp_path / "general.json")
     (tmp_path / "binary").write_bytes(b"\xff\xfe")
     (tmp_path / "priority").write_text("\n".join(tight73()[1]) + "\n")
     code, out, err = run(capsys, *(a.format(inst=inst, dir=tmp_path) for a in argv))
@@ -253,9 +262,28 @@ def test_exact_too_deep_for_the_recursion_limit_is_a_typed_error(tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_bench_passes_the_subsolver_to_unit_a2_only(capsys):
+    code, out, _ = run(capsys, "bench", "--family", "unit", "--seeds", "0..4",
+                       "--algorithms", "auto,unit-a1,unit-a2", "--subsolver", "greedy")
+    assert code == 0
+    for entry in json.loads(out)["entries"]:
+        inst = generate("unit", entry["seed"])
+        values = {alg: run_algorithm(inst, alg).value for alg in ("auto", "unit-a1")}
+        values["unit-a2"] = run_algorithm(inst, "unit-a2", subsolver="greedy").value
+        assert {alg: r["value"] for alg, r in entry["results"].items()} == {
+            alg: str(v) for alg, v in values.items()
+        }
+
+
 def test_unknown_subsolver_is_a_domain_error():
     with pytest.raises(DomainError, match="bogus"):
         run_algorithm(generate("unit", 0), "unit-a2", subsolver="bogus")
+
+
+@pytest.mark.parametrize("extra", [{}, {"subsolver": "greedy"}, {"priority": ["f"]}])
+def test_unknown_algorithm_is_named_before_its_options(extra):
+    with pytest.raises(DomainError, match="unknown algorithm 'bogus'"):
+        run_algorithm(generate("general", 0), "bogus", **extra)
 
 
 def test_infeasible_exit_code(tmp_path, capsys):

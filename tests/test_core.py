@@ -18,7 +18,6 @@ from aecover.core import (
     SpecEdge,
     TableActivation,
     ZERO,
-    DerivedCosts,
     Edge,
     _prune_dominated,
     active_at_levels,
@@ -32,7 +31,7 @@ from aecover.core import (
 from aecover.errors import EmptyLevels, InvalidInstance, IsolatedTerminal
 from aecover.generators import FAMILIES, generate, random_general, random_minpower
 from aecover.oracle import exact_solve
-from conftest import random_multigraph
+from conftest import exact_costs, random_multigraph
 
 
 def quadratic_prune(sorted_edges):
@@ -66,35 +65,6 @@ def quadratic_minimal_pairs(rule, lu, lv):
         for a, b in active
         if not any((a2, b2) != (a, b) and a2 <= a and b2 <= b for a2, b2 in active)
     ]
-
-
-def fraction_derive_costs(inst):
-    """The former Fraction-arithmetic derive_costs, kept as the reference."""
-    q, c, cheapest = {}, {}, {}
-    for u in inst.terminal_list:
-        ids = inst.edges_at[u]
-        if not ids:
-            raise IsolatedTerminal(u)
-        q[u] = min(inst.edges[i].threshold_at(u) for i in ids)
-        best = min(ids, key=lambda i: (inst.edges[i].tu + inst.edges[i].tv, i))
-        c[u] = inst.edges[best].tu + inst.edges[best].tv - q[u]
-        cheapest[u] = best
-    theta = ZERO
-    for u in inst.terminal_list:
-        if q[u] > 0:
-            ratio = c[u] / q[u]
-            if theta != math.inf and ratio > theta:
-                theta = ratio
-        elif c[u] > 0:
-            theta = math.inf
-    delta = 0
-    for v in inst.nodes:
-        neigh = {inst.edges[i].other(v) for i in inst.edges_at[v]}
-        delta = max(delta, len(neigh & inst.terminals))
-    return DerivedCosts(
-        q=q, c=c, Q=sum(q.values(), ZERO), C=sum(c.values(), ZERO),
-        theta=theta, delta=delta, cheapest=cheapest,
-    )
 
 
 def reference_from_data(nodes, terminals, edges):
@@ -156,11 +126,17 @@ def fraction_covers(inst, a):
     return (not uncovered, uncovered)
 
 
-def assert_same_costs(got, want):
-    assert got == want
+def assert_same_costs(inst, got, want):
+    """``got`` equals ``want``, the exact costs, with q, c, Q and C times
+    ``inst.scale``, as ints."""
+    L = inst.scale
+    assert got.q == {u: x * L for u, x in want.q.items()}
+    assert got.c == {u: x * L for u, x in want.c.items()}
+    assert (got.Q, got.C) == (want.Q * L, want.C * L)
+    assert (got.theta, got.delta, got.cheapest) == (want.theta, want.delta, want.cheapest)
     assert type(got.theta) is type(want.theta)
     for x in (got.Q, got.C, *got.q.values(), *got.c.values()):
-        assert type(x) is Fraction
+        assert type(x) is int
 
 
 class TestInstance:
@@ -352,9 +328,9 @@ class TestDeriveCosts:
 
     def test_matches_fraction_reference_on_families(self):
         for family in sorted(FAMILIES):
-            for seed in range(30):
+            for seed in range(50):
                 inst = generate(family, seed)
-                assert_same_costs(derive_costs(inst), fraction_derive_costs(inst))
+                assert_same_costs(inst, derive_costs(inst), exact_costs(inst))
 
     def test_matches_fraction_reference_on_random_multigraphs(self):
         rng = random.Random(5)
@@ -362,14 +338,14 @@ class TestDeriveCosts:
         for case in range(600):
             inst = random_multigraph(rng)
             try:
-                want = fraction_derive_costs(inst)
+                want = exact_costs(inst)
             except IsolatedTerminal as exc:
                 with pytest.raises(IsolatedTerminal) as got:
                     derive_costs(inst)
                 assert got.value.node == exc.node, case
                 kinds.add("isolated")
                 continue
-            assert_same_costs(derive_costs(inst), want)
+            assert_same_costs(inst, derive_costs(inst), want)
             kinds.add("inf" if want.theta == math.inf else "zero" if want.theta == 0 else "finite")
         assert kinds == {"isolated", "inf", "zero", "finite"}
 
@@ -400,7 +376,7 @@ class TestInstanceCosts:
                 run_algorithm(inst, algorithm)
             assert len(calls) == 1 and calls[0] is inst, (family, seed)
             # The solvers share one DerivedCosts; none may have mutated it.
-            assert_same_costs(inst.costs, derive_costs(inst))
+            assert_same_costs(inst, inst.costs, exact_costs(inst))
 
     def test_isolated_terminal_raises_on_every_access(self):
         inst = Instance.from_data(["u", "v", "w"], ["u", "w"], [("u", "v", 1, 1)])
@@ -523,15 +499,15 @@ class TestActivation:
     def test_cheapest_cover_feasible_and_bounded(self):
         for seed in range(30):
             inst = random_general(8, 14, 3, seed)
-            costs = derive_costs(inst)
-            cover = complete(inst, (), levels=inst.levels(costs.q))
+            costs = exact_costs(inst)
+            cover = inst.assignment(complete(inst, (), levels=inst.levels(costs.q)))
             assert covers(inst, cover)[0]
             assert cover.total() <= costs.Q + costs.C
 
     def test_sandwich_against_oracle(self):
         for seed in range(30):
             inst = random_general(7, 12, 3, seed)
-            costs = derive_costs(inst)
+            costs = exact_costs(inst)
             opt = exact_solve(inst).value
             assert costs.Q <= opt <= costs.Q + costs.C
             if costs.theta != math.inf:

@@ -7,7 +7,7 @@ import pytest
 
 from aecover import general
 from aecover.bounds import omega
-from aecover.core import Assignment, Instance, ZERO, complete, covers, derive_costs
+from aecover.core import Instance, ZERO, complete, covers
 from aecover.errors import IncompleteCover, IsolatedTerminal
 from aecover.general import (
     _GeneralGmcProblem,
@@ -24,7 +24,7 @@ from aecover.generators import (
 )
 from aecover.gmc import Augmentation
 from aecover.oracle import exact_solve
-from conftest import enum_min_density_star, state_totals
+from conftest import enum_min_density_star, exact_costs, state_totals
 
 
 def seeded_mix(count):
@@ -51,10 +51,11 @@ class TestMinDensityStar:
         state = initial_state(inst)
         star = min_density_star(inst, state)
         assert star is not None
-        assert star.root == "v"
-        assert star.root_increment == 1
-        assert {u for u, _ in star.leaves} == {"t1", "t2"}
-        assert star.density == Fraction(1, 2)
+        pay, gain, root, w, leaves = star
+        assert inst.nodes[root] == "v"
+        assert Fraction(w, inst.scale) == 1
+        assert {u for u, _ in leaves} == {"t1", "t2"}
+        assert Fraction(pay, gain) == Fraction(1, 2)
 
     def test_density_never_above_one_from_q(self):
         # From any reachable state the cheapest edge of an uncovered terminal
@@ -63,22 +64,22 @@ class TestMinDensityStar:
             state = initial_state(inst)
             star = min_density_star(inst, state)
             if star is not None:
-                assert star.density <= 1
+                assert star[0] <= star[1]
 
     def test_matches_enumeration_at_initial_state(self):
         for inst in seeded_mix(80):
-            costs = derive_costs(inst)
+            costs = exact_costs(inst)
             state = initial_state(inst)
             star = min_density_star(inst, state)
             brute = enum_min_density_star(inst, costs, state_totals(inst, state), state.covered)
             if star is None:
                 assert brute is None
             else:
-                assert star.density == brute
+                assert Fraction(star[0], star[1]) == brute
 
     def test_matches_enumeration_along_trajectory(self):
         for inst in seeded_mix(24):
-            costs = derive_costs(inst)
+            costs = exact_costs(inst)
             problem = _GeneralGmcProblem(inst)
             state = problem.initial_state()
             for _ in range(20):
@@ -87,23 +88,26 @@ class TestMinDensityStar:
                 if star is None:
                     assert brute is None
                     break
-                assert star.density == brute
-                if star.payment() > star.gain:
+                pay, gain = star[0], star[1]
+                assert Fraction(pay, gain) == brute
+                if pay > gain:
                     break
+                L = inst.scale
                 state = problem.apply(
                     state,
-                    Augmentation(star, star.payment(), state.nu - star.gain),
+                    Augmentation(star, Fraction(pay, L), Fraction(state.nu - gain, L)),
                 )
 
     def test_leaf_selection_fixed_point(self):
         for inst in seeded_mix(40):
-            costs = derive_costs(inst)
+            costs = exact_costs(inst)
             state = initial_state(inst)
             star = min_density_star(inst, state)
             if star is None:
                 continue
-            v, w = star.root, star.root_increment
-            chosen = {u for u, _ in star.leaves}
+            pay, gain, root, w, leaves = star
+            v, w = inst.nodes[root], Fraction(w, inst.scale)
+            chosen = {u for u, _ in leaves}
             totals = state_totals(inst, state)
             # Recompute the reachable set and minimal increments for (v, w).
             reachable = {}
@@ -116,7 +120,7 @@ class TestMinDensityStar:
                     need = max(ZERO, e.threshold_at(u) - totals[u])
                     if u not in reachable or need < reachable[u]:
                         reachable[u] = need
-            sigma = star.density
+            sigma = Fraction(pay, gain)
             strictly_below = {u for u, b in reachable.items() if b / costs.c[u] < sigma}
             at_most = {u for u, b in reachable.items() if b / costs.c[u] <= sigma}
             assert strictly_below <= chosen
@@ -124,7 +128,7 @@ class TestMinDensityStar:
             if root_gains:
                 # The root's own c sits in the denominator, so the forced
                 # first leaf may end above the final density.
-                assert chosen - {star.leaves[0][0]} <= at_most
+                assert chosen - {leaves[0][0]} <= at_most
             else:
                 assert chosen <= at_most
 
@@ -143,7 +147,7 @@ def cached_picks_match_full_scan(inst):
             return picks
         picks.append(full)
         state = problem.apply(state, aug)
-        assert state.nu == aug.predicted_potential
+        assert Fraction(state.nu, inst.scale) == aug.predicted_potential
 
 
 class TestStarCache:
@@ -169,9 +173,10 @@ class TestStarCache:
             [("t1", "a", 1, 1), ("t3", "a", 1, 1), ("t1", "b", 1, 1), ("t2", "b", 1, 1)],
         )
         picks = cached_picks_match_full_scan(inst)
-        assert [(p.root, p.leaves, p.density) for p in picks] == [
-            ("a", (("t1", ZERO), ("t3", ZERO)), Fraction(1, 2)),
-            ("b", (("t2", ZERO),), Fraction(1)),
+        got = [(inst.nodes[i], leaves, Fraction(pay, gain)) for pay, gain, i, _, leaves in picks]
+        assert got == [
+            ("a", (("t1", 0), ("t3", 0)), Fraction(1, 2)),
+            ("b", (("t2", 0),), Fraction(1)),
         ]
 
 
@@ -197,7 +202,7 @@ class TestSolveGeneral:
 
     def test_certified_on_seeds(self):
         for inst in seeded_mix(60):
-            costs = derive_costs(inst)
+            costs = inst.costs
             report = solve_general(inst)
             assert covers(inst, report.assignment)[0]
             opt = exact_solve(inst).value
@@ -207,7 +212,7 @@ class TestSolveGeneral:
             assert float(ratio) <= 1 + math.log(costs.delta + 1) + 1e-12
 
     def test_incomplete_completion_raises_typed_error(self, tiny_instance, monkeypatch):
-        monkeypatch.setattr(general, "complete", lambda *args, **kwargs: Assignment({}))
+        monkeypatch.setattr(general, "complete", lambda *args, **kwargs: {})
         with pytest.raises(IncompleteCover) as err:
             solve_general(tiny_instance)
         assert err.value.uncovered == ("u",)
@@ -224,16 +229,17 @@ class TestComplete:
         inst = Instance.from_data(
             ["t", "v"], ["t"], [("t", "v", 1, 0)]
         )
-        costs = derive_costs(inst)
+        costs = exact_costs(inst)
         state = initial_state(inst)
         assert state.covered == frozenset({"t"})
-        done = complete(inst, state.covered, levels=state.levels)
+        done = inst.assignment(complete(inst, state.covered, levels=state.levels))
         assert done.total() == costs.Q
 
     def test_empty_extra_gives_cheapest_cover(self, tiny_instance):
-        costs = derive_costs(tiny_instance)
+        costs = exact_costs(tiny_instance)
         state = initial_state(tiny_instance)
-        done = complete(tiny_instance, state.covered, levels=state.levels)
+        levels = complete(tiny_instance, state.covered, levels=state.levels)
+        done = tiny_instance.assignment(levels)
         assert covers(tiny_instance, done)[0]
         assert done.total() <= costs.Q + costs.C
 
@@ -242,31 +248,32 @@ class TestComplete:
             problem = _GeneralGmcProblem(inst)
             state = problem.initial_state()
             star = min_density_star(inst, state)
+            L = inst.scale
             paid = ZERO
-            if star is not None and star.payment() <= star.gain:
+            if star is not None and star[0] <= star[1]:
+                paid = Fraction(star[0], L)
                 state = problem.apply(
-                    state, Augmentation(star, star.payment(), state.nu - star.gain)
+                    state, Augmentation(star, paid, Fraction(state.nu - star[1], L))
                 )
-                paid = star.payment()
-            done = complete(inst, state.covered, levels=state.levels)
+            done = inst.assignment(complete(inst, state.covered, levels=state.levels))
             assert covers(inst, done)[0]
-            assert done.total() <= paid + state.nu
+            assert done.total() <= paid + Fraction(state.nu, L)
 
 
 class TestGreedyCertificates:
     def test_value_at_most_payment_plus_potential(self):
         for inst in seeded_mix(40):
             state, trace = run_general_greedy(inst)
-            done = complete(inst, state.covered, levels=state.levels)
+            done = inst.assignment(complete(inst, state.covered, levels=state.levels))
             tau = trace.total_payment()
-            assert done.total() <= tau + state.nu
+            assert done.total() <= tau + Fraction(state.nu, inst.scale)
 
     def test_reduction_equivalence_on_seeds(self):
         # Completed greedy value sits between opt and the certificate; the
         # exact optimum equals the best payment+potential over all solutions,
         # witnessed here by opt <= completed value and Q <= opt.
         for inst in seeded_mix(30):
-            costs = derive_costs(inst)
+            costs = exact_costs(inst)
             opt = exact_solve(inst).value
             report = solve_general(inst)
             assert costs.Q <= opt <= report.value
@@ -278,7 +285,7 @@ class TestGreedyCertificates:
         from aecover.core import covered_terminals
 
         for inst in seeded_mix(30):
-            costs = derive_costs(inst)
+            costs = exact_costs(inst)
             best = exact_solve(inst)
             surplus = {}
             for node in inst.nodes:

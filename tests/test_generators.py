@@ -26,6 +26,7 @@ from aecover.generators import (
 )
 from aecover.locally_uniform import validate_locally_uniform
 from aecover.oracle import exact_solve
+from conftest import exact_costs
 
 
 class TestFacilityLocation:
@@ -51,7 +52,7 @@ class TestFacilityLocation:
             inst = random_uniform(seed, theta=6, facilities_range=(2, 4))
             ubi = validate_locally_uniform(inst)
             want = self._facility_subset_optimum(ubi)
-            assert exact_solve(inst).value == want
+            assert exact_solve(inst).value == Fraction(want, inst.scale)
 
     @staticmethod
     def _facility_subset_optimum(ubi):
@@ -145,7 +146,7 @@ class TestInstallation:
             {("u", "v"): (1, 1)},
             {"u": (5, 15, 20), "v": (5, 15, 20)},
         )
-        costs = derive_costs(inst)
+        costs = exact_costs(inst)
         assert costs.q["u"] == 5 and costs.c["u"] == 20
         assert costs.theta == 4
 
@@ -157,7 +158,7 @@ class TestInstallation:
             {("u", "v"): (1, 1)},
             {"u": (0, 5), "v": (0, 5)},
         )
-        costs = derive_costs(inst)
+        costs = exact_costs(inst)
         assert costs.q["u"] == 0 and costs.c["u"] == 0
         assert exact_solve(inst).value == 0
 

@@ -24,6 +24,7 @@ import pytest
 
 from aecover.cli import main
 from aecover.fileio import save_instance
+from aecover.general import solve_general
 from aecover.generators import FAMILIES, from_facility_location, generate, random_general, random_unit
 from aecover.oracle import exact_solve
 from aecover.unit import reduce_unit, solve_unit_a1
@@ -303,3 +304,20 @@ GOLDEN_UNIT_A1_VALUES = "102272f7cfe6511fc563b55e9b8b0afa2adb4817afb2a70cdf7797c
 def test_unit_a1_values_match_golden_on_random_unit():
     values = " ".join(str(solve_unit_a1(reduce_unit(random_unit_case(i))).value) for i in range(600))
     assert hashlib.sha256(values.encode()).hexdigest() == GOLDEN_UNIT_A1_VALUES
+
+
+# sha256 of the concatenated `solve_general(...).to_json()` reports on
+# random_general(n, 3n, 6, seed, r=round(0.4n)) for n in GENERAL_LADDER and
+# seeds 0..4, in order: the sizes the solve-general benchmark runs, recorded
+# before derived costs and the star greedy moved onto the integer view.
+GENERAL_LADDER = (20, 30, 40, 60, 80)
+GOLDEN_GENERAL_LADDER = "530565326ac5cc7e869ddc08dff4392f5129d491bf91399033409dea52d232c6"
+
+
+def test_general_ladder_matches_golden_bytes():
+    digest = hashlib.sha256()
+    for n in GENERAL_LADDER:
+        for seed in range(5):
+            inst = random_general(n, 3 * n, 6, seed, r=round(0.4 * n))
+            digest.update(solve_general(inst).to_json().encode())
+    assert digest.hexdigest() == GOLDEN_GENERAL_LADDER

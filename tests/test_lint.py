@@ -13,6 +13,10 @@
   ``core.active_at_levels``, on the integer view, is the one predicate.
 - Every import names a standard-library module or the package itself, so the
   library installs and runs with no third-party package.
+- No module but ``core``, the integer view's one producer, calls a
+  ``.scaled`` or ``.levels`` method: every other module reads the view
+  ready-made (``scaled_edges``, ``scaled_rows``, ``Instance.costs``), so no
+  value makes a round trip from ints to ``Fraction`` and back.
 - No module but ``generators`` holds a bench-family name as a string literal:
   ``generators.FAMILIES`` owns each family's facts, so no other module can
   branch on a family.
@@ -116,6 +120,16 @@ def third_party_imports(tree: ast.AST) -> list[int]:
     return sorted(found)
 
 
+def integer_view_calls(tree: ast.AST) -> list[int]:
+    """Lines that call a ``.scaled`` or ``.levels`` method on anything."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("scaled", "levels")
+    })
+
+
 def family_name_literals(tree: ast.AST) -> list[int]:
     """Lines holding a string literal equal to a checked bench-family name."""
     return sorted({
@@ -153,6 +167,14 @@ def test_json_dumps_only_in_fileio():
                 if name != "fileio.py" and (lines := json_dumps_uses(tree))}
     assert breaches == {}
     assert json_dumps_uses(trees["fileio.py"]), "the layout owner lost its json.dumps"
+
+
+def test_integer_view_made_only_in_core():
+    trees = dict(library_trees())
+    breaches = {name: lines for name, tree in trees.items()
+                if name != "core.py" and (lines := integer_view_calls(tree))}
+    assert breaches == {}
+    assert integer_view_calls(trees["core.py"]), "the integer view lost its producer"
 
 
 def test_family_names_only_in_generators():
@@ -300,3 +322,16 @@ def cmd_gen(args):
 
 def test_family_rule_catches_breaches():
     assert family_name_literals(ast.parse(BROKEN_FAMILIES)) == [5, 7, 8]
+
+
+BROKEN_SCALING = '''
+def solve(inst, costs, spec):
+    q = inst.levels(costs.q)
+    w = {v: inst.scaled(x) for v, x in costs.c.items()}
+    grid = spec.levels[v] + sorted(spec.levels.get(u, ()))
+    return q, w, levels(q), scaled(w), grid, inst.scaled_edges, Instance.levels(inst, q)
+'''
+
+
+def test_integer_view_rule_catches_breaches():
+    assert integer_view_calls(ast.parse(BROKEN_SCALING)) == [3, 4, 6]

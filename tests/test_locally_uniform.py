@@ -41,6 +41,8 @@ def rescan_solve_locally_uniform(ubi, tie_break="lowest-id", priority=None):
     """The former greedy, kept as the reference: every step rescans every
     facility, recounts its uncovered clients and prices it in Fraction."""
     inst = ubi.inst
+    weight = {v: Fraction(w, inst.scale) for v, w in ubi.weight.items()}
+    service = {v: Fraction(t, inst.scale) for v, t in ubi.service.items()}
     if tie_break == "adversarial-order":
         rank = {}
         for i, v in enumerate(priority):
@@ -59,7 +61,7 @@ def rescan_solve_locally_uniform(ubi, tie_break="lowest-id", priority=None):
             k = sum(1 for c in ubi.adjacency[v] if c in uncovered)
             if k == 0:
                 continue
-            price = ubi.weight[v] / k + ubi.service[v]
+            price = weight[v] / k + service[v]
             key = (price, tie_key[v])
             if best is None or key < best[0]:
                 best = (key, v, k, price)
@@ -67,9 +69,9 @@ def rescan_solve_locally_uniform(ubi, tie_break="lowest-id", priority=None):
             raise Infeasible("stuck")
         _, v, k, price = best
         served = tuple(c for c in ubi.adjacency[v] if c in uncovered)
-        values[v] = ubi.weight[v]
+        values[v] = weight[v]
         for c in served:
-            values[c] = ubi.service[v]
+            values[c] = service[v]
         uncovered -= set(served)
         steps.append({"facility": v, "clients": list(served), "k": k, "price": str(price)})
     assignment = Assignment.of(values)
@@ -160,7 +162,7 @@ class TestValidate:
             Fraction(1) / eps,
         )
         ubi = validate_locally_uniform(inst)
-        assert all(t == eps for t in ubi.service.values())
+        assert all(Fraction(t, inst.scale) == eps for t in ubi.service.values())
         assert ubi.theta == 4  # slope 1/eps for unit weights
 
 
@@ -205,8 +207,13 @@ def outcome(fn, inst):
 
 class TestValidateAgainstReference:
     def view(self, inst):
+        """The validated view with weights and services as exact values;
+        they must be ints on the integer view."""
         ubi = validate_locally_uniform(inst)
-        return ubi.weight, ubi.service, ubi.adjacency, ubi.theta
+        assert all(type(x) is int for x in (*ubi.weight.values(), *ubi.service.values()))
+        weight = {v: Fraction(w, inst.scale) for v, w in ubi.weight.items()}
+        service = {v: Fraction(t, inst.scale) for v, t in ubi.service.items()}
+        return weight, service, ubi.adjacency, ubi.theta
 
     def test_families_and_random_multigraphs(self):
         instances = [generate(family, seed) for family in FAMILIES
@@ -236,7 +243,7 @@ class TestValidateAgainstReference:
         assert weights == [Fraction(1, 2)] * 3
         assert len({id(w) for w in weights}) == 3
         ubi = validate_locally_uniform(inst)
-        assert ubi.weight == {"f": Fraction(1, 2)} and ubi.theta == Fraction(1, 2)
+        assert inst.scale == 2 and ubi.weight == {"f": 1} and ubi.theta == Fraction(1, 2)
         assert ubi.adjacency["f"] == ("a", "b", "c")
         same = json.loads(json.dumps(doc).replace('"2/4"', '"1/2"').replace("0.5", '"1/2"'))
         assert solve_locally_uniform(ubi).to_json() == solve_locally_uniform(
@@ -321,7 +328,7 @@ class TestSolve:
         clients = ["c0", "c1", "c2"]
         inst = from_facility_location(clients, ["f"], {"f": 1}, {(c, "f"): 2 for c in clients})
         ubi = validate_locally_uniform(inst)
-        understated = dataclasses.replace(ubi, service={"f": Fraction(1)})
+        understated = dataclasses.replace(ubi, service={"f": 1})
         with pytest.raises(IncompleteCover) as err:
             solve_locally_uniform(understated)
         assert err.value.uncovered == tuple(clients)
@@ -407,8 +414,8 @@ class TestPerStarAccounting:
             for star in stars:
                 if star.root in inst.terminals:
                     continue  # bipartite: roots are facilities
-                w = ubi.weight[star.root]
-                t = ubi.service[star.root]
+                w = Fraction(ubi.weight[star.root], inst.scale)
+                t = Fraction(ubi.service[star.root], inst.scale)
                 k = len(star.leaves)
                 order = sorted(star.leaves, key=lambda c: step_of[c], reverse=True)
                 total = Fraction(0)

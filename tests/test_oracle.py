@@ -9,7 +9,7 @@ import pytest
 
 import aecover
 import aecover.oracle
-from aecover.core import Assignment, Instance, covers, derive_costs
+from aecover.core import Assignment, Instance, covers
 from aecover.errors import BudgetExceeded, LimitExceeded, StarDecompositionViolated
 from aecover.fileio import dumps_instance
 from aecover.generators import (
@@ -21,7 +21,7 @@ from aecover.generators import (
     tight73,
 )
 from aecover.oracle import exact_solve, exact_star_decomposition
-from conftest import brute_force_node_levels, reference_exact_solve
+from conftest import brute_force_node_levels, exact_costs, reference_exact_solve
 
 
 def test_single_edge(tiny_instance):
@@ -53,7 +53,7 @@ def test_matches_node_level_brute_force():
 def test_oracle_at_least_q():
     for seed in range(40):
         inst = random_minpower(8, 13, seed)
-        costs = derive_costs(inst)
+        costs = exact_costs(inst)
         assert exact_solve(inst).value >= costs.Q
 
 

@@ -10,6 +10,7 @@ from aecover.core import Instance, covers, derive_costs
 from aecover.general import solve_general
 from aecover.oracle import exact_solve
 from aecover.unit import reduce_unit, solve_unit_a1, solve_unit_a2
+from conftest import exact_costs
 
 
 def big_star_unit_instance(seed: int) -> Instance:
@@ -94,7 +95,7 @@ def test_parallel_edge_choices_reach_optimum():
         ["t"],
         [("t", "v", 5, 1), ("t", "v", 1, 2), ("t", "v", 3, 3)],
     )
-    costs = derive_costs(inst)
+    costs = exact_costs(inst)
     assert costs.q["t"] == 1 and costs.c["t"] == 2
     assert exact_solve(inst).value == 3
     assert solve_general(inst).value == 3
