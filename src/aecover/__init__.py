@@ -21,7 +21,7 @@ from .core import (
     derive_costs,
     levels_reduction,
 )
-from .bounds import harmonic, k_theta, omega, omega_bar, setcover_greedy_bound, table1
+from .bounds import harmonic, k_theta, omega, omega_bar, table1
 from .errors import (
     AecError,
     BudgetExceeded,
@@ -39,7 +39,6 @@ from .errors import (
     OracleViolation,
     PhaseInvariantViolated,
     SizeBoundViolated,
-    StarDecompositionViolated,
 )
 from .fileio import instance_digest, load_instance, loads_instance, save_instance
 from .general import min_density_star, solve_general
@@ -56,13 +55,12 @@ from .generators import (
     random_unit,
     tight73,
 )
-from .gmc import Augmentation, GreedyTrace, gmc_greedy, greedy_ratio_bound
 from .locally_uniform import (
     UniformBipartiteInstance,
     solve_locally_uniform,
     validate_locally_uniform,
 )
-from .oracle import ExactResult, exact_solve, exact_star_decomposition
+from .oracle import ExactResult, exact_solve
 from .report import BenchReport, SolveReport, solve_report
 from .unit import (
     EXACT_SUBSOLVER,

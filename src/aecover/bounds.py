@@ -213,28 +213,6 @@ def omega_bar(theta: ThetaLike, delta_cap: Optional[int] = None) -> Union[Fracti
     return g_value(theta, _capped_k_theta(_theta_fraction(theta), delta_cap))
 
 
-def setcover_greedy_bound(n: int, tau: int, m_margin: ThetaLike) -> float:
-    """Greedy set-cover ratio 1 + omega_bar(n*M/tau)*(1 + 1/M)."""
-    if n <= 0 or tau <= 0:
-        raise DomainError("n and tau must be positive")
-    m = _theta_fraction(m_margin)
-    slope = Fraction(n) * m / tau
-    return 1.0 + float(omega_bar(slope)) * float(1 + 1 / m)
-
-
-def unit_a1_constant(scan_limit: int = 100) -> tuple[Fraction, int]:
-    """max over 2 <= k <= limit of (H_k - 7/6)/(k + 1), with its argmax."""
-    best = None
-    arg = 0
-    h = Fraction(1)
-    for k in range(2, scan_limit + 1):
-        h += Fraction(1, k)
-        val = (h - Fraction(7, 6)) / (k + 1)
-        if best is None or val > best:
-            best, arg = val, k
-    return best, arg
-
-
 # ---------------------------------------------------------------------------
 # Bound table reporting
 

@@ -54,8 +54,8 @@ class DomainError(AecError):
 
 
 class OracleViolation(AecError):
-    """An augmentation oracle returned a potential-increasing step, or one
-    whose applied state missed its predicted potential."""
+    """The density greedy met a star that raises the potential, or one whose
+    applied potential drop differs from its gain."""
 
 
 class IncompleteCover(AecError):
@@ -68,11 +68,6 @@ class IncompleteCover(AecError):
 
 class PhaseInvariantViolated(AecError):
     """The multi-phase unit solver broke an invariant its phase analysis rests on."""
-
-
-class StarDecompositionViolated(AecError):
-    """A minimal activated cover did not split into node-disjoint stars with
-    terminal leaves."""
 
 
 class LimitExceeded(AecError):

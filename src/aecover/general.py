@@ -1,50 +1,33 @@
 """Solver for arbitrary thresholds via the density greedy plus completion.
 
-The greedy state tracks the fixed q assignment plus accumulated increments;
-the potential is Q plus the c-cost of the still-uncovered terminals, the
-payment is the total increment.  Augmentations are proper stars: a root with
-a value increment and a set of uncovered terminal leaves, chosen to minimize
-payment per unit of covered c-cost.  Whatever the greedy leaves uncovered is
-finished by raising, per terminal, the endpoints of its cheapest edge.
+:func:`density_greedy` runs the paper's simple generic algorithm: while the
+potential is above its target, apply the augmentation of least density
+(payment per unit of potential decrease), as long as that density is at most
+1.  The potential is Q plus the c-cost of the still-uncovered terminals, its
+target is Q, and the payment is the total increment over the q levels.  The
+augmentations are proper stars: a root with a value increment and a set of
+uncovered terminal leaves.  Whatever the greedy leaves uncovered is finished
+by raising, per terminal, the endpoints of its cheapest edge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Mapping, Optional
+from typing import Container, Iterable, Iterator, Mapping, Optional
 
 from .bounds import omega
 from .core import Instance, complete, covered_terminals
-from .errors import DomainError
-from .gmc import Augmentation, GreedyTrace, gmc_greedy
+from .errors import DomainError, OracleViolation
 from .report import SolveReport, solve_report
-
-
-@dataclass(frozen=True)
-class GeneralSolveState:
-    """Greedy state on the integer view (times ``inst.scale``, as ints):
-    ``levels`` holds every node's total, ``nu`` the potential, and
-    ``stars`` caches the best star of each root that has one (see
-    :func:`_best_star_at`)."""
-
-    levels: Mapping[str, int]
-    covered: frozenset[str]
-    nu: int
-    stars: Mapping[str, tuple]
-
-
-def initial_state(inst: Instance) -> GeneralSolveState:
-    return _GeneralGmcProblem(inst).initial_state()
 
 
 def _best_star_at(
     inst: Instance,
     c: Mapping[str, int],
     levels: Mapping[str, int],
-    covered: frozenset[str],
+    covered: Container[str],
     root: str,
 ) -> Optional[tuple]:
     """Best star rooted at ``root`` as ``(pay, gain, index, w, leaves)``, or
@@ -109,7 +92,9 @@ def _min_star(stars: Iterable[tuple]) -> Optional[tuple]:
     return best
 
 
-def min_density_star(inst: Instance, state: GeneralSolveState) -> Optional[tuple]:
+def min_density_star(
+    inst: Instance, levels: Mapping[str, int], covered: Container[str]
+) -> Optional[tuple]:
     """Star of globally minimum density as ``(pay, gain, root index, w,
     leaves)`` on the integer view, or None when no star gains anything.
 
@@ -121,85 +106,85 @@ def min_density_star(inst: Instance, state: GeneralSolveState) -> Optional[tuple
     uncovered terminal root contributes its own c to the gain.  Ties are
     broken by (density, root id, increment).
 
-    This is a full scan over :func:`_best_star_at` from ``state.levels``.
-    The greedy runs the same function but keeps each root's best star in
-    ``state.stars``; after a step it recomputes only the dirty roots, the
-    closed neighbourhood of the nodes whose total rose and the terminals
-    that became covered.  That is complete: a root's best star reads only
-    its own total and covered flag and those of its neighbours.  A lazy
-    heap in the style of Minoux's accelerated greedy would be wrong here:
-    a root's best density can fall after a step, since raising a root
-    lowers its own increments.
+    This is the full scan over :func:`_best_star_at` that
+    :func:`density_greedy`'s per-root star cache is checked against.
     """
     c = inst.costs.c
-    stars = (_best_star_at(inst, c, state.levels, state.covered, v) for v in inst.nodes)
+    stars = (_best_star_at(inst, c, levels, covered, v) for v in inst.nodes)
     return _min_star(s for s in stars if s)
 
 
-class _GeneralGmcProblem:
-    """Potential Q + c(uncovered), payment = total increment, star oracle.
-    The state and stars are on the integer view; only the payment and the
-    potentials handed to :func:`gmc_greedy` become ``Fraction``s."""
+def density_greedy(
+    inst: Instance,
+) -> Iterator[tuple[dict[str, int], set[str], Optional[tuple], dict]]:
+    """Run the density greedy on the integer view, yielding before each step.
 
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.c = inst.costs.c
+    Each yield is ``(levels, covered, star, trace)``: every node's level,
+    the covered terminals, the star of least key (as for
+    :func:`min_density_star`) and the trace document.  They are the loop's
+    own objects, updated in place when it resumes, and the last yield is the
+    final state.  The loop stops when the potential reaches Q, when no star
+    is left, or when the least star gains nothing or pays more than it gains.
+    A star whose applied potential drop differs from its gain raises
+    OracleViolation, also under ``python -O``.
 
-    def initial_state(self) -> GeneralSolveState:
-        inst, c = self.inst, self.c
-        levels = dict.fromkeys(inst.nodes, 0)
-        levels.update(inst.costs.q)
-        covered = covered_terminals(inst, levels=levels)
-        nu = inst.costs.Q + sum(c[u] for u in inst.terminal_list if u not in covered)
-        stars = {v: s for v in inst.nodes if (s := _best_star_at(inst, c, levels, covered, v))}
-        return GeneralSolveState(levels, covered, nu, stars)
-
-    def potential(self, state: GeneralSolveState) -> Fraction:
-        return Fraction(state.nu, self.inst.scale)
-
-    def target(self) -> Fraction:
-        return Fraction(self.inst.costs.Q, self.inst.scale)
-
-    def best_augmentation(self, state: GeneralSolveState) -> Optional[Augmentation]:
-        star = _min_star(state.stars.values())
-        if star is None:
-            return None
-        pay, gain = star[0], star[1]
-        L = self.inst.scale
-        return Augmentation(
-            payload=star,
-            payment=Fraction(pay, L),
-            predicted_potential=Fraction(state.nu - gain, L),
-        )
-
-    def apply(self, state: GeneralSolveState, aug: Augmentation) -> GeneralSolveState:
-        _, _, root, w, leaves = aug.payload
-        inst = self.inst
-        levels = dict(state.levels)
+    Each root's best star is cached; after a step only the dirty roots are
+    recomputed, the closed neighbourhood of the nodes whose level rose and
+    of the terminals that became covered.  That is complete: a root's best
+    star reads only its own level and covered flag and those of its
+    neighbours.  A lazy heap in the style of Minoux's accelerated greedy
+    would be wrong here: a root's best density can fall after a step, since
+    raising a root lowers its own increments.
+    """
+    c, L, Q = inst.costs.c, inst.scale, inst.costs.Q
+    levels = dict.fromkeys(inst.nodes, 0)
+    levels.update(inst.costs.q)
+    covered = set(covered_terminals(inst, levels=levels))
+    nu = Q + sum(c[u] for u in inst.terminal_list if u not in covered)
+    stars = {v: s for v in inst.nodes if (s := _best_star_at(inst, c, levels, covered, v))}
+    before = str(Fraction(nu, L))
+    steps: list[dict] = []
+    trace = {"initial_potential": before, "steps": steps}
+    while True:
+        star = _min_star(stars.values())
+        yield levels, covered, star, trace
+        if nu <= Q or star is None:
+            return
+        pay, gain, root, w, leaves = star
+        if gain < 0:
+            raise OracleViolation(f"star raises potential {before} -> {Fraction(nu - gain, L)}")
+        if gain == 0 or pay > gain:
+            # Density above 1 (or no gain at all): every further star pays
+            # more than it saves, so the completion step finishes.
+            return
         changed = []
         for node, inc in ((inst.nodes[root], w), *leaves):
             if inc:
                 levels[node] += inc
                 changed.append(node)
         # Only edges at a raised node can have become active.
-        newly = covered_terminals(inst, levels=levels, nodes=changed) - state.covered
-        covered = state.covered | newly
-        nu = state.nu - sum(self.c[u] for u in newly)
+        newly = covered_terminals(inst, levels=levels, nodes=changed) - covered
+        covered |= newly
+        drop = sum(c[u] for u in newly)
+        after = str(Fraction(nu - gain, L))
+        if drop != gain:
+            raise OracleViolation(f"star predicted potential {after}, got {Fraction(nu - drop, L)}")
+        nu -= gain
+        steps.append({
+            "step": len(steps),
+            "payment": str(Fraction(pay, L)),
+            "potential_before": before,
+            "potential_after": after,
+        })
+        before = after
         dirty = set(changed) | newly
         for x in tuple(dirty):
             dirty.update(u for _, u, _ in inst.scaled_rows[x])
-        stars = dict(state.stars)
         for v in dirty:
-            s = _best_star_at(inst, self.c, levels, covered, v)
-            if s:
+            if s := _best_star_at(inst, c, levels, covered, v):
                 stars[v] = s
             else:
                 stars.pop(v, None)
-        return GeneralSolveState(levels, covered, nu, stars)
-
-
-def run_general_greedy(inst: Instance) -> tuple[GeneralSolveState, GreedyTrace]:
-    return gmc_greedy(_GeneralGmcProblem(inst))
 
 
 def general_bound_candidates(inst: Instance) -> list[tuple[str, object]]:
@@ -241,9 +226,10 @@ def general_bound_candidates(inst: Instance) -> list[tuple[str, object]]:
 def solve_general(inst: Instance) -> SolveReport:
     """Density-greedy solver with the slope/degree ratio certificate."""
     costs = inst.costs
-    state, trace = run_general_greedy(inst)
+    for levels, covered, _, trace in density_greedy(inst):
+        pass
     # The completed value is at most the greedy's payment plus its potential.
-    assignment = inst.assignment(complete(inst, state.covered, levels=state.levels))
+    assignment = inst.assignment(complete(inst, covered, levels=levels))
     label, bound = min(general_bound_candidates(inst), key=lambda it: (float(it[1]), it[0]))
     return solve_report(
         inst,
@@ -251,10 +237,10 @@ def solve_general(inst: Instance) -> SolveReport:
         assignment,
         claimed_bound=bound,
         bound_label=label,
-        trace=trace.to_doc(),
+        trace=trace,
         extras={
             "Q": str(Fraction(costs.Q, inst.scale)),
             "C": str(Fraction(costs.C, inst.scale)),
-            "greedy_steps": len(trace.steps),
+            "greedy_steps": len(trace["steps"]),
         },
     )

@@ -11,10 +11,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import Assignment, Instance, active_at_levels, active_edges, complete
-from .errors import BudgetExceeded, LimitExceeded, StarDecompositionViolated
+from .core import Assignment, Instance, active_at_levels, complete
+from .errors import BudgetExceeded, LimitExceeded
 
 DEFAULT_MAX_TERMINALS = 10
 DEFAULT_MAX_NODES = 64
@@ -111,78 +111,3 @@ def exact_solve(
             f"{len(terms)} terminals exceed the search depth the recursion limit allows"
         ) from None
     return result(optimal=True)
-
-
-@dataclass(frozen=True)
-class Star:
-    root: str
-    leaves: tuple[str, ...]
-
-
-def _minimal_cover(inst: Instance, active: Sequence[int]) -> list[int]:
-    """An inclusion-minimal subset of the edges ``active`` that still touches
-    every terminal they touch: each kept edge covers a private terminal."""
-    count = {t: 0 for t in inst.terminals}
-    for ei in active:
-        e = inst.edges[ei]
-        for node in (e.u, e.v):
-            if node in count:
-                count[node] += 1
-    kept = []
-    for ei in active:
-        e = inst.edges[ei]
-        ends = [n for n in (e.u, e.v) if n in count]
-        if ends and all(count[n] > 1 for n in ends):
-            for n in ends:
-                count[n] -= 1
-        elif ends:
-            kept.append(ei)
-        # Edges touching no terminal are always dropped.
-    return kept
-
-
-def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Star]:
-    """Node-disjoint rooted stars with terminal leaves covering all terminals.
-
-    Extracts an inclusion-minimal activated cover, whose components are stars
-    (each edge of a minimal cover covers a private terminal).
-    """
-    adj: dict[str, list[int]] = {}
-    for ei in _minimal_cover(inst, list(active_edges(inst, assignment.values))):
-        e = inst.edges[ei]
-        adj.setdefault(e.u, []).append(ei)
-        adj.setdefault(e.v, []).append(ei)
-
-    seen: set[str] = set()
-    stars: list[Star] = []
-    for start in sorted(adj, key=inst.index.__getitem__):
-        if start in seen:
-            continue
-        component = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for ei in adj[node]:
-                other = inst.edges[ei].other(node)
-                if other not in component:
-                    component.add(other)
-                    stack.append(other)
-        seen |= component
-        centers = [n for n in component if len(adj[n]) >= 2]
-        if len(centers) > 1:
-            raise StarDecompositionViolated(f"minimal cover component has {len(centers)} centers")
-        if centers:
-            root = centers[0]
-        else:
-            # No node has two edges, so the component is one edge.
-            e = inst.edges[adj[start][0]]
-            non_terminals = [n for n in (e.u, e.v) if n not in inst.terminals]
-            root = non_terminals[0] if len(non_terminals) == 1 else min(
-                (e.u, e.v), key=inst.index.__getitem__
-            )
-        leaves = tuple(sorted(component - {root}, key=inst.index.__getitem__))
-        if not all(leaf in inst.terminals for leaf in leaves):
-            raise StarDecompositionViolated(f"star at {root!r} has a non-terminal leaf: {leaves}")
-        stars.append(Star(root=root, leaves=leaves))
-    stars.sort(key=lambda s: inst.index[s.root])
-    return stars

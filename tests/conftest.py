@@ -2,7 +2,10 @@
 
 These oracles deliberately re-derive results by exhaustive enumeration,
 independent of the library's algorithms, so ratio and equality assertions
-have teeth.
+have teeth.  The lemma checks at the end (the star decomposition of a
+minimal cover, the greedy's ratio bound, the set-cover and unit-a1
+constants) are read only by the tests, so they live here, not in the
+library.
 """
 
 from __future__ import annotations
@@ -10,17 +13,22 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
+from aecover.bounds import omega_bar
 from aecover.core import (
+    Assignment,
     DerivedCosts,
     Instance,
     ZERO,
+    active_edges,
     covered_terminals,
 )
-from aecover.errors import IsolatedTerminal, LimitExceeded
+from aecover.errors import AecError, DomainError, IsolatedTerminal, LimitExceeded
 
 
 def exact_costs(inst):
@@ -102,9 +110,9 @@ def enum_min_density_star(inst, costs, totals, covered):
     return best
 
 
-def state_totals(inst, state):
-    """Every node's total in a general greedy state, as exact values."""
-    values = inst.assignment(state.levels)
+def state_totals(inst, levels):
+    """Every node's total at the general greedy's ``levels``, as exact values."""
+    values = inst.assignment(levels)
     return {n: values.get(n) for n in inst.nodes}
 
 
@@ -246,3 +254,122 @@ def random_multigraph(rng):
 @pytest.fixture
 def tiny_instance() -> Instance:
     return Instance.from_data(["u", "v"], ["u"], [("u", "v", 2, 3)])
+
+
+class StarDecompositionViolated(AecError):
+    """A minimal activated cover did not split into node-disjoint stars with
+    terminal leaves."""
+
+
+@dataclass(frozen=True)
+class Star:
+    root: str
+    leaves: tuple[str, ...]
+
+
+def _minimal_cover(inst: Instance, active: Sequence[int]) -> list[int]:
+    """An inclusion-minimal subset of the edges ``active`` that still touches
+    every terminal they touch: each kept edge covers a private terminal."""
+    count = {t: 0 for t in inst.terminals}
+    for ei in active:
+        e = inst.edges[ei]
+        for node in (e.u, e.v):
+            if node in count:
+                count[node] += 1
+    kept = []
+    for ei in active:
+        e = inst.edges[ei]
+        ends = [n for n in (e.u, e.v) if n in count]
+        if ends and all(count[n] > 1 for n in ends):
+            for n in ends:
+                count[n] -= 1
+        elif ends:
+            kept.append(ei)
+        # Edges touching no terminal are always dropped.
+    return kept
+
+
+def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Star]:
+    """Node-disjoint rooted stars with terminal leaves covering all terminals.
+
+    Extracts an inclusion-minimal activated cover, whose components are stars
+    (each edge of a minimal cover covers a private terminal).  Its shape
+    checks raise, so they still run under ``python -O``.
+    """
+    adj: dict[str, list[int]] = {}
+    for ei in _minimal_cover(inst, list(active_edges(inst, assignment.values))):
+        e = inst.edges[ei]
+        adj.setdefault(e.u, []).append(ei)
+        adj.setdefault(e.v, []).append(ei)
+
+    seen: set[str] = set()
+    stars: list[Star] = []
+    for start in sorted(adj, key=inst.index.__getitem__):
+        if start in seen:
+            continue
+        component = {start}
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for ei in adj[node]:
+                other = inst.edges[ei].other(node)
+                if other not in component:
+                    component.add(other)
+                    stack.append(other)
+        seen |= component
+        centers = [n for n in component if len(adj[n]) >= 2]
+        if len(centers) > 1:
+            raise StarDecompositionViolated(f"minimal cover component has {len(centers)} centers")
+        if centers:
+            root = centers[0]
+        else:
+            # No node has two edges, so the component is one edge.
+            e = inst.edges[adj[start][0]]
+            non_terminals = [n for n in (e.u, e.v) if n not in inst.terminals]
+            root = non_terminals[0] if len(non_terminals) == 1 else min(
+                (e.u, e.v), key=inst.index.__getitem__
+            )
+        leaves = tuple(sorted(component - {root}, key=inst.index.__getitem__))
+        if not all(leaf in inst.terminals for leaf in leaves):
+            raise StarDecompositionViolated(f"star at {root!r} has a non-terminal leaf: {leaves}")
+        stars.append(Star(root=root, leaves=leaves))
+    stars.sort(key=lambda s: inst.index[s.root])
+    return stars
+
+
+def greedy_ratio_bound(nu0: Fraction, nu_star: Fraction, tau_star: Fraction) -> float:
+    """Worst-case ratio of the density greedy against an optimum splitting
+    into payment ``tau_star`` and residual potential ``nu_star``:
+    1 + tau*/(tau* + nu*) * ln((nu0 - nu*)/tau*), clamped at 1.
+    """
+    if tau_star <= 0:
+        raise DomainError(f"tau_star must be positive, got {tau_star}")
+    if nu0 <= nu_star:
+        raise DomainError("initial potential must exceed the target")
+    spread = (nu0 - nu_star) / tau_star
+    if spread <= 1:
+        return 1.0
+    opt = tau_star + nu_star
+    return 1.0 + float(tau_star / opt) * math.log(float(spread))
+
+
+def setcover_greedy_bound(n: int, tau: int, m_margin) -> float:
+    """Greedy set-cover ratio 1 + omega_bar(n*M/tau)*(1 + 1/M)."""
+    if n <= 0 or tau <= 0:
+        raise DomainError("n and tau must be positive")
+    m = Fraction(m_margin)
+    slope = Fraction(n) * m / tau
+    return 1.0 + float(omega_bar(slope)) * float(1 + 1 / m)
+
+
+def unit_a1_constant(scan_limit: int = 100) -> tuple[Fraction, int]:
+    """max over 2 <= k <= limit of (H_k - 7/6)/(k + 1), with its argmax."""
+    best = None
+    arg = 0
+    h = Fraction(1)
+    for k in range(2, scan_limit + 1):
+        h += Fraction(1, k)
+        val = (h - Fraction(7, 6)) / (k + 1)
+        if best is None or val > best:
+            best, arg = val, k
+    return best, arg

@@ -19,12 +19,11 @@ from aecover.bounds import (
     omega_bar,
     rho_from_alphas,
     table1,
-    unit_a1_constant,
 )
 from aecover.bounds import ALPHA_K
 from aecover.cli import main
 from aecover.core import covers
-from aecover.general import initial_state, min_density_star, run_general_greedy, solve_general
+from aecover.general import density_greedy, min_density_star, solve_general
 from aecover.generators import (
     generate,
     random_general,
@@ -33,7 +32,6 @@ from aecover.generators import (
     random_theta_setcover,
     tight73,
 )
-from aecover.gmc import greedy_ratio_bound
 from aecover.locally_uniform import solve_locally_uniform, validate_locally_uniform
 from aecover.oracle import exact_solve
 from aecover.unit import (
@@ -48,8 +46,10 @@ from conftest import (
     enum_min_density_star,
     enum_setcover_optimum,
     exact_costs,
+    greedy_ratio_bound,
     random_set_system,
     state_totals,
+    unit_a1_constant,
 )
 
 GENERAL_FAMILIES = (
@@ -77,9 +77,21 @@ def _announce(n: int, name: str) -> None:
     print(f"ACCEPTANCE {n} ({name}): PASS")
 
 
+def read_trace(doc):
+    """A general report's trace document as exact values: the initial
+    potential, each step's (payment, potential before, potential after),
+    and the total payment."""
+    steps = [
+        (Fraction(s["payment"]), Fraction(s["potential_before"]), Fraction(s["potential_after"]))
+        for s in doc["steps"]
+    ]
+    return Fraction(doc["initial_potential"]), steps, sum((s[0] for s in steps), Fraction(0))
+
+
 @pytest.fixture(scope="module")
 def general_runs():
-    """One certified run per (family, seed): solver, oracle, greedy trace."""
+    """One certified run per (family, seed): solver and oracle.  The greedy's
+    trace is the report's own trace document."""
     runs = []
     for family in GENERAL_FAMILIES:
         for seed in SEEDS:
@@ -88,7 +100,6 @@ def general_runs():
             costs = exact_costs(inst)
             report = solve_general(inst)
             opt = exact_solve(inst).value
-            state, trace = run_general_greedy(inst)
             runs.append(
                 {
                     "family": family,
@@ -97,7 +108,6 @@ def general_runs():
                     "costs": costs,
                     "report": report,
                     "opt": opt,
-                    "trace": trace,
                 }
             )
     return runs
@@ -246,9 +256,9 @@ def test_criterion_7_suboracle_equivalences():
     for seed in SEEDS:
         inst = builders[seed % len(builders)](seed)
         costs = exact_costs(inst)
-        state = initial_state(inst)
-        star = min_density_star(inst, state)
-        brute = enum_min_density_star(inst, costs, state_totals(inst, state), state.covered)
+        levels, covered, _, _ = next(density_greedy(inst))
+        star = min_density_star(inst, levels, covered)
+        brute = enum_min_density_star(inst, costs, state_totals(inst, levels), covered)
         if star is None:
             assert brute is None, seed
         else:
@@ -276,26 +286,26 @@ def test_criterion_7_suboracle_equivalences():
 def test_criterion_8_trace_inequality(general_runs):
     checked = 0
     for run in general_runs:
-        costs, opt, trace = run["costs"], run["opt"], run["trace"]
+        costs, opt = run["costs"], run["opt"]
+        nu0, steps, total = read_trace(run["report"].trace)
+        final = steps[-1][2] if steps else nu0
         nu_star = costs.Q
         tau_star = opt - nu_star
         # Every accepted step pays at most its potential drop.
-        for step in trace.steps:
-            assert step.payment <= step.potential_before - step.potential_after
-        if tau_star <= 0 or trace.initial_potential <= nu_star + tau_star:
+        for payment, before, after in steps:
+            assert payment <= before - after
+        if tau_star <= 0 or nu0 <= nu_star + tau_star:
             continue
         checked += 1
-        total = trace.total_payment()
         bound = (
-            float(tau_star + nu_star - trace.final_potential)
-            + float(tau_star)
-            * math.log(float((trace.initial_potential - nu_star) / tau_star))
+            float(tau_star + nu_star - final)
+            + float(tau_star) * math.log(float((nu0 - nu_star) / tau_star))
         )
         assert float(total) <= bound + 1e-9, (run["family"], run["seed"])
         # Each step is also within the optimum-relative density cap.
-        for step in trace.steps:
-            lhs = step.payment * (step.potential_before - nu_star)
-            rhs = tau_star * (step.potential_before - step.potential_after)
+        for payment, before, after in steps:
+            lhs = payment * (before - nu_star)
+            rhs = tau_star * (before - after)
             assert lhs <= rhs, (run["family"], run["seed"])
     assert checked > 0
     _announce(8, f"greedy trace certificate on {checked} qualifying runs")
@@ -311,7 +321,7 @@ def test_criterion_9_payment_potential_relations(general_runs):
     # variant are checked alongside.
     checked = 0
     for run in general_runs:
-        costs, opt, trace = run["costs"], run["opt"], run["trace"]
+        costs, opt = run["costs"], run["opt"]
         theta = costs.theta
         if theta == math.inf or theta <= 0:
             continue
@@ -320,7 +330,7 @@ def test_criterion_9_payment_potential_relations(general_runs):
         if tau_star <= 0:
             continue
         checked += 1
-        nu0 = trace.initial_potential
+        nu0 = Fraction(run["report"].trace["initial_potential"])
         assert opt / tau_star >= 1 + 1 / theta, (run["family"], run["seed"])
         assert nu0 / tau_star <= (theta + 1) * (opt / tau_star - 1)
         if run["inst"].terminals_independent:

@@ -25,11 +25,10 @@ from aecover.bounds import (
     omega,
     omega_bar,
     rho_from_alphas,
-    setcover_greedy_bound,
     table1,
-    unit_a1_constant,
 )
 from aecover.errors import DomainError
+from conftest import setcover_greedy_bound, unit_a1_constant
 
 # Printed table entries, row by row (the theta=1 entry of the third row is
 # printed as "-").

@@ -1,5 +1,6 @@
 """The density-greedy solver: star oracle equivalence, completion, ratios."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,20 +10,13 @@ from aecover import general
 from aecover.bounds import omega
 from aecover.core import Instance, ZERO, complete, covers
 from aecover.errors import IncompleteCover, IsolatedTerminal
-from aecover.general import (
-    _GeneralGmcProblem,
-    initial_state,
-    min_density_star,
-    run_general_greedy,
-    solve_general,
-)
+from aecover.general import density_greedy, min_density_star, solve_general
 from aecover.generators import (
     random_general,
     random_installation,
     random_minpower,
     random_theta_setcover,
 )
-from aecover.gmc import Augmentation
 from aecover.oracle import exact_solve
 from conftest import enum_min_density_star, exact_costs, state_totals
 
@@ -39,6 +33,18 @@ def seeded_mix(count):
         yield builders[i % len(builders)](i)
 
 
+def general_ladder(n):
+    """Four seeded random general instances of n nodes and 3n edges."""
+    for s in range(4):
+        yield random_general(n, 3 * n, 6, s, r=round(0.4 * n))
+
+
+def potential(trace):
+    """The greedy's current potential, read from its trace document."""
+    steps = trace["steps"]
+    return Fraction(steps[-1]["potential_after"] if steps else trace["initial_potential"])
+
+
 class TestMinDensityStar:
     def test_forced_half_density(self):
         # Leaf thresholds already met by q; the root needs one unit and the
@@ -48,8 +54,8 @@ class TestMinDensityStar:
             ["t1", "t2"],
             [("t1", "v", 1, 1), ("t2", "v", 1, 1)],
         )
-        state = initial_state(inst)
-        star = min_density_star(inst, state)
+        levels, covered, _, _ = next(density_greedy(inst))
+        star = min_density_star(inst, levels, covered)
         assert star is not None
         pay, gain, root, w, leaves = star
         assert inst.nodes[root] == "v"
@@ -59,19 +65,26 @@ class TestMinDensityStar:
 
     def test_density_never_above_one_from_q(self):
         # From any reachable state the cheapest edge of an uncovered terminal
-        # pays at most its c, so the minimum density cannot exceed 1.
-        for inst in seeded_mix(40):
-            state = initial_state(inst)
-            star = min_density_star(inst, state)
-            if star is not None:
-                assert star[0] <= star[1]
+        # pays at most its c, so the minimum density cannot exceed 1.  The
+        # greedy therefore stops only when no star is left, with every
+        # terminal covered.
+        ladder = itertools.chain.from_iterable(general_ladder(n) for n in (20, 40, 60))
+        picks = 0
+        for inst in itertools.chain(seeded_mix(200), ladder):
+            for levels, covered, star, _ in density_greedy(inst):
+                if star is not None:
+                    assert 0 < star[1] and star[0] <= star[1]
+                    picks += 1
+            assert star is None
+            assert covered == inst.terminals
+        assert picks > 0
 
     def test_matches_enumeration_at_initial_state(self):
         for inst in seeded_mix(80):
             costs = exact_costs(inst)
-            state = initial_state(inst)
-            star = min_density_star(inst, state)
-            brute = enum_min_density_star(inst, costs, state_totals(inst, state), state.covered)
+            levels, covered, _, _ = next(density_greedy(inst))
+            star = min_density_star(inst, levels, covered)
+            brute = enum_min_density_star(inst, costs, state_totals(inst, levels), covered)
             if star is None:
                 assert brute is None
             else:
@@ -80,35 +93,25 @@ class TestMinDensityStar:
     def test_matches_enumeration_along_trajectory(self):
         for inst in seeded_mix(24):
             costs = exact_costs(inst)
-            problem = _GeneralGmcProblem(inst)
-            state = problem.initial_state()
-            for _ in range(20):
-                star = min_density_star(inst, state)
-                brute = enum_min_density_star(inst, costs, state_totals(inst, state), state.covered)
+            for levels, covered, _, _ in itertools.islice(density_greedy(inst), 20):
+                star = min_density_star(inst, levels, covered)
+                brute = enum_min_density_star(inst, costs, state_totals(inst, levels), covered)
                 if star is None:
                     assert brute is None
-                    break
-                pay, gain = star[0], star[1]
-                assert Fraction(pay, gain) == brute
-                if pay > gain:
-                    break
-                L = inst.scale
-                state = problem.apply(
-                    state,
-                    Augmentation(star, Fraction(pay, L), Fraction(state.nu - gain, L)),
-                )
+                else:
+                    assert Fraction(star[0], star[1]) == brute
 
     def test_leaf_selection_fixed_point(self):
         for inst in seeded_mix(40):
             costs = exact_costs(inst)
-            state = initial_state(inst)
-            star = min_density_star(inst, state)
+            levels, covered, _, _ = next(density_greedy(inst))
+            star = min_density_star(inst, levels, covered)
             if star is None:
                 continue
             pay, gain, root, w, leaves = star
             v, w = inst.nodes[root], Fraction(w, inst.scale)
             chosen = {u for u, _ in leaves}
-            totals = state_totals(inst, state)
+            totals = state_totals(inst, levels)
             # Recompute the reachable set and minimal increments for (v, w).
             reachable = {}
             for ei in inst.edges_at[v]:
@@ -116,7 +119,7 @@ class TestMinDensityStar:
                 if e.threshold_at(v) > totals[v] + w:
                     continue
                 u = e.other(v)
-                if u in inst.terminals and u not in state.covered and costs.c[u] > 0:
+                if u in inst.terminals and u not in covered and costs.c[u] > 0:
                     need = max(ZERO, e.threshold_at(u) - totals[u])
                     if u not in reachable or need < reachable[u]:
                         reachable[u] = need
@@ -124,7 +127,7 @@ class TestMinDensityStar:
             strictly_below = {u for u, b in reachable.items() if b / costs.c[u] < sigma}
             at_most = {u for u, b in reachable.items() if b / costs.c[u] <= sigma}
             assert strictly_below <= chosen
-            root_gains = v in inst.terminals and v not in state.covered and costs.c[v] > 0
+            root_gains = v in inst.terminals and v not in covered and costs.c[v] > 0
             if root_gains:
                 # The root's own c sits in the denominator, so the forced
                 # first leaf may end above the final density.
@@ -134,20 +137,19 @@ class TestMinDensityStar:
 
 
 def cached_picks_match_full_scan(inst):
-    """Run the greedy's own problem until no star is left, checking at every
-    step that the cached pick equals the full scan; returns the picks."""
-    problem = _GeneralGmcProblem(inst)
-    state = problem.initial_state()
+    """Step the greedy until it stops, checking at every state that its
+    cached pick equals the full scan and that its trace's potential is Q plus
+    the c of the uncovered terminals; returns the picks.  The greedy must
+    stop only when no star is left."""
+    c, L = inst.costs.c, inst.scale
     picks = []
-    while True:
-        aug = problem.best_augmentation(state)
-        full = min_density_star(inst, state)
-        assert (aug.payload if aug else None) == full
-        if aug is None:
-            return picks
-        picks.append(full)
-        state = problem.apply(state, aug)
-        assert Fraction(state.nu, inst.scale) == aug.predicted_potential
+    for levels, covered, star, trace in density_greedy(inst):
+        assert star == min_density_star(inst, levels, covered)
+        nu = inst.costs.Q + sum(c[u] for u in inst.terminal_list if u not in covered)
+        assert potential(trace) == Fraction(nu, L)
+        picks.append(star)
+    assert picks.pop() is None
+    return picks
 
 
 class TestStarCache:
@@ -157,11 +159,8 @@ class TestStarCache:
 
     @pytest.mark.parametrize("n", [20, 40, 60])
     def test_matches_full_scan_on_general_ladder(self, n):
-        for s in range(4):
-            picks = cached_picks_match_full_scan(
-                random_general(n, 3 * n, 6, s, r=round(0.4 * n))
-            )
-            assert picks
+        for inst in general_ladder(n):
+            assert cached_picks_match_full_scan(inst)
 
     def test_newly_covered_neighbour_dirties_unchanged_root(self):
         # Roots a and b tie at density 1/2; a wins on node order and covers
@@ -230,43 +229,38 @@ class TestComplete:
             ["t", "v"], ["t"], [("t", "v", 1, 0)]
         )
         costs = exact_costs(inst)
-        state = initial_state(inst)
-        assert state.covered == frozenset({"t"})
-        done = inst.assignment(complete(inst, state.covered, levels=state.levels))
+        levels, covered, _, _ = next(density_greedy(inst))
+        assert covered == {"t"}
+        done = inst.assignment(complete(inst, covered, levels=levels))
         assert done.total() == costs.Q
 
     def test_empty_extra_gives_cheapest_cover(self, tiny_instance):
         costs = exact_costs(tiny_instance)
-        state = initial_state(tiny_instance)
-        levels = complete(tiny_instance, state.covered, levels=state.levels)
-        done = tiny_instance.assignment(levels)
+        levels, covered, _, _ = next(density_greedy(tiny_instance))
+        done = tiny_instance.assignment(complete(tiny_instance, covered, levels=levels))
         assert covers(tiny_instance, done)[0]
         assert done.total() <= costs.Q + costs.C
 
     def test_interrupted_greedy_still_feasible(self):
         for inst in seeded_mix(20):
-            problem = _GeneralGmcProblem(inst)
-            state = problem.initial_state()
-            star = min_density_star(inst, state)
-            L = inst.scale
+            greedy = density_greedy(inst)
+            levels, covered, star, trace = next(greedy)
             paid = ZERO
             if star is not None and star[0] <= star[1]:
-                paid = Fraction(star[0], L)
-                state = problem.apply(
-                    state, Augmentation(star, paid, Fraction(state.nu - star[1], L))
-                )
-            done = inst.assignment(complete(inst, state.covered, levels=state.levels))
+                next(greedy)  # the state after one step
+                paid = Fraction(trace["steps"][0]["payment"])
+                assert paid == Fraction(star[0], inst.scale)
+            done = inst.assignment(complete(inst, covered, levels=levels))
             assert covers(inst, done)[0]
-            assert done.total() <= paid + Fraction(state.nu, L)
+            assert done.total() <= paid + potential(trace)
 
 
 class TestGreedyCertificates:
     def test_value_at_most_payment_plus_potential(self):
         for inst in seeded_mix(40):
-            state, trace = run_general_greedy(inst)
-            done = inst.assignment(complete(inst, state.covered, levels=state.levels))
-            tau = trace.total_payment()
-            assert done.total() <= tau + Fraction(state.nu, inst.scale)
+            report = solve_general(inst)
+            tau = sum((Fraction(s["payment"]) for s in report.trace["steps"]), ZERO)
+            assert report.value <= tau + potential(report.trace)
 
     def test_reduction_equivalence_on_seeds(self):
         # Completed greedy value sits between opt and the certificate; the

@@ -1,4 +1,9 @@
-"""The generic density greedy and its ratio certificate."""
+"""The density greedy's stop rules and potential check, and its ratio
+certificate.
+
+The rules are tripped by editing the least star the loop finds
+(``general._min_star``); the ratio bound is a helper in ``conftest``.
+"""
 
 import math
 import os
@@ -9,99 +14,101 @@ from fractions import Fraction
 import pytest
 
 import aecover
+from aecover import general
 from aecover.bounds import omega
+from aecover.core import Instance
 from aecover.errors import DomainError, OracleViolation
-from aecover.gmc import Augmentation, gmc_greedy, greedy_ratio_bound, trace_payment_bound
+from aecover.general import density_greedy, solve_general
+from conftest import greedy_ratio_bound
 
 
-class TableProblem:
-    """Scripted problem: a list of (payment, gain) items offered in order."""
+def one_star():
+    # q = 1 and c = 1 at both terminals; the star at v pays 1 and gains 2.
+    return Instance.from_data(
+        ["t1", "t2", "v"], ["t1", "t2"], [("t1", "v", 1, 1), ("t2", "v", 1, 1)]
+    )
 
-    def __init__(self, start: Fraction, target: Fraction, items):
-        self.start = Fraction(start)
-        self._target = Fraction(target)
-        self.items = [(Fraction(p), Fraction(g)) for p, g in items]
 
-    def initial_state(self):
-        return (self.start, 0)
+def two_stars():
+    # The star at a has density 1/2 and covers t1 and t3; the one at b is
+    # left with t2 alone, at density 1.
+    return Instance.from_data(
+        ["a", "b", "t1", "t2", "t3"],
+        ["t1", "t2", "t3"],
+        [("t1", "a", 1, 1), ("t3", "a", 1, 1), ("t1", "b", 1, 1), ("t2", "b", 1, 1)],
+    )
 
-    def potential(self, state):
-        return state[0]
 
-    def target(self):
-        return self._target
+def final_trace(inst):
+    for *_, trace in density_greedy(inst):
+        pass
+    return trace
 
-    def best_augmentation(self, state):
-        nu, i = state
-        if i >= len(self.items):
-            return None
-        payment, gain = self.items[i]
-        return Augmentation(payload=i, payment=payment, predicted_potential=nu - gain)
 
-    def apply(self, state, aug):
-        nu, i = state
-        payment, gain = self.items[i]
-        return (nu - gain, i + 1)
+def edit_picks(monkeypatch, edit):
+    """Hand the loop ``edit(star)`` for every least star it finds."""
+    real = general._min_star
+    monkeypatch.setattr(general, "_min_star", lambda stars: (s := real(stars)) and edit(s))
 
 
 def test_constant_potential_takes_no_step():
-    problem = TableProblem(5, 5, [(1, 1)])
-    state, trace = gmc_greedy(problem)
-    assert trace.steps == [] and trace.initial_potential == 5
+    # The q levels already cover t, so the potential starts at its target.
+    trace = final_trace(Instance.from_data(["t", "v"], ["t"], [("t", "v", 1, 0)]))
+    assert trace == {"initial_potential": "1", "steps": []}
 
 
-def test_two_item_tables_take_exactly_one_step():
-    # First item density 1/2, second density 2: accept one, reject the other.
-    problem = TableProblem(10, 0, [(1, 2), (2, 1)])
-    state, trace = gmc_greedy(problem)
-    assert len(trace.steps) == 1
-    assert trace.steps[0].payment == 1
-    assert trace.final_potential == 8
+def test_two_item_tables_take_exactly_one_step(monkeypatch):
+    # First star density 1/2, second raised to density 2: accept one, reject
+    # the other.
+    inst = two_stars()
+    b = inst.index["b"]
+    edit_picks(monkeypatch, lambda s: (2 * s[1], *s[1:]) if s[2] == b else s)
+    steps = final_trace(inst)["steps"]
+    assert len(steps) == 1
+    assert Fraction(steps[0]["payment"]) == 1
+    assert Fraction(steps[0]["potential_after"]) == 4
 
 
-def test_zero_gain_stops_even_at_zero_payment():
-    problem = TableProblem(10, 0, [(0, 0), (1, 2)])
-    state, trace = gmc_greedy(problem)
-    assert trace.steps == []
+def test_zero_gain_stops_even_at_zero_payment(monkeypatch):
+    edit_picks(monkeypatch, lambda s: (0, 0, *s[2:]))
+    assert final_trace(one_star())["steps"] == []
 
 
 def test_density_exactly_one_accepted():
-    problem = TableProblem(3, 0, [(1, 1), (2, 2)])
-    _, trace = gmc_greedy(problem)
-    assert len(trace.steps) == 2
+    steps = final_trace(two_stars())["steps"]
+    assert len(steps) == 2
+    last = steps[1]
+    drop = Fraction(last["potential_before"]) - Fraction(last["potential_after"])
+    assert Fraction(last["payment"]) == drop == 1
 
 
-def test_oracle_violation_detected():
-    problem = TableProblem(5, 0, [(1, -1)])  # potential would increase
-    with pytest.raises(OracleViolation):
-        gmc_greedy(problem)
+def test_oracle_violation_detected(monkeypatch):
+    edit_picks(monkeypatch, lambda s: (s[0], -s[1], *s[2:]))  # potential would rise
+    with pytest.raises(OracleViolation, match="raises potential"):
+        final_trace(one_star())
 
 
-def test_mispredicted_potential_detected():
-    # The applied state lands one unit below the predicted potential.
-    class Mispredicting(TableProblem):
-        def apply(self, state, aug):
-            nu, i = super().apply(state, aug)
-            return (nu - 1, i)
-
-    with pytest.raises(OracleViolation, match="predicted potential 4, got 3"):
-        gmc_greedy(Mispredicting(5, 0, [(1, 1)]))
+def test_mispredicted_potential_detected(monkeypatch):
+    # The star claims a gain of 3 from potential 4; covering two terminals
+    # of c = 1 drops it by 2 only.
+    edit_picks(monkeypatch, lambda s: (s[0], s[1] + 1, *s[2:]))
+    with pytest.raises(OracleViolation, match="predicted potential 1, got 2"):
+        solve_general(one_star())
 
 
 def test_potential_check_survives_optimize_flag():
     # Under python -O every assert is gone; the check must still raise.
     code = (
-        "from fractions import Fraction\n"
+        "from aecover import general\n"
+        "from aecover.core import Instance\n"
         "from aecover.errors import OracleViolation\n"
-        "from aecover.gmc import Augmentation, gmc_greedy\n"
-        "class P:\n"
-        "    def initial_state(self): return Fraction(5)\n"
-        "    def potential(self, s): return s\n"
-        "    def target(self): return Fraction(0)\n"
-        "    def best_augmentation(self, s): return Augmentation(None, Fraction(1), s - 1)\n"
-        "    def apply(self, s, a): return s - 2\n"
+        "real = general._min_star\n"
+        "general._min_star = lambda stars: (s := real(stars)) and (s[0], s[1] + 1, *s[2:])\n"
+        "inst = Instance.from_data(\n"
+        "    ['t1', 't2', 'v'], ['t1', 't2'], [('t1', 'v', 1, 1), ('t2', 'v', 1, 1)]\n"
+        ")\n"
         "try:\n"
-        "    gmc_greedy(P())\n"
+        "    general.solve_general(inst)\n"
         "except OracleViolation:\n"
         "    raise SystemExit(7)\n"
     )
@@ -112,11 +119,12 @@ def test_potential_check_survives_optimize_flag():
 
 
 def test_trace_doc_round_trips_exact_values():
-    problem = TableProblem(Fraction(7, 2), 0, [(Fraction(1, 3), 1), (1, 1)])
-    _, trace = gmc_greedy(problem)
-    doc = trace.to_doc()
-    assert Fraction(doc["initial_potential"]) == Fraction(7, 2)
-    assert [Fraction(s["payment"]) for s in doc["steps"]] == [Fraction(1, 3), 1]
+    # q = 1/2 and c = 1/3 at t; the star at v pays 1/3 for the whole c.
+    inst = Instance.from_data(["t", "v"], ["t"], [("t", "v", Fraction(1, 2), Fraction(1, 3))])
+    doc = solve_general(inst).trace
+    assert Fraction(doc["initial_potential"]) == Fraction(5, 6)
+    assert [Fraction(s["payment"]) for s in doc["steps"]] == [Fraction(1, 3)]
+    assert Fraction(doc["steps"][0]["potential_after"]) == Fraction(1, 2)
 
 
 class TestRatioBound:
@@ -147,14 +155,3 @@ class TestRatioBound:
             tau = theta * q * Fraction(i, steps)
             best = max(best, greedy_ratio_bound(nu0, q, tau))
         assert best == pytest.approx(1 + omega(theta), abs=1e-5)
-
-
-def test_trace_payment_bound_consistency():
-    problem = TableProblem(10, 1, [(1, 3), (2, 4), (1, 2)])
-    _, trace = gmc_greedy(problem)
-    # Any (nu*, tau*) pair with nu0 > nu* + tau* yields a finite bound; the
-    # greedy's actual payment respects it when steps satisfy the density cap
-    # relative to that optimum, which trivially holds for tau* >= total.
-    total = trace.total_payment()
-    bound = trace_payment_bound(trace, Fraction(1), total)
-    assert float(total) <= bound + 1e-9

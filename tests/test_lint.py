@@ -20,9 +20,13 @@
 - No module but ``generators`` holds a bench-family name as a string literal:
   ``generators.FAMILIES`` owns each family's facts, so no other module can
   branch on a family.
+- Every top-level function and class is named by library code outside its
+  own definition (``__init__.py``'s exports do not count) or in the README:
+  code that only the tests read belongs with the tests.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +36,7 @@ from aecover.cli import ALGORITHMS
 from aecover.generators import FAMILIES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "aecover"
+README = SRC.parent.parent / "README.md"
 COSTS_OWNER = ("Instance", "costs")
 REPORT_BUILDER = ("solve_report",)
 # "general" names an algorithm as well as a family; the algorithm's modules
@@ -140,6 +145,39 @@ def family_name_literals(tree: ast.AST) -> list[int]:
     })
 
 
+def names_in(node: ast.AST) -> set[str]:
+    """Every name, attribute and imported name under ``node``."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        elif isinstance(child, ast.alias):
+            found.add(child.name)
+    return found
+
+
+def unread_definitions(trees: dict[str, ast.AST], readme: str) -> dict[str, list[str]]:
+    """Top-level functions and classes, per module, that no library code
+    names outside their own definition, not counting ``__init__.py``, and
+    that the README does not name."""
+    readers = [
+        (node, names_in(node))
+        for module, tree in trees.items() if module != "__init__.py"
+        for node in tree.body
+    ]
+    found = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            read = any(node.name in names for other, names in readers if other is not node)
+            if not read and not re.search(rf"\b{node.name}\b", readme):
+                found.setdefault(name, []).append(node.name)
+    return found
+
+
 RULES = [
     assert_statements,
     derive_costs_calls_outside_owner,
@@ -183,6 +221,10 @@ def test_family_names_only_in_generators():
                 if name != "generators.py" and (lines := family_name_literals(tree))}
     assert breaches == {}
     assert family_name_literals(trees["generators.py"]), "the family table lost its names"
+
+
+def test_every_definition_is_read_by_the_library():
+    assert unread_definitions(dict(library_trees()), README.read_text()) == {}
 
 
 def test_derive_costs_has_its_owner():
@@ -335,3 +377,40 @@ def solve(inst, costs, spec):
 
 def test_integer_view_rule_catches_breaches():
     assert integer_view_calls(ast.parse(BROKEN_SCALING)) == [3, 4, 6]
+
+
+BROKEN_UNREAD = {
+    "a.py": '''
+def used():
+    return helper()
+
+def helper():
+    return 1
+
+def only_itself(n):
+    return only_itself(n - 1) if n else 0
+
+class Documented:
+    pass
+
+def only_in_a_string():
+    pass
+''',
+    "b.py": '''
+from .a import used
+
+def entry():
+    """Not only_in_a_string."""
+    return used(), "only_in_a_string"
+''',
+    "__init__.py": '''
+from .a import only_itself
+from .b import entry
+''',
+}
+
+
+def test_unread_rule_catches_breaches():
+    trees = {name: ast.parse(text) for name, text in BROKEN_UNREAD.items()}
+    readme = "Call `entry()`; `Documented` is the result type."
+    assert unread_definitions(trees, readme) == {"a.py": ["only_itself", "only_in_a_string"]}

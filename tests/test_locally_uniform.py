@@ -32,9 +32,9 @@ from aecover.locally_uniform import (
     uniform_bound,
     validate_locally_uniform,
 )
-from aecover.oracle import exact_solve, exact_star_decomposition
+from aecover.oracle import exact_solve
 from aecover.report import SolveReport
-from conftest import random_multigraph
+from conftest import exact_star_decomposition, random_multigraph
 
 
 def rescan_solve_locally_uniform(ubi, tie_break="lowest-id", priority=None):

@@ -1,4 +1,5 @@
-"""Exact branch-and-bound oracle and its star decomposition."""
+"""Exact branch-and-bound oracle, and the star decomposition of its optima
+(a ``conftest`` helper)."""
 
 import os
 import random
@@ -8,9 +9,9 @@ import sys
 import pytest
 
 import aecover
-import aecover.oracle
+import conftest
 from aecover.core import Assignment, Instance, covers
-from aecover.errors import BudgetExceeded, LimitExceeded, StarDecompositionViolated
+from aecover.errors import BudgetExceeded, LimitExceeded
 from aecover.fileio import dumps_instance
 from aecover.generators import (
     FAMILIES,
@@ -20,8 +21,14 @@ from aecover.generators import (
     random_unit,
     tight73,
 )
-from aecover.oracle import exact_solve, exact_star_decomposition
-from conftest import brute_force_node_levels, exact_costs, reference_exact_solve
+from aecover.oracle import exact_solve
+from conftest import (
+    StarDecompositionViolated,
+    brute_force_node_levels,
+    exact_costs,
+    exact_star_decomposition,
+    reference_exact_solve,
+)
 
 
 def test_single_edge(tiny_instance):
@@ -90,10 +97,6 @@ def test_limits():
         exact_solve(inst, max_nodes=5)
 
 
-# Oracle limits per family, as in ``aecover bench``.
-FAMILY_LIMITS = {"tight73": {"max_terminals": 48, "max_nodes": 80}}
-
-
 def assert_matches_reference(inst, **limits):
     result = exact_solve(inst, **limits)
     got = (result.value, dict(result.assignment.values), result.nodes_expanded)
@@ -104,7 +107,7 @@ def assert_matches_reference(inst, **limits):
 def test_matches_fraction_reference_on_families(family):
     # Same value, assignment and search order as the Fraction search.
     for seed in range(50):
-        assert_matches_reference(generate(family, seed), **FAMILY_LIMITS.get(family, {}))
+        assert_matches_reference(generate(family, seed), **FAMILIES[family].limits)
 
 
 @pytest.mark.parametrize("r", [10, 14])
@@ -169,7 +172,7 @@ class TestStarDecompositionGuards:
 
     @staticmethod
     def decompose_unminimized(monkeypatch, inst):
-        monkeypatch.setattr(aecover.oracle, "_minimal_cover", lambda inst, active: list(active))
+        monkeypatch.setattr(conftest, "_minimal_cover", lambda inst, active: list(active))
         return exact_star_decomposition(inst, Assignment.of({n: 1 for n in inst.nodes}))
 
     def test_path_component_is_not_a_star(self, monkeypatch):
@@ -189,11 +192,11 @@ class TestStarDecompositionGuards:
 def test_output_guards_survive_optimize_flag():
     # Under python -O every assert is gone; each guard must still raise.
     code = (
-        "import aecover.oracle as oracle\n"
+        "import conftest\n"
         "from aecover.core import Assignment, Instance\n"
-        "from aecover.errors import IncompleteCover, StarDecompositionViolated\n"
+        "from aecover.errors import IncompleteCover\n"
         "from aecover.unit import SetCoverInstance, greedy_hk\n"
-        "oracle._minimal_cover = lambda inst, active: list(active)\n"
+        "conftest._minimal_cover = lambda inst, active: list(active)\n"
         "raised = 0\n"
         "for nodes, terms, edges in [\n"
         "    ('abcd', 'abcd', [('a', 'b', 1, 1), ('b', 'c', 1, 1), ('c', 'd', 1, 1)]),\n"
@@ -201,8 +204,8 @@ def test_output_guards_survive_optimize_flag():
         "]:\n"
         "    inst = Instance.from_data(list(nodes), list(terms), edges)\n"
         "    try:\n"
-        "        oracle.exact_star_decomposition(inst, Assignment.of({n: 1 for n in nodes}))\n"
-        "    except StarDecompositionViolated:\n"
+        "        conftest.exact_star_decomposition(inst, Assignment.of({n: 1 for n in nodes}))\n"
+        "    except conftest.StarDecompositionViolated:\n"
         "        raised += 1\n"
         "SetCoverInstance.check_feasible = lambda self: None\n"
         "try:\n"
@@ -212,6 +215,6 @@ def test_output_guards_survive_optimize_flag():
         "raise SystemExit(raised + 4)\n"
     )
     src = os.path.dirname(os.path.dirname(aecover.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.path.dirname(conftest.__file__)))}
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env)
     assert done.returncode == 7
