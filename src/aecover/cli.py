@@ -173,6 +173,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     seed_start, seed_end = _parse_seeds(args.seeds)
     family = FAMILIES[args.family]
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms else family.algorithms
+    if len(set(algorithms)) != len(algorithms):
+        raise DomainError(f"--algorithms {args.algorithms!r} names an algorithm more than once")
     if args.subsolver is not None and "unit-a2" not in algorithms:
         raise DomainError(f"--subsolver applies to unit-a2, which {','.join(algorithms)} lacks")
     bench = BenchReport(

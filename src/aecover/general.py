@@ -46,28 +46,37 @@ def _best_star_at(
         return (a[1] * c[b[0]] - b[1] * c[a[0]]) or index[a[0]] - index[b[0]]
 
     rows = inst.scaled_rows[root]
+    n_rows = len(rows)
     tot = levels[root]
     root_gain = 0 if root in covered else c.get(root, 0)
     reachable: dict[str, int] = {}
     best: Optional[tuple] = None
     i = 0
-    while i < len(rows):
-        w = max(0, rows[i][0] - tot)
+    while i < n_rows:
+        w = rows[i][0] - tot
+        if w < 0:
+            w = 0
+        top = tot + w
         grew = False
-        while i < len(rows) and rows[i][0] <= tot + w:
+        while i < n_rows and rows[i][0] <= top:
             _, u, t_there = rows[i]
             i += 1
             if not c.get(u) or u in covered:
                 continue
-            need = max(0, t_there - levels[u])
+            need = t_there - levels[u]
+            if need < 0:
+                need = 0
             if need < reachable.get(u, need + 1):
                 reachable[u] = need
                 grew = True
         if not grew:
             continue
+        order = reachable.items()
+        if len(reachable) > 1:
+            order = sorted(order, key=cmp_to_key(by_ratio))
         pay, gain = w, root_gain
         leaves: list[tuple[str, int]] = []
-        for u, b in sorted(reachable.items(), key=cmp_to_key(by_ratio)):
+        for u, b in order:
             # Adding u lowers the density iff b/c_u < pay/gain.
             if leaves and b * gain >= pay * c[u]:
                 break
@@ -128,13 +137,26 @@ def density_greedy(
     A star whose applied potential drop differs from its gain raises
     OracleViolation, also under ``python -O``.
 
-    Each root's best star is cached; after a step only the dirty roots are
-    recomputed, the closed neighbourhood of the nodes whose level rose and
-    of the terminals that became covered.  That is complete: a root's best
-    star reads only its own level and covered flag and those of its
-    neighbours.  A lazy heap in the style of Minoux's accelerated greedy
-    would be wrong here: a root's best density can fall after a step, since
-    raising a root lowers its own increments.
+    Each root's best star is cached; after a step only the roots whose
+    best star can change are recomputed: every raised node, every newly
+    covered terminal u, each neighbour x of such a u whose cached star has u
+    as a leaf or that is itself an uncovered terminal with c > 0, and the
+    neighbours of a raised terminal still uncovered.  That is complete:
+
+    - a root's star reads only its own level and covered flag and, among its
+      neighbours, only the uncovered terminals with c > 0, so a raised node
+      that is not such a terminal after the step dirties only itself;
+    - for a root with no gain of its own, the leaf prefix taken at each
+      increment is the least-density non-empty leaf set there, so losing a
+      leaf its best star did not use raises no increment's least density
+      and leaves that star, and its key (density, index, w), unchanged;
+    - a root that is an uncovered terminal forces its first leaf even when
+      that leaf raises the density, so losing any leaf can lower its best
+      density; such a root is recomputed whenever a neighbour is covered.
+
+    A lazy heap in the style of Minoux's accelerated greedy would be wrong
+    here: a root's best density can fall after a step, since raising a root
+    lowers its own increments.
     """
     c, L, Q = inst.costs.c, inst.scale, inst.costs.Q
     levels = dict.fromkeys(inst.nodes, 0)
@@ -178,8 +200,14 @@ def density_greedy(
         })
         before = after
         dirty = set(changed) | newly
-        for x in tuple(dirty):
-            dirty.update(u for _, u, _ in inst.scaled_rows[x])
+        for u in newly:
+            for _, x, _ in inst.scaled_rows[u]:
+                s = stars.get(x)
+                if (c.get(x) and x not in covered) or (s and any(v == u for v, _ in s[4])):
+                    dirty.add(x)
+        for u in changed:
+            if u in inst.terminals and u not in covered:
+                dirty.update(x for _, x, _ in inst.scaled_rows[u])
         for v in dirty:
             if s := _best_star_at(inst, c, levels, covered, v):
                 stars[v] = s

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Assignment, Instance, active_at_levels, complete
-from .errors import BudgetExceeded, LimitExceeded
+from .errors import BudgetExceeded, DomainError, LimitExceeded
 
 DEFAULT_MAX_TERMINALS = 10
 DEFAULT_MAX_NODES = 64
@@ -47,8 +47,10 @@ def exact_solve(
     the result is converted back.  Raises LimitExceeded for instances beyond
     the configured limits or too deep for the interpreter's recursion limit,
     and BudgetExceeded (carrying the non-optimal incumbent) when the time
-    budget runs out.
+    budget runs out.  A negative or NaN budget raises DomainError.
     """
+    if time_budget is not None and not time_budget >= 0:
+        raise DomainError(f"time budget {time_budget} is not a non-negative number of seconds")
     if len(inst.terminals) > max_terminals:
         raise LimitExceeded(
             f"{len(inst.terminals)} terminals exceed the limit {max_terminals}"

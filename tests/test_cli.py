@@ -73,6 +73,12 @@ def test_malformed_numeric_argument_exit_code(capsys, argv):
         ("bench", "--family", "general", "--seeds", "0", "--subsolver", "greedy"),
         ("bench", "--family", "unit", "--seeds", "0", "--algorithms", "auto,unit-a1",
          "--subsolver", "exact"),
+        # A negative budget would stop at once and a NaN one never.
+        ("exact", "{dir}/general.json", "--time-budget", "-1"),
+        ("exact", "{dir}/general.json", "--time-budget", "nan"),
+        ("bench", "--family", "general", "--seeds", "0", "--time-budget", "-1"),
+        ("bench", "--family", "general", "--seeds", "0", "--time-budget", "nan"),
+        ("bench", "--family", "general", "--seeds", "0", "--algorithms", "general,general"),
     ],
 )
 def test_unusable_input_exit_code(tmp_path, capsys, argv):
@@ -237,7 +243,7 @@ def test_exact_limits_and_force(tmp_path, capsys):
 def test_exact_over_its_time_budget_writes_the_incumbent(tmp_path, capsys):
     path = tmp_path / "tight.json"
     run(capsys, "gen", "--family", "tight73", "--out", str(path))
-    code, out, _ = run(capsys, "exact", str(path), "--force", "--time-budget", "-1")
+    code, out, _ = run(capsys, "exact", str(path), "--force", "--time-budget", "0")
     assert code == 0
     doc = json.loads(out)
     assert doc["optimal"] is False

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,23 @@ def cached_picks_match_full_scan(inst):
     return picks
 
 
+def random_multigraph(rng):
+    """4 to 12 nodes, all of them terminals half the time and a random subset
+    otherwise, and n to 3n edges, parallel ones included, with thresholds
+    a/b for a in 0..6 and b in 1..3.  Terminals left without an edge are
+    dropped."""
+    n = rng.randint(4, 12)
+    nodes = [f"n{i}" for i in range(n)]
+    terminals = nodes if rng.random() < 0.5 else rng.sample(nodes, rng.randint(1, n))
+    edges = []
+    for _ in range(rng.randint(n, 3 * n)):
+        u, v = rng.sample(nodes, 2)
+        tu, tv = (Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(2))
+        edges.append((u, v, tu, tv))
+    touched = {x for e in edges for x in e[:2]}
+    return Instance.from_data(nodes, [t for t in terminals if t in touched], edges)
+
+
 class TestStarCache:
     def test_matches_full_scan_on_seeded_mix(self):
         for inst in seeded_mix(40):
@@ -177,6 +195,65 @@ class TestStarCache:
             ("a", (("t1", 0), ("t3", 0)), Fraction(1, 2)),
             ("b", (("t2", 0),), Fraction(1)),
         ]
+
+    def test_uncovered_terminal_root_sees_a_covered_neighbour(self):
+        # n5 is an uncovered terminal next to n0.  At increment 0 it must
+        # take a first leaf, and n0 (need 8, c 8 on the integer view) comes
+        # before n7 (need 4, c 4) at the same ratio, so increment 0 reaches
+        # only 1/2 and n5's best star is 3/7 with leaf n4.  The first pick
+        # covers n0, a leaf n5's star did not use; n5 then reaches 1/3 with
+        # n7 alone, ties n7's own star and wins on node order.  A cache that
+        # kept n5's old star would pick n7.
+        nodes = ["n0", "n2", "n4", "n5", "n7"]
+        inst = Instance.from_data(
+            nodes,
+            nodes,
+            [
+                ("n0", "n5", Fraction(5, 3), 0),
+                ("n5", "n4", 1, Fraction(1, 3)),
+                ("n0", "n2", Fraction(1, 3), Fraction(3, 2)),
+                ("n7", "n5", 2, 0),
+                ("n2", "n4", 1, Fraction(5, 3)),
+                ("n7", "n0", Fraction(4, 3), 6),
+            ],
+        )
+        picks = cached_picks_match_full_scan(inst)
+        got = [(inst.nodes[i], Fraction(pay, gain)) for pay, gain, i, _, _ in picks]
+        assert got == [("n0", Fraction(3, 13)), ("n5", Fraction(1, 3)), ("n5", Fraction(1))]
+
+    def test_matches_full_scan_on_random_multigraphs(self):
+        # Instance 750 of seed 8 is one on which a cache without the
+        # uncovered-terminal guard picks a different star.
+        rng = random.Random(8)
+        for _ in range(2000):
+            cached_picks_match_full_scan(random_multigraph(rng))
+
+    def test_recomputes_fewer_roots_than_the_closed_neighbourhood(self, monkeypatch):
+        # The closed-neighbourhood rule computes every root once at the start
+        # and then every node next to, or equal to, a raised or newly
+        # covered node; its count is read from the yielded states.
+        calls = 0
+        best_star_at = general._best_star_at
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return best_star_at(*args)
+
+        monkeypatch.setattr(general, "_best_star_at", counted)
+        for inst in general_ladder(60):
+            rows = inst.scaled_rows
+            calls = 0
+            closed = len(inst.nodes)
+            last = None
+            for levels, covered, _, _ in density_greedy(inst):
+                now = dict(levels), set(covered)
+                if last is not None:
+                    touched = {v for v in inst.nodes if now[0][v] != last[0][v]}
+                    touched |= now[1] - last[1]
+                    closed += len(touched | {x for v in touched for _, x, _ in rows[v]})
+                last = now
+            assert 0 < calls < closed
 
 
 class TestSolveGeneral:

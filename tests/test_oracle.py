@@ -1,6 +1,7 @@
 """Exact branch-and-bound oracle, and the star decomposition of its optima
 (a ``conftest`` helper)."""
 
+import math
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import aecover
 import conftest
 from aecover.core import Assignment, Instance, covers
-from aecover.errors import BudgetExceeded, LimitExceeded
+from aecover.errors import BudgetExceeded, DomainError, LimitExceeded
 from aecover.fileio import dumps_instance
 from aecover.generators import (
     FAMILIES,
@@ -118,10 +119,17 @@ def test_matches_fraction_reference_on_the_ladder(r):
 def test_budget_exceeded_carries_incumbent():
     inst, _ = tight73()
     with pytest.raises(BudgetExceeded) as info:
-        exact_solve(inst, max_terminals=48, max_nodes=80, time_budget=-1.0)
+        exact_solve(inst, max_terminals=48, max_nodes=80, time_budget=0.0)
     best = info.value.best
     assert not best.optimal
     assert covers(inst, best.assignment)[0]  # the cheapest-edge incumbent
+
+
+@pytest.mark.parametrize("budget", [-1.0, -1e-9, math.nan])
+def test_meaningless_budget_is_refused(budget):
+    inst, _ = tight73()
+    with pytest.raises(DomainError):
+        exact_solve(inst, max_terminals=48, max_nodes=80, time_budget=budget)
 
 
 class TestStarDecomposition:
