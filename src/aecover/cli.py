@@ -199,6 +199,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             reports[alg] = rep
         bench.add_entry(seed, digest, exact.value, reports)
     _write_or_print(bench.to_json(), args.out)
+    if not bench.entries:
+        print(f"error: all {len(bench.skipped)} seeds were skipped; nothing was certified",
+              file=sys.stderr)
+        return 1
     print(
         f"benchmarked {len(bench.entries)} instances in {time.monotonic() - started:.2f}s, "
         f"{len(bench.violations)} violations",

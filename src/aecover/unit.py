@@ -213,48 +213,61 @@ def exact_2setcover(sc: SetCoverInstance) -> tuple[str, ...]:
 
 
 def exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
-    """Optimal cover by incumbent-bounded element branching on bit masks.
+    """Optimal cover in two steps: a value search that branches fewest-sets-
+    first, then a walk that reads back the first minimum cover in set order.
 
-    A mask ``free`` holds the uncovered elements, bit i for ``elements[i]``.
-    The search branches on the lowest free element and tries the sets that
-    contain it in ``sc.sets`` insertion order; a branch replaces the best
-    count found so far only when it is strictly smaller.  So each mask's
-    answer is its first minimum-size cover in that order, and the returned
-    cover is the one that order defines.
-
-    ``search(free, ub)`` returns the optimum of ``free`` when it is below
-    ``ub``, and otherwise a proven lower bound that is at least ``ub``.  A
-    branch runs with ``ub`` equal to the best count so far minus one, so it
-    can only report a count that beats the incumbent.  Exact answers are
-    memoized as ``mask -> (count, set index)``, and the cover is rebuilt by
-    following the stored set indices; a mask whose search failed under ``ub``
-    keeps ``ub`` as a proven floor.
-
+    *Value search.*  Element bits are renumbered once by (number of sets
+    containing the element, rank in ``sc.elements``), and a mask ``free``
+    holds the uncovered elements.  ``search(free, ub)`` returns the optimum
+    count of ``free`` when it is below ``ub``, and otherwise a proven lower
+    bound that is at least ``ub``.  It branches on the lowest free bit, a
+    free element in the fewest sets, and runs each branch with ``ub`` equal
+    to the best count so far minus one.  Exact counts are memoized per mask;
+    a mask whose search failed under ``ub`` keeps ``ub`` as a proven floor.
     The lower bound at a mask is the largest of ceil(|free|/k), its floor,
-    and a packing count: free elements taken lowest first so that no two
+    and a packing count: free elements taken lowest bit first so that no two
     share a set, each of which needs a set of its own.  The search returns
-    at once when the bound reaches ``ub``, and stops trying sets once the
-    incumbent equals the bound.  Every such skip drops only branches that
-    cannot be strictly smaller than the incumbent, so the first minimum, and
-    with it the cover, is the one a full search in the same order finds.
+    at once when the bound reaches ``ub`` and stops branching once the best
+    count equals it.  Every free element must be covered by one of the sets
+    that contain it, so branching on any one of them is exhaustive, and the
+    optimum of a mask does not depend on which element is chosen: the
+    renumbering changes how fast the counts are found, not their values.
+
+    *Canonical walk.*  The cover is read back in rank order.  At each mask,
+    with ``need`` its optimum, take the free element of lowest rank in
+    ``sc.elements`` and the first set containing it, in ``sc.sets`` order,
+    whose remainder has optimum ``need - 1``; ``search(rest, need)`` returns
+    that optimum exactly when it is ``need - 1`` and a value of at least
+    ``need`` otherwise.  This is the first minimum-size cover of lowest-rank-
+    first branching, the cover an exhaustive search in that order returns
+    when it replaces its incumbent only on a strictly smaller count; the
+    former single search branched in that order and pruned only branches
+    that could not be strictly smaller, so it returned this cover too.  The
+    walk reads nothing but the optima of masks, and those are exact, so the
+    cover does not depend on the value search's order or pruning.
     """
     if sc.max_set_size() > k:
         raise SizeBoundViolated(f"set larger than k={k}")
     sc.check_feasible()
-    rank = sc.element_rank()
+    degree = dict.fromkeys(sc.elements, 0)
+    for s in sc.sets.values():
+        for x in s:
+            degree[x] += 1
+    # sorted() is stable, so elements of equal degree keep their rank order.
+    bit = {x: b for b, x in enumerate(sorted(sc.elements, key=degree.__getitem__))}
     names = list(sc.sets)
-    masks = [sum(1 << rank[x] for x in s) for s in sc.sets.values()]
+    masks = [sum(1 << bit[x] for x in s) for s in sc.sets.values()]
     by_element: list[list[tuple[int, int]]] = [[] for _ in sc.elements]
-    # reach[i]: every element that shares a set with element i, i included.
+    # reach[b]: every element that shares a set with bit b, b included.
     reach = [0] * len(sc.elements)
     for j, mask in enumerate(masks):
         rest = mask
         while rest:
-            i = (rest & -rest).bit_length() - 1
-            by_element[i].append((j, mask))
-            reach[i] |= mask
+            b = (rest & -rest).bit_length() - 1
+            by_element[b].append((j, mask))
+            reach[b] |= mask
             rest &= rest - 1
-    exact: dict[int, tuple[int, int]] = {}
+    exact: dict[int, int] = {}
     floor: dict[int, int] = {}
 
     def search(free: int, ub: int) -> int:
@@ -262,7 +275,7 @@ def exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
             return 0
         hit = exact.get(free)
         if hit is not None:
-            return hit[0]
+            return hit
         packing = 0
         rest = free
         while rest:
@@ -271,26 +284,31 @@ def exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
         lb = max(-(-free.bit_count() // k), packing, floor.get(free, 0))
         if lb >= ub:
             return lb
-        best, best_j = ub, -1
-        for j, mask in by_element[(free & -free).bit_length() - 1]:
+        best = ub
+        for _, mask in by_element[(free & -free).bit_length() - 1]:
             count = search(free & ~mask, best - 1) + 1
             if count < best:
-                best, best_j = count, j
+                best = count
                 if best == lb:
                     break
-        if best_j < 0:
+        if best == ub:
             floor[free] = ub
-            return ub
-        exact[free] = (best, best_j)
+        else:
+            exact[free] = best
         return best
 
     free = (1 << len(sc.elements)) - 1
-    search(free, len(sc.elements) + 1)
+    need = search(free, len(sc.elements) + 1)
     picks = []
+    in_rank_order = iter(bit[x] for x in sc.elements)
     while free:
-        j = exact[free][1]
+        b = next(b for b in in_rank_order if free >> b & 1)
+        for j, mask in by_element[b]:
+            rest = free & ~mask
+            if search(rest, need) == need - 1:
+                break
         picks.append(names[j])
-        free &= ~masks[j]
+        free, need = rest, need - 1
     return tuple(sorted(picks))
 
 

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from aecover import cli
 from aecover.bounds import g_value
 from aecover.cli import main, pick_algorithm, run_algorithm
-from aecover.errors import DomainError
+from aecover.errors import DomainError, LimitExceeded
 from aecover.fileio import format_float, load_instance, save_instance
 from aecover.generators import FAMILIES, generate, random_uniform, tight73
 from aecover.core import Assignment, Instance, covers
@@ -79,6 +80,9 @@ def test_malformed_numeric_argument_exit_code(capsys, argv):
         ("bench", "--family", "general", "--seeds", "0", "--time-budget", "-1"),
         ("bench", "--family", "general", "--seeds", "0", "--time-budget", "nan"),
         ("bench", "--family", "general", "--seeds", "0", "--algorithms", "general,general"),
+        # A zero budget skips every seed, so the report certifies nothing.
+        ("bench", "--family", "general", "--seeds", "0..4", "--time-budget", "0",
+         "--out", "{dir}/bench.json"),
     ],
 )
 def test_unusable_input_exit_code(tmp_path, capsys, argv):
@@ -340,6 +344,35 @@ def test_bench_deterministic_and_clean(tmp_path, capsys):
     assert doc["violations"] == [] and doc["skipped"] == []
     assert len(doc["entries"]) == 8
     assert set(doc["aggregates"]) == {"unit-a1", "unit-a2"}
+
+
+def test_bench_that_skips_every_seed_writes_its_report_and_exits_1(tmp_path, capsys):
+    out_path = tmp_path / "bench.json"
+    argv = ["bench", "--family", "general", "--seeds", "0..4", "--time-budget", "0"]
+    code, _, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 1
+    assert err == "error: all 5 seeds were skipped; nothing was certified\n"
+    doc = json.loads(out_path.read_text())
+    assert doc["entries"] == [] and [s["seed"] for s in doc["skipped"]] == [0, 1, 2, 3, 4]
+
+
+def test_bench_that_skips_some_seeds_exits_0(capsys, monkeypatch):
+    real = cli.exact_solve
+    calls = []
+
+    def first_call_over_limit(inst, **kwargs):
+        calls.append(inst)
+        if len(calls) == 1:
+            raise LimitExceeded("over the limit")
+        return real(inst, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_solve", first_call_over_limit)
+    code, out, err = run(capsys, "bench", "--family", "unit", "--seeds", "0..2")
+    assert code == 0
+    doc = json.loads(out)
+    assert [s["seed"] for s in doc["skipped"]] == [0]
+    assert [e["seed"] for e in doc["entries"]] == [1, 2]
+    assert err.startswith("benchmarked 2 instances")
 
 
 def test_bench_minpower_campaign_stays_under_omega_one(capsys):

@@ -1,5 +1,6 @@
 """Unit-threshold reduction, exact 2-set-cover, subsolvers, both solvers."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -88,6 +89,68 @@ def _reference_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
 
 
 REFERENCE_SUBSOLVER = KSetCoverSolver(name="exact", fn=_reference_exact_bb, certified=True)
+
+
+def _parent_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
+    """The exact_bb search before the value search and the cover walk were
+    split: lowest-rank-first element branching that memoizes each mask's
+    count with the first set, in ``sc.sets`` order, reaching it, and follows
+    those sets to rebuild the cover.  Kept as the reference the cover of
+    exact_bb must equal."""
+    if sc.max_set_size() > k:
+        raise SizeBoundViolated(f"set larger than k={k}")
+    sc.check_feasible()
+    rank = sc.element_rank()
+    names = list(sc.sets)
+    masks = [sum(1 << rank[x] for x in s) for s in sc.sets.values()]
+    by_element: list[list[tuple[int, int]]] = [[] for _ in sc.elements]
+    # reach[i]: every element that shares a set with element i, i included.
+    reach = [0] * len(sc.elements)
+    for j, mask in enumerate(masks):
+        rest = mask
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            by_element[i].append((j, mask))
+            reach[i] |= mask
+            rest &= rest - 1
+    exact: dict[int, tuple[int, int]] = {}
+    floor: dict[int, int] = {}
+
+    def search(free: int, ub: int) -> int:
+        if not free:
+            return 0
+        hit = exact.get(free)
+        if hit is not None:
+            return hit[0]
+        packing = 0
+        rest = free
+        while rest:
+            packing += 1
+            rest &= ~reach[(rest & -rest).bit_length() - 1]
+        lb = max(-(-free.bit_count() // k), packing, floor.get(free, 0))
+        if lb >= ub:
+            return lb
+        best, best_j = ub, -1
+        for j, mask in by_element[(free & -free).bit_length() - 1]:
+            count = search(free & ~mask, best - 1) + 1
+            if count < best:
+                best, best_j = count, j
+                if best == lb:
+                    break
+        if best_j < 0:
+            floor[free] = ub
+            return ub
+        exact[free] = (best, best_j)
+        return best
+
+    free = (1 << len(sc.elements)) - 1
+    search(free, len(sc.elements) + 1)
+    picks = []
+    while free:
+        j = exact[free][1]
+        picks.append(names[j])
+        free &= ~masks[j]
+    return tuple(sorted(picks))
 
 
 def facility_unit_instance(n: int, rng: random.Random) -> Instance:
@@ -271,6 +334,52 @@ class TestExactBB:
             assert report.to_json() == solve_unit_a2(res, REFERENCE_SUBSOLVER).to_json()
         assert len(calls) >= 21
 
+    @staticmethod
+    def tie_heavy_system(rng: random.Random, k: int) -> SetCoverInstance:
+        """A random k-bounded system of up to 18 elements in which some
+        elements lie in one set only and some sets appear more than once, at
+        random places in the set order, so that optimal covers tie."""
+        sc = random_set_system(rng, rng.randint(1, 18), rng.randint(1, 12), k)
+        sets = [(v, set(s)) for v, s in sc.sets.items()]
+        for x in rng.sample(sc.elements, rng.randint(0, len(sc.elements) // 2)):
+            holders = [s for _, s in sets if x in s]
+            keep = rng.choice(holders)
+            for s in holders:
+                if s is not keep:
+                    s.discard(x)
+        sets = [(v, s) for v, s in sets if s]
+        for c in range(rng.randint(1, 4)):
+            _, s = rng.choice(sets)
+            sets.insert(rng.randint(0, len(sets)), (f"d{c}", set(s)))
+        return SetCoverInstance(sc.elements, {v: frozenset(s) for v, s in sets})
+
+    def test_matches_parent_search_on_tie_heavy_systems(self):
+        rng = random.Random(18)
+        singles = duplicated = 0
+        for case in range(2400):
+            k = case % 6 + 1
+            sc = self.tie_heavy_system(rng, k)
+            assert exact_bb(sc, k) == _parent_exact_bb(sc, k), (case, sc)
+            members = [x for s in sc.sets.values() for x in s]
+            singles += any(members.count(x) == 1 for x in sc.elements)
+            duplicated += len(set(sc.sets.values())) < len(sc.sets)
+        assert singles > 1000 and duplicated > 2000
+
+    def test_matches_parent_search_on_unit_a2_residuals(self):
+        # Every phase residual of facility_unit_instance(n) for n = 10..45.
+        calls = []
+
+        def checked(sc, k):
+            got = exact_bb(sc, k)
+            assert got == _parent_exact_bb(sc, k), (k, sc)
+            calls.append(k)
+            return got
+
+        checking = KSetCoverSolver(name="exact", fn=checked, certified=True)
+        for n in range(10, 46):
+            solve_unit_a2(reduce_unit(facility_unit_instance(n, random.Random(7))), checking)
+        assert len(calls) >= 36
+
     def test_exact_2setcover_agrees_with_bb(self):
         rng = random.Random(4)
         for _ in range(60):
@@ -419,6 +528,25 @@ class TestSolveUnitA2:
         elapsed = time.perf_counter() - start
         assert report.to_json() == solve_unit_a2(res, REFERENCE_SUBSOLVER).to_json()
         assert elapsed < 10, elapsed
+
+    # sha256 of solve_unit_a2(...).to_json() with the former exact_bb, which
+    # took 0.43 s and 14.4 s on these two instances (shared 2-vCPU Linux VM,
+    # Python 3.11).
+    PINNED_REPORTS = {
+        55: "8295243cf706ac09fb4f2ff5847457a2bf39c8837e6733c2f8433bea2b7b9870",
+        70: "7c16b37448418e57117065e05127a1028188cb1a929df0e00976a0c2cd7e0ee8",
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED_REPORTS))
+    def test_large_instance_matches_pinned_report(self, n):
+        res = reduce_unit(facility_unit_instance(n, random.Random(7)))
+        start = time.perf_counter()
+        report = solve_unit_a2(res)
+        elapsed = time.perf_counter() - start
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == self.PINNED_REPORTS[n]
+        # The 70-terminal solve measured 0.14 s on the same machine.
+        assert elapsed < 2, elapsed
 
     def test_finish_reusing_a_root_raises(self):
         # A subsolver finish that picks a phase root breaks the phase analysis.
