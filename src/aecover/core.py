@@ -190,7 +190,7 @@ class Instance:
         return derive_costs(self)
 
     def is_unit(self) -> bool:
-        return all(e.tu == 1 and e.tv == 1 for e in self.edges)
+        return all(t == 1 for t in self._distinct_thresholds.values())
 
 
 def _prune_dominated(sorted_rows: list[tuple]) -> list[tuple]:
@@ -285,15 +285,22 @@ def covered_terminals(
     return frozenset(covered)
 
 
-def covers(inst: Instance, a: Assignment) -> tuple[bool, tuple[str, ...]]:
-    """Whether every terminal touches an activated edge, plus the uncovered
-    list; each terminal's scan stops at its first active edge."""
-    levels = inst.levels(a.values)
-    uncovered = tuple(
+def uncovered_terminals(inst: Instance, *, levels: Mapping[str, int]) -> tuple[str, ...]:
+    """The terminals, in terminal order, on no edge that ``levels`` (as for
+    :func:`active_at_levels`) activates; each terminal's scan stops at its
+    first active edge.  ``levels`` is keyword-only, as in
+    :func:`covered_terminals`."""
+    return tuple(
         u
         for u in inst.terminal_list
         if next(active_at_levels(inst, levels, inst.edges_at[u]), None) is None
     )
+
+
+def covers(inst: Instance, a: Assignment) -> tuple[bool, tuple[str, ...]]:
+    """Whether every terminal touches an activated edge, plus the uncovered
+    list, by :func:`uncovered_terminals` on the assignment's levels."""
+    uncovered = uncovered_terminals(inst, levels=inst.levels(a.values))
     return (not uncovered, uncovered)
 
 

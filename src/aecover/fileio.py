@@ -16,8 +16,11 @@ writes that layout directly with string joins, because any ``indent`` makes
 ``json.dumps`` fall back to its pure-Python encoder, which cost more than
 the solve it was reporting on.  The instance digest is the sha256 of the
 UTF-8 bytes of this text, computed once per instance.  Report documents are
-written by :func:`dumps_doc` in the same layout; this module is the only
-caller of ``json.dumps``.
+written by :func:`dumps_doc` in the same layout, also directly: keys sorted,
+strings and keys escaped by ``encode_basestring_ascii``, ints by their repr,
+``{}`` and ``[]`` for empty containers; only other leaves (``None``, bools,
+floats) go through ``json.dumps``.  This module is the only caller of
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -52,9 +55,54 @@ def format_slope(x: Union[Fraction, float]) -> str:
     return "inf" if x == math.inf else format_fraction(Fraction(x))
 
 
+def _write_value(value: Any, pad: str, out: list[str]) -> None:
+    """Append the canonical text of ``value``, nested under ``pad``.  A
+    string item of a container is written in the container's own loop,
+    without a call of its own: most leaves of a report are strings."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            item = value[key]
+            if type(item) is str:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {encode_basestring_ascii(item)}")
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write_value(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            if type(item) is str:
+                out.append(sep + encode_basestring_ascii(item))
+            else:
+                out.append(sep)
+                _write_value(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    else:
+        out.append(json.dumps(value))
+
+
 def dumps_doc(doc: Mapping[str, Any]) -> str:
-    """A report document as canonical text: sorted keys, two-space indent."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """A report document as canonical text, the bytes of
+    ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline."""
+    out: list[str] = []
+    _write_value(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def parse_instance_doc(doc: Mapping[str, Any]) -> Instance:

@@ -256,13 +256,12 @@ def solve_general(inst: Instance) -> SolveReport:
     costs = inst.costs
     for levels, covered, _, trace in density_greedy(inst):
         pass
-    # The completed value is at most the greedy's payment plus its potential.
-    assignment = inst.assignment(complete(inst, covered, levels=levels))
     label, bound = min(general_bound_candidates(inst), key=lambda it: (float(it[1]), it[0]))
     return solve_report(
         inst,
         "general",
-        assignment,
+        # The completed value is at most the greedy's payment plus its potential.
+        complete(inst, covered, levels=levels),
         claimed_bound=bound,
         bound_label=label,
         trace=trace,

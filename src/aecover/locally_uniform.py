@@ -168,7 +168,7 @@ def solve_locally_uniform(
     return solve_report(
         inst,
         "locally-uniform",
-        inst.assignment(levels),
+        levels,
         claimed_bound=bound,
         bound_label=label,
         trace={"steps": steps},

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
-from .core import Assignment, Instance, covers
+from .core import Assignment, Instance, uncovered_terminals
 from .errors import IncompleteCover
 from .fileio import (
     SCHEMA_VERSION,
@@ -103,7 +103,7 @@ class SolveReport:
 def solve_report(
     inst: Instance,
     algorithm: str,
-    assignment: Assignment,
+    levels: Mapping[str, int],
     *,
     claimed_bound: Optional[Bound],
     bound_label: str,
@@ -111,20 +111,22 @@ def solve_report(
     extras: dict,
     theta: Optional[Union[Fraction, float]] = None,
 ) -> SolveReport:
-    """The report of a solver's ``assignment`` on ``inst``, named by the
-    instance digest.  Raises IncompleteCover, also under ``python -O``,
-    unless the assignment covers every terminal.  The value is the
-    assignment's total; the slope and degree bound are the instance's,
+    """The report of a solver's assignment on ``inst``, named by the
+    instance digest.  The solver hands over its ``levels``, the integer view
+    of the assignment (values times ``inst.scale``, as
+    :meth:`Instance.levels` gives them).  Raises IncompleteCover, also under
+    ``python -O``, unless they cover every terminal.  The value is their
+    total over the scale; the slope and degree bound are the instance's,
     unless the caller passes the slope its certificate rests on."""
-    ok, uncovered = covers(inst, assignment)
-    if not ok:
+    uncovered = uncovered_terminals(inst, levels=levels)
+    if uncovered:
         raise IncompleteCover(uncovered)
     costs = inst.costs
     return SolveReport(
         instance_digest=instance_digest(inst),
         algorithm=algorithm,
-        assignment=assignment,
-        value=assignment.total(),
+        assignment=inst.assignment(levels),
+        value=Fraction(sum(levels.values()), inst.scale),
         theta=costs.theta if theta is None else theta,
         delta=costs.delta,
         claimed_bound=claimed_bound,

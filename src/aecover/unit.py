@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Optional
 
 from .bounds import A1_RATIO, RHO
-from .core import Assignment, Instance
+from .core import Instance
 from .errors import (
     IncompleteCover,
     Infeasible,
@@ -212,9 +212,17 @@ def exact_2setcover(sc: SetCoverInstance) -> tuple[str, ...]:
     return tuple(sorted(chosen))
 
 
-def exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
+def exact_bb(
+    sc: SetCoverInstance, k: int, below: Optional[int] = None
+) -> Optional[tuple[str, ...]]:
     """Optimal cover in two steps: a value search that branches fewest-sets-
     first, then a walk that reads back the first minimum cover in set order.
+
+    With ``below``, only a cover of fewer than ``below`` sets is wanted: the
+    value search runs with ``ub = below`` and ``None`` is returned, without
+    the walk, once it proves that no cover is smaller.  Otherwise the cover
+    is the one returned without ``below``, since the walk reads only exact
+    optima.
 
     *Value search.*  Element bits are renumbered once by (number of sets
     containing the element, rank in ``sc.elements``), and a mask ``free``
@@ -298,7 +306,10 @@ def exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
         return best
 
     free = (1 << len(sc.elements)) - 1
-    need = search(free, len(sc.elements) + 1)
+    ub = len(sc.elements) + 1 if below is None else below
+    need = search(free, ub)
+    if need >= ub:
+        return None
     picks = []
     in_rank_order = iter(bit[x] for x in sc.elements)
     while free:
@@ -312,8 +323,9 @@ def exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
     return tuple(sorted(picks))
 
 
-def greedy_hk(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
-    """Largest-set greedy; classical H_k quality on k-bounded systems."""
+def greedy_hk(sc: SetCoverInstance, k: int, below: Optional[int] = None) -> tuple[str, ...]:
+    """Largest-set greedy; classical H_k quality on k-bounded systems.  It
+    ignores ``below`` and always returns its cover."""
     if sc.max_set_size() > k:
         raise SizeBoundViolated(f"set larger than k={k}")
     sc.check_feasible()
@@ -339,10 +351,12 @@ def greedy_hk(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
 class KSetCoverSolver:
     """Pluggable subsolver; ``certified`` means its quality is within the
     published k-set-cover table for every k <= 6, which is what the 1555/1347
-    certificate of the multi-phase solver requires."""
+    certificate of the multi-phase solver requires.  ``fn(sc, k, below)``
+    returns a cover, or may return ``None`` when ``below`` is not ``None``
+    and it has proved that no cover has fewer than ``below`` sets."""
 
     name: str
-    fn: Callable[[SetCoverInstance, int], tuple[str, ...]]
+    fn: Callable[[SetCoverInstance, int, Optional[int]], Optional[tuple[str, ...]]]
     certified: bool
 
 
@@ -393,10 +407,11 @@ def solve_unit_a1(res: UnitResidual) -> SolveReport:
         if k <= 2:
             break
     tail = exact_2setcover(_restrict(sc, uncovered))
+    inst = res.inst
     return solve_report(
-        res.inst,
+        inst,
         "unit-a1",
-        Assignment.of(dict.fromkeys((*res.inst.terminal_list, *roots, *tail), 1)),
+        dict.fromkeys((*inst.terminal_list, *roots, *tail), inst.scale),
         claimed_bound=A1_RATIO,
         bound_label="1+67/360",
         extras={"greedy_stars": len(roots), "exact_phase": len(tail)},
@@ -412,9 +427,18 @@ def solve_unit_a2(
     At phase k a facility with k+1 still-uncovered neighbors claims all of
     them (the phase order guarantees no facility exceeds k+1), so residual
     instances stay feasible and roots are disjoint from later solutions.
+
+    Every phase after the first asks its subsolver only for a finish of
+    fewer than ``below = best - len(roots)`` sets, ``best`` the smallest
+    candidate so far, and is skipped when ``below <= 0``.  A candidate
+    replaces the best only when it is strictly smaller, so the first
+    (largest-k) candidate of the smallest size wins.  A finish of ``below``
+    sets or more makes a candidate of ``best`` or more, which could not
+    replace it; leaving such a phase out, or its finish unsearched, changes
+    neither the winner nor the phase trace.
     """
     sc = res.system
-    candidates: list[tuple[int, int, int, int, tuple[str, ...]]] = []
+    best: Optional[tuple[int, int, int, int, tuple[str, ...]]] = None
     phases: list[dict] = []
     for k, roots, stars, uncovered in _star_phases(sc):
         if stars:
@@ -423,18 +447,23 @@ def solve_unit_a2(
             continue
         if k == 0 and uncovered:
             raise PhaseInvariantViolated("1-star phase must cover everything")
-        finish = subsolver.fn(_restrict(sc, uncovered), k) if uncovered else ()
+        below = None if best is None else best[0] - len(roots)
+        if below is not None and below <= 0:
+            continue
+        finish = subsolver.fn(_restrict(sc, uncovered), k, below) if uncovered else ()
+        if finish is None:
+            continue
         if set(roots) & set(finish):
             raise PhaseInvariantViolated(f"subsolver finish at k={k} reuses a root")
-        candidates.append(
-            (len(roots) + len(finish), k, len(roots), len(finish), (*roots, *finish))
-        )
-    # min() keeps the first (largest-k) candidate on size ties.
-    size, k_winner, c_size, a_size, chosen = min(candidates, key=lambda cand: cand[0])
+        size = len(roots) + len(finish)
+        if best is None or size < best[0]:
+            best = (size, k, len(roots), len(finish), (*roots, *finish))
+    _, k_winner, c_size, a_size, chosen = best
+    inst = res.inst
     return solve_report(
-        res.inst,
+        inst,
         "unit-a2",
-        Assignment.of(dict.fromkeys((*res.inst.terminal_list, *chosen), 1)),
+        dict.fromkeys((*inst.terminal_list, *chosen), inst.scale),
         claimed_bound=RHO if subsolver.certified else None,
         bound_label="1555/1347" if subsolver.certified else f"uncertified ({subsolver.name})",
         trace={"phases": phases},

@@ -155,6 +155,18 @@ class TestInstance:
             ("a", "c", 1, 5),
         ]
 
+    def test_is_unit_matches_every_edge_end(self):
+        # The reference tests both thresholds of every edge.
+        cases = [generate(family, seed) for family in sorted(FAMILIES) for seed in range(10)]
+        cases += [
+            Instance.from_data(["a"], ["a"], []),
+            Instance.from_data(["a", "b"], ["a"], [("a", "b", 1, "2/2")]),
+            Instance.from_data(["a", "b", "c"], ["a"], [("a", "b", 1, 1), ("a", "c", 1, "1/2")]),
+        ]
+        verdicts = [inst.is_unit() for inst in cases]
+        assert verdicts == [all(e.tu == 1 and e.tv == 1 for e in inst.edges) for inst in cases]
+        assert any(verdicts) and not all(verdicts)
+
     def test_dominated_parallel_edges_pruned(self):
         inst = Instance.from_data(
             ["a", "b"],

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 import aecover.fileio
-from aecover.cli import run_algorithm
+from aecover.cli import ALGORITHMS, main, run_algorithm
 from aecover.core import Instance
-from aecover.errors import InvalidInstance
+from aecover.errors import AecError, InvalidInstance
 from aecover.fileio import (
+    dumps_doc,
     dumps_instance,
     format_fraction,
     instance_digest,
@@ -19,6 +20,8 @@ from aecover.fileio import (
     load_instance,
 )
 from aecover.generators import FAMILIES, generate, random_general, random_minpower, tight73
+from aecover.oracle import exact_solve
+from aecover.report import BenchReport
 
 
 def instance_doc(inst):
@@ -164,6 +167,62 @@ def test_writer_matches_json_dumps_on_edge_cases(tmp_path):
     for inst in cases:
         assert_writer_matches_reference(inst, tmp_path)
         assert loads_instance(dumps_instance(inst)) == inst
+
+
+def assert_doc_writer_matches_json_dumps(doc):
+    assert dumps_doc(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_doc_writer_matches_json_dumps_on_reports():
+    # Every family x algorithm solve report, with the exact optimum attached
+    # where the family's oracle limits allow it, and each family's bench report.
+    for family in sorted(FAMILIES):
+        spec = FAMILIES[family]
+        bench = BenchReport(family=family, seed_start=0, seed_end=19, algorithms=spec.algorithms)
+        for seed in range(20):
+            inst = generate(family, seed)
+            exact = exact_solve(inst, **spec.limits).value
+            for alg in ALGORITHMS:
+                try:
+                    report = run_algorithm(inst, alg)
+                except AecError:
+                    continue
+                assert_doc_writer_matches_json_dumps(report.to_doc())
+                report.exact_value = exact
+                assert_doc_writer_matches_json_dumps(report.to_doc())
+            reports = {alg: run_algorithm(inst, alg) for alg in spec.algorithms}
+            for report in reports.values():
+                report.exact_value = exact
+            bench.add_entry(seed, instance_digest(inst), exact, reports)
+        assert_doc_writer_matches_json_dumps(bench.to_doc())
+
+
+def test_doc_writer_matches_json_dumps_on_exact_document(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    save_instance(generate("general", 2), path)
+    assert main(["exact", str(path)]) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    assert doc["kind"] == "exact_result" and doc["optimal"] is True
+    assert text == dumps_doc(doc)
+    assert_doc_writer_matches_json_dumps(doc)
+
+
+def test_doc_writer_matches_json_dumps_on_edge_cases():
+    cases = [
+        {},
+        {"a": {}, "b": [], "c": [[], {}], "d": ([], ())},
+        {
+            "\u00e9t\u00e9": "\U0001f600",
+            'q"uote': ["new\nline", "tab\t", "back\\slash", "\x7f", "\u2028"],
+            "": "",
+        },
+        {"none": None, "true": True, "false": False, "list": [None, True, False]},
+        {"ints": [0, -12, 10**30], "float": 1.5, "tuple": ("x", 1, None)},
+        {"nested": [[1, [2, [[]]]], {"x": [None, {"y": ["z"]}]}], "z": [{"a": "b"}, "c"]},
+    ]
+    for doc in cases:
+        assert_doc_writer_matches_json_dumps(doc)
 
 
 def test_equal_rationals_load_to_equal_instances():

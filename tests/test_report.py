@@ -2,10 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
-from aecover.core import Assignment
-from aecover.report import BenchReport, SolveReport, ratio_within
+import pytest
+
+import aecover
+from aecover.core import Assignment, Instance
+from aecover.errors import IncompleteCover
+from aecover.report import BenchReport, SolveReport, ratio_within, solve_report
 
 
 def make_report(value, bound, exact=None) -> SolveReport:
@@ -84,3 +91,36 @@ def test_bench_aggregates_use_each_reports_empirical_ratio():
     assert bench.to_doc()["aggregates"] == {
         "a": {"instances": 2, "max_ratio": "1.5000", "mean_ratio": "1.2500"}
     }
+
+
+def test_solve_report_reads_levels_on_the_integer_view():
+    # Thresholds in thirds: scale 3, so level 2 is the value 2/3.
+    inst = Instance.from_data(["a", "b"], ["a"], [("a", "b", "1/3", "2/3")])
+    report = solve_report(
+        inst, "general", {"a": 1, "b": 2, "c": 0}, claimed_bound=None, bound_label="x", extras={}
+    )
+    assert report.value == 1
+    assert report.assignment == Assignment.of({"a": Fraction(1, 3), "b": Fraction(2, 3)})
+    with pytest.raises(IncompleteCover) as exc:
+        solve_report(inst, "general", {"a": 1, "b": 1}, claimed_bound=None, bound_label="x",
+                     extras={})
+    assert exc.value.uncovered == ("a",)
+
+
+def test_coverage_guard_survives_optimize_flag():
+    # Under python -O every assert is gone; the guard must still raise.
+    code = (
+        "from aecover.core import Instance\n"
+        "from aecover.errors import IncompleteCover\n"
+        "from aecover.report import solve_report\n"
+        "inst = Instance.from_data(['a', 'b'], ['a'], [('a', 'b', 1, 2)])\n"
+        "try:\n"
+        "    solve_report(inst, 'general', {'a': 1, 'b': 1}, claimed_bound=None,\n"
+        "                 bound_label='x', extras={})\n"
+        "except IncompleteCover as exc:\n"
+        "    raise SystemExit(7 if exc.uncovered == ('a',) else 1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(aecover.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert done.returncode == 7

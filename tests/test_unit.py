@@ -12,6 +12,7 @@ from typing import Optional
 import pytest
 
 import aecover
+import aecover.unit
 from aecover.bounds import A1_RATIO, RHO, harmonic
 from aecover.core import Instance, covers
 from aecover.errors import (
@@ -88,7 +89,10 @@ def _reference_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
     return tuple(sorted(picks))
 
 
-REFERENCE_SUBSOLVER = KSetCoverSolver(name="exact", fn=_reference_exact_bb, certified=True)
+# Like greedy_hk, the reference ignores the bound and returns its whole cover.
+REFERENCE_SUBSOLVER = KSetCoverSolver(
+    name="exact", fn=lambda sc, k, below: _reference_exact_bb(sc, k), certified=True
+)
 
 
 def _parent_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
@@ -151,6 +155,28 @@ def _parent_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
         picks.append(names[j])
         free &= ~masks[j]
     return tuple(sorted(picks))
+
+
+def search_calls(fn, *args):
+    """``fn(*args)`` and the number of calls of exact_bb's inner ``search``
+    it made, counted with a profile hook."""
+    search = next(
+        c for c in aecover.unit.exact_bb.__code__.co_consts
+        if getattr(c, "co_name", None) == "search"
+    )
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is search:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 def facility_unit_instance(n: int, rng: random.Random) -> Instance:
@@ -320,7 +346,7 @@ class TestExactBB:
         # solution and the final report must equal the reference's.
         calls = []
 
-        def checked(sc, k):
+        def checked(sc, k, below):
             got = exact_bb(sc, k)
             assert got == _reference_exact_bb(sc, k), (k, sc)
             calls.append(k)
@@ -369,7 +395,7 @@ class TestExactBB:
         # Every phase residual of facility_unit_instance(n) for n = 10..45.
         calls = []
 
-        def checked(sc, k):
+        def checked(sc, k, below):
             got = exact_bb(sc, k)
             assert got == _parent_exact_bb(sc, k), (k, sc)
             calls.append(k)
@@ -379,6 +405,28 @@ class TestExactBB:
         for n in range(10, 46):
             solve_unit_a2(reduce_unit(facility_unit_instance(n, random.Random(7))), checking)
         assert len(calls) >= 36
+
+    def test_below_returns_none_exactly_when_no_smaller_cover(self):
+        rng = random.Random(19)
+        found = refused = 0
+        for case in range(3000):
+            k = case % 6 + 1
+            sc = random_set_system(rng, rng.randint(1, 14), rng.randint(1, 10), k)
+            reference = _reference_exact_bb(sc, k)
+            below = rng.randint(0, len(reference) + 2)
+            got = exact_bb(sc, k, below)
+            if len(reference) >= below:
+                assert got is None, (case, below, sc)
+                refused += 1
+            else:
+                assert got == reference, (case, below, sc)
+                found += 1
+        assert found > 1000 and refused > 1000
+
+    def test_below_on_the_empty_system(self):
+        empty = SetCoverInstance((), {})
+        assert exact_bb(empty, 1, 0) is None
+        assert exact_bb(empty, 1, 1) == ()
 
     def test_exact_2setcover_agrees_with_bb(self):
         rng = random.Random(4)
@@ -548,11 +596,34 @@ class TestSolveUnitA2:
         # The 70-terminal solve measured 0.14 s on the same machine.
         assert elapsed < 2, elapsed
 
+    def test_bounded_phases_search_less_than_unbounded_ones(self):
+        # Each phase's bounded search is set against the unbounded search of
+        # the same residual, read in the same run.
+        bounded = unbounded = 0
+
+        def counted(sc, k, below):
+            nonlocal bounded, unbounded
+            finish, calls = search_calls(exact_bb, sc, k, below)
+            bounded += calls
+            cover, calls = search_calls(exact_bb, sc, k)
+            unbounded += calls
+            assert finish is None or finish == cover
+            return finish
+
+        counting = KSetCoverSolver(name="exact", fn=counted, certified=True)
+        rng = random.Random(19)
+        for n in range(22, 29):
+            for _ in range(3):
+                res = reduce_unit(facility_unit_instance(n, rng))
+                report = solve_unit_a2(res, counting)
+                assert report.to_json() == solve_unit_a2(res, REFERENCE_SUBSOLVER).to_json()
+        assert 0 < bounded < unbounded
+
     def test_finish_reusing_a_root_raises(self):
         # A subsolver finish that picks a phase root breaks the phase analysis.
         res = reduce_unit(facility_unit_instance(12, random.Random(1)))
         roots_first = KSetCoverSolver(
-            name="bad", fn=lambda sc, k: tuple(res.system.sets),
+            name="bad", fn=lambda sc, k, below: tuple(res.system.sets),
             certified=False,
         )
         with pytest.raises(PhaseInvariantViolated):
@@ -561,7 +632,7 @@ class TestSolveUnitA2:
     def test_uncovering_subsolver_raises_incomplete_cover(self):
         res = reduce_unit(facility_unit_instance(12, random.Random(1)))
         nothing = KSetCoverSolver(
-            name="bad", fn=lambda sc, k: (), certified=False
+            name="bad", fn=lambda sc, k, below: (), certified=False
         )
         with pytest.raises(IncompleteCover):
             solve_unit_a2(res, subsolver=nothing)
@@ -576,7 +647,7 @@ class TestSolveUnitA2:
             "t = [f't{i}' for i in range(4)]\n"
             "edges = [(x, 'v', 1, 1) for x in t[:3]] + [(t[3], 'w', 1, 1), (t[2], 'w', 1, 1)]\n"
             "res = reduce_unit(Instance.from_data(t + ['v', 'w'], t, edges))\n"
-            "bad = KSetCoverSolver('bad', lambda sc, k: ('v', 'w'), False)\n"
+            "bad = KSetCoverSolver('bad', lambda sc, k, below: ('v', 'w'), False)\n"
             "try:\n"
             "    solve_unit_a2(res, subsolver=bad)\n"
             "except PhaseInvariantViolated:\n"
