@@ -85,14 +85,7 @@ class Instance:
         terminals: Iterable[str],
         edges: Iterable[tuple[str, str, Rational, Rational]],
     ) -> "Instance":
-        node_list = list(nodes)
-        if len(set(node_list)) != len(node_list):
-            raise InvalidInstance("duplicate node ids")
-        idx = {n: i for i, n in enumerate(node_list)}
-        term_set = frozenset(terminals)
-        for t in term_set:
-            if t not in idx:
-                raise InvalidInstance(f"terminal {t!r} is not a node")
+        node_list, idx, term_set = index_nodes(nodes, terminals)
         get = idx.get
         rows = []
         for u, v, tu, tv in edges:
@@ -105,15 +98,37 @@ class Instance:
             if ftu.numerator < 0 or ftv.numerator < 0:
                 raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
             rows.append((iu, iv, ftu, ftv) if iu < iv else (iv, iu, ftv, ftu))
+        return cls.from_rows(node_list, term_set, rows)
+
+    @classmethod
+    def from_rows(
+        cls,
+        node_list: list[str],
+        terminals: frozenset[str],
+        rows: list[tuple[int, int, Fraction, Fraction]],
+        thresholds: Optional[dict[int, Fraction]] = None,
+    ) -> "Instance":
+        """The instance of checked edge rows: per edge ``(iu, iv, tu, tv)``
+        with node indices ``iu < iv`` and non-negative ``Fraction``
+        thresholds, as :meth:`from_data` makes them.  Sorts the rows (in
+        place), prunes the dominated ones and builds the edges.
+
+        ``thresholds``, when given, maps the ``id`` of every threshold
+        object in ``rows`` to the object.  It becomes the instance's
+        ``_distinct_thresholds`` when no row was pruned; after a prune the
+        cached scan runs, so :attr:`scale` and :meth:`is_unit` read the kept
+        edges only."""
         rows.sort()
+        kept = _prune_dominated(rows)
         # tuple.__new__ builds an Edge without the Python frame of its
         # generated constructor, at half the cost per edge.
         new = tuple.__new__
-        kept = tuple([
-            new(Edge, (node_list[iu], node_list[iv], tu, tv))
-            for iu, iv, tu, tv in _prune_dominated(rows)
-        ])
-        return cls(tuple(node_list), term_set, kept)
+        inst = cls(tuple(node_list), terminals, tuple([
+            new(Edge, (node_list[iu], node_list[iv], tu, tv)) for iu, iv, tu, tv in kept
+        ]))
+        if thresholds is not None and len(kept) == len(rows):
+            inst.__dict__["_distinct_thresholds"] = thresholds
+        return inst
 
     @cached_property
     def index(self) -> Mapping[str, int]:
@@ -134,7 +149,8 @@ class Instance:
     @cached_property
     def _distinct_thresholds(self) -> Mapping[int, Fraction]:
         # Loaded instances share one Fraction per distinct threshold literal,
-        # so keying by identity visits each of them once.
+        # so keying by identity visits each of them once.  The loader sets
+        # this from its literal table when no edge was pruned.
         edges = self.edges
         return {id(t): t for t in chain(map(itemgetter(2), edges), map(itemgetter(3), edges))}
 
@@ -191,6 +207,22 @@ class Instance:
 
     def is_unit(self) -> bool:
         return all(t == 1 for t in self._distinct_thresholds.values())
+
+
+def index_nodes(
+    nodes: Iterable[str], terminals: Iterable[str]
+) -> tuple[list[str], dict[str, int], frozenset[str]]:
+    """The node list, each node's index in it and the terminal set; raises
+    InvalidInstance on a repeated node id or a terminal that is no node."""
+    node_list = list(nodes)
+    if len(set(node_list)) != len(node_list):
+        raise InvalidInstance("duplicate node ids")
+    idx = {n: i for i, n in enumerate(node_list)}
+    term_set = frozenset(terminals)
+    for t in term_set:
+        if t not in idx:
+            raise InvalidInstance(f"terminal {t!r} is not a node")
+    return node_list, idx, term_set
 
 
 def _prune_dominated(sorted_rows: list[tuple]) -> list[tuple]:
@@ -326,6 +358,20 @@ class DerivedCosts:
     cheapest: Mapping[str, int]
 
 
+def max_slope(pairs: Iterable[tuple[int, int]]) -> Union[Fraction, float]:
+    """The largest ``num/den`` over pairs of non-negative ints, compared by
+    cross-multiplication: ``math.inf`` when some pair has ``den = 0 < num``,
+    0 when there is none.  A pair ``0, 0`` imposes no constraint."""
+    best_num, best_den = 0, 1
+    for num, den in pairs:
+        if den:
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+        elif num:
+            return math.inf
+    return Fraction(best_num, best_den)
+
+
 def derive_costs(inst: Instance) -> DerivedCosts:
     """Compute q, c, Q, C, slope and degree bound; raises IsolatedTerminal.
 
@@ -337,8 +383,6 @@ def derive_costs(inst: Instance) -> DerivedCosts:
     c: dict[str, int] = {}
     cheapest: dict[str, int] = {}
     Q = C = 0
-    # The slope so far is num/den, or unbounded.
-    num, den, unbounded = 0, 1, False
     for u in inst.terminal_list:
         ids = inst.edges_at[u]
         if not ids:
@@ -355,13 +399,6 @@ def derive_costs(inst: Instance) -> DerivedCosts:
         q[u], c[u], cheapest[u] = qu, cu, best
         Q += qu
         C += cu
-        if qu > 0:
-            if cu * den > num * qu:
-                num, den = cu, qu
-        elif cu > 0:
-            # q = 0 < c leaves the slope unbounded.
-            unbounded = True
-        # q = c = 0 imposes no constraint.
 
     # Parallel edges are adjacent in the canonical order, so counting each
     # run of one (u, v) pair once counts terminal neighbours.
@@ -381,7 +418,7 @@ def derive_costs(inst: Instance) -> DerivedCosts:
         c=c,
         Q=Q,
         C=C,
-        theta=math.inf if unbounded else Fraction(num, den),
+        theta=max_slope(zip(c.values(), q.values())),
         delta=max(terminal_neighbors.values(), default=0),
         cheapest=cheapest,
     )

@@ -4,7 +4,10 @@ Instance files are JSON documents with exactly the keys ``nodes``,
 ``terminals`` and ``edges``; thresholds are rational-valued strings such as
 "3/2" or decimal/integer literals, parsed exactly.  Files written by
 :func:`save_instance` are canonical: loading and re-saving one reproduces the
-bytes.
+bytes.  The loader, :func:`parse_instance_doc`, checks each edge record and
+makes its canonical row in one pass, parsing and sign-checking each distinct
+threshold literal once, and leaves the sort, prune and edge build to
+:meth:`Instance.from_rows`.
 
 The canonical text is what ``json.dumps(doc, sort_keys=True, indent=2)``
 followed by a newline gives for the document ``{"nodes": [...], "terminals":
@@ -33,7 +36,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping, Union
 
-from .core import Assignment, Instance, as_fraction
+from .core import Assignment, Instance, as_fraction, index_nodes
 from .errors import InvalidInstance
 
 SCHEMA_VERSION = 1
@@ -105,7 +108,30 @@ def dumps_doc(doc: Mapping[str, Any]) -> str:
     return "".join(out)
 
 
+def _record_fault(rec: Any) -> InvalidInstance:
+    """The error for an edge record that is no object, has other keys than
+    ``u``, ``v``, ``tu`` and ``tv``, or has an endpoint that is no string,
+    checked in that order."""
+    if not isinstance(rec, dict):
+        return InvalidInstance(f"edge record must be an object: {rec!r}")
+    bad = rec.keys() - _EDGE_KEYS
+    if bad:
+        return InvalidInstance(f"unknown edge keys: {sorted(bad)}")
+    if rec.keys() != _EDGE_KEYS:
+        return InvalidInstance(f"incomplete edge record: {rec}")
+    return InvalidInstance(f"edge endpoints must be strings: {rec}")
+
+
 def parse_instance_doc(doc: Mapping[str, Any]) -> Instance:
+    """The instance of a document, in one pass over its edge records.
+
+    The pass checks each record, looks up its endpoints and makes its
+    canonical row, with the per-edge checks and messages of
+    :meth:`Instance.from_data` in its order: endpoint, self loop, ``tu``,
+    ``tv``, sign.  A threshold string is parsed and sign-checked once per
+    distinct literal; every other value is parsed where it occurs.  The
+    rows go to :meth:`Instance.from_rows`, with the parsed objects as the
+    instance's distinct thresholds."""
     if not isinstance(doc, dict):
         raise InvalidInstance("an instance must be a JSON object")
     unknown = set(doc) - _INSTANCE_KEYS
@@ -120,30 +146,50 @@ def parse_instance_doc(doc: Mapping[str, Any]) -> Instance:
     for key in ("nodes", "terminals"):
         if not all(isinstance(x, str) for x in doc[key]):
             raise InvalidInstance(f"{key} must be strings")
-    # Instances repeat a few threshold literals many times; parse each once.
-    parsed: dict[str, Fraction] = {}
+    node_list, idx, terminals = index_nodes(doc["nodes"], doc["terminals"])
+    literals: dict[str, Fraction] = {}  # each literal's one parsed object
+    others: dict[int, Fraction] = {}  # the other thresholds, by id
 
-    def threshold(raw: Any) -> Fraction:
-        if not isinstance(raw, str):
-            return as_fraction(raw)
-        x = parsed.get(raw)
+    def parse(raw: Any) -> Fraction:
+        if type(raw) is not str:
+            x = as_fraction(raw)
+            others[id(x)] = x
+            return x
+        x = literals.get(raw)
         if x is None:
-            x = parsed[raw] = as_fraction(raw)
+            x = literals[raw] = as_fraction(raw)
         return x
 
-    edges = []
+    get, known = idx.get, literals.get
+    rows = []
     for rec in doc["edges"]:
-        if not isinstance(rec, dict):
-            raise InvalidInstance(f"edge record must be an object: {rec!r}")
-        if rec.keys() != _EDGE_KEYS:
-            bad = rec.keys() - _EDGE_KEYS
-            if bad:
-                raise InvalidInstance(f"unknown edge keys: {sorted(bad)}")
-            raise InvalidInstance(f"incomplete edge record: {rec}")
-        if not isinstance(rec["u"], str) or not isinstance(rec["v"], str):
-            raise InvalidInstance(f"edge endpoints must be strings: {rec}")
-        edges.append((rec["u"], rec["v"], threshold(rec["tu"]), threshold(rec["tv"])))
-    return Instance.from_data(doc["nodes"], doc["terminals"], edges)
+        # Only a record that fails these fast tests is examined further,
+        # by _record_fault.
+        if not isinstance(rec, dict) or len(rec) != 4:
+            raise _record_fault(rec)
+        try:
+            u, v, tu, tv = rec["u"], rec["v"], rec["tu"], rec["tv"]
+            iu, iv = get(u), get(v)
+        except (KeyError, TypeError):
+            raise _record_fault(rec) from None
+        if iu is None or iv is None:
+            if not isinstance(u, str) or not isinstance(v, str):
+                raise _record_fault(rec)
+            raise InvalidInstance(f"edge endpoint not a node: {u!r}-{v!r}")
+        if iu == iv:
+            raise InvalidInstance(f"self loop at {u!r}")
+        # A known literal passed its sign check on the edge that added it.
+        try:
+            ftu, ftv = known(tu), known(tv)
+        except TypeError:  # an unhashable value, which parse() refuses
+            ftu = None
+        if ftu is None or ftv is None:
+            ftu, ftv = parse(tu), parse(tv)
+            if ftu.numerator < 0 or ftv.numerator < 0:
+                raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
+        rows.append((iu, iv, ftu, ftv) if iu < iv else (iv, iu, ftv, ftu))
+    others.update((id(x), x) for x in literals.values())
+    return Instance.from_rows(node_list, terminals, rows, others)
 
 
 def loads_instance(text: str) -> Instance:

@@ -39,12 +39,18 @@ def from_facility_location(
 ) -> Instance:
     """Facility location as a bipartite instance: an edge per available
     (client, facility) pair with the service cost on the client side and the
-    opening cost on the facility side."""
+    opening cost on the facility side.  Each opening cost is converted and
+    sign-checked at the facility's first pair, after that pair's service
+    cost is converted; a negative one raises there."""
+    weights: dict[str, Fraction] = {}
     edges = []
     for (u, v), d in service.items():
-        w = as_fraction(opening[v])
+        w = weights.get(v)
+        first = w is None
+        if first:
+            w = weights[v] = as_fraction(opening[v])
         d = as_fraction(d)
-        if w < 0 or d < 0:
+        if d.numerator < 0 or first and w.numerator < 0:
             raise DomainError(f"negative cost on pair ({u}, {v})")
         edges.append((u, v, d, w))
     return Instance.from_data(list(clients) + list(facilities), clients, edges)
@@ -64,10 +70,10 @@ def from_theta_setcover(
     edges = []
     for v, members in sets.items():
         w = as_fraction(weights[v])
-        if w < 0:
+        if w.numerator < 0:
             raise DomainError(f"negative weight for set {v!r}")
-        for u in members:
-            edges.append((u, v, w / th, w))
+        per_element = w / th
+        edges.extend((u, v, per_element, w) for u in members)
     return Instance.from_data(list(elements) + list(sets), elements, edges)
 
 

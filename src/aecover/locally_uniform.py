@@ -10,13 +10,12 @@ bundle the list that reproduces the paper's worst-case example.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .bounds import omega_bar
-from .core import Instance
+from .core import Instance, max_slope
 from .errors import Infeasible, NonUniformFacility, NotBipartite
 from .fileio import format_slope
 from .report import SolveReport, solve_report
@@ -27,7 +26,9 @@ class UniformBipartiteInstance:
     """Validated bipartite view: clients (terminals) vs weighted facilities.
 
     ``weight`` and ``service`` are on the integer view: each facility's
-    thresholds times ``inst.scale``, as ints."""
+    thresholds times ``inst.scale``, as ints.  ``delta`` is the most
+    clients at one facility, the instance's degree bound: the view is
+    bipartite and its adjacency lists are free of repeats."""
 
     inst: Instance
     clients: tuple[str, ...]
@@ -36,6 +37,7 @@ class UniformBipartiteInstance:
     service: Mapping[str, int]
     adjacency: Mapping[str, tuple[str, ...]]
     theta: Union[Fraction, float]
+    delta: int
 
 
 def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
@@ -70,15 +72,6 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
     # The canonical edge order lists each facility's clients by node index,
     # and a uniform facility has no parallel edges left after pruning, so
     # the adjacency lists are sorted and free of repeats.
-    unbounded = False
-    num, den = 0, 1  # the largest finite w/t so far
-    for v, w in weight.items():
-        t = service[v]
-        if t > 0:
-            if w * den > num * t:
-                num, den = w, t
-        elif w > 0:
-            unbounded = True
     return UniformBipartiteInstance(
         inst=inst,
         clients=inst.terminal_list,
@@ -86,16 +79,16 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
         weight=weight,
         service=service,
         adjacency={v: tuple(c) for v, c in adjacency.items()},
-        theta=math.inf if unbounded else Fraction(num, den),
+        # weight and service gained their keys together, so they align.
+        theta=max_slope(zip(weight.values(), service.values())),
+        delta=max(map(len, adjacency.values()), default=0),
     )
 
 
 def uniform_bound(ubi: UniformBipartiteInstance) -> tuple[str, Union[Fraction, float]]:
-    # The instance is bipartite, so this is the most clients at one facility.
-    delta = ubi.inst.costs.delta
-    if delta == 0 or ubi.theta == 0:
+    if ubi.delta == 0 or ubi.theta == 0:
         return ("value=Q (free facilities)", Fraction(1))
-    return ("1+omega_bar(theta)", 1 + omega_bar(ubi.theta, delta_cap=delta))
+    return ("1+omega_bar(theta)", 1 + omega_bar(ubi.theta, delta_cap=ubi.delta))
 
 
 def solve_locally_uniform(
@@ -164,6 +157,15 @@ def solve_locally_uniform(
             }
         )
 
+    # The instance's slope max c/q, over each client's cheapest service
+    # threshold q and cheapest covering edge q + c; every client has a
+    # facility, or the loop above raised.
+    qc = []
+    for c in ubi.clients:
+        fs = facilities_of[c]
+        q = min([t[f] for f in fs])
+        qc.append((min([w[f] + t[f] for f in fs]) - q, q))
+
     label, bound = uniform_bound(ubi)
     return solve_report(
         inst,
@@ -174,7 +176,8 @@ def solve_locally_uniform(
         trace={"steps": steps},
         extras={
             "tie_break": "lowest-id" if priority is None else "adversarial-order",
-            "instance_slope": format_slope(inst.costs.theta),
+            "instance_slope": format_slope(max_slope(qc)),
         },
         theta=ubi.theta,
+        delta=ubi.delta,
     )

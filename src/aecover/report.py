@@ -110,6 +110,7 @@ def solve_report(
     trace: Optional[dict] = None,
     extras: dict,
     theta: Optional[Union[Fraction, float]] = None,
+    delta: Optional[int] = None,
 ) -> SolveReport:
     """The report of a solver's assignment on ``inst``, named by the
     instance digest.  The solver hands over its ``levels``, the integer view
@@ -117,18 +118,23 @@ def solve_report(
     :meth:`Instance.levels` gives them).  Raises IncompleteCover, also under
     ``python -O``, unless they cover every terminal.  The value is their
     total over the scale; the slope and degree bound are the instance's,
-    unless the caller passes the slope its certificate rests on."""
+    unless the caller passes the slope its certificate rests on or a
+    degree bound it knows; with both passed, the instance's derived costs
+    are not read."""
     uncovered = uncovered_terminals(inst, levels=levels)
     if uncovered:
         raise IncompleteCover(uncovered)
-    costs = inst.costs
+    if theta is None or delta is None:
+        costs = inst.costs
+        theta = costs.theta if theta is None else theta
+        delta = costs.delta if delta is None else delta
     return SolveReport(
         instance_digest=instance_digest(inst),
         algorithm=algorithm,
         assignment=inst.assignment(levels),
         value=Fraction(sum(levels.values()), inst.scale),
-        theta=costs.theta if theta is None else theta,
-        delta=costs.delta,
+        theta=theta,
+        delta=delta,
         claimed_bound=claimed_bound,
         bound_label=bound_label,
         trace=trace,

@@ -27,6 +27,7 @@ from aecover.core import (
     covers,
     derive_costs,
     levels_reduction,
+    max_slope,
 )
 from aecover.errors import EmptyLevels, InvalidInstance, IsolatedTerminal
 from aecover.generators import FAMILIES, generate, random_general, random_minpower
@@ -296,6 +297,38 @@ class TestInstance:
             assert type(total) is Fraction
             assert total == sum(a.values.values(), Fraction(0))
         assert Assignment({}).total() == 0
+
+
+class TestMaxSlope:
+    @pytest.mark.parametrize(
+        "pairs, slope",
+        [
+            ([], 0),
+            ([(0, 0)], 0),
+            ([(0, 5)], 0),
+            ([(3, 0)], math.inf),
+            ([(0, 0), (3, 2)], Fraction(3, 2)),
+            ([(3, 2), (5, 3), (4, 3)], Fraction(5, 3)),
+            ([(6, 4), (3, 2)], Fraction(3, 2)),
+            ([(7, 1), (0, 0), (1, 0), (9, 1)], math.inf),
+        ],
+    )
+    def test_cases(self, pairs, slope):
+        got = max_slope(iter(pairs))
+        assert got == slope and type(got) is type(slope if slope == math.inf else Fraction(0))
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(13)
+        for case in range(500):
+            pairs = [(rng.randint(0, 6), rng.randint(0, 4)) for _ in range(rng.randint(0, 6))]
+            want = Fraction(0)
+            for num, den in pairs:
+                if den:
+                    want = max(want, Fraction(num, den))
+                elif num:
+                    want = math.inf
+                    break
+            assert max_slope(pairs) == want, case
 
 
 class TestDeriveCosts:

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import aecover.fileio
 from aecover.cli import ALGORITHMS, main, run_algorithm
-from aecover.core import Instance
+from aecover.core import Instance, as_fraction
 from aecover.errors import AecError, InvalidInstance
 from aecover.fileio import (
     dumps_doc,
@@ -252,3 +254,174 @@ def test_malformed_threshold_raises_invalid_instance(tu):
 def test_malformed_structure_raises_invalid_instance(text):
     with pytest.raises(InvalidInstance):
         loads_instance(text)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass loader against the former two-pass one
+
+
+def reference_parse(doc):
+    """The former loader, kept as the reference: one pass checks the edge
+    records and parses their thresholds, a second (``Instance.from_data``)
+    checks the nodes and edges and builds the instance."""
+    if not isinstance(doc, dict):
+        raise InvalidInstance("an instance must be a JSON object")
+    keys = {"nodes", "terminals", "edges"}
+    unknown = set(doc) - keys
+    if unknown:
+        raise InvalidInstance(f"unknown instance keys: {sorted(unknown)}")
+    missing = keys - set(doc)
+    if missing:
+        raise InvalidInstance(f"missing instance keys: {sorted(missing)}")
+    for key in ("nodes", "terminals", "edges"):
+        if not isinstance(doc[key], list):
+            raise InvalidInstance(f"{key} must be a list")
+    for key in ("nodes", "terminals"):
+        if not all(isinstance(x, str) for x in doc[key]):
+            raise InvalidInstance(f"{key} must be strings")
+    edges = []
+    for rec in doc["edges"]:
+        if not isinstance(rec, dict):
+            raise InvalidInstance(f"edge record must be an object: {rec!r}")
+        if rec.keys() != {"u", "v", "tu", "tv"}:
+            bad = rec.keys() - {"u", "v", "tu", "tv"}
+            if bad:
+                raise InvalidInstance(f"unknown edge keys: {sorted(bad)}")
+            raise InvalidInstance(f"incomplete edge record: {rec}")
+        if not isinstance(rec["u"], str) or not isinstance(rec["v"], str):
+            raise InvalidInstance(f"edge endpoints must be strings: {rec}")
+        edges.append((rec["u"], rec["v"], as_fraction(rec["tu"]), as_fraction(rec["tv"])))
+    return Instance.from_data(doc["nodes"], doc["terminals"], edges)
+
+
+def load_outcome(text, parse=None):
+    """The instance that ``text`` loads to (by ``parse`` of its document, or
+    by ``loads_instance``), or its error's type and message."""
+    try:
+        if parse is None:
+            inst = loads_instance(text)
+        else:
+            inst = parse(json.loads(text, parse_float=Fraction))
+    except InvalidInstance as exc:
+        return type(exc), str(exc)
+    assert all(type(t) is Fraction for e in inst.edges for t in (e.tu, e.tv))
+    return inst
+
+
+def assert_loads_as_reference(text):
+    """``text`` loads as the reference loads it.  The loader's own table of
+    thresholds is kept exactly when no edge was pruned."""
+    got = load_outcome(text)
+    assert got == load_outcome(text, reference_parse)
+    if isinstance(got, Instance):
+        kept_all = len(json.loads(text)["edges"]) == len(got.edges)
+        assert ("_distinct_thresholds" in got.__dict__) == kept_all
+        assert_thresholds_match_the_edges(got)
+    return got
+
+
+def assert_thresholds_match_the_edges(inst):
+    """The distinct thresholds, scale and unit test equal their values
+    recomputed from the edges, however the loader left them."""
+    ends = [t for e in inst.edges for t in (e.tu, e.tv)]
+    assert inst._distinct_thresholds == Instance._distinct_thresholds.func(inst)
+    assert inst._distinct_thresholds == {id(t): t for t in ends}
+    assert inst.scale == math.lcm(1, *(t.denominator for t in ends))
+    assert inst.is_unit() == all(t == 1 for t in ends)
+
+
+def test_loader_matches_reference_on_families():
+    for family in sorted(FAMILIES):
+        for seed in range(20):
+            inst = generate(family, seed)
+            text = dumps_instance(inst)
+            again = assert_loads_as_reference(text)
+            assert again == inst
+            assert dumps_instance(again) == text
+
+
+LITERALS = ["2/4", "1/2", "0.5", "3/2", "7/3", "0", "2", 0, 1, 2, 0.5, 1.5, 2.25]
+
+
+def random_doc(rng):
+    """A valid document on up to six nodes whose thresholds mix equal
+    literals, JSON ints and JSON floats, with repeated node pairs."""
+    nodes = [f"n{i}" for i in range(rng.randint(2, 6))]
+    edges = []
+    for _ in range(rng.randint(0, 25)):
+        u, v = rng.sample(nodes, 2)
+        edges.append({"u": u, "v": v, "tu": rng.choice(LITERALS), "tv": rng.choice(LITERALS)})
+    terminals = rng.sample(nodes, rng.randint(0, len(nodes)))
+    return {"nodes": nodes, "terminals": terminals, "edges": edges}
+
+
+def test_loader_matches_reference_on_random_docs():
+    rng = random.Random(23)
+    pruned = 0
+    for case in range(500):
+        doc = random_doc(rng)
+        got = assert_loads_as_reference(json.dumps(doc))
+        assert isinstance(got, Instance), case
+        pruned += len(got.edges) < len(doc["edges"])
+    assert pruned > 50
+
+
+def edge_faults(rec):
+    """Copies of the record ``rec``, each with a single fault."""
+    u, v = rec["u"], rec["v"]
+    return [
+        [u, v], "edge", None,
+        {**rec, "w": 1}, {k: x for k, x in rec.items() if k != "tv"},
+        {"u": u, "v": v, "tu": 1, "x": 1},
+        {**rec, "u": 7}, {**rec, "v": ["n0"]}, {**rec, "u": {"n": 0}}, {**rec, "v": None},
+        {**rec, "u": "zz"}, {**rec, "v": "zz"}, {**rec, "v": u},
+        {**rec, "tu": "x"}, {**rec, "tv": "1/0"}, {**rec, "tu": "nan"}, {**rec, "tv": ""},
+        {**rec, "tu": True}, {**rec, "tv": None}, {**rec, "tu": [1]}, {**rec, "tv": {"n": 1}},
+        {**rec, "tu": "-1/2"}, {**rec, "tv": -1}, {**rec, "tu": -0.5},
+        {**rec, "tu": "-1/2", "tv": "x"}, {**rec, "tu": "x", "tv": "-1"},
+        {**rec, "u": v, "v": u, "tv": "-0.0001"},
+    ]
+
+
+def doc_faults(doc):
+    """Copies of the valid ``doc``, each with a single fault outside its
+    edge records."""
+    nodes = doc["nodes"]
+    return [
+        [doc], {**doc, "extra": 1}, {k: x for k, x in doc.items() if k != "terminals"},
+        {**doc, "nodes": "n0"}, {**doc, "edges": {}}, {**doc, "terminals": [0]},
+        {**doc, "nodes": nodes + [nodes[0]]}, {**doc, "terminals": ["zz"]},
+    ]
+
+
+def test_loader_matches_reference_on_single_faults():
+    rng = random.Random(29)
+    checked = 0
+    for case in range(60):
+        doc = random_doc(rng)
+        faulty = doc_faults(doc)
+        if doc["edges"]:
+            at = rng.randrange(len(doc["edges"]))
+            for rec in edge_faults(doc["edges"][at]):
+                edges = list(doc["edges"])
+                edges[at] = rec
+                faulty.append({**doc, "edges": edges})
+        for bad in faulty:
+            got = assert_loads_as_reference(json.dumps(bad))
+            assert got[0] is InvalidInstance, (case, bad)
+            checked += 1
+    assert checked > 1000
+
+
+def test_dominated_edge_leaves_scale_and_unit_to_the_kept_edges():
+    # The pruned edge holds the only threshold with denominator 3: the
+    # loader's table has it, the kept edges do not.
+    text = json.dumps({
+        "nodes": ["a", "b"],
+        "terminals": ["a"],
+        "edges": [{"u": "a", "v": "b", "tu": "1", "tv": "4/3"},
+                  {"u": "b", "v": "a", "tu": 1, "tv": "1"}],
+    })
+    inst = assert_loads_as_reference(text)
+    assert [tuple(e) for e in inst.edges] == [("a", "b", 1, 1)]
+    assert inst.scale == 1 and inst.is_unit()

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from aecover.core import ZERO, derive_costs
-from aecover.errors import DomainError
+from aecover.core import ZERO, Instance, as_fraction, derive_costs
+from aecover.errors import AecError, DomainError, InvalidInstance
 from aecover.fileio import dumps_instance
 from aecover.generators import (
     FAMILIES,
@@ -27,6 +27,86 @@ from aecover.generators import (
 from aecover.locally_uniform import validate_locally_uniform
 from aecover.oracle import exact_solve
 from conftest import exact_costs
+
+
+def reference_facility_location(clients, facilities, opening, service):
+    """The former per-pair ``from_facility_location``, kept as the
+    reference: every pair converts its facility's opening cost again."""
+    edges = []
+    for (u, v), d in service.items():
+        w = as_fraction(opening[v])
+        d = as_fraction(d)
+        if w < 0 or d < 0:
+            raise DomainError(f"negative cost on pair ({u}, {v})")
+        edges.append((u, v, d, w))
+    return Instance.from_data(list(clients) + list(facilities), clients, edges)
+
+
+def reference_theta_setcover(sets, elements, weights, theta):
+    """The former ``from_theta_setcover``, kept as the reference: every
+    member divides its set's weight by theta again."""
+    th = as_fraction(theta)
+    if th <= 0:
+        raise DomainError(f"theta must be positive, got {theta!r}")
+    edges = []
+    for v, members in sets.items():
+        w = as_fraction(weights[v])
+        if w < 0:
+            raise DomainError(f"negative weight for set {v!r}")
+        for u in members:
+            edges.append((u, v, w / th, w))
+    return Instance.from_data(list(elements) + list(sets), elements, edges)
+
+
+def build_outcome(build, *args):
+    """``build(*args)`` as its canonical text, or its error's type and message."""
+    try:
+        return dumps_instance(build(*args))
+    except (AecError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+# Costs as callers pass them, with a few that must be refused.
+COSTS = [0, 1, 2, "3/2", "0.5", Fraction(5, 2), Fraction(0)]
+BAD_COSTS = [-1, "-1/2", Fraction(-3), "x", "1/0", True, None]
+
+
+class TestReductionsAgainstReference:
+    def test_facility_location(self):
+        rng = random.Random(31)
+        kinds = set()
+        for case in range(600):
+            clients = [f"c{i}" for i in range(rng.randint(1, 5))]
+            facilities = [f"f{j}" for j in range(rng.randint(1, 4))]
+            faulty = rng.random() < 0.5
+            pool = COSTS + BAD_COSTS if faulty else COSTS
+            opening = {f: rng.choice(pool) for f in facilities if rng.random() < 0.95 or not faulty}
+            service = {}
+            for c in clients:
+                for f in rng.sample(facilities, rng.randint(1, len(facilities))):
+                    service[(c, f)] = rng.choice(pool)
+            args = (clients, facilities, opening, service)
+            got = build_outcome(from_facility_location, *args)
+            assert got == build_outcome(reference_facility_location, *args), case
+            kinds.add(got[0] if isinstance(got, tuple) else str)
+        assert kinds == {str, DomainError, InvalidInstance, KeyError}
+
+    def test_theta_setcover(self):
+        rng = random.Random(37)
+        kinds = set()
+        for case in range(400):
+            elements = [f"e{i}" for i in range(rng.randint(1, 5))]
+            sets = {f"s{j}": rng.sample(elements, rng.randint(1, len(elements)))
+                    for j in range(rng.randint(1, 4))}
+            faulty = rng.random() < 0.5
+            pool = COSTS + BAD_COSTS if faulty else COSTS
+            weights = {v: rng.choice(pool) for v in sets}
+            theta = rng.choice([1, 2, "5/2", 10] + ([0, -1] if faulty else []))
+            args = (sets, elements, weights, theta)
+            got = build_outcome(from_theta_setcover, *args)
+            assert got == build_outcome(reference_theta_setcover, *args), case
+            kinds.add(got[0] if isinstance(got, tuple) else str)
+        assert kinds == {str, DomainError, InvalidInstance}
 
 
 class TestFacilityLocation:

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import pytest
 
-from aecover.cli import main
-from aecover.fileio import save_instance
+from aecover.cli import main, run_algorithm
+from aecover.fileio import dumps_instance, loads_instance, save_instance
 from aecover.general import solve_general
 from aecover.generators import FAMILIES, from_facility_location, generate, random_general, random_unit
 from aecover.oracle import exact_solve
@@ -260,6 +260,29 @@ def test_facility_solve_matches_golden_bytes(pairs, tmp_path):
     save_instance(facility_instance(pairs, seed=pairs), inst)
     assert main(["solve", str(inst), "--out", str(out)]) == 0
     assert sha256_of(out) == GOLDEN_FACILITY[pairs]
+
+
+# pairs -> sha256 of the concatenated `run_algorithm(inst, "auto").to_json()`
+# reports on facility_instance(pairs, seed) for seeds 0..9, recorded before
+# the one-pass instance loader and before the locally uniform solve stopped
+# deriving the instance's costs.  Each instance's canonical text, loaded
+# back, must give the same report.
+GOLDEN_FACILITY_AUTO = {
+    200: "e9b9db7e0e205b4e3362a48332d14e25e7d94421652a1721b7b90f0029ae39bb",
+    800: "6d705c1180e1502e054335ba8d7897ce3a12840cabc4a3d2d2d19a686622ec0f",
+    1600: "42396fc10a190ac1cac5bfe2fc9332c15fe7ac029702071863889e9a81a9ae67",
+}
+
+
+@pytest.mark.parametrize("pairs", sorted(GOLDEN_FACILITY_AUTO))
+def test_facility_auto_reports_match_golden_bytes(pairs):
+    digest = hashlib.sha256()
+    for seed in range(10):
+        inst = facility_instance(pairs, seed)
+        report = run_algorithm(inst, "auto").to_json()
+        assert run_algorithm(loads_instance(dumps_instance(inst)), "auto").to_json() == report
+        digest.update(report.encode())
+    assert digest.hexdigest() == GOLDEN_FACILITY_AUTO[pairs]
 
 
 # r -> (value, nodes_expanded) of the exact oracle on the ladder instance

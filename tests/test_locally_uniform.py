@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import aecover.cli
+import aecover.core
 from aecover.bounds import harmonic, omega_bar
 from aecover.cli import run_algorithm
 from aecover.core import Assignment, Instance, covers, derive_costs
@@ -18,7 +19,7 @@ from aecover.errors import (
     NonUniformFacility,
     NotBipartite,
 )
-from aecover.fileio import instance_digest, loads_instance
+from aecover.fileio import dumps_instance, format_slope, instance_digest, loads_instance
 from aecover.generators import (
     FAMILIES,
     from_facility_location,
@@ -474,3 +475,75 @@ class TestIncrementalGreedy:
         calls.clear()
         assert run_algorithm(inst, "locally-uniform").to_json() == report.to_json()
         assert calls == [inst]
+
+
+class TestSlopeAndDegreeFromTheView:
+    """The solve reads the instance slope and degree bound off the validated
+    view; they must equal the derived costs' ``theta`` and ``delta``."""
+
+    @staticmethod
+    def assert_matches_costs(inst):
+        report = run_algorithm(inst, "locally-uniform")
+        costs = derive_costs(inst)
+        assert report.extras["instance_slope"] == format_slope(costs.theta)
+        assert report.delta == validate_locally_uniform(inst).delta == costs.delta
+        return report
+
+    def test_families(self):
+        for family in ("uniform", "uniform-unit", "tight73",
+                       "setcover-t2", "setcover-t5", "setcover-t10"):
+            for seed in range(200):
+                self.assert_matches_costs(generate(family, seed))
+
+    def test_tied_and_free_facilities(self):
+        rng = random.Random(41)
+        slopes = set()
+        for _ in range(300):
+            report = self.assert_matches_costs(tied_facility_instance(rng))
+            slopes.add(report.extras["instance_slope"])
+        assert {"inf", "0"} <= slopes and len(slopes) > 3
+
+    @pytest.mark.parametrize(
+        "edges, slope",
+        [
+            # q = 0 < c: a free service behind a paid facility.
+            ([("a", "f", 0, 2), ("b", "f", 0, 2)], "inf"),
+            # q = c = 0 imposes nothing; b's slope 3/2 decides.
+            ([("a", "f", 0, 0), ("b", "g", 2, 3)], "3/2"),
+            ([("a", "f", 0, 0), ("b", "f", 0, 0)], "0"),
+            # a's cheapest service (f) and cheapest edge (g) differ: (3 - 1)/1.
+            ([("a", "f", 1, 5), ("a", "g", 2, 1), ("b", "g", 2, 1)], "2"),
+        ],
+    )
+    def test_boundary_slopes(self, edges, slope):
+        inst = Instance.from_data(["a", "b", "f", "g"], ["a", "b"], edges)
+        assert self.assert_matches_costs(inst).extras["instance_slope"] == slope
+
+    @staticmethod
+    def refuse(inst):
+        raise AssertionError("derive_costs called")
+
+    def test_solve_never_derives_costs(self, monkeypatch):
+        monkeypatch.setattr(aecover.core, "derive_costs", self.refuse)
+        rng = random.Random(43)
+        cases = [generate(family, seed) for family in ("uniform", "tight73", "setcover-t5")
+                 for seed in range(5)]
+        cases += [tied_facility_instance(rng) for _ in range(50)]
+        for inst in cases:
+            run_algorithm(inst, "locally-uniform")
+            loaded = loads_instance(dumps_instance(inst))
+            if not loaded.is_unit():
+                assert run_algorithm(loaded, "auto").algorithm == "locally-uniform"
+
+    def test_client_without_facility_is_infeasible(self, tmp_path, monkeypatch, capsys):
+        # c has no edge; a and b are served, so the greedy stops at c.
+        inst = Instance.from_data(
+            ["a", "b", "c", "f"], ["a", "b", "c"], [("a", "f", 2, 1), ("b", "f", 2, 1)]
+        )
+        with pytest.raises(Infeasible, match=r"\['c'\]"):
+            run_algorithm(inst, "locally-uniform")
+        path = tmp_path / "inst.json"
+        path.write_text(dumps_instance(inst))
+        monkeypatch.setattr(aecover.core, "derive_costs", self.refuse)
+        assert aecover.cli.main(["solve", str(path)]) == 2
+        assert "infeasible" in capsys.readouterr().err
