@@ -85,8 +85,39 @@ class Instance:
         terminals: Iterable[str],
         edges: Iterable[tuple[str, str, Rational, Rational]],
     ) -> "Instance":
-        node_list, idx, term_set = index_nodes(nodes, terminals)
-        get = idx.get
+        """The instance of ``nodes``, ``terminals`` and ``(u, v, tu, tv)``
+        edges; raises InvalidInstance at the first fault.  It checks for a
+        repeated node and for a terminal that is no node, then each edge
+        before it reads the next: both endpoints are nodes and differ,
+        ``tu`` and then ``tv`` are exact rationals (:func:`as_fraction`),
+        and neither is negative.  A threshold string is parsed and
+        sign-checked once per distinct literal, and its edges share the one
+        ``Fraction``; any other value is parsed where it occurs.  When no
+        edge was pruned, the parsed objects become the instance's
+        ``_distinct_thresholds``; after a prune the cached scan runs, so
+        :attr:`scale` and :meth:`is_unit` read the kept edges only."""
+        node_list = list(nodes)
+        if len(set(node_list)) != len(node_list):
+            raise InvalidInstance("duplicate node ids")
+        idx = {n: i for i, n in enumerate(node_list)}
+        term_set = frozenset(terminals)
+        for t in term_set:
+            if t not in idx:
+                raise InvalidInstance(f"terminal {t!r} is not a node")
+        literals: dict[str, Fraction] = {}  # each string's one parsed object
+        parsed: dict[int, Fraction] = {}  # every other threshold, by id
+
+        def parse(raw: Rational) -> Fraction:
+            if type(raw) is str:
+                x = literals.get(raw)
+                if x is None:
+                    x = literals[raw] = as_fraction(raw)
+                return x
+            x = raw if type(raw) is Fraction else as_fraction(raw)
+            parsed[id(x)] = x
+            return x
+
+        get, known = idx.get, literals.get
         rows = []
         for u, v, tu, tv in edges:
             iu, iv = get(u), get(v)
@@ -94,40 +125,27 @@ class Instance:
                 raise InvalidInstance(f"edge endpoint not a node: {u!r}-{v!r}")
             if iu == iv:
                 raise InvalidInstance(f"self loop at {u!r}")
-            ftu, ftv = as_fraction(tu), as_fraction(tv)
-            if ftu.numerator < 0 or ftv.numerator < 0:
-                raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
+            # A known literal passed its sign check on the edge that added
+            # it; only strings are looked up, as hashing a Fraction is slow.
+            ftu = ftv = None
+            if type(tu) is str and type(tv) is str:
+                ftu, ftv = known(tu), known(tv)
+            if ftu is None or ftv is None:
+                ftu, ftv = parse(tu), parse(tv)
+                if ftu.numerator < 0 or ftv.numerator < 0:
+                    raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
             rows.append((iu, iv, ftu, ftv) if iu < iv else (iv, iu, ftv, ftu))
-        return cls.from_rows(node_list, term_set, rows)
-
-    @classmethod
-    def from_rows(
-        cls,
-        node_list: list[str],
-        terminals: frozenset[str],
-        rows: list[tuple[int, int, Fraction, Fraction]],
-        thresholds: Optional[dict[int, Fraction]] = None,
-    ) -> "Instance":
-        """The instance of checked edge rows: per edge ``(iu, iv, tu, tv)``
-        with node indices ``iu < iv`` and non-negative ``Fraction``
-        thresholds, as :meth:`from_data` makes them.  Sorts the rows (in
-        place), prunes the dominated ones and builds the edges.
-
-        ``thresholds``, when given, maps the ``id`` of every threshold
-        object in ``rows`` to the object.  It becomes the instance's
-        ``_distinct_thresholds`` when no row was pruned; after a prune the
-        cached scan runs, so :attr:`scale` and :meth:`is_unit` read the kept
-        edges only."""
         rows.sort()
         kept = _prune_dominated(rows)
         # tuple.__new__ builds an Edge without the Python frame of its
         # generated constructor, at half the cost per edge.
         new = tuple.__new__
-        inst = cls(tuple(node_list), terminals, tuple([
+        inst = cls(tuple(node_list), term_set, tuple([
             new(Edge, (node_list[iu], node_list[iv], tu, tv)) for iu, iv, tu, tv in kept
         ]))
-        if thresholds is not None and len(kept) == len(rows):
-            inst.__dict__["_distinct_thresholds"] = thresholds
+        if len(kept) == len(rows):
+            parsed.update((id(x), x) for x in literals.values())
+            inst.__dict__["_distinct_thresholds"] = parsed
         return inst
 
     @cached_property
@@ -148,9 +166,9 @@ class Instance:
 
     @cached_property
     def _distinct_thresholds(self) -> Mapping[int, Fraction]:
-        # Loaded instances share one Fraction per distinct threshold literal,
-        # so keying by identity visits each of them once.  The loader sets
-        # this from its literal table when no edge was pruned.
+        # Edges share one Fraction per distinct threshold literal, so keying
+        # by identity visits each of them once.  from_data sets this from
+        # its parsed objects when no edge was pruned.
         edges = self.edges
         return {id(t): t for t in chain(map(itemgetter(2), edges), map(itemgetter(3), edges))}
 
@@ -207,22 +225,6 @@ class Instance:
 
     def is_unit(self) -> bool:
         return all(t == 1 for t in self._distinct_thresholds.values())
-
-
-def index_nodes(
-    nodes: Iterable[str], terminals: Iterable[str]
-) -> tuple[list[str], dict[str, int], frozenset[str]]:
-    """The node list, each node's index in it and the terminal set; raises
-    InvalidInstance on a repeated node id or a terminal that is no node."""
-    node_list = list(nodes)
-    if len(set(node_list)) != len(node_list):
-        raise InvalidInstance("duplicate node ids")
-    idx = {n: i for i, n in enumerate(node_list)}
-    term_set = frozenset(terminals)
-    for t in term_set:
-        if t not in idx:
-            raise InvalidInstance(f"terminal {t!r} is not a node")
-    return node_list, idx, term_set
 
 
 def _prune_dominated(sorted_rows: list[tuple]) -> list[tuple]:

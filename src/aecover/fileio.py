@@ -4,10 +4,9 @@ Instance files are JSON documents with exactly the keys ``nodes``,
 ``terminals`` and ``edges``; thresholds are rational-valued strings such as
 "3/2" or decimal/integer literals, parsed exactly.  Files written by
 :func:`save_instance` are canonical: loading and re-saving one reproduces the
-bytes.  The loader, :func:`parse_instance_doc`, checks each edge record and
-makes its canonical row in one pass, parsing and sign-checking each distinct
-threshold literal once, and leaves the sort, prune and edge build to
-:meth:`Instance.from_rows`.
+bytes.  The loader, :func:`parse_instance_doc`, checks the document's shape
+and hands its edge records to :meth:`Instance.from_data`, which checks and
+builds the edges.
 
 The canonical text is what ``json.dumps(doc, sort_keys=True, indent=2)``
 followed by a newline gives for the document ``{"nodes": [...], "terminals":
@@ -34,9 +33,9 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping, Union
+from typing import Any, Iterator, Mapping, Union
 
-from .core import Assignment, Instance, as_fraction, index_nodes
+from .core import Assignment, Instance
 from .errors import InvalidInstance
 
 SCHEMA_VERSION = 1
@@ -122,16 +121,29 @@ def _record_fault(rec: Any) -> InvalidInstance:
     return InvalidInstance(f"edge endpoints must be strings: {rec}")
 
 
-def parse_instance_doc(doc: Mapping[str, Any]) -> Instance:
-    """The instance of a document, in one pass over its edge records.
+def _edge_tuples(records: list) -> Iterator[tuple[str, str, Any, Any]]:
+    """Each edge record as ``(u, v, tu, tv)``, its shape checked as it is
+    read; lazily, so :meth:`Instance.from_data` checks each record's edge
+    before the next record's shape."""
+    for rec in records:
+        # Only a record that fails these fast tests is examined further,
+        # by _record_fault.
+        if isinstance(rec, dict) and len(rec) == 4:
+            try:
+                u, v, tu, tv = rec["u"], rec["v"], rec["tu"], rec["tv"]
+            except KeyError:
+                raise _record_fault(rec) from None
+            if isinstance(u, str) and isinstance(v, str):
+                yield u, v, tu, tv
+                continue
+        raise _record_fault(rec)
 
-    The pass checks each record, looks up its endpoints and makes its
-    canonical row, with the per-edge checks and messages of
-    :meth:`Instance.from_data` in its order: endpoint, self loop, ``tu``,
-    ``tv``, sign.  A threshold string is parsed and sign-checked once per
-    distinct literal; every other value is parsed where it occurs.  The
-    rows go to :meth:`Instance.from_rows`, with the parsed objects as the
-    instance's distinct thresholds."""
+
+def parse_instance_doc(doc: Mapping[str, Any]) -> Instance:
+    """The instance of a document.  The document's keys and lists are
+    checked here, each edge record's shape by :func:`_edge_tuples`, and
+    the rest by :meth:`Instance.from_data`, so the first faulty record in
+    file order is the one reported."""
     if not isinstance(doc, dict):
         raise InvalidInstance("an instance must be a JSON object")
     unknown = set(doc) - _INSTANCE_KEYS
@@ -146,50 +158,7 @@ def parse_instance_doc(doc: Mapping[str, Any]) -> Instance:
     for key in ("nodes", "terminals"):
         if not all(isinstance(x, str) for x in doc[key]):
             raise InvalidInstance(f"{key} must be strings")
-    node_list, idx, terminals = index_nodes(doc["nodes"], doc["terminals"])
-    literals: dict[str, Fraction] = {}  # each literal's one parsed object
-    others: dict[int, Fraction] = {}  # the other thresholds, by id
-
-    def parse(raw: Any) -> Fraction:
-        if type(raw) is not str:
-            x = as_fraction(raw)
-            others[id(x)] = x
-            return x
-        x = literals.get(raw)
-        if x is None:
-            x = literals[raw] = as_fraction(raw)
-        return x
-
-    get, known = idx.get, literals.get
-    rows = []
-    for rec in doc["edges"]:
-        # Only a record that fails these fast tests is examined further,
-        # by _record_fault.
-        if not isinstance(rec, dict) or len(rec) != 4:
-            raise _record_fault(rec)
-        try:
-            u, v, tu, tv = rec["u"], rec["v"], rec["tu"], rec["tv"]
-            iu, iv = get(u), get(v)
-        except (KeyError, TypeError):
-            raise _record_fault(rec) from None
-        if iu is None or iv is None:
-            if not isinstance(u, str) or not isinstance(v, str):
-                raise _record_fault(rec)
-            raise InvalidInstance(f"edge endpoint not a node: {u!r}-{v!r}")
-        if iu == iv:
-            raise InvalidInstance(f"self loop at {u!r}")
-        # A known literal passed its sign check on the edge that added it.
-        try:
-            ftu, ftv = known(tu), known(tv)
-        except TypeError:  # an unhashable value, which parse() refuses
-            ftu = None
-        if ftu is None or ftv is None:
-            ftu, ftv = parse(tu), parse(tv)
-            if ftu.numerator < 0 or ftv.numerator < 0:
-                raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
-        rows.append((iu, iv, ftu, ftv) if iu < iv else (iv, iu, ftv, ftu))
-    others.update((id(x), x) for x in literals.values())
-    return Instance.from_rows(node_list, terminals, rows, others)
+    return Instance.from_data(doc["nodes"], doc["terminals"], _edge_tuples(doc["edges"]))
 
 
 def loads_instance(text: str) -> Instance:

@@ -48,21 +48,19 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
     """
     terminals = inst.terminals
     facilities = tuple(n for n in inst.nodes if n not in terminals)
-    weight: dict[str, int] = {}
-    service: dict[str, int] = {}
+    first: dict[str, tuple[int, int]] = {}  # each facility's first (w, t)
     adjacency: dict[str, list[str]] = {v: [] for v in facilities}
     mismatch = None
     for u, v, tu, tv in inst.scaled_edges:
         if u in terminals:
             if v in terminals:
                 raise NotBipartite(f"edge {u!r}-{v!r} stays on one side")
-            fac, cli, w, t = v, u, tv, tu
+            fac, cli, wt = v, u, (tv, tu)
         elif v in terminals:
-            fac, cli, w, t = u, v, tu, tv
+            fac, cli, wt = u, v, (tu, tv)
         else:
             raise NotBipartite(f"edge {u!r}-{v!r} stays on one side")
-        w0, t0 = weight.setdefault(fac, w), service.setdefault(fac, t)
-        if mismatch is None and (w0 != w or t0 != t):
+        if first.setdefault(fac, wt) != wt and mismatch is None:
             mismatch = fac
         adjacency[fac].append(cli)
     # Every edge is checked for bipartiteness before uniformity.
@@ -76,11 +74,10 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
         inst=inst,
         clients=inst.terminal_list,
         facilities=facilities,
-        weight=weight,
-        service=service,
+        weight={v: w for v, (w, _) in first.items()},
+        service={v: t for v, (_, t) in first.items()},
         adjacency={v: tuple(c) for v, c in adjacency.items()},
-        # weight and service gained their keys together, so they align.
-        theta=max_slope(zip(weight.values(), service.values())),
+        theta=max_slope(first.values()),
         delta=max(map(len, adjacency.values()), default=0),
     )
 

@@ -425,3 +425,67 @@ def test_dominated_edge_leaves_scale_and_unit_to_the_kept_edges():
     inst = assert_loads_as_reference(text)
     assert [tuple(e) for e in inst.edges] == [("a", "b", 1, 1)]
     assert inst.scale == 1 and inst.is_unit()
+
+
+def test_generated_instances_keep_thresholds_that_match_the_edges():
+    for family in sorted(FAMILIES):
+        for seed in range(20):
+            assert_thresholds_match_the_edges(generate(family, seed))
+
+
+def test_from_data_parses_each_literal_once():
+    inst = Instance.from_data(
+        ["a", "b", "c"], ["a"],
+        [("a", "b", "3/2", "3/2"), ("c", "a", "3/2", "1"), ("b", "c", "1", "3/2")],
+    )
+    ends = [t for e in inst.edges for t in (e.tu, e.tv)]
+    assert len({id(t) for t in ends if t == Fraction(3, 2)}) == 1
+    assert len({id(t) for t in ends}) == 2
+    assert "_distinct_thresholds" in inst.__dict__
+    assert_thresholds_match_the_edges(inst)
+
+
+def test_from_data_keeps_the_objects_it_was_given():
+    # Non-string thresholds are not looked up by value: equal Fractions stay
+    # distinct objects, and each one is in the table the build leaves.
+    edges = [("a", "b", Fraction(1, 2), Fraction(1, 2)), ("b", "c", Fraction(1, 3), 2)]
+    inst = Instance.from_data(["a", "b", "c"], ["a", "c"], edges)
+    assert inst.edges[0].tu is edges[0][2] and inst.edges[0].tv is edges[0][3]
+    assert "_distinct_thresholds" in inst.__dict__
+    assert_thresholds_match_the_edges(inst)
+    assert inst.scale == 6
+
+
+# Documents with more than one faulty record
+
+
+def test_first_faulty_record_is_named():
+    # A self loop in record 0 precedes a record that is no object.
+    text = json.dumps({
+        "nodes": ["a", "b"],
+        "terminals": ["a"],
+        "edges": [{"u": "a", "v": "a", "tu": "1", "tv": "1"}, "edge",
+                  {"u": "a", "v": "b", "tu": "-1", "tv": "1"}],
+    })
+    assert load_outcome(text) == (InvalidInstance, "self loop at 'a'")
+
+
+def test_first_faulty_record_in_file_order_is_named_whatever_its_fault():
+    rng = random.Random(31)
+    checked = 0
+    for case in range(60):
+        doc = random_doc(rng)
+        if len(doc["edges"]) < 2:
+            continue
+        first, later = sorted(rng.sample(range(len(doc["edges"])), 2))
+        for bad in rng.sample(edge_faults(doc["edges"][first]), 6):
+            only = list(doc["edges"])
+            only[first] = bad
+            want = load_outcome(json.dumps({**doc, "edges": only}), reference_parse)
+            assert want[0] is InvalidInstance
+            for worse in edge_faults(doc["edges"][later]):
+                both = list(only)
+                both[later] = worse
+                assert load_outcome(json.dumps({**doc, "edges": both})) == want, (case, bad, worse)
+                checked += 1
+    assert checked > 5000

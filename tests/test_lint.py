@@ -20,6 +20,9 @@
 - No module but ``generators`` holds a bench-family name as a string literal:
   ``generators.FAMILIES`` owns each family's facts, so no other module can
   branch on a family.
+- No module but ``core`` and ``generators`` calls ``as_fraction``: parsing a
+  threshold belongs to ``Instance.from_data``, so the loader cannot drift
+  from it, and the generators convert their own costs and levels.
 - Every top-level function and class is named by library code outside its
   own definition (``__init__.py``'s exports do not count) or in the README:
   code that only the tests read belongs with the tests.
@@ -135,6 +138,16 @@ def integer_view_calls(tree: ast.AST) -> list[int]:
     })
 
 
+def as_fraction_calls(tree: ast.AST) -> list[int]:
+    """Lines that call ``as_fraction``, by name or as an attribute."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "as_fraction"
+    })
+
+
 def family_name_literals(tree: ast.AST) -> list[int]:
     """Lines holding a string literal equal to a checked bench-family name."""
     return sorted({
@@ -213,6 +226,15 @@ def test_integer_view_made_only_in_core():
                 if name != "core.py" and (lines := integer_view_calls(tree))}
     assert breaches == {}
     assert integer_view_calls(trees["core.py"]), "the integer view lost its producer"
+
+
+def test_as_fraction_only_in_core_and_generators():
+    trees = dict(library_trees())
+    owners = ("core.py", "generators.py")
+    breaches = {name: lines for name, tree in trees.items()
+                if name not in owners and (lines := as_fraction_calls(tree))}
+    assert breaches == {}
+    assert all(as_fraction_calls(trees[name]) for name in owners), "a parser owner lost its calls"
 
 
 def test_family_names_only_in_generators():
@@ -414,3 +436,19 @@ def test_unread_rule_catches_breaches():
     trees = {name: ast.parse(text) for name, text in BROKEN_UNREAD.items()}
     readme = "Call `entry()`; `Documented` is the result type."
     assert unread_definitions(trees, readme) == {"a.py": ["only_itself", "only_in_a_string"]}
+
+
+BROKEN_PARSING = '''
+from . import core
+from .core import as_fraction
+
+def parse(rec, as_fraction_table):
+    tu = as_fraction(rec["tu"])
+    tv = core.as_fraction(rec["tv"])
+    f = as_fraction
+    return tu, tv, f, as_fraction_table["tu"], parse_as_fraction(rec)
+'''
+
+
+def test_as_fraction_rule_catches_breaches():
+    assert as_fraction_calls(ast.parse(BROKEN_PARSING)) == [6, 7]
