@@ -5,21 +5,21 @@ a terminal set.  An assignment of values to nodes activates every edge whose
 two endpoint thresholds are met; a feasible assignment activates an edge at
 every terminal.  Thresholds and assignment values are exact
 ``fractions.Fraction``s, so reported values and ratios are reproducible.
-Derived costs, the activation test and the solvers' arithmetic run on the
-integer view: values and thresholds times ``Instance.scale``, the LCM of the
-threshold denominators, as ints.  This module alone produces that view
-(:meth:`Instance.scaled`, :meth:`Instance.levels` and what is built on them)
-and converts it back (:meth:`Instance.assignment`).
+An instance stores its edges on the integer view, thresholds times
+``Instance.scale``, the LCM of their denominators, as ints; derived costs,
+the activation test and the solvers' arithmetic run on it, and ``Edge``
+tuples are built only when a caller reads ``Instance.edges``.  This module
+alone produces that view (:meth:`Instance.from_data`, :meth:`Instance.levels`
+and what is built on them) and converts it back (:meth:`Instance.assignment`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptyLevels, InvalidInstance, IsolatedTerminal
@@ -71,12 +71,18 @@ class Instance:
     Edges are stored in canonical form: oriented so that ``u`` precedes ``v``
     in node order, sorted by ``(u, v, tu, tv)``, with parallel edges dominated
     by another parallel edge (both thresholds >=) pruned.  Pruning never
-    changes an optimum or a greedy choice.
+    changes an optimum or a greedy choice.  They are held as the integer
+    table ``scaled_edges``: thresholds times ``scale``, the LCM of their
+    denominators, as ints.  ``thresholds`` maps each level back to its
+    ``Fraction``; equality and hash read the other fields, which fix the
+    edges.  :attr:`edges` builds ``Edge`` tuples on first read.
     """
 
     nodes: tuple[str, ...]
     terminals: frozenset[str]
-    edges: tuple[Edge, ...]
+    scaled_edges: tuple[tuple[str, str, int, int], ...]
+    scale: int
+    thresholds: Mapping[int, Fraction] = field(compare=False, repr=False)
 
     @classmethod
     def from_data(
@@ -91,11 +97,9 @@ class Instance:
         before it reads the next: both endpoints are nodes and differ,
         ``tu`` and then ``tv`` are exact rationals (:func:`as_fraction`),
         and neither is negative.  A threshold string is parsed and
-        sign-checked once per distinct literal, and its edges share the one
-        ``Fraction``; any other value is parsed where it occurs.  When no
-        edge was pruned, the parsed objects become the instance's
-        ``_distinct_thresholds``; after a prune the cached scan runs, so
-        :attr:`scale` and :meth:`is_unit` read the kept edges only."""
+        sign-checked once per distinct literal, any other value once per
+        object.  The scale and the threshold table cover the kept edges
+        only, so :meth:`is_unit` reads them.  No ``Edge`` tuple is built."""
         node_list = list(nodes)
         if len(set(node_list)) != len(node_list):
             raise InvalidInstance("duplicate node ids")
@@ -104,20 +108,19 @@ class Instance:
         for t in term_set:
             if t not in idx:
                 raise InvalidInstance(f"terminal {t!r} is not a node")
-        literals: dict[str, Fraction] = {}  # each string's one parsed object
-        parsed: dict[int, Fraction] = {}  # every other threshold, by id
+        distinct: list[Fraction] = []  # every parsed threshold, once
+        seen: dict[Union[str, int], int] = {}  # index in distinct: a string, or another value by id
 
-        def parse(raw: Rational) -> Fraction:
-            if type(raw) is str:
-                x = literals.get(raw)
-                if x is None:
-                    x = literals[raw] = as_fraction(raw)
-                return x
-            x = raw if type(raw) is Fraction else as_fraction(raw)
-            parsed[id(x)] = x
-            return x
+        def parse(raw: Rational) -> int:
+            x = raw if type(raw) in (str, Fraction) else as_fraction(raw)
+            key = x if type(x) is str else id(x)  # distinct holds x, so the id stays its own
+            k = seen.get(key)
+            if k is None:
+                k = seen[key] = len(distinct)
+                distinct.append(as_fraction(x))
+            return k
 
-        get, known = idx.get, literals.get
+        get, known = idx.get, seen.get
         rows = []
         for u, v, tu, tv in edges:
             iu, iv = get(u), get(v)
@@ -127,26 +130,37 @@ class Instance:
                 raise InvalidInstance(f"self loop at {u!r}")
             # A known literal passed its sign check on the edge that added
             # it; only strings are looked up, as hashing a Fraction is slow.
-            ftu = ftv = None
+            a = b = None
             if type(tu) is str and type(tv) is str:
-                ftu, ftv = known(tu), known(tv)
-            if ftu is None or ftv is None:
-                ftu, ftv = parse(tu), parse(tv)
-                if ftu.numerator < 0 or ftv.numerator < 0:
+                a, b = known(tu), known(tv)
+            if a is None or b is None:
+                a, b = parse(tu), parse(tv)
+                if distinct[a].numerator < 0 or distinct[b].numerator < 0:
                     raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
-            rows.append((iu, iv, ftu, ftv) if iu < iv else (iv, iu, ftv, ftu))
+            rows.append((iu, iv, a, b) if iu < iv else (iv, iu, b, a))
+        L = math.lcm(1, *{x.denominator for x in distinct})
+        level = [x.numerator * L // x.denominator for x in distinct]
+        rows = [(iu, iv, level[a], level[b]) for iu, iv, a, b in rows]
         rows.sort()
         kept = _prune_dominated(rows)
-        # tuple.__new__ builds an Edge without the Python frame of its
-        # generated constructor, at half the cost per edge.
-        new = tuple.__new__
-        inst = cls(tuple(node_list), term_set, tuple([
-            new(Edge, (node_list[iu], node_list[iv], tu, tv)) for iu, iv, tu, tv in kept
-        ]))
-        if len(kept) == len(rows):
-            parsed.update((id(x), x) for x in literals.values())
-            inst.__dict__["_distinct_thresholds"] = parsed
-        return inst
+        thresholds = dict(zip(level, distinct))
+        if len(kept) < len(rows):
+            # The table keeps the kept edges' thresholds only, and the scale
+            # drops to their denominators' LCM, a divisor of L.
+            used = {t for row in kept for t in row[2:]}
+            f = L // math.lcm(1, *{thresholds[t].denominator for t in used})
+            L //= f
+            thresholds = {t // f: thresholds[t] for t in used}
+            kept = [(iu, iv, tu // f, tv // f) for iu, iv, tu, tv in kept]
+        return cls(tuple(node_list), term_set, tuple([
+            (node_list[iu], node_list[iv], tu, tv) for iu, iv, tu, tv in kept
+        ]), L, thresholds)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as ``Edge`` tuples, built on first read; the library reads the table."""
+        t = self.thresholds
+        return tuple([Edge(u, v, t[tu], t[tv]) for u, v, tu, tv in self.scaled_edges])
 
     @cached_property
     def index(self) -> Mapping[str, int]:
@@ -155,52 +169,30 @@ class Instance:
     @cached_property
     def edges_at(self) -> Mapping[str, tuple[int, ...]]:
         at: dict[str, list[int]] = {n: [] for n in self.nodes}
-        for i, e in enumerate(self.edges):
-            at[e.u].append(i)
-            at[e.v].append(i)
+        for i, (u, v, _, _) in enumerate(self.scaled_edges):
+            at[u].append(i)
+            at[v].append(i)
         return {n: tuple(ids) for n, ids in at.items()}
 
     @cached_property
     def terminal_list(self) -> tuple[str, ...]:
         return tuple(sorted(self.terminals, key=self.index.__getitem__))
 
-    @cached_property
-    def _distinct_thresholds(self) -> Mapping[int, Fraction]:
-        # Edges share one Fraction per distinct threshold literal, so keying
-        # by identity visits each of them once.  from_data sets this from
-        # its parsed objects when no edge was pruned.
-        edges = self.edges
-        return {id(t): t for t in chain(map(itemgetter(2), edges), map(itemgetter(3), edges))}
-
-    @cached_property
-    def scale(self) -> int:
-        """LCM of the threshold denominators: it makes every threshold, and
-        every sum or difference of thresholds, an integer."""
-        return math.lcm(1, *{t.denominator for t in self._distinct_thresholds.values()})
-
-    def scaled(self, x: Fraction) -> int:
-        """``x`` times :attr:`scale`, rounded down; exact for ``x`` built
-        from thresholds."""
-        return x.numerator * self.scale // x.denominator
-
     def levels(self, values: Mapping[str, Fraction]) -> dict[str, int]:
         """``values`` on the integer view that :func:`active_at_levels`
-        reads: :meth:`scaled` of each value."""
+        reads: each value times :attr:`scale`, rounded down; exact for a
+        value built from thresholds."""
         L = self.scale
         return {n: x.numerator * L // x.denominator for n, x in values.items()}
 
     def assignment(self, levels: Mapping[str, int]) -> Assignment:
         """The inverse of :meth:`levels`: each nonzero level over
         :attr:`scale`.  Exact, since every value here is a sum of
-        thresholds and so a whole number of ``1/scale``."""
+        thresholds and so a whole number of ``1/scale``.  Levels repeat, so
+        each distinct one becomes one ``Fraction``."""
         L = self.scale
-        return Assignment({n: Fraction(x, L) for n, x in levels.items() if x})
-
-    @cached_property
-    def scaled_edges(self) -> tuple[tuple[str, str, int, int], ...]:
-        """Per edge, ``(u, v, tu, tv)`` with the thresholds times :attr:`scale`."""
-        s = {i: self.scaled(t) for i, t in self._distinct_thresholds.items()}
-        return tuple([(u, v, s[id(tu)], s[id(tv)]) for u, v, tu, tv in self.edges])
+        value = {x: Fraction(x, L) for x in set(levels.values()) if x}
+        return Assignment({n: value[x] for n, x in levels.items() if x})
 
     @cached_property
     def scaled_rows(self) -> Mapping[str, tuple[tuple[int, str, int], ...]]:
@@ -214,7 +206,8 @@ class Instance:
 
     @cached_property
     def terminals_independent(self) -> bool:
-        return not any(e.u in self.terminals and e.v in self.terminals for e in self.edges)
+        terminals = self.terminals
+        return not any(u in terminals and v in terminals for u, v, _, _ in self.scaled_edges)
 
     @cached_property
     def costs(self) -> DerivedCosts:
@@ -224,7 +217,7 @@ class Instance:
         return derive_costs(self)
 
     def is_unit(self) -> bool:
-        return all(t == 1 for t in self._distinct_thresholds.values())
+        return all(t == 1 for t in self.thresholds.values())
 
 
 def _prune_dominated(sorted_rows: list[tuple]) -> list[tuple]:
@@ -309,26 +302,15 @@ def covered_terminals(
     checked.  ``levels`` is keyword-only: a value map passed where the
     integer view belongs fails loudly instead of testing the wrong scale."""
     ids = None if nodes is None else {i for n in nodes for i in inst.edges_at[n]}
-    covered = set()
-    for i in active_at_levels(inst, levels, ids):
-        e = inst.edges[i]
-        if e.u in inst.terminals:
-            covered.add(e.u)
-        if e.v in inst.terminals:
-            covered.add(e.v)
-    return frozenset(covered)
+    scaled = inst.scaled_edges
+    return inst.terminals & {x for i in active_at_levels(inst, levels, ids) for x in scaled[i][:2]}
 
 
 def uncovered_terminals(inst: Instance, *, levels: Mapping[str, int]) -> tuple[str, ...]:
     """The terminals, in terminal order, on no edge that ``levels`` (as for
-    :func:`active_at_levels`) activates; each terminal's scan stops at its
-    first active edge.  ``levels`` is keyword-only, as in
-    :func:`covered_terminals`."""
-    return tuple(
-        u
-        for u in inst.terminal_list
-        if next(active_at_levels(inst, levels, inst.edges_at[u]), None) is None
-    )
+    :func:`covered_terminals`, keyword-only) activates, in one pass."""
+    covered = covered_terminals(inst, levels=levels)
+    return tuple(u for u in inst.terminal_list if u not in covered)
 
 
 def covers(inst: Instance, a: Assignment) -> tuple[bool, tuple[str, ...]]:
@@ -380,7 +362,7 @@ def derive_costs(inst: Instance) -> DerivedCosts:
     The work runs on thresholds times ``inst.scale``, with slopes compared by
     cross-multiplication; only the slope becomes a ``Fraction``.
     """
-    edges, scaled = inst.edges, inst.scaled_edges
+    scaled = inst.scaled_edges
     q: dict[str, int] = {}
     c: dict[str, int] = {}
     cheapest: dict[str, int] = {}
@@ -402,28 +384,33 @@ def derive_costs(inst: Instance) -> DerivedCosts:
         Q += qu
         C += cu
 
-    # Parallel edges are adjacent in the canonical order, so counting each
-    # run of one (u, v) pair once counts terminal neighbours.
-    terminal_neighbors = dict.fromkeys(inst.nodes, 0)
-    pu = pv = None
-    for u, v, _, _ in edges:
-        if v == pv and u == pu:
-            continue
-        pu, pv = u, v
-        if v in inst.terminals:
-            terminal_neighbors[u] += 1
-        if u in inst.terminals:
-            terminal_neighbors[v] += 1
-
     return DerivedCosts(
         q=q,
         c=c,
         Q=Q,
         C=C,
         theta=max_slope(zip(c.values(), q.values())),
-        delta=max(terminal_neighbors.values(), default=0),
+        delta=degree_bound(inst),
         cheapest=cheapest,
     )
+
+
+def degree_bound(inst: Instance) -> int:
+    """The largest number of terminal neighbours of any node: ``delta``."""
+    # Parallel edges are adjacent in the canonical order, so counting each
+    # run of one (u, v) pair once counts terminal neighbours.
+    terminals = inst.terminals
+    terminal_neighbors = dict.fromkeys(inst.nodes, 0)
+    pu = pv = None
+    for u, v, _, _ in inst.scaled_edges:
+        if v == pv and u == pu:
+            continue
+        pu, pv = u, v
+        if v in terminals:
+            terminal_neighbors[u] += 1
+        if u in terminals:
+            terminal_neighbors[v] += 1
+    return max(terminal_neighbors.values(), default=0)
 
 
 # ---------------------------------------------------------------------------

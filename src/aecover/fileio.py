@@ -188,13 +188,13 @@ def _json_list(items: list[str]) -> str:
 def dumps_instance(inst: Instance) -> str:
     """The canonical instance text; the module docstring gives the layout."""
     name = {n: encode_basestring_ascii(n) for n in inst.nodes}
-    # One literal per distinct threshold object, keyed by identity as the
-    # instance keys them: hashing a Fraction costs more than formatting it.
-    literal = {i: f'"{format_fraction(t)}"' for i, t in inst._distinct_thresholds.items()}
+    # One literal per threshold level: formatting a Fraction costs more
+    # than looking up an int.
+    literal = {t: f'"{format_fraction(x)}"' for t, x in inst.thresholds.items()}
     edges = [
-        f'{{\n      "tu": {literal[id(e.tu)]},\n      "tv": {literal[id(e.tv)]},'
-        f'\n      "u": {name[e.u]},\n      "v": {name[e.v]}\n    }}'
-        for e in inst.edges
+        f'{{\n      "tu": {literal[tu]},\n      "tv": {literal[tv]},'
+        f'\n      "u": {name[u]},\n      "v": {name[v]}\n    }}'
+        for u, v, tu, tv in inst.scaled_edges
     ]
     return (
         '{\n  "edges": ' + _json_list(edges)

@@ -26,9 +26,10 @@ class UniformBipartiteInstance:
     """Validated bipartite view: clients (terminals) vs weighted facilities.
 
     ``weight`` and ``service`` are on the integer view: each facility's
-    thresholds times ``inst.scale``, as ints.  ``delta`` is the most
-    clients at one facility, the instance's degree bound: the view is
-    bipartite and its adjacency lists are free of repeats."""
+    thresholds times ``inst.scale``, as ints.  ``adjacency`` lists each
+    facility's clients and ``facilities_of`` each client's facilities, free
+    of repeats, so ``delta``, the most clients at one facility, is the
+    instance's degree bound."""
 
     inst: Instance
     clients: tuple[str, ...]
@@ -36,6 +37,7 @@ class UniformBipartiteInstance:
     weight: Mapping[str, int]
     service: Mapping[str, int]
     adjacency: Mapping[str, tuple[str, ...]]
+    facilities_of: Mapping[str, list[str]]
     theta: Union[Fraction, float]
     delta: int
 
@@ -50,6 +52,7 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
     facilities = tuple(n for n in inst.nodes if n not in terminals)
     first: dict[str, tuple[int, int]] = {}  # each facility's first (w, t)
     adjacency: dict[str, list[str]] = {v: [] for v in facilities}
+    facilities_of: dict[str, list[str]] = {c: [] for c in terminals}
     mismatch = None
     for u, v, tu, tv in inst.scaled_edges:
         if u in terminals:
@@ -63,6 +66,7 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
         if first.setdefault(fac, wt) != wt and mismatch is None:
             mismatch = fac
         adjacency[fac].append(cli)
+        facilities_of[cli].append(fac)
     # Every edge is checked for bipartiteness before uniformity.
     if mismatch is not None:
         raise NonUniformFacility(mismatch)
@@ -77,6 +81,7 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
         weight={v: w for v, (w, _) in first.items()},
         service={v: t for v, (_, t) in first.items()},
         adjacency={v: tuple(c) for v, c in adjacency.items()},
+        facilities_of=facilities_of,
         theta=max_slope(first.values()),
         delta=max(map(len, adjacency.values()), default=0),
     )
@@ -116,10 +121,6 @@ def solve_locally_uniform(
     )
     w, t = ubi.weight, ubi.service
     count = {v: len(ubi.adjacency[v]) for v in order}
-    facilities_of: dict[str, list[str]] = {}
-    for v in order:
-        for c in ubi.adjacency[v]:
-            facilities_of.setdefault(c, []).append(v)
 
     uncovered = set(ubi.clients)
     levels: dict[str, int] = {}
@@ -142,7 +143,7 @@ def solve_locally_uniform(
         levels[v] = w[v]
         for c in served:
             levels[c] = t[v]
-            for f in facilities_of[c]:
+            for f in ubi.facilities_of[c]:
                 count[f] -= 1
         uncovered.difference_update(served)
         steps.append(
@@ -159,7 +160,7 @@ def solve_locally_uniform(
     # facility, or the loop above raised.
     qc = []
     for c in ubi.clients:
-        fs = facilities_of[c]
+        fs = ubi.facilities_of[c]
         q = min([t[f] for f in fs])
         qc.append((min([w[f] + t[f] for f in fs]) - q, q))
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Optional
 
 from .bounds import A1_RATIO, RHO
-from .core import Instance
+from .core import Instance, degree_bound
 from .errors import (
     IncompleteCover,
     Infeasible,
@@ -62,20 +63,19 @@ def reduce_unit(inst: Instance) -> UnitResidual:
     set-cover elements with their non-terminal neighborhoods as sets."""
     if not inst.is_unit():
         raise NotUnitThresholds("not all thresholds equal 1")
+    terminals = inst.terminals
     precovered = set()
-    for e in inst.edges:
-        if e.u in inst.terminals and e.v in inst.terminals:
-            precovered.add(e.u)
-            precovered.add(e.v)
+    neighbours: dict[str, set[str]] = {v: set() for v in inst.nodes if v not in terminals}
+    for u, v, _, _ in inst.scaled_edges:
+        if u in terminals:
+            if v in terminals:
+                precovered.update((u, v))
+            else:
+                neighbours[v].add(u)
+        elif v in terminals:
+            neighbours[u].add(v)
     elements = tuple(u for u in inst.terminal_list if u not in precovered)
-    element_set = set(elements)
-    sets: dict[str, frozenset[str]] = {}
-    for v in inst.nodes:
-        if v in inst.terminals:
-            continue
-        neigh = {inst.edges[ei].other(v) for ei in inst.edges_at[v]} & element_set
-        if neigh:
-            sets[v] = frozenset(neigh)
+    sets = {v: frozenset(live) for v, s in neighbours.items() if (live := s - precovered)}
     return UnitResidual(inst=inst, system=SetCoverInstance(elements=elements, sets=sets))
 
 
@@ -399,6 +399,15 @@ def _star_phases(sc: SetCoverInstance) -> Iterator[tuple[int, list[str], list[di
         yield k, roots, stars, uncovered
 
 
+def _unit_report(inst: Instance, algorithm: str, chosen: tuple[str, ...], **kw) -> SolveReport:
+    """The report of the 0/1 assignment that pays 1 on every terminal and
+    on every ``chosen`` set.  Each terminal's q and c are 1, so the slope
+    is 1, or 0 with no terminal: the derived costs are never read."""
+    levels = dict.fromkeys((*inst.terminal_list, *chosen), inst.scale)
+    theta = Fraction(1 if inst.terminals else 0)
+    return solve_report(inst, algorithm, levels, theta=theta, delta=degree_bound(inst), **kw)
+
+
 def solve_unit_a1(res: UnitResidual) -> SolveReport:
     """Peel stars through phase k=2, the last that takes stars of 3 or more
     elements, then finish exactly on the residual 2-bounded system."""
@@ -407,11 +416,10 @@ def solve_unit_a1(res: UnitResidual) -> SolveReport:
         if k <= 2:
             break
     tail = exact_2setcover(_restrict(sc, uncovered))
-    inst = res.inst
-    return solve_report(
-        inst,
+    return _unit_report(
+        res.inst,
         "unit-a1",
-        dict.fromkeys((*inst.terminal_list, *roots, *tail), inst.scale),
+        (*roots, *tail),
         claimed_bound=A1_RATIO,
         bound_label="1+67/360",
         extras={"greedy_stars": len(roots), "exact_phase": len(tail)},
@@ -459,11 +467,10 @@ def solve_unit_a2(
         if best is None or size < best[0]:
             best = (size, k, len(roots), len(finish), (*roots, *finish))
     _, k_winner, c_size, a_size, chosen = best
-    inst = res.inst
-    return solve_report(
-        inst,
+    return _unit_report(
+        res.inst,
         "unit-a2",
-        dict.fromkeys((*inst.terminal_list, *chosen), inst.scale),
+        chosen,
         claimed_bound=RHO if subsolver.certified else None,
         bound_label="1555/1347" if subsolver.certified else f"uncertified ({subsolver.name})",
         trace={"phases": phases},

@@ -23,12 +23,14 @@ from aecover.bounds import omega_bar
 from aecover.core import (
     Assignment,
     DerivedCosts,
+    Edge,
     Instance,
     ZERO,
     active_edges,
+    as_fraction,
     covered_terminals,
 )
-from aecover.errors import AecError, DomainError, IsolatedTerminal, LimitExceeded
+from aecover.errors import AecError, DomainError, InvalidInstance, IsolatedTerminal, LimitExceeded
 
 
 def exact_costs(inst):
@@ -237,6 +239,48 @@ def random_set_system(rng: random.Random, n_elements: int, n_sets: int, max_size
         rest = [x for x in elements if x not in m]
         sets[f"s{j:02d}"] = frozenset(m | set(rng.sample(rest, size - len(m))))
     return SetCoverInstance(elements=elements, sets=sets)
+
+
+def quadratic_prune(sorted_edges):
+    """The former pruning loop, kept as the reference: drop e when any kept
+    parallel edge has both thresholds <= e's."""
+    kept = []
+    for e in sorted_edges:
+        dominated = any(
+            k.u == e.u and k.v == e.v and k.tu <= e.tu and k.tv <= e.tv for k in kept
+        )
+        if not dominated:
+            kept.append(e)
+    return kept
+
+
+def reference_from_data(nodes, terminals, edges):
+    """The former Instance.from_data, kept as the reference: per-edge parsing
+    and checks, a key sort on (u index, v index, tu, tv) and the quadratic
+    prune.  Returns the node tuple, terminal set and edge tuples."""
+    node_list = list(nodes)
+    if len(set(node_list)) != len(node_list):
+        raise InvalidInstance("duplicate node ids")
+    idx = {n: i for i, n in enumerate(node_list)}
+    term_set = frozenset(terminals)
+    for t in term_set:
+        if t not in idx:
+            raise InvalidInstance(f"terminal {t!r} is not a node")
+    canon = []
+    for u, v, tu, tv in edges:
+        if u not in idx or v not in idx:
+            raise InvalidInstance(f"edge endpoint not a node: {u!r}-{v!r}")
+        if u == v:
+            raise InvalidInstance(f"self loop at {u!r}")
+        ftu, ftv = as_fraction(tu), as_fraction(tv)
+        if ftu.numerator < 0 or ftv.numerator < 0:
+            raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
+        if idx[u] > idx[v]:
+            u, v, ftu, ftv = v, u, ftv, ftu
+        canon.append(Edge(u, v, ftu, ftv))
+    canon.sort(key=lambda e: (idx[e.u], idx[e.v], e.tu, e.tv))
+    kept = [tuple(e) for e in quadratic_prune(canon)]
+    return tuple(node_list), term_set, kept
 
 
 def random_multigraph(rng):

@@ -32,20 +32,7 @@ from aecover.core import (
 from aecover.errors import EmptyLevels, InvalidInstance, IsolatedTerminal
 from aecover.generators import FAMILIES, generate, random_general, random_minpower
 from aecover.oracle import exact_solve
-from conftest import exact_costs, random_multigraph
-
-
-def quadratic_prune(sorted_edges):
-    """The former pruning loop, kept as the reference: drop e when any kept
-    parallel edge has both thresholds <= e's."""
-    kept = []
-    for e in sorted_edges:
-        dominated = any(
-            k.u == e.u and k.v == e.v and k.tu <= e.tu and k.tv <= e.tv for k in kept
-        )
-        if not dominated:
-            kept.append(e)
-    return kept
+from conftest import exact_costs, quadratic_prune, random_multigraph, reference_from_data
 
 
 def quadratic_minimal_pairs(rule, lu, lv):
@@ -66,35 +53,6 @@ def quadratic_minimal_pairs(rule, lu, lv):
         for a, b in active
         if not any((a2, b2) != (a, b) and a2 <= a and b2 <= b for a2, b2 in active)
     ]
-
-
-def reference_from_data(nodes, terminals, edges):
-    """The former Instance.from_data, kept as the reference: per-edge parsing
-    and checks, a key sort on (u index, v index, tu, tv) and the quadratic
-    prune.  Returns the node tuple, terminal set and edge tuples."""
-    node_list = list(nodes)
-    if len(set(node_list)) != len(node_list):
-        raise InvalidInstance("duplicate node ids")
-    idx = {n: i for i, n in enumerate(node_list)}
-    term_set = frozenset(terminals)
-    for t in term_set:
-        if t not in idx:
-            raise InvalidInstance(f"terminal {t!r} is not a node")
-    canon = []
-    for u, v, tu, tv in edges:
-        if u not in idx or v not in idx:
-            raise InvalidInstance(f"edge endpoint not a node: {u!r}-{v!r}")
-        if u == v:
-            raise InvalidInstance(f"self loop at {u!r}")
-        ftu, ftv = core.as_fraction(tu), core.as_fraction(tv)
-        if ftu.numerator < 0 or ftv.numerator < 0:
-            raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
-        if idx[u] > idx[v]:
-            u, v, ftu, ftv = v, u, ftv, ftu
-        canon.append(Edge(u, v, ftu, ftv))
-    canon.sort(key=lambda e: (idx[e.u], idx[e.v], e.tu, e.tv))
-    kept = [tuple(e) for e in quadratic_prune(canon)]
-    return tuple(node_list), term_set, kept
 
 
 def build_outcome(build, nodes, terminals, edges):

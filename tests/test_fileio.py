@@ -10,7 +10,7 @@ import pytest
 
 import aecover.fileio
 from aecover.cli import ALGORITHMS, main, run_algorithm
-from aecover.core import Instance, as_fraction
+from aecover.core import Edge, Instance, as_fraction
 from aecover.errors import AecError, InvalidInstance
 from aecover.fileio import (
     dumps_doc,
@@ -24,6 +24,7 @@ from aecover.fileio import (
 from aecover.generators import FAMILIES, generate, random_general, random_minpower, tight73
 from aecover.oracle import exact_solve
 from aecover.report import BenchReport
+from conftest import reference_from_data
 
 
 def instance_doc(inst):
@@ -260,10 +261,10 @@ def test_malformed_structure_raises_invalid_instance(text):
 # The one-pass loader against the former two-pass one
 
 
-def reference_parse(doc):
-    """The former loader, kept as the reference: one pass checks the edge
-    records and parses their thresholds, a second (``Instance.from_data``)
-    checks the nodes and edges and builds the instance."""
+def reference_records(doc):
+    """The former loader's first pass, kept as the reference: it checks the
+    document and its edge records and parses their thresholds.  Returns the
+    nodes, terminals and ``(u, v, tu, tv)`` edges it hands on."""
     if not isinstance(doc, dict):
         raise InvalidInstance("an instance must be a JSON object")
     keys = {"nodes", "terminals", "edges"}
@@ -291,7 +292,14 @@ def reference_parse(doc):
         if not isinstance(rec["u"], str) or not isinstance(rec["v"], str):
             raise InvalidInstance(f"edge endpoints must be strings: {rec}")
         edges.append((rec["u"], rec["v"], as_fraction(rec["tu"]), as_fraction(rec["tv"])))
-    return Instance.from_data(doc["nodes"], doc["terminals"], edges)
+    return doc["nodes"], doc["terminals"], edges
+
+
+def reference_parse(doc):
+    """The former loader, kept as the reference: :func:`reference_records`,
+    then ``Instance.from_data`` checks the nodes and edges and builds the
+    instance."""
+    return Instance.from_data(*reference_records(doc))
 
 
 def load_outcome(text, parse=None):
@@ -309,24 +317,23 @@ def load_outcome(text, parse=None):
 
 
 def assert_loads_as_reference(text):
-    """``text`` loads as the reference loads it.  The loader's own table of
-    thresholds is kept exactly when no edge was pruned."""
+    """``text`` loads as the reference loads it, with a threshold table
+    that matches the kept edges."""
     got = load_outcome(text)
     assert got == load_outcome(text, reference_parse)
     if isinstance(got, Instance):
-        kept_all = len(json.loads(text)["edges"]) == len(got.edges)
-        assert ("_distinct_thresholds" in got.__dict__) == kept_all
         assert_thresholds_match_the_edges(got)
     return got
 
 
 def assert_thresholds_match_the_edges(inst):
-    """The distinct thresholds, scale and unit test equal their values
-    recomputed from the edges, however the loader left them."""
+    """The threshold table, scale and unit test equal their values
+    recomputed from the edges, whether or not the build pruned some: the
+    table maps the level of each kept threshold, and no other, to it."""
     ends = [t for e in inst.edges for t in (e.tu, e.tv)]
-    assert inst._distinct_thresholds == Instance._distinct_thresholds.func(inst)
-    assert inst._distinct_thresholds == {id(t): t for t in ends}
     assert inst.scale == math.lcm(1, *(t.denominator for t in ends))
+    assert inst.thresholds == {t * inst.scale: t for t in ends}
+    assert all(type(level) is int for level in inst.thresholds)
     assert inst.is_unit() == all(t == 1 for t in ends)
 
 
@@ -413,18 +420,21 @@ def test_loader_matches_reference_on_single_faults():
     assert checked > 1000
 
 
+# The pruned edge holds the only threshold with denominator 3: the build
+# parses it, but the kept edges do not have it.
+PRUNED_DOC = {
+    "nodes": ["a", "b"],
+    "terminals": ["a"],
+    "edges": [{"u": "a", "v": "b", "tu": "1", "tv": "4/3"},
+              {"u": "b", "v": "a", "tu": 1, "tv": "1"}],
+}
+
+
 def test_dominated_edge_leaves_scale_and_unit_to_the_kept_edges():
-    # The pruned edge holds the only threshold with denominator 3: the
-    # loader's table has it, the kept edges do not.
-    text = json.dumps({
-        "nodes": ["a", "b"],
-        "terminals": ["a"],
-        "edges": [{"u": "a", "v": "b", "tu": "1", "tv": "4/3"},
-                  {"u": "b", "v": "a", "tu": 1, "tv": "1"}],
-    })
-    inst = assert_loads_as_reference(text)
+    inst = assert_loads_as_reference(json.dumps(PRUNED_DOC))
     assert [tuple(e) for e in inst.edges] == [("a", "b", 1, 1)]
     assert inst.scale == 1 and inst.is_unit()
+    assert inst.thresholds == {1: 1} and inst.scaled_edges == (("a", "b", 1, 1),)
 
 
 def test_generated_instances_keep_thresholds_that_match_the_edges():
@@ -433,27 +443,81 @@ def test_generated_instances_keep_thresholds_that_match_the_edges():
             assert_thresholds_match_the_edges(generate(family, seed))
 
 
-def test_from_data_parses_each_literal_once():
+def test_from_data_parses_each_literal_once(monkeypatch):
+    calls = []  # the argument of every as_fraction call the build makes
+    monkeypatch.setattr(aecover.core, "as_fraction", lambda x: calls.append(x) or as_fraction(x))
     inst = Instance.from_data(
         ["a", "b", "c"], ["a"],
         [("a", "b", "3/2", "3/2"), ("c", "a", "3/2", "1"), ("b", "c", "1", "3/2")],
     )
-    ends = [t for e in inst.edges for t in (e.tu, e.tv)]
-    assert len({id(t) for t in ends if t == Fraction(3, 2)}) == 1
-    assert len({id(t) for t in ends}) == 2
-    assert "_distinct_thresholds" in inst.__dict__
+    assert calls == ["3/2", "1"]
+    assert inst.scale == 2 and inst.thresholds == {3: Fraction(3, 2), 2: 1}
+    assert inst.scaled_edges == (("a", "b", 3, 3), ("a", "c", 2, 3), ("b", "c", 2, 3))
     assert_thresholds_match_the_edges(inst)
 
 
 def test_from_data_keeps_the_objects_it_was_given():
-    # Non-string thresholds are not looked up by value: equal Fractions stay
-    # distinct objects, and each one is in the table the build leaves.
-    edges = [("a", "b", Fraction(1, 2), Fraction(1, 2)), ("b", "c", Fraction(1, 3), 2)]
+    # Non-string thresholds are not looked up by value: a Fraction is taken
+    # as given, and equal ones share one level of the table.
+    half = Fraction(1, 2)
+    edges = [("a", "b", half, half), ("b", "c", Fraction(1, 3), 2), ("c", "a", half, 2)]
     inst = Instance.from_data(["a", "b", "c"], ["a", "c"], edges)
-    assert inst.edges[0].tu is edges[0][2] and inst.edges[0].tv is edges[0][3]
-    assert "_distinct_thresholds" in inst.__dict__
-    assert_thresholds_match_the_edges(inst)
     assert inst.scale == 6
+    assert inst.thresholds == {3: half, 2: Fraction(1, 3), 12: 2}
+    assert inst.thresholds[3] is half and inst.edges[0].tu is half
+    assert inst.scaled_edges == (("a", "b", 3, 3), ("a", "c", 12, 3), ("b", "c", 2, 12))
+    assert_thresholds_match_the_edges(inst)
+
+
+def assert_table_matches_the_reference(inst, doc):
+    """``inst``'s integer table, scale and lazily built edges equal their
+    values computed from the reference loader's edges of ``doc``."""
+    assert "edges" not in inst.__dict__  # no Edge tuple until one is read
+    _, _, kept = reference_from_data(*reference_records(doc))
+    scale = math.lcm(1, *(t.denominator for e in kept for t in e[2:]))
+    assert inst.scale == scale
+    assert inst.scaled_edges == tuple((u, v, tu * scale, tv * scale) for u, v, tu, tv in kept)
+    assert all(type(t) is int for e in inst.scaled_edges for t in e[2:])
+    assert [tuple(e) for e in inst.edges] == kept
+    assert all(type(e) is Edge and type(e.tu) is type(e.tv) is Fraction for e in inst.edges)
+
+
+def test_integer_table_matches_the_reference_edges():
+    rng = random.Random(23)  # the documents of the random-document test
+    texts = [json.dumps(random_doc(rng)) for _ in range(500)] + [json.dumps(PRUNED_DOC)]
+    for family in sorted(FAMILIES):
+        for seed in range(20):
+            inst = generate(family, seed)
+            texts.append(dumps_instance(inst))  # from the table alone
+            assert_table_matches_the_reference(inst, json.loads(texts[-1], parse_float=Fraction))
+    for text in texts:
+        assert_table_matches_the_reference(
+            loads_instance(text), json.loads(text, parse_float=Fraction)
+        )
+
+
+def test_equality_and_hash_follow_the_edges():
+    rng = random.Random(23)
+    for case in range(500):
+        text = json.dumps(random_doc(rng))
+        inst = loads_instance(text)
+        nodes, terminals, kept = reference_from_data(
+            *reference_records(json.loads(text, parse_float=Fraction))
+        )
+        # The kept edges alone, reversed and as other literals, build an
+        # equal instance.
+        again = Instance.from_data(
+            nodes, terminals, [(v, u, Fraction(tv), str(tu)) for u, v, tu, tv in reversed(kept)]
+        )
+        assert inst == again and hash(inst) == hash(again), case
+        if kept:
+            u, v, tu, tv = kept[-1]
+            moved = Instance.from_data(nodes, terminals, [*kept[:-1], (u, v, tu, tv + 1)])
+            assert moved != inst, case
+    # One integer table on two scales is two instances.
+    whole = Instance.from_data(["a", "b"], ["a"], [("a", "b", 1, 2)])
+    half = Instance.from_data(["a", "b"], ["a"], [("a", "b", "1/2", 1)])
+    assert whole.scaled_edges == half.scaled_edges and whole != half
 
 
 # Documents with more than one faulty record

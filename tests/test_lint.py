@@ -23,6 +23,10 @@
 - No module but ``core`` and ``generators`` calls ``as_fraction``: parsing a
   threshold belongs to ``Instance.from_data``, so the loader cannot drift
   from it, and the generators convert their own costs and levels.
+- No module but ``core`` reads an ``.edges`` attribute: the instance holds
+  its integer table, ``scaled_edges``, and builds ``Edge`` tuples only when
+  a user or a test reads ``Instance.edges``, so no solve or serialization
+  path builds them.
 - Every top-level function and class is named by library code outside its
   own definition (``__init__.py``'s exports do not count) or in the README:
   code that only the tests read belongs with the tests.
@@ -148,6 +152,16 @@ def as_fraction_calls(tree: ast.AST) -> list[int]:
     })
 
 
+def edges_reads(tree: ast.AST) -> list[int]:
+    """Lines that read an ``.edges`` attribute of anything."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "edges"
+        and isinstance(node.ctx, ast.Load)
+    })
+
+
 def family_name_literals(tree: ast.AST) -> list[int]:
     """Lines holding a string literal equal to a checked bench-family name."""
     return sorted({
@@ -235,6 +249,12 @@ def test_as_fraction_only_in_core_and_generators():
                 if name not in owners and (lines := as_fraction_calls(tree))}
     assert breaches == {}
     assert all(as_fraction_calls(trees[name]) for name in owners), "a parser owner lost its calls"
+
+
+def test_edges_read_only_in_core():
+    breaches = {name: lines for name, tree in library_trees()
+                if name != "core.py" and (lines := edges_reads(tree))}
+    assert breaches == {}
 
 
 def test_family_names_only_in_generators():
@@ -452,3 +472,18 @@ def parse(rec, as_fraction_table):
 
 def test_as_fraction_rule_catches_breaches():
     assert as_fraction_calls(ast.parse(BROKEN_PARSING)) == [6, 7]
+
+
+BROKEN_EDGES = '''
+def dump(inst, spec):
+    for e in inst.edges:
+        yield e.u
+    first = inst.edges[0].other("a")
+    rows, edges = inst.scaled_edges, spec.edges
+    inst.edges_at, self.edges = rows, edges
+    return first, edges, getattr(inst, "edges_at")
+'''
+
+
+def test_edges_rule_catches_breaches():
+    assert edges_reads(ast.parse(BROKEN_EDGES)) == [3, 5, 6]

@@ -228,8 +228,8 @@ class TestValidateAgainstReference:
                 assert type(got[3]) is type(want[3])
 
     def test_equal_thresholds_need_not_be_one_object(self):
-        # "1/2", "2/4" and the JSON number 0.5 load as three Fraction objects
-        # of one value; the first two are equal strings of no shared object.
+        # "1/2", "2/4" and the JSON number 0.5 are three literals of one
+        # value: each is parsed on its own, and all three share one level.
         doc = {
             "nodes": ["a", "b", "c", "f"],
             "terminals": ["a", "b", "c"],
@@ -240,9 +240,9 @@ class TestValidateAgainstReference:
             ],
         }
         inst = loads_instance(json.dumps(doc))
-        weights = [e.tv for e in inst.edges]
-        assert weights == [Fraction(1, 2)] * 3
-        assert len({id(w) for w in weights}) == 3
+        assert [e.tv for e in inst.edges] == [Fraction(1, 2)] * 3
+        assert inst.thresholds == {2: 1, 1: Fraction(1, 2)}
+        assert [e[3] for e in inst.scaled_edges] == [1, 1, 1]
         ubi = validate_locally_uniform(inst)
         assert inst.scale == 2 and ubi.weight == {"f": 1} and ubi.theta == Fraction(1, 2)
         assert ubi.adjacency["f"] == ("a", "b", "c")

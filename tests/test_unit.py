@@ -1,12 +1,14 @@
 """Unit-threshold reduction, exact 2-set-cover, subsolvers, both solvers."""
 
 import hashlib
+import importlib.util
 import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 import aecover
 import aecover.unit
 from aecover.bounds import A1_RATIO, RHO, harmonic
-from aecover.core import Instance, covers
+from aecover.core import Instance, covers, degree_bound, derive_costs
 from aecover.errors import (
     IncompleteCover,
     Infeasible,
@@ -22,7 +24,8 @@ from aecover.errors import (
     PhaseInvariantViolated,
     SizeBoundViolated,
 )
-from aecover.generators import random_unit, tight73
+from aecover.fileio import loads_instance
+from aecover.generators import generate, random_unit, tight73
 from aecover.oracle import exact_solve
 from aecover.unit import (
     EXACT_SUBSOLVER,
@@ -667,3 +670,29 @@ class TestSolveUnitA2:
             solve_unit_a2(res)
         with pytest.raises(Infeasible):
             solve_unit_a1(res)
+
+
+class TestUnitReportSlope:
+    def unit_instances(self):
+        """The unit and uniform-unit families at seeds 0..199, the inputs
+        of the solve-unit benchmark, and a unit instance with no terminal."""
+        path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        instances = [generate(family, seed)
+                     for family in ("unit", "uniform-unit") for seed in range(200)]
+        instances += [loads_instance(text) for text in workloads.SolveUnit(0).setup(aecover)]
+        return instances + [Instance.from_data(["a", "b"], [], [("a", "b", 1, 1)])]
+
+    def test_slope_and_degree_bound_match_derive_costs(self):
+        # The unit solvers report theta and delta without deriving costs.
+        for inst in self.unit_instances():
+            assert inst.is_unit()
+            want = derive_costs(inst)
+            assert degree_bound(inst) == want.delta
+            for solve in (solve_unit_a1, solve_unit_a2):
+                rep = solve(reduce_unit(inst))
+                assert (rep.theta, rep.delta) == (want.theta, want.delta)
+                assert type(rep.theta) is Fraction
+            assert "costs" not in inst.__dict__
