@@ -32,8 +32,9 @@ import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Union
+from typing import Any, Mapping, Optional, Union
 
 from .core import Assignment, Instance
 from .errors import InvalidInstance
@@ -42,6 +43,7 @@ SCHEMA_VERSION = 1
 
 _INSTANCE_KEYS = {"nodes", "terminals", "edges"}
 _EDGE_KEYS = {"u", "v", "tu", "tv"}
+_EDGE_TUPLE = itemgetter("u", "v", "tu", "tv")
 
 
 def format_fraction(x: Fraction) -> str:
@@ -107,10 +109,10 @@ def dumps_doc(doc: Mapping[str, Any]) -> str:
     return "".join(out)
 
 
-def _record_fault(rec: Any) -> InvalidInstance:
+def _record_fault(rec: Any) -> Optional[InvalidInstance]:
     """The error for an edge record that is no object, has other keys than
     ``u``, ``v``, ``tu`` and ``tv``, or has an endpoint that is no string,
-    checked in that order."""
+    checked in that order; ``None`` for a record of the right shape."""
     if not isinstance(rec, dict):
         return InvalidInstance(f"edge record must be an object: {rec!r}")
     bad = rec.keys() - _EDGE_KEYS
@@ -118,32 +120,18 @@ def _record_fault(rec: Any) -> InvalidInstance:
         return InvalidInstance(f"unknown edge keys: {sorted(bad)}")
     if rec.keys() != _EDGE_KEYS:
         return InvalidInstance(f"incomplete edge record: {rec}")
-    return InvalidInstance(f"edge endpoints must be strings: {rec}")
-
-
-def _edge_tuples(records: list) -> Iterator[tuple[str, str, Any, Any]]:
-    """Each edge record as ``(u, v, tu, tv)``, its shape checked as it is
-    read; lazily, so :meth:`Instance.from_data` checks each record's edge
-    before the next record's shape."""
-    for rec in records:
-        # Only a record that fails these fast tests is examined further,
-        # by _record_fault.
-        if isinstance(rec, dict) and len(rec) == 4:
-            try:
-                u, v, tu, tv = rec["u"], rec["v"], rec["tu"], rec["tv"]
-            except KeyError:
-                raise _record_fault(rec) from None
-            if isinstance(u, str) and isinstance(v, str):
-                yield u, v, tu, tv
-                continue
-        raise _record_fault(rec)
+    if not (isinstance(rec["u"], str) and isinstance(rec["v"], str)):
+        return InvalidInstance(f"edge endpoints must be strings: {rec}")
+    return None
 
 
 def parse_instance_doc(doc: Mapping[str, Any]) -> Instance:
-    """The instance of a document.  The document's keys and lists are
-    checked here, each edge record's shape by :func:`_edge_tuples`, and
-    the rest by :meth:`Instance.from_data`, so the first faulty record in
-    file order is the one reported."""
+    """The instance of a document: its keys and lists are checked here, the
+    rest by :meth:`Instance.from_data` on the records' ``(u, v, tu, tv)``.
+    A record that is no object, lacks a key or has an endpoint that is no
+    node makes that raise, so a build stands if every record has four keys;
+    else the records before the first of another shape (or all) are built
+    again, so the first fault in file order, an edge's or a shape, is raised."""
     if not isinstance(doc, dict):
         raise InvalidInstance("an instance must be a JSON object")
     unknown = set(doc) - _INSTANCE_KEYS
@@ -158,7 +146,16 @@ def parse_instance_doc(doc: Mapping[str, Any]) -> Instance:
     for key in ("nodes", "terminals"):
         if not all(isinstance(x, str) for x in doc[key]):
             raise InvalidInstance(f"{key} must be strings")
-    return Instance.from_data(doc["nodes"], doc["terminals"], _edge_tuples(doc["edges"]))
+    nodes, terminals, records = doc["nodes"], doc["terminals"], doc["edges"]
+    try:
+        inst = Instance.from_data(nodes, terminals, map(_EDGE_TUPLE, records))
+        if sum(map(len, records)) == 4 * len(records):
+            return inst
+    except (InvalidInstance, KeyError, TypeError):
+        pass
+    bad = next((i for i, rec in enumerate(records) if _record_fault(rec)), len(records))
+    Instance.from_data(nodes, terminals, map(_EDGE_TUPLE, records[:bad]))
+    raise _record_fault(records[bad])
 
 
 def loads_instance(text: str) -> Instance:

@@ -10,10 +10,10 @@ ratios possible than for plain set cover.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Collection, Iterator, Mapping, Optional
 
 from .bounds import A1_RATIO, RHO
 from .core import Instance, degree_bound
@@ -80,14 +80,9 @@ def reduce_unit(inst: Instance) -> UnitResidual:
 
 
 def _restrict(sc: SetCoverInstance, remaining: set[str]) -> SetCoverInstance:
-    sets = {}
-    for v, s in sc.sets.items():
-        live = s & remaining
-        if live:
-            sets[v] = frozenset(live)
-    return SetCoverInstance(
-        elements=tuple(x for x in sc.elements if x in remaining), sets=sets
-    )
+    """``sc`` cut down to ``remaining``: its live sets, in order."""
+    sets = {v: live for v, s in sc.sets.items() if (live := s & remaining)}
+    return SetCoverInstance(tuple(x for x in sc.elements if x in remaining), sets)
 
 
 # ---------------------------------------------------------------------------
@@ -212,115 +207,121 @@ def exact_2setcover(sc: SetCoverInstance) -> tuple[str, ...]:
     return tuple(sorted(chosen))
 
 
-def exact_bb(
-    sc: SetCoverInstance, k: int, below: Optional[int] = None
-) -> Optional[tuple[str, ...]]:
-    """Optimal cover in two steps: a value search that branches fewest-sets-
-    first, then a walk that reads back the first minimum cover in set order.
+class CoverSearch:
+    """The exact subsolver's search on one set system ``sc``, built once and
+    asked by :meth:`cover` for the first minimum covers of many element sets.
 
-    With ``below``, only a cover of fewer than ``below`` sets is wanted: the
-    value search runs with ``ub = below`` and ``None`` is returned, without
-    the walk, once it proves that no cover is smaller.  Otherwise the cover
-    is the one returned without ``below``, since the walk reads only exact
-    optima.
+    *Value search.*  Bits are numbered by (number of sets containing the
+    element, rank in ``sc.elements``).  ``search(free, ub)`` returns the
+    optimum count of the mask ``free`` if it is below ``ub``, else a proven
+    lower bound of at least ``ub``.  It branches on the sets holding the
+    lowest free bit, an element in the fewest sets (every cover takes one),
+    each under the best count so far minus one, memoizes exact counts per
+    mask, and keeps ``ub`` as a proven floor of a mask it failed under.  Its
+    bound is the largest of ceil(|free|/k), the floor and, only if those stay
+    below ``ub``, a packing count (free elements, lowest bit first, no two in
+    a set, each need a set of their own); it returns once the bound reaches
+    ``ub`` and stops branching once the best count equals it.
 
-    *Value search.*  Element bits are renumbered once by (number of sets
-    containing the element, rank in ``sc.elements``), and a mask ``free``
-    holds the uncovered elements.  ``search(free, ub)`` returns the optimum
-    count of ``free`` when it is below ``ub``, and otherwise a proven lower
-    bound that is at least ``ub``.  It branches on the lowest free bit, a
-    free element in the fewest sets, and runs each branch with ``ub`` equal
-    to the best count so far minus one.  Exact counts are memoized per mask;
-    a mask whose search failed under ``ub`` keeps ``ub`` as a proven floor.
-    The lower bound at a mask is the largest of ceil(|free|/k), its floor,
-    and a packing count: free elements taken lowest bit first so that no two
-    share a set, each of which needs a set of its own.  The search returns
-    at once when the bound reaches ``ub`` and stops branching once the best
-    count equals it.  Every free element must be covered by one of the sets
-    that contain it, so branching on any one of them is exhaustive, and the
-    optimum of a mask does not depend on which element is chosen: the
-    renumbering changes how fast the counts are found, not their values.
+    *Canonical walk.*  At each mask, with ``need`` its optimum, take the free
+    element of lowest rank and the first set containing it, in ``sc.sets``
+    order, whose remainder has optimum ``need - 1`` (``search(rest, need)``
+    tells exactly): the first minimum cover in that branching order.  Only
+    exact optima are read, so no search order or earlier call changes it.
 
-    *Canonical walk.*  The cover is read back in rank order.  At each mask,
-    with ``need`` its optimum, take the free element of lowest rank in
-    ``sc.elements`` and the first set containing it, in ``sc.sets`` order,
-    whose remainder has optimum ``need - 1``; ``search(rest, need)`` returns
-    that optimum exactly when it is ``need - 1`` and a value of at least
-    ``need`` otherwise.  This is the first minimum-size cover of lowest-rank-
-    first branching, the cover an exhaustive search in that order returns
-    when it replaces its incumbent only on a strictly smaller count; the
-    former single search branched in that order and pruned only branches
-    that could not be strictly smaller, so it returned this cover too.  The
-    walk reads nothing but the optima of masks, and those are exact, so the
-    cover does not depend on the value search's order or pruning.
+    *Why one search serves many calls.*  ``cover(uncovered, k, below)``
+    equals :func:`exact_bb` on ``sc`` cut down to ``uncovered``:
+    1. A set that holds an uncovered element is still live after the cut,
+       so every uncovered element has the same degree there, and the bit
+       order and the branching are unchanged.
+    2. The optimum or a floor of a mask depends only on the sets cut down to
+       that mask, so it holds in every later call.  A floor is written only
+       when a search under ``ub`` failed although its bound, the stored
+       floor included, was below ``ub``: a floor only ever rises.
+    3. ceil(|free|/k) stays a valid bound while no live set has more than k
+       elements: in unit-a2 by the phase invariant, whose violation already
+       raises :class:`PhaseInvariantViolated`, and in exact_bb by its check.
     """
+
+    def __init__(self, sc: SetCoverInstance):
+        degree = Counter(x for s in sc.sets.values() for x in s)
+        # sorted() is stable, so elements of equal degree keep their rank order.
+        self.bit = bit = {x: b for b, x in enumerate(sorted(sc.elements, key=degree.__getitem__))}
+        self.rank_bits = [bit[x] for x in sc.elements]
+        self.names = list(sc.sets)
+        self.by_element = by_element = [[] for _ in sc.elements]  # bit -> [(set, mask)]
+        self.reach = reach = [0] * len(sc.elements)  # reach[b]: all that share a set with b
+        for j, s in enumerate(sc.sets.values()):
+            mask = 0
+            for x in s:
+                mask |= 1 << bit[x]
+            for x in s:
+                by_element[bit[x]].append((j, mask))
+                reach[bit[x]] |= mask
+        self.exact: dict[int, int] = {}  # mask -> optimum
+        self.floor: dict[int, int] = {}  # mask -> proven lower bound
+
+    def cover(self, uncovered: Collection[str], k: int,
+              below: Optional[int] = None) -> Optional[tuple[str, ...]]:
+        """First minimum cover of ``uncovered``, or ``None`` once ``below`` sets prove needed."""
+        by_element, reach, exact, floor = self.by_element, self.reach, self.exact, self.floor
+
+        def search(free: int, ub: int) -> int:
+            if not free:
+                return 0
+            hit = exact.get(free)
+            if hit is not None:
+                return hit
+            lb = max(-(-free.bit_count() // k), floor.get(free, 0))
+            if lb >= ub:
+                return lb
+            packing, rest = 0, free
+            while rest:
+                packing += 1
+                rest &= ~reach[(rest & -rest).bit_length() - 1]
+            lb = max(lb, packing)
+            if lb >= ub:
+                return lb
+            best = ub
+            for _, mask in by_element[(free & -free).bit_length() - 1]:
+                count = search(free & ~mask, best - 1) + 1
+                if count < best:
+                    best = count
+                    if best == lb:
+                        break
+            if best == ub:
+                floor[free] = ub
+            else:
+                exact[free] = best
+            return best
+
+        free = sum(1 << self.bit[x] for x in uncovered)
+        ub = len(uncovered) + 1 if below is None else below
+        need = search(free, ub)
+        if need >= ub:
+            return None
+        picks = []
+        in_rank_order = iter(self.rank_bits)
+        while free:
+            b = next(b for b in in_rank_order if free >> b & 1)
+            for j, mask in by_element[b]:
+                rest = free & ~mask
+                if search(rest, need) == need - 1:
+                    break
+            picks.append(self.names[j])
+            free, need = rest, need - 1
+        return tuple(sorted(picks))
+
+
+def exact_bb(sc: SetCoverInstance, k: int,
+             below: Optional[int] = None) -> Optional[tuple[str, ...]]:
+    """Optimal cover: the size and feasibility checks, then one
+    :meth:`CoverSearch.cover` of every element on a new search, with
+    ``below`` as there (``None`` once no cover has fewer than ``below`` sets)."""
     if sc.max_set_size() > k:
         raise SizeBoundViolated(f"set larger than k={k}")
     sc.check_feasible()
-    degree = dict.fromkeys(sc.elements, 0)
-    for s in sc.sets.values():
-        for x in s:
-            degree[x] += 1
-    # sorted() is stable, so elements of equal degree keep their rank order.
-    bit = {x: b for b, x in enumerate(sorted(sc.elements, key=degree.__getitem__))}
-    names = list(sc.sets)
-    masks = [sum(1 << bit[x] for x in s) for s in sc.sets.values()]
-    by_element: list[list[tuple[int, int]]] = [[] for _ in sc.elements]
-    # reach[b]: every element that shares a set with bit b, b included.
-    reach = [0] * len(sc.elements)
-    for j, mask in enumerate(masks):
-        rest = mask
-        while rest:
-            b = (rest & -rest).bit_length() - 1
-            by_element[b].append((j, mask))
-            reach[b] |= mask
-            rest &= rest - 1
-    exact: dict[int, int] = {}
-    floor: dict[int, int] = {}
-
-    def search(free: int, ub: int) -> int:
-        if not free:
-            return 0
-        hit = exact.get(free)
-        if hit is not None:
-            return hit
-        packing = 0
-        rest = free
-        while rest:
-            packing += 1
-            rest &= ~reach[(rest & -rest).bit_length() - 1]
-        lb = max(-(-free.bit_count() // k), packing, floor.get(free, 0))
-        if lb >= ub:
-            return lb
-        best = ub
-        for _, mask in by_element[(free & -free).bit_length() - 1]:
-            count = search(free & ~mask, best - 1) + 1
-            if count < best:
-                best = count
-                if best == lb:
-                    break
-        if best == ub:
-            floor[free] = ub
-        else:
-            exact[free] = best
-        return best
-
-    free = (1 << len(sc.elements)) - 1
-    ub = len(sc.elements) + 1 if below is None else below
-    need = search(free, ub)
-    if need >= ub:
-        return None
-    picks = []
-    in_rank_order = iter(bit[x] for x in sc.elements)
-    while free:
-        b = next(b for b in in_rank_order if free >> b & 1)
-        for j, mask in by_element[b]:
-            rest = free & ~mask
-            if search(rest, need) == need - 1:
-                break
-        picks.append(names[j])
-        free, need = rest, need - 1
-    return tuple(sorted(picks))
+    return CoverSearch(sc).cover(sc.elements, k, below)
 
 
 def greedy_hk(sc: SetCoverInstance, k: int, below: Optional[int] = None) -> tuple[str, ...]:
@@ -353,14 +354,24 @@ class KSetCoverSolver:
     published k-set-cover table for every k <= 6, which is what the 1555/1347
     certificate of the multi-phase solver requires.  ``fn(sc, k, below)``
     returns a cover, or may return ``None`` when ``below`` is not ``None``
-    and it has proved that no cover has fewer than ``below`` sets."""
+    and it has proved that no cover has fewer than ``below`` sets.  Once per
+    solve, ``start(sc)`` returns ``finish(uncovered, k, below)``: ``fn`` on
+    ``sc`` cut down to ``uncovered``, or the exact subsolver's one search."""
 
     name: str
     fn: Callable[[SetCoverInstance, int, Optional[int]], Optional[tuple[str, ...]]]
     certified: bool
 
+    def start(self, sc: SetCoverInstance) -> Callable[..., Optional[tuple[str, ...]]]:
+        return lambda uncovered, k, below: self.fn(_restrict(sc, uncovered), k, below)
 
-EXACT_SUBSOLVER = KSetCoverSolver(name="exact", fn=exact_bb, certified=True)
+
+class _SharedSearch(KSetCoverSolver):
+    def start(self, sc: SetCoverInstance) -> Callable[..., Optional[tuple[str, ...]]]:
+        return CoverSearch(sc).cover
+
+
+EXACT_SUBSOLVER = _SharedSearch(name="exact", fn=exact_bb, certified=True)
 GREEDY_SUBSOLVER = KSetCoverSolver(name="greedy", fn=greedy_hk, certified=False)
 
 SUBSOLVERS = {s.name: s for s in (EXACT_SUBSOLVER, GREEDY_SUBSOLVER)}
@@ -417,11 +428,7 @@ def solve_unit_a1(res: UnitResidual) -> SolveReport:
             break
     tail = exact_2setcover(_restrict(sc, uncovered))
     return _unit_report(
-        res.inst,
-        "unit-a1",
-        (*roots, *tail),
-        claimed_bound=A1_RATIO,
-        bound_label="1+67/360",
+        res.inst, "unit-a1", (*roots, *tail), claimed_bound=A1_RATIO, bound_label="1+67/360",
         extras={"greedy_stars": len(roots), "exact_phase": len(tail)},
     )
 
@@ -430,7 +437,8 @@ def solve_unit_a2(
     res: UnitResidual, subsolver: KSetCoverSolver = EXACT_SUBSOLVER
 ) -> SolveReport:
     """Phase down star sizes, keeping the best of roots-so-far plus a
-    subsolver finish at every k <= 6.
+    subsolver finish at every k <= 6, asked of the one subsolver start
+    (:meth:`KSetCoverSolver.start`) on ``res.system`` for each phase.
 
     At phase k a facility with k+1 still-uncovered neighbors claims all of
     them (the phase order guarantees no facility exceeds k+1), so residual
@@ -446,6 +454,7 @@ def solve_unit_a2(
     neither the winner nor the phase trace.
     """
     sc = res.system
+    finish_of = subsolver.start(sc)
     best: Optional[tuple[int, int, int, int, tuple[str, ...]]] = None
     phases: list[dict] = []
     for k, roots, stars, uncovered in _star_phases(sc):
@@ -458,7 +467,7 @@ def solve_unit_a2(
         below = None if best is None else best[0] - len(roots)
         if below is not None and below <= 0:
             continue
-        finish = subsolver.fn(_restrict(sc, uncovered), k, below) if uncovered else ()
+        finish = finish_of(uncovered, k, below) if uncovered else ()
         if finish is None:
             continue
         if set(roots) & set(finish):
@@ -468,16 +477,10 @@ def solve_unit_a2(
             best = (size, k, len(roots), len(finish), (*roots, *finish))
     _, k_winner, c_size, a_size, chosen = best
     return _unit_report(
-        res.inst,
-        "unit-a2",
-        chosen,
+        res.inst, "unit-a2", chosen,
         claimed_bound=RHO if subsolver.certified else None,
         bound_label="1555/1347" if subsolver.certified else f"uncertified ({subsolver.name})",
         trace={"phases": phases},
-        extras={
-            "k_winner": k_winner,
-            "C_size": c_size,
-            "A_size": a_size,
-            "subsolver": subsolver.name,
-        },
+        extras={"k_winner": k_winner, "C_size": c_size, "A_size": a_size,
+                "subsolver": subsolver.name},
     )

@@ -2,11 +2,14 @@
 
 import hashlib
 import importlib.util
+import inspect
+import itertools
 import os
 import random
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -16,6 +19,7 @@ import pytest
 import aecover
 import aecover.unit
 from aecover.bounds import A1_RATIO, RHO, harmonic
+from aecover.cli import run_algorithm
 from aecover.core import Instance, covers, degree_bound, derive_costs
 from aecover.errors import (
     IncompleteCover,
@@ -30,8 +34,10 @@ from aecover.oracle import exact_solve
 from aecover.unit import (
     EXACT_SUBSOLVER,
     GREEDY_SUBSOLVER,
+    CoverSearch,
     KSetCoverSolver,
     SetCoverInstance,
+    _restrict,
     exact_2setcover,
     exact_bb,
     greedy_hk,
@@ -160,13 +166,25 @@ def _parent_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
     return tuple(sorted(picks))
 
 
+def nested_code(code: types.CodeType):
+    """``code`` and every code object nested in it, at any depth."""
+    yield code
+    for c in code.co_consts:
+        if isinstance(c, types.CodeType):
+            yield from nested_code(c)
+
+
 def search_calls(fn, *args):
-    """``fn(*args)`` and the number of calls of exact_bb's inner ``search``
-    it made, counted with a profile hook."""
-    search = next(
-        c for c in aecover.unit.exact_bb.__code__.co_consts
-        if getattr(c, "co_name", None) == "search"
-    )
+    """``fn(*args)`` and the number of calls of the exact subsolver's inner
+    ``search`` it made, counted with a profile hook.  The code object is
+    found wherever it is nested, in a function or a method of the module."""
+    unit = aecover.unit
+    codes = [
+        f.__code__ for obj in vars(unit).values()
+        if getattr(obj, "__module__", None) == unit.__name__
+        for f in (obj, *vars(obj).values()) if inspect.isfunction(f)
+    ]
+    search = next(c for code in codes for c in nested_code(code) if c.co_name == "search")
     calls = 0
 
     def profile(frame, event, arg):
@@ -431,6 +449,63 @@ class TestExactBB:
         assert exact_bb(empty, 1, 0) is None
         assert exact_bb(empty, 1, 1) == ()
 
+    def test_one_search_answers_shrinking_calls_like_fresh_ones(self):
+        # One search is asked, as unit-a2's phases ask it, for nested,
+        # shrinking element sets with falling k and random below.  Each
+        # answer must equal exact_bb on the cut-down system and keep the
+        # reference's contract; no floor may fall or exceed an exact count.
+        rng = random.Random(37)
+        calls = found = refused = 0
+        for case in range(3000):
+            k = case % 6 + 1
+            if case % 2:
+                sc = random_set_system(rng, rng.randint(1, 14), rng.randint(1, 10), k)
+            else:
+                sc = self.tie_heavy_system(rng, k)
+            search = CoverSearch(sc)
+            uncovered = set(sc.elements)
+            while True:
+                cut = _restrict(sc, uncovered)
+                k = rng.randint(max(1, cut.max_set_size()), k)
+                reference = _reference_exact_bb(cut, k)
+                below = rng.choice([None, rng.randint(0, len(reference) + 2)])
+                floors = dict(search.floor)
+                got = search.cover(uncovered, k, below)
+                where = (case, sorted(uncovered), k, below)
+                assert got == exact_bb(cut, k, below), where
+                if below is not None and len(reference) >= below:
+                    assert got is None, where
+                    refused += 1
+                else:
+                    assert got == reference, where
+                    found += 1
+                assert all(search.floor[m] >= f for m, f in floors.items()), where
+                exact = search.exact
+                assert all(exact[m] >= f for m, f in search.floor.items() if m in exact), where
+                calls += 1
+                if not uncovered:
+                    break
+                # Some calls repeat the last set, so that one mask is asked
+                # under several bounds.
+                uncovered -= set(rng.sample(sorted(uncovered), rng.randint(0, len(uncovered))))
+        assert calls > 6000 and found > 3000 and refused > 1000
+
+    def test_a_floor_answers_a_later_call_at_once(self):
+        # Every two of ten elements share a set, so the packing count is 1
+        # and ceil(10/6) is 2, far below the optimum of 5.  A call refused
+        # under below=5 leaves the whole mask the floor 5; a later call
+        # under below=4 must answer from it at once and leave it at 5.
+        elements = tuple(f"x{i}" for i in range(10))
+        pairs = itertools.combinations(elements, 2)
+        sc = SetCoverInstance(elements, {a + b: frozenset((a, b)) for a, b in pairs})
+        search = CoverSearch(sc)
+        whole = (1 << len(elements)) - 1
+        assert search.cover(elements, 6, 5) is None
+        assert search.floor[whole] == 5
+        got, calls = search_calls(search.cover, elements, 6, 4)
+        assert (got, calls, search.floor[whole]) == (None, 1, 5)
+        assert search.cover(elements, 6) == exact_bb(sc, 6) == _reference_exact_bb(sc, 6)
+
     def test_exact_2setcover_agrees_with_bb(self):
         rng = random.Random(4)
         for _ in range(60):
@@ -622,6 +697,47 @@ class TestSolveUnitA2:
                 assert report.to_json() == solve_unit_a2(res, REFERENCE_SUBSOLVER).to_json()
         assert 0 < bounded < unbounded
 
+    def test_one_search_per_phase_reports_equal_the_shared_search(self):
+        # KSetCoverSolver's default start calls fn on each phase's cut-down
+        # system, so a solver built from exact_bb alone runs a fresh search
+        # in every phase: its reports must equal the shared search's.
+        instances = [facility_unit_instance(n, random.Random(s))
+                     for s in range(3) for n in range(8, 61)]
+        instances += [generate(family, seed)
+                      for family in ("unit", "uniform-unit") for seed in range(200)]
+        for inst in instances:
+            res = reduce_unit(inst)
+            for subsolver in (EXACT_SUBSOLVER, GREEDY_SUBSOLVER):
+                per_phase = KSetCoverSolver(subsolver.name, subsolver.fn, subsolver.certified)
+                want = solve_unit_a2(res, per_phase).to_json()
+                assert solve_unit_a2(res, subsolver).to_json() == want
+
+    def test_default_solve_builds_one_search(self, monkeypatch):
+        # The default solve starts its subsolver once: one CoverSearch per
+        # solve, however many phases ask it for a finish.
+        builds = finishes = 0
+        build, cover = CoverSearch.__init__, CoverSearch.cover
+
+        def counted_build(self, sc):
+            nonlocal builds
+            builds += 1
+            build(self, sc)
+
+        def counted_cover(self, *args):
+            nonlocal finishes
+            finishes += 1
+            return cover(self, *args)
+
+        monkeypatch.setattr(CoverSearch, "__init__", counted_build)
+        monkeypatch.setattr(CoverSearch, "cover", counted_cover)
+        solves = 0
+        for inst in unit_instances():
+            builds = 0
+            assert run_algorithm(inst, "auto").algorithm == "unit-a2"
+            assert builds == 1
+            solves += 1
+        assert finishes > 2 * solves
+
     def test_finish_reusing_a_root_raises(self):
         # A subsolver finish that picks a phase root breaks the phase analysis.
         res = reduce_unit(facility_unit_instance(12, random.Random(1)))
@@ -672,22 +788,23 @@ class TestSolveUnitA2:
             solve_unit_a1(res)
 
 
-class TestUnitReportSlope:
-    def unit_instances(self):
-        """The unit and uniform-unit families at seeds 0..199, the inputs
-        of the solve-unit benchmark, and a unit instance with no terminal."""
-        path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        instances = [generate(family, seed)
-                     for family in ("unit", "uniform-unit") for seed in range(200)]
-        instances += [loads_instance(text) for text in workloads.SolveUnit(0).setup(aecover)]
-        return instances + [Instance.from_data(["a", "b"], [], [("a", "b", 1, 1)])]
+def unit_instances():
+    """The unit and uniform-unit families at seeds 0..199, the inputs of the
+    solve-unit benchmark, and a unit instance with no terminal."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    instances = [generate(family, seed)
+                 for family in ("unit", "uniform-unit") for seed in range(200)]
+    instances += [loads_instance(text) for text in workloads.SolveUnit(0).setup(aecover)]
+    return instances + [Instance.from_data(["a", "b"], [], [("a", "b", 1, 1)])]
 
+
+class TestUnitReportSlope:
     def test_slope_and_degree_bound_match_derive_costs(self):
         # The unit solvers report theta and delta without deriving costs.
-        for inst in self.unit_instances():
+        for inst in unit_instances():
             assert inst.is_unit()
             want = derive_costs(inst)
             assert degree_bound(inst) == want.delta
