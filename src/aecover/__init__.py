@@ -15,9 +15,7 @@ from .core import (
     Instance,
     SpecEdge,
     TableActivation,
-    active_edges,
     complete,
-    covers,
     derive_costs,
     levels_reduction,
 )
@@ -41,7 +39,7 @@ from .errors import (
     SizeBoundViolated,
 )
 from .fileio import instance_digest, load_instance, loads_instance, save_instance
-from .general import min_density_star, solve_general
+from .general import solve_general
 from .generators import (
     from_facility_location,
     from_installation,

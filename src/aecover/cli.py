@@ -1,9 +1,9 @@
 """Command-line front end: solve, exact, gen, bench, and bound tables.
 
-Exit codes: 0 ok, 1 error (a typed library error or a file that cannot be
-read or written), 2 infeasible input, 3 certification violation.  All
-outputs are deterministic given identical inputs; wall-clock timings go to
-stderr only.
+Exit codes: 0 ok, 1 error (a typed library error, a file that cannot be
+read or written, or a usage error, with argparse's message), 2 infeasible
+input, 3 certification violation.  All outputs are deterministic given
+identical inputs; wall-clock timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -279,7 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:
+            raise  # --help
+        return 1  # argparse printed the usage error; 2 means infeasible input
+    # Exact values may have more digits than the interpreter converts to
+    # text by default (a limit since Python 3.10.7): lift it while a command runs.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except Infeasible as exc:
@@ -288,6 +298,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (AecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -9,13 +9,14 @@ An instance stores its edges on the integer view, thresholds times
 ``Instance.scale``, the LCM of their denominators, as ints; derived costs,
 the activation test and the solvers' arithmetic run on it, and ``Edge``
 tuples are built only when a caller reads ``Instance.edges``.  This module
-alone produces that view (:meth:`Instance.from_data`, :meth:`Instance.levels`
-and what is built on them) and converts it back (:meth:`Instance.assignment`).
+alone produces that view (:meth:`Instance.from_data` and what is built on
+it) and converts it back (:meth:`Instance.assignment`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -24,20 +25,22 @@ from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional,
 
 from .errors import EmptyLevels, InvalidInstance, IsolatedTerminal
 
-ZERO = Fraction(0)
-
 Rational = Union[int, str, Fraction]
 
 
 def as_fraction(x: Rational) -> Fraction:
-    """Parse a threshold or value exactly ("3/2", "0.25", 2, Fraction)."""
+    """Parse a threshold or value exactly ("3/2", "0.25", 2, Fraction); a
+    literal past the interpreter's limit on integer digits is refused as such."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
+        except (ValueError, ZeroDivisionError) as exc:
+            if "integer string conversion" in str(exc):
+                raise InvalidInstance(f"threshold literal of {len(x)} characters exceeds the "
+                                      f"interpreter's limit on integer digits "
+                                      f"({sys.get_int_max_str_digits()})") from None
     raise InvalidInstance(f"not an exact rational: {x!r}")
 
 
@@ -48,20 +51,6 @@ class Edge(NamedTuple):
     v: str
     tu: Fraction
     tv: Fraction
-
-    def threshold_at(self, node: str) -> Fraction:
-        if node == self.u:
-            return self.tu
-        if node == self.v:
-            return self.tv
-        raise KeyError(node)
-
-    def other(self, node: str) -> str:
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise KeyError(node)
 
 
 @dataclass(frozen=True)
@@ -178,15 +167,9 @@ class Instance:
     def terminal_list(self) -> tuple[str, ...]:
         return tuple(sorted(self.terminals, key=self.index.__getitem__))
 
-    def levels(self, values: Mapping[str, Fraction]) -> dict[str, int]:
-        """``values`` on the integer view that :func:`active_at_levels`
-        reads: each value times :attr:`scale`, rounded down; exact for a
-        value built from thresholds."""
-        L = self.scale
-        return {n: x.numerator * L // x.denominator for n, x in values.items()}
-
     def assignment(self, levels: Mapping[str, int]) -> Assignment:
-        """The inverse of :meth:`levels`: each nonzero level over
+        """The values of ``levels``, the integer view that
+        :func:`active_at_levels` reads: each nonzero level over
         :attr:`scale`.  Exact, since every value here is a sum of
         thresholds and so a whole number of ``1/scale``.  Levels repeat, so
         each distinct one becomes one ``Fraction``."""
@@ -242,47 +225,17 @@ class Assignment:
 
     values: Mapping[str, Fraction]
 
-    @classmethod
-    def of(cls, mapping: Mapping[str, Rational]) -> "Assignment":
-        vals = {}
-        for node, x in mapping.items():
-            f = as_fraction(x)
-            if f < 0:
-                raise InvalidInstance(f"negative assignment at {node!r}")
-            if f != 0:
-                vals[node] = f
-        return cls(vals)
-
-    def get(self, node: str) -> Fraction:
-        return self.values.get(node, ZERO)
-
-    def total(self) -> Fraction:
-        # Values share few denominators: summing integer numerators per
-        # denominator costs a fraction of one Fraction addition per value.
-        per_den: dict[int, int] = {}
-        for x in self.values.values():
-            per_den[x.denominator] = per_den.get(x.denominator, 0) + x.numerator
-        return sum((Fraction(n, d) for d, n in per_den.items()), ZERO)
-
-
-def active_edges(
-    inst: Instance, values: Mapping[str, Fraction], ids: Optional[Iterable[int]] = None
-) -> Iterator[int]:
-    """Indices of the edges whose both endpoint thresholds ``values`` meets
-    (missing nodes count as zero): among ``ids`` in their order, or among
-    all edges in index order.  The test runs on the integer view, through
-    :func:`active_at_levels`."""
-    return active_at_levels(inst, inst.levels(values), ids)
-
 
 def active_at_levels(
     inst: Instance, levels: Mapping[str, int], ids: Optional[Iterable[int]] = None
 ) -> Iterator[int]:
-    """:func:`active_edges` on the integer view, the one activation test.
+    """Indices of the edges whose both endpoint thresholds ``levels`` meets:
+    among ``ids`` in their order, or among all edges in index order.  The
+    one activation test.
 
-    ``levels`` holds the values as ``inst.levels(values)`` gives them
-    (missing nodes count as zero).  An edge is met at ``u`` iff
-    ``floor(a_u * L) >= t_u * L`` with ``L = inst.scale``, which is exact
+    ``levels`` holds the values on the integer view, each times
+    ``L = inst.scale`` and rounded down (missing nodes count as zero).  An
+    edge is met at ``u`` iff ``floor(a_u * L) >= t_u * L``, which is exact
     because ``t_u * L`` is an integer."""
     get, scaled = levels.get, inst.scaled_edges
     for i in range(len(scaled)) if ids is None else ids:
@@ -304,20 +257,6 @@ def covered_terminals(
     ids = None if nodes is None else {i for n in nodes for i in inst.edges_at[n]}
     scaled = inst.scaled_edges
     return inst.terminals & {x for i in active_at_levels(inst, levels, ids) for x in scaled[i][:2]}
-
-
-def uncovered_terminals(inst: Instance, *, levels: Mapping[str, int]) -> tuple[str, ...]:
-    """The terminals, in terminal order, on no edge that ``levels`` (as for
-    :func:`covered_terminals`, keyword-only) activates, in one pass."""
-    covered = covered_terminals(inst, levels=levels)
-    return tuple(u for u in inst.terminal_list if u not in covered)
-
-
-def covers(inst: Instance, a: Assignment) -> tuple[bool, tuple[str, ...]]:
-    """Whether every terminal touches an activated edge, plus the uncovered
-    list, by :func:`uncovered_terminals` on the assignment's levels."""
-    uncovered = uncovered_terminals(inst, levels=inst.levels(a.values))
-    return (not uncovered, uncovered)
 
 
 @dataclass(frozen=True)

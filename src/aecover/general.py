@@ -37,7 +37,8 @@ def _best_star_at(
     star's density is pay/gain and its key is (density, index, w).  The
     root increment w runs over zero and the root's shortfalls on its edges;
     a w that reaches no new leaf, and no cheaper one, only pays more, so it
-    is skipped.
+    is skipped.  A terminal with zero c is never a leaf; an uncovered
+    terminal root adds its own c to the gain.
     """
     index = inst.index
 
@@ -101,36 +102,14 @@ def _min_star(stars: Iterable[tuple]) -> Optional[tuple]:
     return best
 
 
-def min_density_star(
-    inst: Instance, levels: Mapping[str, int], covered: Container[str]
-) -> Optional[tuple]:
-    """Star of globally minimum density as ``(pay, gain, root index, w,
-    leaves)`` on the integer view, or None when no star gains anything.
-
-    Enumerates every (root, root increment) pair with the increment drawn
-    from the root's incident edge thresholds (zero included), collects the
-    reachable uncovered terminals with their minimal increments, and grows
-    the leaf set in increasing increment-per-cost order while the density
-    strictly decreases.  Terminals with zero c never enter a leaf set; an
-    uncovered terminal root contributes its own c to the gain.  Ties are
-    broken by (density, root id, increment).
-
-    This is the full scan over :func:`_best_star_at` that
-    :func:`density_greedy`'s per-root star cache is checked against.
-    """
-    c = inst.costs.c
-    stars = (_best_star_at(inst, c, levels, covered, v) for v in inst.nodes)
-    return _min_star(s for s in stars if s)
-
-
 def density_greedy(
     inst: Instance,
 ) -> Iterator[tuple[dict[str, int], set[str], Optional[tuple], dict]]:
     """Run the density greedy on the integer view, yielding before each step.
 
     Each yield is ``(levels, covered, star, trace)``: every node's level,
-    the covered terminals, the star of least key (as for
-    :func:`min_density_star`) and the trace document.  They are the loop's
+    the covered terminals, the star of least key among every root's best
+    (:func:`_best_star_at`) and the trace document.  They are the loop's
     own objects, updated in place when it resumes, and the last yield is the
     final state.  The loop stops when the potential reaches Q, when no star
     is left, or when the least star gains nothing or pays more than it gains.

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Union
 
-from .core import Assignment, Instance, uncovered_terminals
+from .core import Assignment, Instance, covered_terminals
 from .errors import IncompleteCover
 from .fileio import (
     SCHEMA_VERSION,
@@ -114,16 +114,16 @@ def solve_report(
 ) -> SolveReport:
     """The report of a solver's assignment on ``inst``, named by the
     instance digest.  The solver hands over its ``levels``, the integer view
-    of the assignment (values times ``inst.scale``, as
-    :meth:`Instance.levels` gives them).  Raises IncompleteCover, also under
+    of the assignment (values times ``inst.scale``).  Raises IncompleteCover
+    with the uncovered terminals in terminal order, also under
     ``python -O``, unless they cover every terminal.  The value is their
     total over the scale; the slope and degree bound are the instance's,
     unless the caller passes the slope its certificate rests on or a
     degree bound it knows; with both passed, the instance's derived costs
     are not read."""
-    uncovered = uncovered_terminals(inst, levels=levels)
-    if uncovered:
-        raise IncompleteCover(uncovered)
+    covered = covered_terminals(inst, levels=levels)
+    if covered != inst.terminals:
+        raise IncompleteCover(tuple(u for u in inst.terminal_list if u not in covered))
     if theta is None or delta is None:
         costs = inst.costs
         theta = costs.theta if theta is None else theta

@@ -2,10 +2,13 @@
 
 These oracles deliberately re-derive results by exhaustive enumeration,
 independent of the library's algorithms, so ratio and equality assertions
-have teeth.  The lemma checks at the end (the star decomposition of a
-minimal cover, the greedy's ratio bound, the set-cover and unit-a1
-constants) are read only by the tests, so they live here, not in the
-library.
+have teeth.  The Fraction-side edge model comes first: the activation and
+coverage tests on exact values, the integer view of a value map, and the
+assignment helpers.  It is independent of the library's one predicate on
+the integer view, ``active_at_levels``, which the tests check against it.
+The lemma checks at the end (the star decomposition of a minimal cover,
+the greedy's ratio bound, the set-cover and unit-a1 constants) are read
+only by the tests, so they live here, not in the library.
 """
 
 from __future__ import annotations
@@ -20,17 +23,85 @@ from typing import Sequence
 import pytest
 
 from aecover.bounds import omega_bar
-from aecover.core import (
-    Assignment,
-    DerivedCosts,
-    Edge,
-    Instance,
-    ZERO,
-    active_edges,
-    as_fraction,
-    covered_terminals,
-)
+from aecover.core import Assignment, DerivedCosts, Edge, Instance, as_fraction, covered_terminals
 from aecover.errors import AecError, DomainError, InvalidInstance, IsolatedTerminal, LimitExceeded
+from aecover.general import _best_star_at, _min_star
+
+ZERO = Fraction(0)
+
+
+def threshold_at(e, node):
+    """The threshold of edge ``e`` at ``node``, one of its endpoints."""
+    if node == e.u:
+        return e.tu
+    if node == e.v:
+        return e.tv
+    raise KeyError(node)
+
+
+def other_end(e, node):
+    """The endpoint of edge ``e`` that is not ``node``."""
+    if node == e.u:
+        return e.v
+    if node == e.v:
+        return e.u
+    raise KeyError(node)
+
+
+def active_edges(inst, values, ids=None):
+    """Indices of the edges whose both endpoint thresholds the exact
+    ``values`` meet (missing nodes count as zero): among ``ids`` in their
+    order, or among all edges in index order.  The Fraction activation
+    predicate, kept as the reference."""
+    for i in range(len(inst.edges)) if ids is None else ids:
+        e = inst.edges[i]
+        if values.get(e.u, ZERO) >= e.tu and values.get(e.v, ZERO) >= e.tv:
+            yield i
+
+
+def covers(inst, a):
+    """Whether the assignment ``a`` activates an edge at every terminal,
+    plus the uncovered terminals in terminal order: the Fraction coverage
+    check, kept as the reference."""
+    uncovered = tuple(
+        u for u in inst.terminal_list
+        if next(active_edges(inst, a.values, inst.edges_at[u]), None) is None
+    )
+    return (not uncovered, uncovered)
+
+
+def to_levels(inst, values):
+    """``values`` on the integer view that ``active_at_levels`` reads: each
+    value times ``inst.scale``, rounded down; exact for a value built from
+    thresholds."""
+    L = inst.scale
+    return {n: x.numerator * L // x.denominator for n, x in values.items()}
+
+
+def assignment_of(mapping):
+    """The ``Assignment`` of ``mapping``'s values, each parsed exactly by
+    ``as_fraction``; zeros are not stored."""
+    return Assignment({node: f for node, x in mapping.items() if (f := as_fraction(x))})
+
+
+def assignment_total(a):
+    """The sum of the assignment's values, one Fraction addition each."""
+    return sum(a.values.values(), ZERO)
+
+
+def min_density_star(inst, levels, covered):
+    """Star of globally minimum density as ``(pay, gain, root index, w,
+    leaves)`` on the integer view, or None when no star gains anything.
+
+    The full scan over ``general._best_star_at`` at every root, kept as the
+    reference that ``density_greedy``'s per-root star cache is checked
+    against.  Each root's increment is drawn from its incident edge
+    thresholds (zero included); the leaf set grows in increasing
+    increment-per-cost order while the density strictly decreases.  Ties
+    are broken by (density, root index, increment)."""
+    c = inst.costs.c
+    stars = (_best_star_at(inst, c, levels, covered, v) for v in inst.nodes)
+    return _min_star(s for s in stars if s)
 
 
 def exact_costs(inst):
@@ -42,7 +113,7 @@ def exact_costs(inst):
         ids = inst.edges_at[u]
         if not ids:
             raise IsolatedTerminal(u)
-        q[u] = min(inst.edges[i].threshold_at(u) for i in ids)
+        q[u] = min(threshold_at(inst.edges[i], u) for i in ids)
         best = min(ids, key=lambda i: (inst.edges[i].tu + inst.edges[i].tv, i))
         c[u] = inst.edges[best].tu + inst.edges[best].tv - q[u]
         cheapest[u] = best
@@ -56,7 +127,7 @@ def exact_costs(inst):
             theta = math.inf
     delta = 0
     for v in inst.nodes:
-        neigh = {inst.edges[i].other(v) for i in inst.edges_at[v]}
+        neigh = {other_end(inst.edges[i], v) for i in inst.edges_at[v]}
         delta = max(delta, len(neigh & inst.terminals))
     return DerivedCosts(
         q=q, c=c, Q=sum(q.values(), ZERO), C=sum(c.values(), ZERO),
@@ -78,13 +149,13 @@ def enum_min_density_star(inst, costs, totals, covered):
         leaf_options: list[tuple[str, list]] = []
         seen = set()
         for ei in inst.edges_at[v]:
-            u = inst.edges[ei].other(v)
+            u = other_end(inst.edges[ei], v)
             if u in inst.terminals and u not in covered and costs.c[u] > 0 and u not in seen:
                 seen.add(u)
                 edges_uv = [
                     inst.edges[ej]
                     for ej in inst.edges_at[v]
-                    if inst.edges[ej].other(v) == u
+                    if other_end(inst.edges[ej], v) == u
                 ]
                 leaf_options.append((u, edges_uv))
         if not leaf_options:
@@ -102,8 +173,8 @@ def enum_min_density_star(inst, costs, totals, covered):
             for (u, _), e in zip(leaf_options, combo):
                 if e is None:
                     continue
-                w = max(w, e.threshold_at(v) - totals[v])
-                pay_leaves += max(ZERO, e.threshold_at(u) - totals[u])
+                w = max(w, threshold_at(e, v) - totals[v])
+                pay_leaves += max(ZERO, threshold_at(e, u) - totals[u])
                 gain += costs.c[u]
             w = max(w, ZERO)
             density = (w + pay_leaves) / gain
@@ -114,8 +185,8 @@ def enum_min_density_star(inst, costs, totals, covered):
 
 def state_totals(inst, levels):
     """Every node's total at the general greedy's ``levels``, as exact values."""
-    values = inst.assignment(levels)
-    return {n: values.get(n) for n in inst.nodes}
+    a = inst.assignment(levels)
+    return {n: a.values.get(n, ZERO) for n in inst.nodes}
 
 
 def reference_exact_solve(inst, *, max_terminals=10, max_nodes=64):
@@ -185,12 +256,12 @@ def brute_force_node_levels(inst) -> Fraction:
     for n in inst.nodes:
         levels = {ZERO}
         for ei in inst.edges_at[n]:
-            levels.add(inst.edges[ei].threshold_at(n))
+            levels.add(threshold_at(inst.edges[ei], n))
         candidates.append(sorted(levels))
     best = None
     for values in itertools.product(*candidates):
         valmap = dict(zip(inst.nodes, values))
-        if covered_terminals(inst, levels=inst.levels(valmap)) == inst.terminals:
+        if covered_terminals(inst, levels=to_levels(inst, valmap)) == inst.terminals:
             total = sum(values, ZERO)
             if best is None or total < best:
                 best = total
@@ -356,7 +427,7 @@ def exact_star_decomposition(inst: Instance, assignment: Assignment) -> list[Sta
         while stack:
             node = stack.pop()
             for ei in adj[node]:
-                other = inst.edges[ei].other(node)
+                other = other_end(inst.edges[ei], node)
                 if other not in component:
                     component.add(other)
                     stack.append(other)

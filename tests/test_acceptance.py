@@ -22,8 +22,7 @@ from aecover.bounds import (
 )
 from aecover.bounds import ALPHA_K
 from aecover.cli import main
-from aecover.core import covers
-from aecover.general import density_greedy, min_density_star, solve_general
+from aecover.general import density_greedy, solve_general
 from aecover.generators import (
     generate,
     random_general,
@@ -43,10 +42,12 @@ from aecover.unit import (
     solve_unit_a2,
 )
 from conftest import (
+    covers,
     enum_min_density_star,
     enum_setcover_optimum,
     exact_costs,
     greedy_ratio_bound,
+    min_density_star,
     random_set_system,
     state_totals,
     unit_a1_constant,

@@ -1,19 +1,24 @@
 """CLI surface: subcommands, exit codes, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import aecover
 from aecover import cli
 from aecover.bounds import g_value
 from aecover.cli import main, pick_algorithm, run_algorithm
 from aecover.errors import DomainError, LimitExceeded
 from aecover.fileio import format_float, load_instance, save_instance
 from aecover.generators import FAMILIES, generate, random_uniform, tight73
-from aecover.core import Assignment, Instance, covers
+from aecover.core import Instance
+from conftest import assignment_of, assignment_total, covers
 
 
 def run(capsys, *argv):
@@ -252,8 +257,8 @@ def test_exact_over_its_time_budget_writes_the_incumbent(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["optimal"] is False
     assert Fraction(doc["value"]) >= 60
-    assignment = Assignment.of({n: Fraction(x) for n, x in doc["assignment"].items()})
-    assert assignment.total() == Fraction(doc["value"])
+    assignment = assignment_of({n: Fraction(x) for n, x in doc["assignment"].items()})
+    assert assignment_total(assignment) == Fraction(doc["value"])
     assert covers(load_instance(path), assignment)[0]
 
 
@@ -411,3 +416,53 @@ def test_instance_file_round_trip(tmp_path, capsys):
     raw = path.read_bytes()
     save_instance(load_instance(path), path)
     assert path.read_bytes() == raw
+
+
+def run_cli(*argv, hash_seed=None):
+    """``python -m aecover.cli argv`` in a fresh interpreter, with the
+    package's source on its path."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(aecover.__file__))}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    return subprocess.run([sys.executable, "-m", "aecover.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "--algorithm", "general"], ["exact"]])
+def test_thresholds_past_the_digit_limit_solve(tmp_path, argv):
+    # Each threshold is within the interpreter's limit on integer digits,
+    # but their scale, 10^4000 * 3^8000, has 7,817 digits: reports must
+    # still be written, not end in a ValueError traceback.
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps({
+        "nodes": ["a", "b", "c"],
+        "terminals": ["a"],
+        "edges": [
+            {"u": "a", "v": "b", "tu": "1/1" + "0" * 4000, "tv": "1/" + str(3**8000)},
+            {"u": "a", "v": "c", "tu": "1", "tv": "1"},
+        ],
+    }))
+    done = run_cli(*argv, str(path))
+    assert (done.returncode, "Traceback" in done.stderr) == (0, False), done.stderr[-500:]
+    # The optimum, 1/10^4000 + 1/3^8000, in lowest terms: the numerator
+    # 10^4000 + 3^8000 has 4,001 digits, the denominator 7,817.
+    num, den = json.loads(done.stdout)["value"].split("/")
+    assert (len(num), len(den)) == (4001, 7817)
+
+
+def test_usage_error_exits_1_with_the_argparse_message(capsys):
+    # Exit code 2 is infeasible input, so a usage error exits 1.
+    code, out, err = run(capsys, "bench", "--family", "unit", "--algorithms")
+    assert (code, out) == (1, "")
+    assert "aecover bench: error: argument --algorithms: expected one argument" in err
+
+
+def test_bench_bytes_do_not_depend_on_the_hash_seed():
+    runs = {
+        seed: [run_cli("bench", "--family", family, "--seeds", "0..4", hash_seed=seed)
+               for family in ("general", "uniform", "unit", "installation")]
+        for seed in ("0", "1")
+    }
+    for done in runs["0"] + runs["1"]:
+        assert done.returncode == 0, done.stderr
+    assert [d.stdout for d in runs["0"]] == [d.stdout for d in runs["1"]]

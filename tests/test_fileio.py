@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,21 @@ def test_equal_rationals_load_to_equal_instances():
 def test_malformed_threshold_raises_invalid_instance(tu):
     with pytest.raises(InvalidInstance):
         loads_instance(instance_text(tu))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no limit on integer digits")
+def test_literal_over_the_digit_limit_names_the_limit():
+    # The literal is an exact rational; the refusal is the interpreter's.
+    limit = sys.get_int_max_str_digits()
+    assert limit, "the digit limit is lifted in this process"
+    for load in (as_fraction, lambda x: loads_instance(instance_text(x))):
+        with pytest.raises(InvalidInstance) as exc:
+            load("9" * (limit + 1))
+        assert str(exc.value) == (
+            f"threshold literal of {limit + 1} characters exceeds the interpreter's "
+            f"limit on integer digits ({limit})"
+        )
 
 
 @pytest.mark.parametrize(

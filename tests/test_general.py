@@ -9,9 +9,9 @@ import pytest
 
 from aecover import general
 from aecover.bounds import omega
-from aecover.core import Instance, ZERO, complete, covers
+from aecover.core import Instance, complete
 from aecover.errors import IncompleteCover, IsolatedTerminal
-from aecover.general import density_greedy, min_density_star, solve_general
+from aecover.general import density_greedy, solve_general
 from aecover.generators import (
     random_general,
     random_installation,
@@ -19,7 +19,18 @@ from aecover.generators import (
     random_theta_setcover,
 )
 from aecover.oracle import exact_solve
-from conftest import enum_min_density_star, exact_costs, state_totals
+from conftest import (
+    ZERO,
+    assignment_total,
+    covers,
+    enum_min_density_star,
+    exact_costs,
+    min_density_star,
+    other_end,
+    state_totals,
+    threshold_at,
+    to_levels,
+)
 
 
 def seeded_mix(count):
@@ -117,11 +128,11 @@ class TestMinDensityStar:
             reachable = {}
             for ei in inst.edges_at[v]:
                 e = inst.edges[ei]
-                if e.threshold_at(v) > totals[v] + w:
+                if threshold_at(e, v) > totals[v] + w:
                     continue
-                u = e.other(v)
+                u = other_end(e, v)
                 if u in inst.terminals and u not in covered and costs.c[u] > 0:
-                    need = max(ZERO, e.threshold_at(u) - totals[u])
+                    need = max(ZERO, threshold_at(e, u) - totals[u])
                     if u not in reachable or need < reachable[u]:
                         reachable[u] = need
             sigma = Fraction(pay, gain)
@@ -309,14 +320,14 @@ class TestComplete:
         levels, covered, _, _ = next(density_greedy(inst))
         assert covered == {"t"}
         done = inst.assignment(complete(inst, covered, levels=levels))
-        assert done.total() == costs.Q
+        assert assignment_total(done) == costs.Q
 
     def test_empty_extra_gives_cheapest_cover(self, tiny_instance):
         costs = exact_costs(tiny_instance)
         levels, covered, _, _ = next(density_greedy(tiny_instance))
         done = tiny_instance.assignment(complete(tiny_instance, covered, levels=levels))
         assert covers(tiny_instance, done)[0]
-        assert done.total() <= costs.Q + costs.C
+        assert assignment_total(done) <= costs.Q + costs.C
 
     def test_interrupted_greedy_still_feasible(self):
         for inst in seeded_mix(20):
@@ -329,7 +340,7 @@ class TestComplete:
                 assert paid == Fraction(star[0], inst.scale)
             done = inst.assignment(complete(inst, covered, levels=levels))
             assert covers(inst, done)[0]
-            assert done.total() <= paid + potential(trace)
+            assert assignment_total(done) <= paid + potential(trace)
 
 
 class TestGreedyCertificates:
@@ -361,14 +372,14 @@ class TestGreedyCertificates:
             surplus = {}
             for node in inst.nodes:
                 q = costs.q.get(node, ZERO)
-                have = best.assignment.get(node)
+                have = best.assignment.values.get(node, ZERO)
                 assert have >= q or node not in inst.terminals
                 if max(have, q) - q > 0:
                     surplus[node] = max(have, q) - q
             totals = {n: costs.q.get(n, ZERO) for n in inst.nodes}
             for n, x in surplus.items():
                 totals[n] += x
-            covered = covered_terminals(inst, levels=inst.levels(totals))
+            covered = covered_terminals(inst, levels=to_levels(inst, totals))
             nu = costs.Q + sum((costs.c[u] for u in inst.terminal_list if u not in covered), ZERO)
             assert nu == costs.Q
             tau = sum(surplus.values(), ZERO)
@@ -379,9 +390,9 @@ class TestGreedyCertificates:
         # of the library's activation machinery.
         for inst in seeded_mix(30):
             assignment = solve_general(inst).assignment
-            get = assignment.get
+            values = assignment.values
             covered = set()
             for e in inst.edges:
-                if get(e.u) >= e.tu and get(e.v) >= e.tv:
+                if values.get(e.u, ZERO) >= e.tu and values.get(e.v, ZERO) >= e.tv:
                     covered.update({e.u, e.v} & inst.terminals)
             assert covered >= inst.terminals

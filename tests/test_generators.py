@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from aecover.core import ZERO, Instance, as_fraction, derive_costs
+from aecover.core import Instance, as_fraction, derive_costs
 from aecover.errors import AecError, DomainError, InvalidInstance
 from aecover.fileio import dumps_instance
 from aecover.generators import (
@@ -26,7 +26,7 @@ from aecover.generators import (
 )
 from aecover.locally_uniform import validate_locally_uniform
 from aecover.oracle import exact_solve
-from conftest import exact_costs
+from conftest import ZERO, exact_costs, other_end, threshold_at, to_levels
 
 
 def reference_facility_location(clients, facilities, opening, service):
@@ -257,14 +257,14 @@ class TestInstallation:
         for n in inst.nodes:
             vals = {ZERO}
             for ei in inst.edges_at[n]:
-                vals.add(inst.edges[ei].threshold_at(n))
+                vals.add(threshold_at(inst.edges[ei], n))
             candidates.append(sorted(vals))
         best = None
         from aecover.core import covered_terminals
 
         for values in itertools.product(*candidates):
             valmap = dict(zip(inst.nodes, values))
-            if covered_terminals(inst, levels=inst.levels(valmap)) == inst.terminals:
+            if covered_terminals(inst, levels=to_levels(inst, valmap)) == inst.terminals:
                 total = sum(values, ZERO)
                 if best is None or total < best:
                     best = total
@@ -293,5 +293,5 @@ class TestTight73:
         inst, _ = tight73()
         for i in range(12):
             leaf = f"t{4 * i + 3:02d}"
-            neighbors = {inst.edges[e].other(leaf) for e in inst.edges_at[leaf]}
+            neighbors = {other_end(inst.edges[e], leaf) for e in inst.edges_at[leaf]}
             assert neighbors == {f"u{i:02d}"}

@@ -13,10 +13,12 @@
   ``core.active_at_levels``, on the integer view, is the one predicate.
 - Every import names a standard-library module or the package itself, so the
   library installs and runs with no third-party package.
-- No module but ``core``, the integer view's one producer, calls a
-  ``.scaled`` or ``.levels`` method: every other module reads the view
-  ready-made (``scaled_edges``, ``scaled_rows``, ``Instance.costs``), so no
-  value makes a round trip from ints to ``Fraction`` and back.
+- No module calls a ``.scaled`` or ``.levels`` method, and ``Instance`` has
+  none: ``Instance.from_data`` makes the integer view once, every module
+  reads it ready-made (``scaled_edges``, ``scaled_rows``,
+  ``Instance.costs``), and a map of ``Fraction`` values is put on it only
+  in the tests, so no value makes a round trip from ints to ``Fraction``
+  and back.
 - No module but ``generators`` holds a bench-family name as a string literal:
   ``generators.FAMILIES`` owns each family's facts, so no other module can
   branch on a family.
@@ -28,8 +30,10 @@
   a user or a test reads ``Instance.edges``, so no solve or serialization
   path builds them.
 - Every top-level function and class is named by library code outside its
-  own definition (``__init__.py``'s exports do not count) or in the README:
-  code that only the tests read belongs with the tests.
+  own definition (``__init__.py``'s exports do not count) or in the README,
+  and so is every method of such a class but the dunders, which the
+  interpreter calls; the README does not count for a method.  Code that
+  only the tests read belongs with the tests.
 """
 
 import ast
@@ -40,6 +44,7 @@ from pathlib import Path
 import pytest
 
 from aecover.cli import ALGORITHMS
+from aecover.core import Instance
 from aecover.generators import FAMILIES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "aecover"
@@ -188,20 +193,41 @@ def names_in(node: ast.AST) -> set[str]:
 def unread_definitions(trees: dict[str, ast.AST], readme: str) -> dict[str, list[str]]:
     """Top-level functions and classes, per module, that no library code
     names outside their own definition, not counting ``__init__.py``, and
-    that the README does not name."""
-    readers = [
-        (node, names_in(node))
-        for module, tree in trees.items() if module != "__init__.py"
-        for node in tree.body
-    ]
+    that the README does not name; and methods of top-level classes, as
+    ``Class.method``, that no library code names outside their own
+    definition, whatever the README says.  Dunder methods are not checked.
+
+    Each top-level statement reads the names under it, except that a class
+    reads through its header and each statement of its body apart, so a
+    method's own body does not read it but its class's other methods do."""
+    readers = []  # (top-level node, class body statement or None, names)
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                readers.append((node, None, names_in(node)))
+                continue
+            header = [*node.bases, *node.keywords, *node.decorator_list]
+            readers.append((node, None, set().union(*map(names_in, header))))
+            readers.extend((node, member, names_in(member)) for member in node.body)
     found = {}
     for name, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            read = any(node.name in names for other, names in readers if other is not node)
+            read = any(node.name in names for top, _, names in readers if top is not node)
             if not read and not re.search(rf"\b{node.name}\b", readme):
                 found.setdefault(name, []).append(node.name)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef) or (
+                    method.name.startswith("__") and method.name.endswith("__")
+                ):
+                    continue
+                if not any(method.name in names for _, member, names in readers if member is not method):
+                    found.setdefault(name, []).append(f"{node.name}.{method.name}")
     return found
 
 
@@ -235,11 +261,9 @@ def test_json_dumps_only_in_fileio():
 
 
 def test_integer_view_made_only_in_core():
-    trees = dict(library_trees())
-    breaches = {name: lines for name, tree in trees.items()
-                if name != "core.py" and (lines := integer_view_calls(tree))}
+    breaches = {name: lines for name, tree in library_trees() if (lines := integer_view_calls(tree))}
     assert breaches == {}
-    assert integer_view_calls(trees["core.py"]), "the integer view lost its producer"
+    assert not any(hasattr(Instance, name) for name in ("scaled", "levels"))
 
 
 def test_as_fraction_only_in_core_and_generators():
@@ -456,6 +480,49 @@ def test_unread_rule_catches_breaches():
     trees = {name: ast.parse(text) for name, text in BROKEN_UNREAD.items()}
     readme = "Call `entry()`; `Documented` is the result type."
     assert unread_definitions(trees, readme) == {"a.py": ["only_itself", "only_in_a_string"]}
+
+
+BROKEN_METHODS = {
+    "a.py": '''
+class Shape:
+    def __init__(self):
+        self.size = self.area()
+
+    def area(self):
+        return 1
+
+    def only_itself(self, n):
+        return self.only_itself(n - 1) if n else 0
+
+    def documented(self):
+        pass
+
+    @property
+    def read_elsewhere(self):
+        return Shape
+''',
+    "b.py": '''
+from .a import Shape
+
+def entry():
+    return Shape().read_elsewhere
+''',
+    "__init__.py": '''
+from .a import Shape
+Shape.documented
+''',
+}
+
+
+def test_unread_rule_checks_methods():
+    # A method counts as read only by library code outside its own body:
+    # another method of its class, or another module, but not the README
+    # or the package's exports.  Dunders are the interpreter's to call.
+    trees = {name: ast.parse(text) for name, text in BROKEN_METHODS.items()}
+    readme = "Call `entry()`; `Shape.documented()` is public."
+    assert unread_definitions(trees, readme) == {
+        "a.py": ["Shape.only_itself", "Shape.documented"]
+    }
 
 
 BROKEN_PARSING = '''

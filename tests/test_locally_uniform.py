@@ -12,7 +12,7 @@ import aecover.cli
 import aecover.core
 from aecover.bounds import harmonic, omega_bar
 from aecover.cli import run_algorithm
-from aecover.core import Assignment, Instance, covers, derive_costs
+from aecover.core import Instance, derive_costs
 from aecover.errors import (
     IncompleteCover,
     Infeasible,
@@ -35,7 +35,14 @@ from aecover.locally_uniform import (
 )
 from aecover.oracle import exact_solve
 from aecover.report import SolveReport
-from conftest import exact_star_decomposition, random_multigraph
+from conftest import (
+    assignment_of,
+    assignment_total,
+    covers,
+    exact_star_decomposition,
+    random_multigraph,
+    threshold_at,
+)
 
 
 def rescan_solve_locally_uniform(ubi, tie_break="lowest-id", priority=None):
@@ -75,14 +82,14 @@ def rescan_solve_locally_uniform(ubi, tie_break="lowest-id", priority=None):
             values[c] = service[v]
         uncovered -= set(served)
         steps.append({"facility": v, "clients": list(served), "k": k, "price": str(price)})
-    assignment = Assignment.of(values)
+    assignment = assignment_of(values)
     label, bound = uniform_bound(ubi)
     costs = derive_costs(inst)
     return SolveReport(
         instance_digest=instance_digest(inst),
         algorithm="locally-uniform",
         assignment=assignment,
-        value=assignment.total(),
+        value=assignment_total(assignment),
         theta=ubi.theta,
         delta=ubi.inst.costs.delta,
         claimed_bound=bound,
@@ -179,7 +186,7 @@ def reference_validate(inst):
     adjacency = {v: [] for v in facilities}
     for e in inst.edges:
         fac, cli = (e.u, e.v) if e.u not in inst.terminals else (e.v, e.u)
-        w, t = e.threshold_at(fac), e.threshold_at(cli)
+        w, t = threshold_at(e, fac), threshold_at(e, cli)
         if fac in weight and (weight[fac], service[fac]) != (w, t):
             raise NonUniformFacility(fac)
         weight[fac], service[fac] = w, t

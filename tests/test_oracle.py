@@ -11,7 +11,7 @@ import pytest
 
 import aecover
 import conftest
-from aecover.core import Assignment, Instance, covers
+from aecover.core import Instance
 from aecover.errors import BudgetExceeded, DomainError, LimitExceeded
 from aecover.fileio import dumps_instance
 from aecover.generators import (
@@ -25,7 +25,9 @@ from aecover.generators import (
 from aecover.oracle import exact_solve
 from conftest import (
     StarDecompositionViolated,
+    assignment_of,
     brute_force_node_levels,
+    covers,
     exact_costs,
     exact_star_decomposition,
     reference_exact_solve,
@@ -181,13 +183,13 @@ class TestStarDecompositionGuards:
     @staticmethod
     def decompose_unminimized(monkeypatch, inst):
         monkeypatch.setattr(conftest, "_minimal_cover", lambda inst, active: list(active))
-        return exact_star_decomposition(inst, Assignment.of({n: 1 for n in inst.nodes}))
+        return exact_star_decomposition(inst, assignment_of({n: 1 for n in inst.nodes}))
 
     def test_path_component_is_not_a_star(self, monkeypatch):
         nodes = ["a", "b", "c", "d"]
         path = [("a", "b", 1, 1), ("b", "c", 1, 1), ("c", "d", 1, 1)]
         inst = Instance.from_data(nodes, nodes, path)
-        assert len(exact_star_decomposition(inst, Assignment.of({n: 1 for n in nodes}))) == 2
+        assert len(exact_star_decomposition(inst, assignment_of({n: 1 for n in nodes}))) == 2
         with pytest.raises(StarDecompositionViolated):
             self.decompose_unminimized(monkeypatch, inst)
 
@@ -201,7 +203,7 @@ def test_output_guards_survive_optimize_flag():
     # Under python -O every assert is gone; each guard must still raise.
     code = (
         "import conftest\n"
-        "from aecover.core import Assignment, Instance\n"
+        "from aecover.core import Instance\n"
         "from aecover.errors import IncompleteCover\n"
         "from aecover.unit import SetCoverInstance, greedy_hk\n"
         "conftest._minimal_cover = lambda inst, active: list(active)\n"
@@ -212,7 +214,7 @@ def test_output_guards_survive_optimize_flag():
         "]:\n"
         "    inst = Instance.from_data(list(nodes), list(terms), edges)\n"
         "    try:\n"
-        "        conftest.exact_star_decomposition(inst, Assignment.of({n: 1 for n in nodes}))\n"
+        "        conftest.exact_star_decomposition(inst, conftest.assignment_of({n: 1 for n in nodes}))\n"
         "    except conftest.StarDecompositionViolated:\n"
         "        raised += 1\n"
         "SetCoverInstance.check_feasible = lambda self: None\n"

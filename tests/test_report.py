@@ -10,16 +10,17 @@ from fractions import Fraction
 import pytest
 
 import aecover
-from aecover.core import Assignment, Instance
+from aecover.core import Instance
 from aecover.errors import IncompleteCover
 from aecover.report import BenchReport, SolveReport, ratio_within, solve_report
+from conftest import assignment_of
 
 
 def make_report(value, bound, exact=None) -> SolveReport:
     return SolveReport(
         instance_digest="d" * 64,
         algorithm="general",
-        assignment=Assignment.of({"a": value}),
+        assignment=assignment_of({"a": value}),
         value=Fraction(value),
         theta=Fraction(1),
         delta=2,
@@ -100,7 +101,7 @@ def test_solve_report_reads_levels_on_the_integer_view():
         inst, "general", {"a": 1, "b": 2, "c": 0}, claimed_bound=None, bound_label="x", extras={}
     )
     assert report.value == 1
-    assert report.assignment == Assignment.of({"a": Fraction(1, 3), "b": Fraction(2, 3)})
+    assert report.assignment == assignment_of({"a": Fraction(1, 3), "b": Fraction(2, 3)})
     with pytest.raises(IncompleteCover) as exc:
         solve_report(inst, "general", {"a": 1, "b": 1}, claimed_bound=None, bound_label="x",
                      extras={})

@@ -6,11 +6,11 @@ import random
 from fractions import Fraction
 
 from aecover.bounds import A1_RATIO, RHO
-from aecover.core import Instance, covers, derive_costs
+from aecover.core import Instance, derive_costs
 from aecover.general import solve_general
 from aecover.oracle import exact_solve
 from aecover.unit import reduce_unit, solve_unit_a1, solve_unit_a2
-from conftest import exact_costs
+from conftest import covers, exact_costs
 
 
 def big_star_unit_instance(seed: int) -> Instance:

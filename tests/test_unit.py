@@ -20,7 +20,7 @@ import aecover
 import aecover.unit
 from aecover.bounds import A1_RATIO, RHO, harmonic
 from aecover.cli import run_algorithm
-from aecover.core import Instance, covers, degree_bound, derive_costs
+from aecover.core import Instance, degree_bound, derive_costs
 from aecover.errors import (
     IncompleteCover,
     Infeasible,
@@ -46,7 +46,7 @@ from aecover.unit import (
     solve_unit_a1,
     solve_unit_a2,
 )
-from conftest import enum_setcover_optimum, random_set_system
+from conftest import covers, enum_setcover_optimum, random_set_system
 
 
 def _reference_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
