@@ -80,7 +80,7 @@ def _theta_fraction(theta: ThetaLike) -> Fraction:
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"not a valid slope: {theta!r}") from exc
     if f <= 0:
-        raise DomainError(f"slope must be positive, got {theta!r}")
+        raise DomainError(f"slope must be positive, got {f}")
     return f
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -163,6 +164,9 @@ def loads_instance(text: str) -> Instance:
     try:
         doc = json.loads(text, parse_float=Fraction)
     except ValueError as exc:
+        if "integer string conversion" in str(exc):
+            raise InvalidInstance(f"a JSON number exceeds the interpreter's limit on integer "
+                                  f"digits ({sys.get_int_max_str_digits()})") from None
         raise InvalidInstance(f"not a JSON document: {exc}") from None
     return parse_instance_doc(doc)
 

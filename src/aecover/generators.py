@@ -173,14 +173,9 @@ def random_unit(n: int, m: int, seed: int, r: Optional[int] = None) -> Instance:
 _SERVICE_POOL = tuple(Fraction(x) for x in ("1", "3/2", "2"))
 
 
-def random_uniform(
-    seed: int,
-    theta: Rational = 5,
-    clients_range: tuple[int, int] = (3, 6),
-    facilities_range: tuple[int, int] = (2, 4),
-    unit: bool = False,
-) -> Instance:
-    """Random locally uniform bipartite instance with slope at most theta.
+def random_uniform(seed: int, theta: Rational = 5, unit: bool = False) -> Instance:
+    """Random locally uniform bipartite instance of 3..6 clients and 2..4
+    facilities with slope at most theta.
 
     With ``unit=True`` all weights and thresholds are 1 (the set-cover shape).
     """
@@ -188,8 +183,8 @@ def random_uniform(
     if th <= 0:
         raise DomainError(f"theta must be positive, got {theta!r}")
     rng = random.Random(seed)
-    nc = rng.randint(*clients_range)
-    nf = rng.randint(*facilities_range)
+    nc = rng.randint(3, 6)
+    nf = rng.randint(2, 4)
     clients = [f"t{i:02d}" for i in range(nc)]
     facilities = [f"f{i:02d}" for i in range(nf)]
     multipliers = [f for f in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), th) if f <= th]
@@ -211,15 +206,11 @@ def random_uniform(
 _SET_WEIGHT_POOL = tuple(Fraction(x) for x in ("1", "2", "5/2", "3"))
 
 
-def random_theta_setcover(
-    seed: int,
-    theta: Rational,
-    elements_range: tuple[int, int] = (3, 6),
-    sets_range: tuple[int, int] = (2, 4),
-) -> Instance:
+def random_theta_setcover(seed: int, theta: Rational) -> Instance:
+    """Random theta-set-cover instance of 3..6 elements and 2..4 sets."""
     rng = random.Random(seed)
-    ne = rng.randint(*elements_range)
-    ns = rng.randint(*sets_range)
+    ne = rng.randint(3, 6)
+    ns = rng.randint(2, 4)
     elements = [f"e{i:02d}" for i in range(ne)]
     set_ids = [f"s{i:02d}" for i in range(ns)]
     for _ in range(_RETRY_BUDGET):
@@ -241,7 +232,6 @@ def random_installation(
     seed: int,
     n_range: tuple[int, int] = (5, 8),
     r_range: tuple[int, int] = (2, 5),
-    levels: Sequence[Rational] = _HEIGHT_LEVELS,
 ) -> Instance:
     """Random tower-height instances over a fixed 3-level height menu."""
     rng = random.Random(seed)
@@ -258,7 +248,7 @@ def random_installation(
             continue
         demands = {p: rng.choice(_DEMAND_POOL) for p in pairs}
         coefficients = {p: (Fraction(1), Fraction(1)) for p in pairs}
-        level_map = {v: tuple(levels) for v in nodes}
+        level_map = dict.fromkeys(nodes, _HEIGHT_LEVELS)
         return from_installation(nodes, terminals, demands, coefficients, level_map)
     raise GenerationFailed(f"no feasible draw after {_RETRY_BUDGET} attempts")
 

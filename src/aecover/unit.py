@@ -324,9 +324,8 @@ def exact_bb(sc: SetCoverInstance, k: int,
     return CoverSearch(sc).cover(sc.elements, k, below)
 
 
-def greedy_hk(sc: SetCoverInstance, k: int, below: Optional[int] = None) -> tuple[str, ...]:
-    """Largest-set greedy; classical H_k quality on k-bounded systems.  It
-    ignores ``below`` and always returns its cover."""
+def greedy_hk(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
+    """Largest-set greedy; classical H_k quality on k-bounded systems."""
     if sc.max_set_size() > k:
         raise SizeBoundViolated(f"set larger than k={k}")
     sc.check_feasible()
@@ -352,27 +351,26 @@ def greedy_hk(sc: SetCoverInstance, k: int, below: Optional[int] = None) -> tupl
 class KSetCoverSolver:
     """Pluggable subsolver; ``certified`` means its quality is within the
     published k-set-cover table for every k <= 6, which is what the 1555/1347
-    certificate of the multi-phase solver requires.  ``fn(sc, k, below)``
-    returns a cover, or may return ``None`` when ``below`` is not ``None``
-    and it has proved that no cover has fewer than ``below`` sets.  Once per
-    solve, ``start(sc)`` returns ``finish(uncovered, k, below)``: ``fn`` on
-    ``sc`` cut down to ``uncovered``, or the exact subsolver's one search."""
+    certificate of the multi-phase solver requires.  Once per solve,
+    ``start(sc)`` returns ``finish(uncovered, k, below)``: a cover of
+    ``uncovered`` by the sets of ``sc``, none holding more than k of those
+    elements, or ``None`` when ``below`` is not ``None`` and it has proved
+    that no cover has fewer than ``below`` sets."""
 
     name: str
-    fn: Callable[[SetCoverInstance, int, Optional[int]], Optional[tuple[str, ...]]]
+    start: Callable[[SetCoverInstance], Callable[..., Optional[tuple[str, ...]]]]
     certified: bool
 
-    def start(self, sc: SetCoverInstance) -> Callable[..., Optional[tuple[str, ...]]]:
-        return lambda uncovered, k, below: self.fn(_restrict(sc, uncovered), k, below)
 
-
-class _SharedSearch(KSetCoverSolver):
-    def start(self, sc: SetCoverInstance) -> Callable[..., Optional[tuple[str, ...]]]:
-        return CoverSearch(sc).cover
-
-
-EXACT_SUBSOLVER = _SharedSearch(name="exact", fn=exact_bb, certified=True)
-GREEDY_SUBSOLVER = KSetCoverSolver(name="greedy", fn=greedy_hk, certified=False)
+EXACT_SUBSOLVER = KSetCoverSolver(
+    name="exact", start=lambda sc: CoverSearch(sc).cover, certified=True
+)
+# The greedy ignores below and always returns its cover.
+GREEDY_SUBSOLVER = KSetCoverSolver(
+    name="greedy",
+    start=lambda sc: lambda uncovered, k, below: greedy_hk(_restrict(sc, uncovered), k),
+    certified=False,
+)
 
 SUBSOLVERS = {s.name: s for s in (EXACT_SUBSOLVER, GREEDY_SUBSOLVER)}
 
@@ -438,7 +436,7 @@ def solve_unit_a2(
 ) -> SolveReport:
     """Phase down star sizes, keeping the best of roots-so-far plus a
     subsolver finish at every k <= 6, asked of the one subsolver start
-    (:meth:`KSetCoverSolver.start`) on ``res.system`` for each phase.
+    (:attr:`KSetCoverSolver.start`) on ``res.system`` for each phase.
 
     At phase k a facility with k+1 still-uncovered neighbors claims all of
     them (the phase order guarantees no facility exceeds k+1), so residual

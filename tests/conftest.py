@@ -26,6 +26,7 @@ from aecover.bounds import omega_bar
 from aecover.core import Assignment, DerivedCosts, Edge, Instance, as_fraction, covered_terminals
 from aecover.errors import AecError, DomainError, InvalidInstance, IsolatedTerminal, LimitExceeded
 from aecover.general import _best_star_at, _min_star
+from aecover.unit import KSetCoverSolver, _restrict
 
 ZERO = Fraction(0)
 
@@ -310,6 +311,16 @@ def random_set_system(rng: random.Random, n_elements: int, n_sets: int, max_size
         rest = [x for x in elements if x not in m]
         sets[f"s{j:02d}"] = frozenset(m | set(rng.sample(rest, size - len(m))))
     return SetCoverInstance(elements=elements, sets=sets)
+
+
+def subsolver_of(name: str, fn, certified: bool) -> KSetCoverSolver:
+    """A subsolver that runs ``fn(sc, k, below)`` on each phase's system cut
+    down to its uncovered elements, as a fresh call every phase."""
+    return KSetCoverSolver(
+        name,
+        lambda sc: lambda uncovered, k, below: fn(_restrict(sc, uncovered), k, below),
+        certified,
+    )
 
 
 def quadratic_prune(sorted_edges):

@@ -40,6 +40,14 @@ def test_bounds_theta_list(capsys):
     assert "1+omega" in out
 
 
+@pytest.mark.parametrize("theta", ["0", "-2"])
+def test_bounds_names_a_non_positive_slope_as_a_fraction(capsys, theta):
+    code, out, err = run(capsys, "bounds", "--theta", theta)
+    assert (code, out) == (1, "")
+    assert err == f"error: slope must be positive, got {theta}\n"
+    assert "Fraction(" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -257,6 +257,22 @@ def test_literal_over_the_digit_limit_names_the_limit():
         )
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no limit on integer digits")
+@pytest.mark.parametrize("fraction_part", ["", ".5"])
+def test_json_number_over_the_digit_limit_names_the_limit(fraction_part):
+    # A JSON number, not a string: the JSON parser meets the limit first.
+    limit = sys.get_int_max_str_digits()
+    assert limit, "the digit limit is lifted in this process"
+    literal = "9" * (limit + 1) + fraction_part
+    text = instance_text("X").replace('"X"', literal)
+    with pytest.raises(InvalidInstance) as exc:
+        loads_instance(text)
+    assert str(exc.value) == (
+        f"a JSON number exceeds the interpreter's limit on integer digits ({limit})"
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     [

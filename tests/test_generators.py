@@ -129,7 +129,7 @@ class TestFacilityLocation:
     def test_matches_subset_brute_force(self):
         rng = random.Random(9)
         for seed in range(100):
-            inst = random_uniform(seed, theta=6, facilities_range=(2, 4))
+            inst = random_uniform(seed, theta=6)
             ubi = validate_locally_uniform(inst)
             want = self._facility_subset_optimum(ubi)
             assert exact_solve(inst).value == Fraction(want, inst.scale)

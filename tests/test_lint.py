@@ -29,6 +29,9 @@
   its integer table, ``scaled_edges``, and builds ``Edge`` tuples only when
   a user or a test reads ``Instance.edges``, so no solve or serialization
   path builds them.
+- No library class subclasses another library class unless it is an
+  exception: a variant of a record is another value of the record, not a
+  subclass that overrides its behaviour.
 - Every top-level function and class is named by library code outside its
   own definition (``__init__.py``'s exports do not count) or in the README,
   and so is every method of such a class but the dunders, which the
@@ -37,6 +40,7 @@
 """
 
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -231,6 +235,31 @@ def unread_definitions(trees: dict[str, ast.AST], readme: str) -> dict[str, list
     return found
 
 
+def library_subclasses(trees: dict[str, ast.AST]) -> dict[str, list[str]]:
+    """Top-level classes, per module, with a base that names a top-level
+    class of the library, unless the class is an exception: a base leads,
+    through library classes, to a built-in exception."""
+    classes = {node.name: node for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+
+    def base_names(node: ast.ClassDef) -> list[str]:
+        return [getattr(base, "id", getattr(base, "attr", None)) for base in node.bases]
+
+    def is_exception(name: str) -> bool:
+        if name in classes:
+            return any(map(is_exception, base_names(classes[name])))
+        builtin = getattr(builtins, name or "", None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    found = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.ClassDef) and not is_exception(node.name)
+                    and any(name in classes for name in base_names(node))):
+                found.setdefault(module, []).append(node.name)
+    return found
+
+
 RULES = [
     assert_statements,
     derive_costs_calls_outside_owner,
@@ -287,6 +316,10 @@ def test_family_names_only_in_generators():
                 if name != "generators.py" and (lines := family_name_literals(tree))}
     assert breaches == {}
     assert family_name_literals(trees["generators.py"]), "the family table lost its names"
+
+
+def test_only_exceptions_subclass_library_classes():
+    assert library_subclasses(dict(library_trees())) == {}
 
 
 def test_every_definition_is_read_by_the_library():
@@ -554,3 +587,46 @@ def dump(inst, spec):
 
 def test_edges_rule_catches_breaches():
     assert edges_reads(ast.parse(BROKEN_EDGES)) == [3, 5, 6]
+
+
+BROKEN_SUBCLASSES = {
+    "a.py": '''
+from typing import NamedTuple
+
+class Base(Exception):
+    pass
+
+class Derived(Base):
+    pass
+
+class Record(NamedTuple):
+    name: str
+
+class Solver:
+    def start(self):
+        return 1
+
+class Shared(Solver):
+    def start(self):
+        return 2
+''',
+    "b.py": '''
+from . import a
+
+class Error(a.Derived, ValueError):
+    pass
+
+class Variant(a.Record):
+    pass
+
+class Mixed(a.Solver, Exception):
+    pass
+''',
+}
+
+
+def test_subclass_rule_catches_breaches():
+    # An exception, built-in at the root of its bases, may extend any library
+    # class; any other class, a record's subclass among them, may extend none.
+    trees = {name: ast.parse(text) for name, text in BROKEN_SUBCLASSES.items()}
+    assert library_subclasses(trees) == {"a.py": ["Shared"], "b.py": ["Variant"]}

@@ -10,6 +10,8 @@ import subprocess
 import sys
 import time
 import types
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -34,8 +36,8 @@ from aecover.oracle import exact_solve
 from aecover.unit import (
     EXACT_SUBSOLVER,
     GREEDY_SUBSOLVER,
+    SUBSOLVERS,
     CoverSearch,
-    KSetCoverSolver,
     SetCoverInstance,
     _restrict,
     exact_2setcover,
@@ -46,7 +48,7 @@ from aecover.unit import (
     solve_unit_a1,
     solve_unit_a2,
 )
-from conftest import covers, enum_setcover_optimum, random_set_system
+from conftest import covers, enum_setcover_optimum, random_set_system, subsolver_of
 
 
 def _reference_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
@@ -99,8 +101,8 @@ def _reference_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
 
 
 # Like greedy_hk, the reference ignores the bound and returns its whole cover.
-REFERENCE_SUBSOLVER = KSetCoverSolver(
-    name="exact", fn=lambda sc, k, below: _reference_exact_bb(sc, k), certified=True
+REFERENCE_SUBSOLVER = subsolver_of(
+    "exact", lambda sc, k, below: _reference_exact_bb(sc, k), certified=True
 )
 
 
@@ -373,7 +375,7 @@ class TestExactBB:
             calls.append(k)
             return got
 
-        checking = KSetCoverSolver(name="exact", fn=checked, certified=True)
+        checking = subsolver_of("exact", checked, certified=True)
         rng = random.Random(17)
         for n in range(10, 31):
             res = reduce_unit(facility_unit_instance(n, rng))
@@ -422,7 +424,7 @@ class TestExactBB:
             calls.append(k)
             return got
 
-        checking = KSetCoverSolver(name="exact", fn=checked, certified=True)
+        checking = subsolver_of("exact", checked, certified=True)
         for n in range(10, 46):
             solve_unit_a2(reduce_unit(facility_unit_instance(n, random.Random(7))), checking)
         assert len(calls) >= 36
@@ -688,7 +690,7 @@ class TestSolveUnitA2:
             assert finish is None or finish == cover
             return finish
 
-        counting = KSetCoverSolver(name="exact", fn=counted, certified=True)
+        counting = subsolver_of("exact", counted, certified=True)
         rng = random.Random(19)
         for n in range(22, 29):
             for _ in range(3):
@@ -698,9 +700,10 @@ class TestSolveUnitA2:
         assert 0 < bounded < unbounded
 
     def test_one_search_per_phase_reports_equal_the_shared_search(self):
-        # KSetCoverSolver's default start calls fn on each phase's cut-down
-        # system, so a solver built from exact_bb alone runs a fresh search
-        # in every phase: its reports must equal the shared search's.
+        # A subsolver built from exact_bb alone runs a fresh search on each
+        # phase's cut-down system: its reports must equal the shared search's.
+        # The greedy, built the same way, must equal its own start.
+        one_shot = {"exact": exact_bb, "greedy": lambda sc, k, below: greedy_hk(sc, k)}
         instances = [facility_unit_instance(n, random.Random(s))
                      for s in range(3) for n in range(8, 61)]
         instances += [generate(family, seed)
@@ -708,15 +711,25 @@ class TestSolveUnitA2:
         for inst in instances:
             res = reduce_unit(inst)
             for subsolver in (EXACT_SUBSOLVER, GREEDY_SUBSOLVER):
-                per_phase = KSetCoverSolver(subsolver.name, subsolver.fn, subsolver.certified)
+                per_phase = subsolver_of(
+                    subsolver.name, one_shot[subsolver.name], subsolver.certified
+                )
                 want = solve_unit_a2(res, per_phase).to_json()
                 assert solve_unit_a2(res, subsolver).to_json() == want
 
     def test_default_solve_builds_one_search(self, monkeypatch):
-        # The default solve starts its subsolver once: one CoverSearch per
-        # solve, however many phases ask it for a finish.
+        # Every solve starts its subsolver once, the greedy as well as the
+        # exact one: the default solve builds one CoverSearch, however many
+        # phases ask it for a finish.
         builds = finishes = 0
         build, cover = CoverSearch.__init__, CoverSearch.cover
+        starts = Counter()
+
+        def counting(name, start):
+            def counted_start(sc):
+                starts[name] += 1
+                return start(sc)
+            return counted_start
 
         def counted_build(self, sc):
             nonlocal builds
@@ -730,19 +743,25 @@ class TestSolveUnitA2:
 
         monkeypatch.setattr(CoverSearch, "__init__", counted_build)
         monkeypatch.setattr(CoverSearch, "cover", counted_cover)
+        for name, subsolver in list(SUBSOLVERS.items()):
+            counted = replace(subsolver, start=counting(name, subsolver.start))
+            monkeypatch.setitem(SUBSOLVERS, name, counted)
         solves = 0
         for inst in unit_instances():
             builds = 0
+            starts.clear()
             assert run_algorithm(inst, "auto").algorithm == "unit-a2"
             assert builds == 1
             solves += 1
+            assert run_algorithm(inst, "auto", subsolver="greedy").algorithm == "unit-a2"
+            assert starts == dict.fromkeys(SUBSOLVERS, 1)
         assert finishes > 2 * solves
 
     def test_finish_reusing_a_root_raises(self):
         # A subsolver finish that picks a phase root breaks the phase analysis.
         res = reduce_unit(facility_unit_instance(12, random.Random(1)))
-        roots_first = KSetCoverSolver(
-            name="bad", fn=lambda sc, k, below: tuple(res.system.sets),
+        roots_first = subsolver_of(
+            "bad", lambda sc, k, below: tuple(res.system.sets),
             certified=False,
         )
         with pytest.raises(PhaseInvariantViolated):
@@ -750,8 +769,8 @@ class TestSolveUnitA2:
 
     def test_uncovering_subsolver_raises_incomplete_cover(self):
         res = reduce_unit(facility_unit_instance(12, random.Random(1)))
-        nothing = KSetCoverSolver(
-            name="bad", fn=lambda sc, k, below: (), certified=False
+        nothing = subsolver_of(
+            "bad", lambda sc, k, below: (), certified=False
         )
         with pytest.raises(IncompleteCover):
             solve_unit_a2(res, subsolver=nothing)
@@ -762,18 +781,20 @@ class TestSolveUnitA2:
             "import random\n"
             "from aecover.core import Instance\n"
             "from aecover.errors import PhaseInvariantViolated\n"
-            "from aecover.unit import KSetCoverSolver, reduce_unit, solve_unit_a2\n"
+            "from aecover.unit import reduce_unit, solve_unit_a2\n"
+            "from conftest import subsolver_of\n"
             "t = [f't{i}' for i in range(4)]\n"
             "edges = [(x, 'v', 1, 1) for x in t[:3]] + [(t[3], 'w', 1, 1), (t[2], 'w', 1, 1)]\n"
             "res = reduce_unit(Instance.from_data(t + ['v', 'w'], t, edges))\n"
-            "bad = KSetCoverSolver('bad', lambda sc, k, below: ('v', 'w'), False)\n"
+            "bad = subsolver_of('bad', lambda sc, k, below: ('v', 'w'), False)\n"
             "try:\n"
             "    solve_unit_a2(res, subsolver=bad)\n"
             "except PhaseInvariantViolated:\n"
             "    raise SystemExit(7)\n"
         )
         src = os.path.dirname(os.path.dirname(aecover.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
+        tests = str(Path(__file__).resolve().parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, tests))}
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env)
         assert done.returncode == 7
 
