@@ -6,19 +6,7 @@ style solvers, an exact branch-and-bound oracle, closed-form ratio bounds,
 and seeded instance generators with a benchmark harness.
 """
 
-from .core import (
-    ActivationSpec,
-    Assignment,
-    DerivedCosts,
-    Edge,
-    InstallationActivation,
-    Instance,
-    SpecEdge,
-    TableActivation,
-    complete,
-    derive_costs,
-    levels_reduction,
-)
+from .core import Assignment, DerivedCosts, Edge, Instance, complete, derive_costs
 from .bounds import harmonic, k_theta, omega, omega_bar, table1
 from .errors import (
     AecError,

@@ -44,10 +44,6 @@ ALPHA_K: dict[int, Fraction] = {
     7: Fraction(212, 105),
 }
 
-#: Sum of the first five quality values.
-SIGMA: Fraction = sum((ALPHA_K[k] for k in range(1, 6)), Fraction(0))
-
-
 def rho_from_alphas(alphas: dict[int, Fraction]) -> Fraction:
     """Evaluate (7*a6 - sigma)/(6*a6 - sigma + 1) for a quality table."""
     sigma = sum((alphas[k] for k in range(1, 6)), Fraction(0))

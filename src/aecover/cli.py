@@ -22,7 +22,6 @@ from .fileio import (
     SCHEMA_VERSION,
     assignment_doc,
     dumps_doc,
-    format_fraction,
     instance_digest,
     load_instance,
     save_instance,
@@ -139,7 +138,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         "schema_version": SCHEMA_VERSION,
         "kind": "exact_result",
         "instance_digest": instance_digest(inst),
-        "value": format_fraction(result.value),
+        "value": str(result.value),
         "assignment": assignment_doc(result.assignment),
         "optimal": result.optimal,
         "nodes_expanded": result.nodes_expanded,

@@ -1,4 +1,4 @@
-"""Instance model, derived costs, assignment algebra, and the levels reduction.
+"""Instance model, derived costs, and assignment algebra.
 
 An instance is an undirected multigraph with per-endpoint edge thresholds and
 a terminal set.  An assignment of values to nodes activates every edge whose
@@ -10,7 +10,9 @@ An instance stores its edges on the integer view, thresholds times
 the activation test and the solvers' arithmetic run on it, and ``Edge``
 tuples are built only when a caller reads ``Instance.edges``.  This module
 alone produces that view (:meth:`Instance.from_data` and what is built on
-it) and converts it back (:meth:`Instance.assignment`).
+it) and converts it back (:meth:`Instance.assignment`).  An activation rule
+reaches the model already expanded into threshold edges; the installation
+rule is expanded by ``generators.from_installation``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
-from .errors import EmptyLevels, InvalidInstance, IsolatedTerminal
+from .errors import InvalidInstance, IsolatedTerminal
 
 Rational = Union[int, str, Fraction]
 
@@ -350,123 +351,6 @@ def degree_bound(inst: Instance) -> int:
         if u in terminals:
             terminal_neighbors[v] += 1
     return max(terminal_neighbors.values(), default=0)
-
-
-# ---------------------------------------------------------------------------
-# Activation specs and the levels reduction
-
-
-@dataclass(frozen=True)
-class TableActivation:
-    """Explicit monotone 0/1 table over the level grid of an edge's endpoints."""
-
-    table: Mapping[tuple[Fraction, Fraction], bool]
-
-    def activates(self, au: Fraction, av: Fraction) -> bool:
-        return bool(self.table.get((au, av), False))
-
-    def grid(self, lu: Sequence[Fraction], lv: Sequence[Fraction]) -> list[list[bool]]:
-        """:meth:`activates` at every pair of levels, one row per ``lu`` level."""
-        return [[self.activates(a, b) for b in lv] for a in lu]
-
-
-@dataclass(frozen=True)
-class InstallationActivation:
-    """Edge opens when the scaled endpoint values reach the demand.
-
-    Activation at values (au, av) means ``coef_u*au + coef_v*av >= demand``.
-    """
-
-    demand: Fraction
-    coef_u: Fraction
-    coef_v: Fraction
-
-    def activates(self, au: Fraction, av: Fraction) -> bool:
-        return self.coef_u * au + self.coef_v * av >= self.demand
-
-    def grid(self, lu: Sequence[Fraction], lv: Sequence[Fraction]) -> list[list[bool]]:
-        """:meth:`activates` at every pair of levels, one row per ``lu`` level.
-
-        ``coef_u*a`` is formed once per row and ``coef_v*b`` once per column.
-        Over one common denominator with the demand they become ints, so a
-        cell costs one int comparison, not four Fraction operations."""
-        rows = [self.coef_u * a for a in lu]
-        cols = [self.coef_v * b for b in lv]
-        demand = self.demand
-        d = math.lcm(demand.denominator, *(x.denominator for x in chain(rows, cols)))
-        cols_d = [y.numerator * (d // y.denominator) for y in cols]
-        need = demand.numerator * (d // demand.denominator)
-        return [
-            [y >= rest for y in cols_d]
-            for rest in (need - x.numerator * (d // x.denominator) for x in rows)
-        ]
-
-
-ActivationRule = Union[TableActivation, InstallationActivation]
-
-
-@dataclass(frozen=True)
-class SpecEdge:
-    u: str
-    v: str
-    rule: ActivationRule
-
-
-@dataclass(frozen=True)
-class ActivationSpec:
-    """Nodes with finite level lists and per-pair monotone activation rules."""
-
-    nodes: tuple[str, ...]
-    levels: Mapping[str, tuple[Fraction, ...]]
-    edges: tuple[SpecEdge, ...]
-
-
-def _minimal_pairs(
-    rule: ActivationRule, lu: tuple[Fraction, ...], lv: tuple[Fraction, ...]
-) -> list[tuple[Fraction, Fraction]]:
-    """The Pareto-minimal activating pairs of ``rule`` on the sorted level
-    grids, in row order.  The rule is checked to be monotone: act(i, j) must
-    imply act(i+1, j) and act(i, j+1), and so every pair above (i, j).  So an
-    active pair is minimal exactly when neither lower neighbour is active, and
-    of a repeated level only the first copy can be minimal.  Every cell is
-    evaluated, by the rule's own :meth:`grid`."""
-    act = rule.grid(lu, lv)
-    minimal = []
-    for i, row in enumerate(act):
-        for j, on in enumerate(row):
-            if not on:
-                continue
-            for i2, j2 in ((i + 1, j), (i, j + 1)):
-                if i2 < len(lu) and j2 < len(lv) and not act[i2][j2]:
-                    raise InvalidInstance(
-                        f"activation rule not monotone at ({lu[i]},{lv[j]}) vs ({lu[i2]},{lv[j2]})"
-                    )
-            if not (i and act[i - 1][j]) and not (j and row[j - 1]):
-                minimal.append((lu[i], lv[j]))
-    return minimal
-
-
-def levels_reduction(spec: ActivationSpec, terminals: Iterable[str]) -> Instance:
-    """Expand monotone activation rules into parallel threshold edges.
-
-    Each spec edge contributes one uv-edge per Pareto-minimal activating level
-    pair; dominated pairs are pruned.  The reduced instance has the same
-    optimal value as the activation formulation restricted to the level sets.
-    """
-    nodes = set(spec.nodes)
-    grids: dict[str, tuple[Fraction, ...]] = {}  # each endpoint's sorted levels
-    edges: list[tuple[str, str, Fraction, Fraction]] = []
-    for se in spec.edges:
-        for node in (se.u, se.v):
-            if node not in grids:
-                if node not in nodes:
-                    raise InvalidInstance(f"spec edge endpoint {node!r} is not a node")
-                if not spec.levels.get(node):
-                    raise EmptyLevels(node)
-                grids[node] = tuple(sorted(spec.levels[node]))
-        for a, b in _minimal_pairs(se.rule, grids[se.u], grids[se.v]):
-            edges.append((se.u, se.v, a, b))
-    return Instance.from_data(spec.nodes, terminals, edges)
 
 
 def complete(

@@ -22,7 +22,7 @@ class IsolatedTerminal(Infeasible):
 
 
 class EmptyLevels(AecError):
-    """A node referenced by an activation spec has an empty level list."""
+    """An endpoint of an installation pair has an empty height menu."""
 
     def __init__(self, node: str):
         super().__init__(f"node {node!r} has no levels")

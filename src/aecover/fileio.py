@@ -47,17 +47,13 @@ _EDGE_KEYS = {"u", "v", "tu", "tv"}
 _EDGE_TUPLE = itemgetter("u", "v", "tu", "tv")
 
 
-def format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
 def format_float(x: float) -> str:
     return f"{x:.4f}"
 
 
 def format_slope(x: Union[Fraction, float]) -> str:
     """A slope as a fraction string, or "inf" for an unbounded one."""
-    return "inf" if x == math.inf else format_fraction(Fraction(x))
+    return "inf" if x == math.inf else str(Fraction(x))
 
 
 def _write_value(value: Any, pad: str, out: list[str]) -> None:
@@ -191,7 +187,7 @@ def dumps_instance(inst: Instance) -> str:
     name = {n: encode_basestring_ascii(n) for n in inst.nodes}
     # One literal per threshold level: formatting a Fraction costs more
     # than looking up an int.
-    literal = {t: f'"{format_fraction(x)}"' for t, x in inst.thresholds.items()}
+    literal = {t: f'"{x!s}"' for t, x in inst.thresholds.items()}
     edges = [
         f'{{\n      "tu": {literal[tu]},\n      "tv": {literal[tv]},'
         f'\n      "u": {name[u]},\n      "v": {name[v]}\n    }}'
@@ -224,4 +220,4 @@ def instance_digest(inst: Instance) -> str:
 
 
 def assignment_doc(a: Assignment) -> dict[str, str]:
-    return {node: format_fraction(x) for node, x in sorted(a.values.items())}
+    return {node: str(x) for node, x in sorted(a.values.items())}

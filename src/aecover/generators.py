@@ -9,20 +9,13 @@ infeasible graphs instead of repairing them.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .core import (
-    ActivationSpec,
-    Instance,
-    InstallationActivation,
-    Rational,
-    SpecEdge,
-    as_fraction,
-    levels_reduction,
-)
-from .errors import DomainError, GenerationFailed
+from .core import Instance, Rational, as_fraction
+from .errors import DomainError, EmptyLevels, GenerationFailed, InvalidInstance
 
 _RETRY_BUDGET = 500
 
@@ -84,9 +77,22 @@ def from_installation(
     coefficients: Mapping[tuple[str, str], tuple[Rational, Rational]],
     levels: Mapping[str, Sequence[Rational]],
 ) -> Instance:
-    """Tower-height model: a uv pair opens when the scaled heights reach its
-    demand; expanded to threshold edges over the level grids."""
-    spec_edges = []
+    """Tower-height model: the pair uv opens when ``cu*a_u + cv*a_v >= h``,
+    each height drawn from its node's menu, and becomes threshold edges.
+
+    For each height ``a`` of u, in sorted order, the least height ``b`` of
+    v with ``b >= (h - cu*a)/cv`` gives the edge ``(u, v, a, b)``.  The
+    coefficients are positive, so the rule is monotone, and every pair that
+    opens uv lies above one of these edges.  A Pareto-minimal pair is among
+    them, as no lower ``b`` serves its ``a``; any other edge lies above a
+    minimal pair, and :meth:`Instance.from_data` prunes it as dominated.
+    So the instance keeps exactly the Pareto-minimal pairs.
+
+    Checks, in order: every pair's coefficients (both positive) and demand
+    (non-negative), raising DomainError; every menu literal, by
+    :func:`as_fraction`; then, pair by pair, each endpoint is a node
+    (InvalidInstance) with a non-empty menu (EmptyLevels)."""
+    rules = []
     for pair, h in demands.items():
         u, v = pair
         cu, cv = coefficients[pair]
@@ -95,13 +101,22 @@ def from_installation(
             raise DomainError(f"coefficients must be positive on pair {pair}")
         if h < 0:
             raise DomainError(f"negative demand on pair {pair}")
-        spec_edges.append(SpecEdge(u, v, InstallationActivation(h, cu, cv)))
-    spec = ActivationSpec(
-        nodes=tuple(nodes),
-        levels={n: tuple(as_fraction(x) for x in lv) for n, lv in levels.items()},
-        edges=tuple(spec_edges),
-    )
-    return levels_reduction(spec, terminals)
+        rules.append((u, v, h, cu, cv))
+    menus = {n: sorted(as_fraction(x) for x in lv) for n, lv in levels.items()}
+    node_set = set(nodes)
+    edges = []
+    for u, v, h, cu, cv in rules:
+        for node in (u, v):
+            if node not in node_set:
+                raise InvalidInstance(f"pair endpoint {node!r} is not a node")
+            if not menus.get(node):
+                raise EmptyLevels(node)
+        lv = menus[v]
+        for a in menus[u]:
+            j = bisect_left(lv, (h - cu * a) / cv)
+            if j < len(lv):
+                edges.append((u, v, a, lv[j]))
+    return Instance.from_data(nodes, terminals, edges)
 
 
 # ---------------------------------------------------------------------------

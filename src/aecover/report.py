@@ -18,7 +18,6 @@ from .fileio import (
     assignment_doc,
     dumps_doc,
     format_float,
-    format_fraction,
     format_slope,
     instance_digest,
 )
@@ -77,7 +76,7 @@ class SolveReport:
             "kind": "solve_report",
             "instance_digest": self.instance_digest,
             "algorithm": self.algorithm,
-            "value": format_fraction(self.value),
+            "value": str(self.value),
             "theta": format_slope(self.theta),
             "delta": self.delta,
             "claimed_bound": _format_bound(self.claimed_bound),
@@ -85,7 +84,7 @@ class SolveReport:
             "assignment": assignment_doc(self.assignment),
         }
         if self.exact_value is not None:
-            doc["exact_value"] = format_fraction(self.exact_value)
+            doc["exact_value"] = str(self.exact_value)
             # Exact values come from a completed exact_solve, so they are optima.
             doc["exact_optimal"] = True
             ratio = self.empirical_ratio
@@ -159,14 +158,14 @@ class BenchReport:
         entry: dict[str, Any] = {
             "seed": seed,
             "instance_digest": digest,
-            "exact_value": None if exact_value is None else format_fraction(exact_value),
+            "exact_value": None if exact_value is None else str(exact_value),
             "results": {},
         }
         for name in sorted(reports):
             rep = reports[name]
             ratio = rep.empirical_ratio
             entry["results"][name] = {
-                "value": format_fraction(rep.value),
+                "value": str(rep.value),
                 "claimed_bound": _format_bound(rep.claimed_bound),
                 "bound_label": rep.bound_label,
                 "empirical_ratio": None if ratio is None else format_float(float(ratio)),
@@ -178,8 +177,8 @@ class BenchReport:
                     {
                         "seed": seed,
                         "algorithm": name,
-                        "value": format_fraction(rep.value),
-                        "exact_value": format_fraction(rep.exact_value),
+                        "value": str(rep.value),
+                        "exact_value": str(rep.exact_value),
                         "claimed_bound": _format_bound(rep.claimed_bound),
                     }
                 )

@@ -24,7 +24,9 @@ import pytest
 
 from aecover.bounds import omega_bar
 from aecover.core import Assignment, DerivedCosts, Edge, Instance, as_fraction, covered_terminals
-from aecover.errors import AecError, DomainError, InvalidInstance, IsolatedTerminal, LimitExceeded
+from aecover.errors import (
+    AecError, DomainError, EmptyLevels, InvalidInstance, IsolatedTerminal, LimitExceeded,
+)
 from aecover.general import _best_star_at, _min_star
 from aecover.unit import KSetCoverSolver, _restrict
 
@@ -363,6 +365,48 @@ def reference_from_data(nodes, terminals, edges):
     canon.sort(key=lambda e: (idx[e.u], idx[e.v], e.tu, e.tv))
     kept = [tuple(e) for e in quadratic_prune(canon)]
     return tuple(node_list), term_set, kept
+
+
+def quadratic_minimal_pairs(activates, lu, lv):
+    """The former levels filter, kept as the reference: keep each pair of
+    levels that ``activates`` and that no other activating pair is below or
+    equal to on both levels.  Copies of a repeated level all stay."""
+    active = [(a, b) for a in lu for b in lv if activates(a, b)]
+    return [
+        (a, b)
+        for a, b in active
+        if not any((a2, b2) != (a, b) and a2 <= a and b2 <= b for a2, b2 in active)
+    ]
+
+
+def reference_installation(nodes, terminals, demands, coefficients, levels):
+    """The former spec path of ``from_installation``, kept as the reference:
+    the same checks in the same order, then every pair's grid of menu
+    heights tested cell by cell against ``cu*a + cv*b >= h`` and filtered by
+    :func:`quadratic_minimal_pairs`."""
+    rules = []
+    for pair, h in demands.items():
+        u, v = pair
+        cu, cv = coefficients[pair]
+        cu, cv, h = as_fraction(cu), as_fraction(cv), as_fraction(h)
+        if cu <= 0 or cv <= 0:
+            raise DomainError(f"coefficients must be positive on pair {pair}")
+        if h < 0:
+            raise DomainError(f"negative demand on pair {pair}")
+        rules.append((u, v, h, cu, cv))
+    menus = {n: tuple(as_fraction(x) for x in lv) for n, lv in levels.items()}
+    edges = []
+    for u, v, h, cu, cv in rules:
+        for node in (u, v):
+            if node not in nodes:
+                raise InvalidInstance(f"pair endpoint {node!r} is not a node")
+            if not menus.get(node):
+                raise EmptyLevels(node)
+        pairs = quadratic_minimal_pairs(
+            lambda a, b: cu * a + cv * b >= h, sorted(menus[u]), sorted(menus[v])
+        )
+        edges += [(u, v, a, b) for a, b in pairs]
+    return Instance.from_data(nodes, terminals, edges)
 
 
 def random_multigraph(rng):

@@ -16,7 +16,6 @@ from aecover.bounds import (
     A1_RATIO,
     ALPHA_K,
     RHO,
-    SIGMA,
     TABLE1_THETAS,
     format_bound_up,
     g_value,
@@ -214,6 +213,10 @@ class TestMemoizedBounds:
             with pytest.raises(DomainError):
                 omega_bar(math.inf, delta_cap=0)
             assert omega_bar(math.inf, delta_cap=4) == harmonic(4) - 1
+
+
+# Sum of the first five quality values, the sigma of rho_from_alphas.
+SIGMA = sum((ALPHA_K[k] for k in range(1, 6)), Fraction(0))
 
 
 class TestConstants:

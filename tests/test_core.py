@@ -11,23 +11,18 @@ import pytest
 from aecover import core
 from aecover.cli import run_algorithm
 from aecover.core import (
-    ActivationSpec,
     Assignment,
-    InstallationActivation,
     Instance,
-    SpecEdge,
-    TableActivation,
     Edge,
     _prune_dominated,
     active_at_levels,
     complete,
     covered_terminals,
     derive_costs,
-    levels_reduction,
     max_slope,
 )
-from aecover.errors import EmptyLevels, InvalidInstance, IsolatedTerminal
-from aecover.generators import FAMILIES, generate, random_general, random_minpower
+from aecover.errors import DomainError, EmptyLevels, InvalidInstance, IsolatedTerminal
+from aecover.generators import FAMILIES, from_installation, generate, random_general, random_minpower
 from aecover.oracle import exact_solve
 from conftest import (
     ZERO,
@@ -40,29 +35,10 @@ from conftest import (
     quadratic_prune,
     random_multigraph,
     reference_from_data,
+    reference_installation,
     threshold_at,
     to_levels,
 )
-
-
-def quadratic_minimal_pairs(rule, lu, lv):
-    """The former levels filter, kept as the reference: check the grid
-    monotone, then keep each active pair that no other active pair is below
-    or equal to on both levels.  Copies of a repeated level all stay."""
-    act = [[rule.activates(a, b) for b in lv] for a in lu]
-    for i, row in enumerate(act):
-        for j, on in enumerate(row):
-            for i2, j2 in ((i + 1, j), (i, j + 1)):
-                if on and i2 < len(lu) and j2 < len(lv) and not act[i2][j2]:
-                    raise InvalidInstance(
-                        f"activation rule not monotone at ({lu[i]},{lv[j]}) vs ({lu[i2]},{lv[j2]})"
-                    )
-    active = [(a, b) for a, row in zip(lu, act) for b, on in zip(lv, row) if on]
-    return [
-        (a, b)
-        for a, b in active
-        if not any((a2, b2) != (a, b) and a2 <= a and b2 <= b for a2, b2 in active)
-    ]
 
 
 def build_outcome(build, nodes, terminals, edges):
@@ -498,174 +474,119 @@ class TestActivation:
 class TestLevelsReduction:
     def test_installation_pareto_pairs(self):
         levels = tuple(Fraction(x) for x in (0, 5, 15, 20))
-        spec = ActivationSpec(
-            nodes=("u", "v"),
-            levels={"u": levels, "v": levels},
-            edges=(
-                SpecEdge("u", "v", InstallationActivation(Fraction(10), Fraction(1), Fraction(1))),
-            ),
+        inst = from_installation(
+            ("u", "v"),
+            ["u"],
+            {("u", "v"): Fraction(10)},
+            {("u", "v"): (Fraction(1), Fraction(1))},
+            {"u": levels, "v": levels},
         )
-        inst = levels_reduction(spec, ["u"])
         pairs = {(threshold_at(e, "u"), threshold_at(e, "v")) for e in inst.edges}
         assert pairs == {(0, 15), (5, 5), (15, 0)}
 
-    def test_all_false_table_emits_nothing(self):
+    def test_unreached_demand_emits_nothing(self):
+        # 1 + 1 < 3: no pair of menu heights reaches the demand.
         lv = (Fraction(0), Fraction(1))
-        spec = ActivationSpec(
-            nodes=("u", "v"),
-            levels={"u": lv, "v": lv},
-            edges=(SpecEdge("u", "v", TableActivation({})),),
+        inst = from_installation(
+            ("u", "v"), [], {("u", "v"): 3}, {("u", "v"): (1, 1)}, {"u": lv, "v": lv}
         )
-        inst = levels_reduction(spec, [])
         assert inst.edges == ()
 
     def test_empty_levels(self):
-        spec = ActivationSpec(
-            nodes=("u", "v"),
-            levels={"u": (Fraction(1),), "v": ()},
-            edges=(SpecEdge("u", "v", TableActivation({})),),
-        )
         with pytest.raises(EmptyLevels):
-            levels_reduction(spec, [])
+            from_installation(
+                ("u", "v"), [], {("u", "v"): 1}, {("u", "v"): (1, 1)},
+                {"u": (Fraction(1),), "v": ()},
+            )
 
     def test_first_bad_edge_raises(self):
-        # Each endpoint's levels are sorted once, on its first edge; the
-        # checks still run edge by edge, so the first bad edge is reported.
+        # Every pair's coefficients and demand are checked first, then the
+        # endpoints pair by pair, so the first bad pair is reported.
         levels = {"u": (Fraction(1), Fraction(0)), "v": (Fraction(1),), "w": ()}
-        fine = TableActivation({(Fraction(1), Fraction(1)): True})
-        broken = TableActivation({(Fraction(0), Fraction(1)): True})
-        not_a_node = (InvalidInstance, "'x' is not a node")
+        fine, broken = (2, 1, 1), (2, 0, 1)
+        not_a_node = (InvalidInstance, "pair endpoint 'x' is not a node")
         no_levels = (EmptyLevels, "'w' has no levels")
         cases = [
             ([("u", "v", fine), ("v", "x", fine), ("u", "w", fine)], not_a_node),
             ([("u", "v", fine), ("u", "w", fine), ("x", "v", fine)], no_levels),
             ([("x", "w", fine), ("u", "w", fine)], not_a_node),
             ([("w", "x", fine), ("u", "v", fine)], no_levels),
-            ([("u", "v", broken), ("u", "x", fine)], (InvalidInstance, "not monotone")),
+            ([("x", "w", fine), ("u", "v", broken)], (DomainError, "must be positive")),
         ]
-        for edges, (error, text) in cases:
-            spec = ActivationSpec(
-                nodes=("u", "v", "w"),
-                levels=levels,
-                edges=tuple(SpecEdge(a, b, rule) for a, b, rule in edges),
-            )
+        for pairs, (error, text) in cases:
+            demands = {(a, b): h for a, b, (h, _, _) in pairs}
+            coefficients = {(a, b): (cu, cv) for a, b, (_, cu, cv) in pairs}
             with pytest.raises(error, match=text):
-                levels_reduction(spec, [])
-
-    def test_non_monotone_table_rejected(self):
-        lv = (Fraction(0), Fraction(1))
-        table = {(Fraction(0), Fraction(0)): True, (Fraction(1), Fraction(1)): False}
-        spec = ActivationSpec(
-            nodes=("u", "v"),
-            levels={"u": lv, "v": lv},
-            edges=(SpecEdge("u", "v", TableActivation(table)),),
-        )
-        with pytest.raises(InvalidInstance):
-            levels_reduction(spec, [])
+                from_installation(("u", "v", "w"), [], demands, coefficients, levels)
 
     def test_non_monotone_installation_rule_rejected(self):
-        # -a + b >= 1 holds at (0, 1) but not at (1, 1).
+        # -a + b >= 1 holds at (0, 1) but not at (1, 1).  Refusing a
+        # coefficient that is not positive, and a negative demand, keeps
+        # every rule monotone; the pair is refused before any menu literal
+        # is parsed, the bad one at c included.
         lv = (Fraction(0), Fraction(1))
-        rule = InstallationActivation(Fraction(1), Fraction(-1), Fraction(1))
-        spec = ActivationSpec(
-            nodes=("a", "b"),
-            levels={"a": lv, "b": lv},
-            edges=(SpecEdge("a", "b", rule),),
-        )
-        with pytest.raises(InvalidInstance):
-            levels_reduction(spec, [])
-
-    def test_matches_the_quadratic_filter_on_random_specs(self):
-        rng = random.Random(11)
-        choices = [Fraction(x) for x in (0, 1, 2, 3)] + [Fraction(1, 2)]
-        rejected = 0
-        for _ in range(600):
-            nodes = tuple(f"n{i}" for i in range(rng.randint(2, 4)))
-            # Drawn with replacement, so levels repeat.
-            levels = {x: tuple(rng.choices(choices, k=rng.randint(1, 4))) for x in nodes}
-            edges = []
-            for u, v in itertools.combinations(nodes, 2):
-                lu, lv = sorted(levels[u]), sorted(levels[v])
-                kind = rng.randrange(3)
-                if kind == 0:
-                    rule = self._random_monotone_table(rng, lu, lv)
-                elif kind == 1:
-                    rule = TableActivation({(a, b): rng.random() < 0.5 for a in lu for b in lv})
-                else:
-                    rule = InstallationActivation(
-                        rng.choice(choices), rng.randint(-1, 2), rng.randint(-1, 2)
-                    )
-                edges.append(SpecEdge(u, v, rule))
-            spec = ActivationSpec(nodes=nodes, levels=levels, edges=tuple(edges))
-            terminals = rng.sample(nodes, rng.randint(0, len(nodes)))
-            try:
-                want = []
-                for se in spec.edges:
-                    lu, lv = sorted(levels[se.u]), sorted(levels[se.v])
-                    pairs = quadratic_minimal_pairs(se.rule, lu, lv)
-                    # Of equal copies only the first is kept.
-                    assert core._minimal_pairs(se.rule, lu, lv) == list(dict.fromkeys(pairs))
-                    want += [(se.u, se.v, a, b) for a, b in pairs]
-            except InvalidInstance as exc:
-                rejected += 1
-                with pytest.raises(InvalidInstance) as got:
-                    levels_reduction(spec, terminals)
-                assert str(got.value) == str(exc)
-                continue
-            got = levels_reduction(spec, terminals)
-            assert got.edges == Instance.from_data(nodes, terminals, want).edges
-        assert rejected > 50
+        levels = {"a": lv, "b": lv, "c": ("x",)}
+        positive, demand = "coefficients must be positive", "negative demand"
+        refused = [
+            (1, (0, 1), positive),
+            (1, (1, 0), positive),
+            (1, (-1, 1), positive),
+            (1, (1, -1), positive),
+            (-1, (1, 1), demand),
+        ]
+        for h, coefs, text in refused:
+            with pytest.raises(DomainError, match=text):
+                from_installation(
+                    ("a", "b", "c"), [], {("a", "b"): h}, {("a", "b"): coefs}, levels
+                )
+        with pytest.raises(InvalidInstance, match="not an exact rational: 'x'"):
+            from_installation(("a", "b", "c"), [], {("a", "b"): 1}, {("a", "b"): (1, 1)}, levels)
 
     def test_installation_grid_matches_the_quadratic_filter_on_mixed_denominators(self):
-        # Coefficients, demands and levels over different denominators make
-        # the rule's grid put everything over one common denominator.
+        # Coefficients, demands and levels over different denominators: the
+        # search on each sorted menu must agree with the cell-by-cell filter.
         rng = random.Random(13)
         values = [Fraction(x) for x in ("0", "1", "2", "1/3", "2/5", "7/4", "5/6", "3/7")]
-        coefs = values + [Fraction(x) for x in ("-1", "-2/3", "-7/4")]
-        rejected = 0
+        coefs = [x for x in values if x > 0]
+        sizes = set()
         for _ in range(1500):
-            lu = sorted(rng.choices(values, k=rng.randint(1, 5)))
-            lv = sorted(rng.choices(values, k=rng.randint(1, 5)))
-            rule = InstallationActivation(rng.choice(values), rng.choice(coefs), rng.choice(coefs))
-            try:
-                pairs = quadratic_minimal_pairs(rule, lu, lv)
-            except InvalidInstance as exc:
-                rejected += 1
-                with pytest.raises(InvalidInstance) as got:
-                    core._minimal_pairs(rule, lu, lv)
-                assert str(got.value) == str(exc)
-                continue
-            assert core._minimal_pairs(rule, lu, lv) == list(dict.fromkeys(pairs))
-            assert rule.grid(lu, lv) == [[rule.activates(a, b) for b in lv] for a in lu]
-        assert 100 < rejected < 1400
+            lu = rng.choices(values, k=rng.randint(1, 5))
+            lv = rng.choices(values, k=rng.randint(1, 5))
+            pair = ("u", "v")
+            args = (
+                pair, [], {pair: rng.choice(values)},
+                {pair: (rng.choice(coefs), rng.choice(coefs))}, {"u": lu, "v": lv},
+            )
+            got = from_installation(*args)
+            assert got == reference_installation(*args)
+            sizes.add(len(got.scaled_edges))
+        assert {0, 1, 2, 3} <= sizes
 
     def test_long_level_lists_reduce_fast(self):
-        # One installation edge needs level sum L-1: L minimal pairs of L*L.
+        # One installation pair needs level sum L-1: L minimal pairs of L*L.
         L = 80
         levels = tuple(Fraction(x) for x in range(L))
-        rule = InstallationActivation(Fraction(L - 1), Fraction(1), Fraction(1))
-        spec = ActivationSpec(
-            nodes=("u", "v"), levels={"u": levels, "v": levels}, edges=(SpecEdge("u", "v", rule),)
-        )
         start = time.perf_counter()
-        inst = levels_reduction(spec, ["u"])
+        inst = from_installation(
+            ("u", "v"),
+            ["u"],
+            {("u", "v"): Fraction(L - 1)},
+            {("u", "v"): (Fraction(1), Fraction(1))},
+            {"u": levels, "v": levels},
+        )
         assert time.perf_counter() - start < 0.5
         assert len(inst.edges) == L
 
-    def _random_monotone_table(self, rng, lu, lv):
-        # Random threshold surface: activate above a random staircase.
-        cuts = {a: rng.randint(0, len(lv)) for a in range(len(lu))}
-        # Enforce monotonicity: cuts non-increasing in a.
-        ordered = sorted(cuts.values(), reverse=True)
-        table = {}
-        for i, a in enumerate(lu):
-            for j, b in enumerate(lv):
-                table[(a, b)] = j >= ordered[i]
-        return TableActivation(table)
-
     def test_reduction_matches_level_brute_force(self):
+        # The threshold instance's optimum equals a brute force on the
+        # installation rule itself.  A menu may lack 0; a node at 0 then
+        # opens none of its pairs, and a terminal no pair can open is
+        # isolated in the threshold instance.
         rng = random.Random(42)
-        levels = tuple(Fraction(x) for x in (0, 1, 2))
+        pool = [Fraction(x) for x in ("0", "1", "2", "3/2", "5/2")]
+        coefs = [Fraction(x) for x in ("1", "2", "1/2", "3/4")]
+        demand_pool = [Fraction(x) for x in ("0", "1", "2", "5/2", "4")]
+        outcomes = {"optimum": 0, "isolated": 0}
         for _ in range(50):
             n = rng.randint(3, 5)
             nodes = [f"n{i}" for i in range(n)]
@@ -676,35 +597,36 @@ class TestLevelsReduction:
                 for j in range(i + 1, n)
                 if rng.random() < 0.7
             ]
-            if not pairs:
-                continue
-            edges = tuple(
-                SpecEdge(u, v, self._random_monotone_table(rng, levels, levels))
-                for u, v in pairs
-            )
-            spec = ActivationSpec(
-                nodes=tuple(nodes), levels={x: levels for x in nodes}, edges=edges
-            )
-            inst = levels_reduction(spec, terminals)
-            if any(not inst.edges_at[t] for t in terminals):
-                continue  # infeasible draw; nothing to compare
-            opt = exact_solve(inst).value
-            brute = self._brute_force_spec(spec, terminals, levels)
-            assert opt == brute
+            menus = {x: rng.sample(pool, rng.randint(1, 3)) for x in nodes}
+            demands = {p: rng.choice(demand_pool) for p in pairs}
+            coefficients = {p: (rng.choice(coefs), rng.choice(coefs)) for p in pairs}
+            inst = from_installation(nodes, terminals, demands, coefficients, menus)
+            brute = self._brute_force_installation(nodes, terminals, demands, coefficients, menus)
+            if brute is None:
+                outcomes["isolated"] += 1
+                with pytest.raises(IsolatedTerminal):
+                    exact_solve(inst)
+            else:
+                outcomes["optimum"] += 1
+                assert exact_solve(inst).value == brute
+        assert outcomes["optimum"] >= 30 and outcomes["isolated"] >= 1
 
     @staticmethod
-    def _brute_force_spec(spec, terminals, levels):
-        choices = sorted({ZERO} | set(levels))
+    def _brute_force_installation(nodes, terminals, demands, coefficients, menus):
+        """The least total height that opens a pair at every terminal, each
+        node at a menu height or 0, or None when no choice does.  A pair
+        opens when both heights are on their menus and ``cu*a + cv*b >= h``."""
         best = None
-        for values in itertools.product(choices, repeat=len(spec.nodes)):
-            valmap = dict(zip(spec.nodes, values))
+        for values in itertools.product(*(sorted({ZERO, *menus[x]}) for x in nodes)):
+            height = dict(zip(nodes, values))
             covered = set()
-            for se in spec.edges:
-                if se.rule.activates(valmap[se.u], valmap[se.v]):
-                    covered.update((se.u, se.v))
-            if set(terminals) <= covered:
+            for (u, v), h in demands.items():
+                cu, cv = coefficients[u, v]
+                a, b = height[u], height[v]
+                if a in menus[u] and b in menus[v] and cu * a + cv * b >= h:
+                    covered.update((u, v))
+            if covered >= set(terminals):
                 total = sum(values, ZERO)
                 if best is None or total < best:
                     best = total
-        assert best is not None
         return best

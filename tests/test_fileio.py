@@ -16,7 +16,6 @@ from aecover.errors import AecError, InvalidInstance
 from aecover.fileio import (
     dumps_doc,
     dumps_instance,
-    format_fraction,
     instance_digest,
     loads_instance,
     save_instance,
@@ -34,7 +33,7 @@ def instance_doc(inst):
         "nodes": list(inst.nodes),
         "terminals": list(inst.terminal_list),
         "edges": [
-            {"u": e.u, "v": e.v, "tu": format_fraction(e.tu), "tv": format_fraction(e.tv)}
+            {"u": e.u, "v": e.v, "tu": str(e.tu), "tv": str(e.tv)}
             for e in inst.edges
         ],
     }

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from aecover.core import Instance, as_fraction, derive_costs
-from aecover.errors import AecError, DomainError, InvalidInstance
+from aecover.errors import AecError, DomainError, EmptyLevels, InvalidInstance
 from aecover.fileio import dumps_instance
 from aecover.generators import (
     FAMILIES,
@@ -26,7 +26,7 @@ from aecover.generators import (
 )
 from aecover.locally_uniform import validate_locally_uniform
 from aecover.oracle import exact_solve
-from conftest import ZERO, exact_costs, other_end, threshold_at, to_levels
+from conftest import ZERO, exact_costs, other_end, reference_installation, threshold_at, to_levels
 
 
 def reference_facility_location(clients, facilities, opening, service):
@@ -69,6 +69,10 @@ def build_outcome(build, *args):
 # Costs as callers pass them, with a few that must be refused.
 COSTS = [0, 1, 2, "3/2", "0.5", Fraction(5, 2), Fraction(0)]
 BAD_COSTS = [-1, "-1/2", Fraction(-3), "x", "1/0", True, None]
+COEFFICIENTS = [1, 2, "3/2", "0.5", Fraction(5, 2)]
+INSTALLATION_FAULTS = [
+    "endpoint", "loop", "coefficient", "no coefficient", "demand", "height", "menu", "no menu",
+]
 
 
 class TestReductionsAgainstReference:
@@ -107,6 +111,45 @@ class TestReductionsAgainstReference:
             assert got == build_outcome(reference_theta_setcover, *args), case
             kinds.add(got[0] if isinstance(got, tuple) else str)
         assert kinds == {str, DomainError, InvalidInstance}
+
+    def test_installation(self):
+        # Half the cases carry one or two faults, so the order of the checks
+        # shows too.  A height may be negative, which Instance.from_data
+        # refuses, as it does a pair of one node with itself.
+        rng = random.Random(41)
+        kinds = set()
+        for case in range(800):
+            nodes = [f"n{i}" for i in range(rng.randint(2, 5))]
+            pairs = [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(1, 5))]
+            faults = rng.sample(INSTALLATION_FAULTS, rng.choice([0, 0, 1, 2]))
+            n = rng.choice(nodes)
+            if "endpoint" in faults:
+                pairs.insert(rng.randrange(len(pairs) + 1), rng.choice([(n, "x"), ("x", n)]))
+            if "loop" in faults:
+                pairs.insert(rng.randrange(len(pairs) + 1), (n, n))
+            demands = {p: rng.choice(COSTS) for p in pairs}
+            coefficients = {p: (rng.choice(COEFFICIENTS), rng.choice(COEFFICIENTS)) for p in pairs}
+            levels = {x: [rng.choice(COSTS) for _ in range(rng.randint(1, 4))] for x in nodes}
+            p = rng.choice(pairs)
+            if "coefficient" in faults:
+                bad = rng.choice([0, "0"] + BAD_COSTS)
+                coefficients[p] = rng.choice([(bad, 1), (1, bad)])
+            if "no coefficient" in faults:
+                del coefficients[p]
+            if "demand" in faults:
+                demands[p] = rng.choice(BAD_COSTS)
+            if "height" in faults:
+                levels[n][rng.randrange(len(levels[n]))] = rng.choice(BAD_COSTS)
+            if "menu" in faults:
+                levels[n] = []
+            if "no menu" in faults:
+                del levels[n]
+            terminals = rng.sample(nodes, rng.randint(0, len(nodes)))
+            args = (nodes, terminals, demands, coefficients, levels)
+            got = build_outcome(from_installation, *args)
+            assert got == build_outcome(reference_installation, *args), case
+            kinds.add(got[0] if isinstance(got, tuple) else str)
+        assert kinds == {str, DomainError, EmptyLevels, InvalidInstance, KeyError}
 
 
 class TestFacilityLocation:

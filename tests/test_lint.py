@@ -32,11 +32,16 @@
 - No library class subclasses another library class unless it is an
   exception: a variant of a record is another value of the record, not a
   subclass that overrides its behaviour.
-- Every top-level function and class is named by library code outside its
-  own definition (``__init__.py``'s exports do not count) or in the README,
-  and so is every method of such a class but the dunders, which the
-  interpreter calls; the README does not count for a method.  Code that
-  only the tests read belongs with the tests.
+- Every top-level function and class, and every name a module-level
+  assignment binds, is named by library code outside its own statement
+  (``__init__.py``'s exports do not count) or in the README, and so is
+  every method of such a class; dunders, which the interpreter reads, are
+  not checked, and the README does not count for a method.  Code that only
+  the tests read belongs with the tests.
+- No top-level function or method is an alias: a body that, docstring
+  aside, only calls another function with the function's own parameters in
+  order adds a name and nothing else.  A decorated one is not checked, as
+  its decorator adds behaviour.
 """
 
 import ast
@@ -194,12 +199,31 @@ def names_in(node: ast.AST) -> set[str]:
     return found
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def assigned_names(node: ast.AST) -> list[str]:
+    """The names that ``node``, if an assignment, binds; dunders aside."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        t.id for target in targets for t in ast.walk(target)
+        if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store) and not is_dunder(t.id)
+    ]
+
+
 def unread_definitions(trees: dict[str, ast.AST], readme: str) -> dict[str, list[str]]:
-    """Top-level functions and classes, per module, that no library code
-    names outside their own definition, not counting ``__init__.py``, and
-    that the README does not name; and methods of top-level classes, as
-    ``Class.method``, that no library code names outside their own
-    definition, whatever the README says.  Dunder methods are not checked.
+    """Top-level functions and classes, and names bound by module-level
+    assignments, per module, that no library code names outside their own
+    statement, not counting ``__init__.py``, and that the README does not
+    name; and methods of top-level classes, as ``Class.method``, that no
+    library code names outside their own definition, whatever the README
+    says.  Dunders are not checked.
 
     Each top-level statement reads the names under it, except that a class
     reads through its header and each statement of its body apart, so a
@@ -218,17 +242,18 @@ def unread_definitions(trees: dict[str, ast.AST], readme: str) -> dict[str, list
     found = {}
     for name, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            read = any(node.name in names for top, _, names in readers if top is not node)
-            if not read and not re.search(rf"\b{node.name}\b", readme):
-                found.setdefault(name, []).append(node.name)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            else:
+                defined = assigned_names(node)
+            for top_name in defined:
+                read = any(top_name in names for top, _, names in readers if top is not node)
+                if not read and not re.search(rf"\b{top_name}\b", readme):
+                    found.setdefault(name, []).append(top_name)
             if not isinstance(node, ast.ClassDef):
                 continue
             for method in node.body:
-                if not isinstance(method, ast.FunctionDef) or (
-                    method.name.startswith("__") and method.name.endswith("__")
-                ):
+                if not isinstance(method, ast.FunctionDef) or is_dunder(method.name):
                     continue
                 if not any(method.name in names for _, member, names in readers if member is not method):
                     found.setdefault(name, []).append(f"{node.name}.{method.name}")
@@ -260,12 +285,35 @@ def library_subclasses(trees: dict[str, ast.AST]) -> dict[str, list[str]]:
     return found
 
 
+def forwarding_aliases(tree: ast.AST) -> list[int]:
+    """Lines of the undecorated top-level functions and methods of top-level
+    classes whose body, docstring aside, is one call, returned or not, that
+    passes the function's own parameters in order and nothing else."""
+    found = []
+    functions = [node for top in tree.body
+                 for node in (top.body if isinstance(top, ast.ClassDef) else [top])]
+    for fn in functions:
+        if not isinstance(fn, ast.FunctionDef) or fn.decorator_list:
+            continue
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if len(body) != 1 or not isinstance(body[0], (ast.Return, ast.Expr)):
+            continue
+        call, a = body[0].value, fn.args
+        if a.vararg or a.kwarg or a.kwonlyargs or not isinstance(call, ast.Call) or call.keywords:
+            continue
+        params = [p.arg for p in (*a.posonlyargs, *a.args)]
+        if [getattr(x, "id", None) for x in call.args] == params:
+            found.append(fn.lineno)
+    return found
+
+
 RULES = [
     assert_statements,
     derive_costs_calls_outside_owner,
     solve_reports_built_outside_builder,
     fraction_activation_tests,
     third_party_imports,
+    forwarding_aliases,
 ]
 
 
@@ -630,3 +678,87 @@ def test_subclass_rule_catches_breaches():
     # class; any other class, a record's subclass among them, may extend none.
     trees = {name: ast.parse(text) for name, text in BROKEN_SUBCLASSES.items()}
     assert library_subclasses(trees) == {"a.py": ["Shared"], "b.py": ["Variant"]}
+
+
+BROKEN_ASSIGNMENTS = {
+    "a.py": '''
+from typing import Union
+
+LIMIT = 10
+UNUSED: int = 3
+PAIR, SPARE = 1, 2
+TOTAL = sum(range(LIMIT))
+Number = Union[int, float]
+ONLY_ITSELF = [ONLY_ITSELF for ONLY_ITSELF in range(3)]
+__version__ = "1"
+
+def scaled(x: Number) -> int:
+    return x * LIMIT + PAIR
+''',
+    "b.py": '''
+from .a import scaled
+
+def entry():
+    return scaled(1), "UNUSED"
+''',
+    "__init__.py": '''
+from .a import SPARE, TOTAL
+from .b import entry
+''',
+}
+
+
+def test_unread_rule_checks_module_assignments():
+    # A name bound at the top of a module counts as read only outside its
+    # own statement, by library code other than the package's exports, or
+    # in the README; a string holding it is not a read, and dunders are
+    # the interpreter's to read.
+    trees = {name: ast.parse(text) for name, text in BROKEN_ASSIGNMENTS.items()}
+    readme = "Call `entry()`; `TOTAL` is documented."
+    assert unread_definitions(trees, readme) == {"a.py": ["UNUSED", "SPARE", "ONLY_ITSELF"]}
+
+
+BROKEN_ALIASES = '''
+import functools
+
+def format_value(x):
+    return str(x)
+
+def forward(a, b):
+    """Documented, but still only a call."""
+    return combine(a, b)
+
+def fire(event):
+    emit(event)
+
+def swapped(a, b):
+    return combine(b, a)
+
+def partial(a, b):
+    return combine(a)
+
+def keyed(a):
+    return combine(a, strict=True)
+
+def spread(*args):
+    return combine(*args)
+
+@functools.cache
+def cached(a):
+    return combine(a)
+
+def work(a):
+    a = a + 1
+    return combine(a)
+
+class Box:
+    def get(self, key):
+        return lookup(self, key)
+
+    def size(self):
+        return len(self.items)
+'''
+
+
+def test_alias_rule_catches_breaches():
+    assert forwarding_aliases(ast.parse(BROKEN_ALIASES)) == [4, 7, 11, 35]
