@@ -53,7 +53,6 @@ from .unit import (
     GREEDY_SUBSOLVER,
     KSetCoverSolver,
     SetCoverInstance,
-    UnitResidual,
     exact_2setcover,
     exact_bb,
     greedy_hk,

@@ -35,7 +35,7 @@ from .locally_uniform import (
 )
 from .oracle import DEFAULT_MAX_NODES, DEFAULT_MAX_TERMINALS, exact_solve
 from .report import BenchReport, SolveReport
-from .unit import SUBSOLVERS, reduce_unit, solve_unit_a1, solve_unit_a2
+from .unit import SUBSOLVERS, solve_unit_a1, solve_unit_a2
 
 ALGORITHMS = ("auto", "general", "locally-uniform", "unit-a1", "unit-a2")
 
@@ -73,12 +73,12 @@ def run_algorithm(
     if algorithm == "general":
         return solve_general(inst)
     if algorithm == "unit-a1":
-        return solve_unit_a1(reduce_unit(inst))
+        return solve_unit_a1(inst)
     # Only unit-a2 is left.
     name = "exact" if subsolver is None else subsolver
     if name not in SUBSOLVERS:
         raise DomainError(f"unknown subsolver {name!r}; known: {sorted(SUBSOLVERS)}")
-    return solve_unit_a2(reduce_unit(inst), subsolver=SUBSOLVERS[name])
+    return solve_unit_a2(inst, subsolver=SUBSOLVERS[name])
 
 
 def _read_priority(path: Optional[str]) -> Optional[list[str]]:
@@ -172,6 +172,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     seed_start, seed_end = _parse_seeds(args.seeds)
     family = FAMILIES[args.family]
     algorithms = tuple(args.algorithms.split(",")) if args.algorithms else family.algorithms
+    for alg in algorithms:
+        if alg not in ALGORITHMS:
+            raise DomainError(f"unknown algorithm {alg!r}")
     if len(set(algorithms)) != len(algorithms):
         raise DomainError(f"--algorithms {args.algorithms!r} names an algorithm more than once")
     if args.subsolver is not None and "unit-a2" not in algorithms:
@@ -214,8 +217,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.table1:
         print(bounds_mod.render_table(bounds_mod.table1()))
         return 0
-    if not args.theta:
-        raise DomainError("pass --table1 or --theta")
     try:
         thetas = tuple(Fraction(tok) for tok in args.theta.split(","))
     except (ValueError, ZeroDivisionError):
@@ -269,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("bounds", help="print bound tables")
-    p.add_argument("--table1", action="store_true")
-    p.add_argument("--theta", help="comma-separated slopes")
+    table = p.add_mutually_exclusive_group(required=True)
+    table.add_argument("--table1", action="store_true")
+    table.add_argument("--theta", help="comma-separated slopes")
     p.set_defaults(fn=cmd_bounds)
 
     return parser

@@ -241,6 +241,8 @@ def solve_general(inst: Instance) -> SolveReport:
         "general",
         # The completed value is at most the greedy's payment plus its potential.
         complete(inst, covered, levels=levels),
+        theta=costs.theta,
+        delta=costs.delta,
         claimed_bound=bound,
         bound_label=label,
         trace=trace,

@@ -104,29 +104,22 @@ def solve_report(
     algorithm: str,
     levels: Mapping[str, int],
     *,
+    theta: Union[Fraction, float],
+    delta: int,
     claimed_bound: Optional[Bound],
     bound_label: str,
     trace: Optional[dict] = None,
     extras: dict,
-    theta: Optional[Union[Fraction, float]] = None,
-    delta: Optional[int] = None,
 ) -> SolveReport:
     """The report of a solver's assignment on ``inst``, named by the
     instance digest.  The solver hands over its ``levels``, the integer view
-    of the assignment (values times ``inst.scale``).  Raises IncompleteCover
-    with the uncovered terminals in terminal order, also under
-    ``python -O``, unless they cover every terminal.  The value is their
-    total over the scale; the slope and degree bound are the instance's,
-    unless the caller passes the slope its certificate rests on or a
-    degree bound it knows; with both passed, the instance's derived costs
-    are not read."""
+    of the assignment (values times ``inst.scale``), with the slope and
+    degree bound its certificate rests on.  Raises IncompleteCover with the
+    uncovered terminals in terminal order, also under ``python -O``, unless
+    they cover every terminal.  The value is their total over the scale."""
     covered = covered_terminals(inst, levels=levels)
     if covered != inst.terminals:
         raise IncompleteCover(tuple(u for u in inst.terminal_list if u not in covered))
-    if theta is None or delta is None:
-        costs = inst.costs
-        theta = costs.theta if theta is None else theta
-        delta = costs.delta if delta is None else delta
     return SolveReport(
         instance_digest=instance_digest(inst),
         algorithm=algorithm,

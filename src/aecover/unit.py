@@ -5,7 +5,9 @@ With all thresholds 1, an optimal assignment is 0/1, pays 1 on every terminal,
 and the non-terminal support must cover the terminals that no terminal-
 terminal edge reaches.  Solving therefore reduces to unweighted set cover on
 the residual bipartite instance, where the value offset |R| makes much better
-ratios possible than for plain set cover.
+ratios possible than for plain set cover.  Both solvers take the instance and
+reduce it themselves.  Their star phases peel the largest sets first: run to
+the end, they are the largest-set greedy, :func:`greedy_hk`.
 """
 
 from __future__ import annotations
@@ -50,17 +52,11 @@ class SetCoverInstance:
             raise Infeasible(f"elements with no covering set: {missing}")
 
 
-@dataclass(frozen=True)
-class UnitResidual:
-    """Residual set-cover instance left after terminal-terminal edges pay off."""
-
-    inst: Instance
-    system: SetCoverInstance
-
-
-def reduce_unit(inst: Instance) -> UnitResidual:
-    """Strip terminals covered by terminal-terminal edges; the rest become
-    set-cover elements with their non-terminal neighborhoods as sets."""
+def reduce_unit(inst: Instance) -> SetCoverInstance:
+    """The residual set system of a unit instance: terminals covered by
+    terminal-terminal edges are stripped, the rest become the elements, in
+    terminal order, and each non-terminal with a live neighbour is a set of
+    them, in node order."""
     if not inst.is_unit():
         raise NotUnitThresholds("not all thresholds equal 1")
     terminals = inst.terminals
@@ -76,7 +72,7 @@ def reduce_unit(inst: Instance) -> UnitResidual:
             neighbours[u].add(v)
     elements = tuple(u for u in inst.terminal_list if u not in precovered)
     sets = {v: frozenset(live) for v, s in neighbours.items() if (live := s - precovered)}
-    return UnitResidual(inst=inst, system=SetCoverInstance(elements=elements, sets=sets))
+    return SetCoverInstance(elements=elements, sets=sets)
 
 
 def _restrict(sc: SetCoverInstance, remaining: set[str]) -> SetCoverInstance:
@@ -325,26 +321,19 @@ def exact_bb(sc: SetCoverInstance, k: int,
 
 
 def greedy_hk(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
-    """Largest-set greedy; classical H_k quality on k-bounded systems."""
+    """Largest-set greedy (Johnson, JCSS 1974), H_k quality on k-bounded
+    systems: the size check, then every star phase; the roots, sorted.
+
+    Each pick is a set with the most uncovered elements, the first in set
+    order (:func:`_star_phases`).  A system left uncovered, which the
+    phases' feasibility check rules out, raises :class:`IncompleteCover`,
+    also under ``python -O``."""
     if sc.max_set_size() > k:
         raise SizeBoundViolated(f"set larger than k={k}")
-    sc.check_feasible()
-    uncovered = set(sc.elements)
-    order = list(sc.sets)
-    chosen: list[str] = []
-    while uncovered:
-        size, _, v = max(
-            ((len(sc.sets[v] & uncovered), -i, v) for i, v in enumerate(order)),
-            default=(0, 0, None),
-        )
-        if size == 0:
-            # Unreachable after check_feasible; kept as a guard that -O keeps.
-            raise IncompleteCover(sorted(uncovered, key=sc.element_rank().__getitem__))
-        gain = sc.sets[v] & uncovered
-        chosen.append(v)
-        uncovered -= gain
-        order.remove(v)
-    return tuple(sorted(chosen))
+    *_, (_, roots, _, uncovered) = _star_phases(sc)
+    if uncovered:
+        raise IncompleteCover(sorted(uncovered, key=sc.element_rank().__getitem__))
+    return tuple(sorted(roots))
 
 
 @dataclass(frozen=True)
@@ -365,7 +354,8 @@ class KSetCoverSolver:
 EXACT_SUBSOLVER = KSetCoverSolver(
     name="exact", start=lambda sc: CoverSearch(sc).cover, certified=True
 )
-# The greedy ignores below and always returns its cover.
+# The greedy ignores below and always returns its cover.  Each finish is the
+# rest of the same star phases, so unit-a2 with it reports the greedy_hk cover.
 GREEDY_SUBSOLVER = KSetCoverSolver(
     name="greedy",
     start=lambda sc: lambda uncovered, k, below: greedy_hk(_restrict(sc, uncovered), k),
@@ -417,26 +407,25 @@ def _unit_report(inst: Instance, algorithm: str, chosen: tuple[str, ...], **kw) 
     return solve_report(inst, algorithm, levels, theta=theta, delta=degree_bound(inst), **kw)
 
 
-def solve_unit_a1(res: UnitResidual) -> SolveReport:
-    """Peel stars through phase k=2, the last that takes stars of 3 or more
-    elements, then finish exactly on the residual 2-bounded system."""
-    sc = res.system
+def solve_unit_a1(inst: Instance) -> SolveReport:
+    """Peel stars off :func:`reduce_unit` of ``inst`` through phase k=2, the
+    last that takes stars of 3 or more elements, then finish exactly on the
+    residual 2-bounded system."""
+    sc = reduce_unit(inst)
     for k, roots, _, uncovered in _star_phases(sc):
         if k <= 2:
             break
     tail = exact_2setcover(_restrict(sc, uncovered))
     return _unit_report(
-        res.inst, "unit-a1", (*roots, *tail), claimed_bound=A1_RATIO, bound_label="1+67/360",
+        inst, "unit-a1", (*roots, *tail), claimed_bound=A1_RATIO, bound_label="1+67/360",
         extras={"greedy_stars": len(roots), "exact_phase": len(tail)},
     )
 
 
-def solve_unit_a2(
-    res: UnitResidual, subsolver: KSetCoverSolver = EXACT_SUBSOLVER
-) -> SolveReport:
-    """Phase down star sizes, keeping the best of roots-so-far plus a
-    subsolver finish at every k <= 6, asked of the one subsolver start
-    (:attr:`KSetCoverSolver.start`) on ``res.system`` for each phase.
+def solve_unit_a2(inst: Instance, subsolver: KSetCoverSolver = EXACT_SUBSOLVER) -> SolveReport:
+    """Phase down star sizes on :func:`reduce_unit` of ``inst``, keeping the
+    best of roots-so-far plus a subsolver finish at every k <= 6, asked of
+    the one subsolver start (:attr:`KSetCoverSolver.start`) for each phase.
 
     At phase k a facility with k+1 still-uncovered neighbors claims all of
     them (the phase order guarantees no facility exceeds k+1), so residual
@@ -451,7 +440,7 @@ def solve_unit_a2(
     replace it; leaving such a phase out, or its finish unsearched, changes
     neither the winner nor the phase trace.
     """
-    sc = res.system
+    sc = reduce_unit(inst)
     finish_of = subsolver.start(sc)
     best: Optional[tuple[int, int, int, int, tuple[str, ...]]] = None
     phases: list[dict] = []
@@ -475,7 +464,7 @@ def solve_unit_a2(
             best = (size, k, len(roots), len(finish), (*roots, *finish))
     _, k_winner, c_size, a_size, chosen = best
     return _unit_report(
-        res.inst, "unit-a2", chosen,
+        inst, "unit-a2", chosen,
         claimed_bound=RHO if subsolver.certified else None,
         bound_label="1555/1347" if subsolver.certified else f"uncertified ({subsolver.name})",
         trace={"phases": phases},

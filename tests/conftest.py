@@ -25,7 +25,8 @@ import pytest
 from aecover.bounds import omega_bar
 from aecover.core import Assignment, DerivedCosts, Edge, Instance, as_fraction, covered_terminals
 from aecover.errors import (
-    AecError, DomainError, EmptyLevels, InvalidInstance, IsolatedTerminal, LimitExceeded,
+    AecError, DomainError, EmptyLevels, IncompleteCover, InvalidInstance, IsolatedTerminal,
+    LimitExceeded, SizeBoundViolated,
 )
 from aecover.general import _best_star_at, _min_star
 from aecover.unit import KSetCoverSolver, _restrict
@@ -313,6 +314,28 @@ def random_set_system(rng: random.Random, n_elements: int, n_sets: int, max_size
         rest = [x for x in elements if x not in m]
         sets[f"s{j:02d}"] = frozenset(m | set(rng.sample(rest, size - len(m))))
     return SetCoverInstance(elements=elements, sets=sets)
+
+
+def reference_greedy_hk(sc, k: int) -> tuple[str, ...]:
+    """The former greedy_hk loop, kept as the reference: at each step the
+    set with the most uncovered elements, first in set order on ties."""
+    if sc.max_set_size() > k:
+        raise SizeBoundViolated(f"set larger than k={k}")
+    sc.check_feasible()
+    uncovered = set(sc.elements)
+    order = list(sc.sets)
+    chosen: list[str] = []
+    while uncovered:
+        size, _, v = max(
+            ((len(sc.sets[v] & uncovered), -i, v) for i, v in enumerate(order)),
+            default=(0, 0, None),
+        )
+        if size == 0:
+            raise IncompleteCover(sorted(uncovered, key=sc.element_rank().__getitem__))
+        chosen.append(v)
+        uncovered -= sc.sets[v]
+        order.remove(v)
+    return tuple(sorted(chosen))
 
 
 def subsolver_of(name: str, fn, certified: bool) -> KSetCoverSolver:

@@ -229,11 +229,11 @@ def test_criterion_6_unit_certification():
     violations = []
     for seed in SEEDS:
         inst = generate("unit", seed)
-        res = reduce_unit(inst)
-        assert len(res.system.elements) <= 10
+        sc = reduce_unit(inst)
+        assert len(sc.elements) <= 10
         opt = exact_solve(inst).value
-        a1 = solve_unit_a1(res)
-        a2 = solve_unit_a2(res, subsolver=EXACT_SUBSOLVER)
+        a1 = solve_unit_a1(inst)
+        a2 = solve_unit_a2(inst, subsolver=EXACT_SUBSOLVER)
         for rep, bound, tag in ((a1, A1_RATIO, "a1"), (a2, RHO, "a2")):
             assert covers(inst, rep.assignment)[0]
             if rep.value / opt > bound:

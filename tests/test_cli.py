@@ -309,6 +309,44 @@ def test_unknown_algorithm_is_named_before_its_options(extra):
         run_algorithm(generate("general", 0), "bogus", **extra)
 
 
+@pytest.mark.parametrize(
+    "family, seeds, algorithms, name",
+    [
+        ("tight73", "0..0", "bogus", "bogus"),
+        ("general", "0..3", "general,bogus", "bogus"),
+        ("unit", "0..1", "unit-a2,", ""),
+    ],
+)
+def test_bench_refuses_an_unknown_algorithm_before_any_seed(
+    tmp_path, capsys, monkeypatch, family, seeds, algorithms, name
+):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the algorithms were checked")
+
+    monkeypatch.setattr(cli, "exact_solve", no_oracle)
+    out = tmp_path / "bench.json"
+    code, stdout, err = run(capsys, "bench", "--family", family, "--seeds", seeds,
+                            "--time-budget", "0", "--algorithms", algorithms, "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: unknown algorithm {name!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--table1", "--theta", "7"), "argument --theta: not allowed with argument --table1"),
+        (("--theta", "7", "--table1"), "argument --table1: not allowed with argument --theta"),
+        ((), "one of the arguments --table1 --theta is required"),
+    ],
+    ids=["both", "both-reversed", "neither"],
+)
+def test_bounds_takes_exactly_one_of_table1_and_theta(capsys, argv, message):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: aecover bounds")
+    assert f"aecover bounds: error: {message}" in err
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     inst = Instance.from_data(["a", "b", "c"], ["c"], [("a", "b", 1, 1)])
     path = tmp_path / "bad.json"

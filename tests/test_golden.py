@@ -27,7 +27,7 @@ from aecover.fileio import dumps_instance, loads_instance, save_instance
 from aecover.general import solve_general
 from aecover.generators import FAMILIES, from_facility_location, generate, random_general, random_unit
 from aecover.oracle import exact_solve
-from aecover.unit import reduce_unit, solve_unit_a1
+from aecover.unit import solve_unit_a1
 
 # family -> (sha256 of `aecover bench --family F --seeds 0..19`,
 #            sha256 of `aecover gen --family F --seed 0`)
@@ -305,7 +305,7 @@ GOLDEN_UNIT_A1 = "b7f3fffd2977f5b5328a2753421ab6add76af6449692a1a2b40b9d153a7e90
 def test_unit_a1_reports_match_golden_bytes():
     digest = hashlib.sha256()
     for seed in range(200):
-        digest.update(solve_unit_a1(reduce_unit(generate("unit", seed))).to_json().encode())
+        digest.update(solve_unit_a1(generate("unit", seed)).to_json().encode())
     assert digest.hexdigest() == GOLDEN_UNIT_A1
 
 
@@ -325,7 +325,7 @@ GOLDEN_UNIT_A1_VALUES = "102272f7cfe6511fc563b55e9b8b0afa2adb4817afb2a70cdf7797c
 
 
 def test_unit_a1_values_match_golden_on_random_unit():
-    values = " ".join(str(solve_unit_a1(reduce_unit(random_unit_case(i))).value) for i in range(600))
+    values = " ".join(str(solve_unit_a1(random_unit_case(i)).value) for i in range(600))
     assert hashlib.sha256(values.encode()).hexdigest() == GOLDEN_UNIT_A1_VALUES
 
 

@@ -98,13 +98,14 @@ def test_solve_report_reads_levels_on_the_integer_view():
     # Thresholds in thirds: scale 3, so level 2 is the value 2/3.
     inst = Instance.from_data(["a", "b"], ["a"], [("a", "b", "1/3", "2/3")])
     report = solve_report(
-        inst, "general", {"a": 1, "b": 2, "c": 0}, claimed_bound=None, bound_label="x", extras={}
+        inst, "general", {"a": 1, "b": 2, "c": 0}, theta=Fraction(1), delta=1,
+        claimed_bound=None, bound_label="x", extras={},
     )
     assert report.value == 1
     assert report.assignment == assignment_of({"a": Fraction(1, 3), "b": Fraction(2, 3)})
     with pytest.raises(IncompleteCover) as exc:
-        solve_report(inst, "general", {"a": 1, "b": 1}, claimed_bound=None, bound_label="x",
-                     extras={})
+        solve_report(inst, "general", {"a": 1, "b": 1}, theta=Fraction(1), delta=1,
+                     claimed_bound=None, bound_label="x", extras={})
     assert exc.value.uncovered == ("a",)
 
 
@@ -116,8 +117,8 @@ def test_coverage_guard_survives_optimize_flag():
         "from aecover.report import solve_report\n"
         "inst = Instance.from_data(['a', 'b'], ['a'], [('a', 'b', 1, 2)])\n"
         "try:\n"
-        "    solve_report(inst, 'general', {'a': 1, 'b': 1}, claimed_bound=None,\n"
-        "                 bound_label='x', extras={})\n"
+        "    solve_report(inst, 'general', {'a': 1, 'b': 1}, theta=1, delta=1,\n"
+        "                 claimed_bound=None, bound_label='x', extras={})\n"
         "except IncompleteCover as exc:\n"
         "    raise SystemExit(7 if exc.uncovered == ('a',) else 1)\n"
     )

@@ -38,11 +38,11 @@ def test_big_star_unit_instances_certified():
     saw_large_phase = False
     for seed in range(40):
         inst = big_star_unit_instance(seed)
-        res = reduce_unit(inst)
-        assert res.system.max_set_size() >= 7
+        sc = reduce_unit(inst)
+        assert sc.max_set_size() >= 7
         opt = exact_solve(inst).value
-        a1 = solve_unit_a1(res)
-        a2 = solve_unit_a2(res)
+        a1 = solve_unit_a1(inst)
+        a2 = solve_unit_a2(inst)
         assert covers(inst, a1.assignment)[0] and covers(inst, a2.assignment)[0]
         assert a1.value / opt <= A1_RATIO
         assert a2.value / opt <= RHO

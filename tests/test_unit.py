@@ -48,7 +48,9 @@ from aecover.unit import (
     solve_unit_a1,
     solve_unit_a2,
 )
-from conftest import covers, enum_setcover_optimum, random_set_system, subsolver_of
+from conftest import (
+    covers, enum_setcover_optimum, random_set_system, reference_greedy_hk, subsolver_of,
+)
 
 
 def _reference_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
@@ -216,19 +218,19 @@ def facility_unit_instance(n: int, rng: random.Random) -> Instance:
 class TestReduceUnit:
     def test_terminal_pair_precovered(self):
         inst = Instance.from_data(["a", "b"], ["a", "b"], [("a", "b", 1, 1)])
-        res = reduce_unit(inst)
-        assert res.system.elements == ()
-        assert solve_unit_a1(res).value == 2
-        assert solve_unit_a2(res).value == 2
+        sc = reduce_unit(inst)
+        assert sc.elements == ()
+        assert solve_unit_a1(inst).value == 2
+        assert solve_unit_a2(inst).value == 2
 
     def test_path_through_facility(self):
         inst = Instance.from_data(
             ["a", "v", "b"], ["a", "b"], [("a", "v", 1, 1), ("v", "b", 1, 1)]
         )
-        res = reduce_unit(inst)
-        assert res.system.elements == ("a", "b")
-        assert res.system.sets == {"v": frozenset({"a", "b"})}
-        assert solve_unit_a1(res).value == 3
+        sc = reduce_unit(inst)
+        assert sc.elements == ("a", "b")
+        assert sc.sets == {"v": frozenset({"a", "b"})}
+        assert solve_unit_a1(inst).value == 3
 
     def test_rejects_non_unit(self, tiny_instance):
         with pytest.raises(NotUnitThresholds):
@@ -237,9 +239,9 @@ class TestReduceUnit:
     def test_reduction_value_matches_oracle(self):
         for seed in range(60):
             inst = random_unit(10, 16, seed, r=6)
-            res = reduce_unit(inst)
-            if res.system.elements:
-                tau = enum_setcover_optimum(res.system.elements, res.system.sets)
+            sc = reduce_unit(inst)
+            if sc.elements:
+                tau = enum_setcover_optimum(sc.elements, sc.sets)
             else:
                 tau = 0
             assert len(inst.terminals) + tau == exact_solve(inst).value
@@ -251,12 +253,12 @@ class TestReduceUnit:
             values = result.assignment.values
             assert all(x == 1 for x in values.values())
             assert all(u in values for u in inst.terminals)
-            res = reduce_unit(inst)
+            sc = reduce_unit(inst)
             support = {v for v in values if v not in inst.terminals}
             covered = set()
-            for v in support & set(res.system.sets):
-                covered |= res.system.sets[v]
-            assert covered >= set(res.system.elements)
+            for v in support & set(sc.sets):
+                covered |= sc.sets[v]
+            assert covered >= set(sc.elements)
 
 
 class TestExact2SetCover:
@@ -378,9 +380,9 @@ class TestExactBB:
         checking = subsolver_of("exact", checked, certified=True)
         rng = random.Random(17)
         for n in range(10, 31):
-            res = reduce_unit(facility_unit_instance(n, rng))
-            report = solve_unit_a2(res, subsolver=checking)
-            assert report.to_json() == solve_unit_a2(res, REFERENCE_SUBSOLVER).to_json()
+            inst = facility_unit_instance(n, rng)
+            report = solve_unit_a2(inst, subsolver=checking)
+            assert report.to_json() == solve_unit_a2(inst, REFERENCE_SUBSOLVER).to_json()
         assert len(calls) >= 21
 
     @staticmethod
@@ -426,7 +428,7 @@ class TestExactBB:
 
         checking = subsolver_of("exact", checked, certified=True)
         for n in range(10, 46):
-            solve_unit_a2(reduce_unit(facility_unit_instance(n, random.Random(7))), checking)
+            solve_unit_a2(facility_unit_instance(n, random.Random(7)), checking)
         assert len(calls) >= 36
 
     def test_below_returns_none_exactly_when_no_smaller_cover(self):
@@ -526,6 +528,26 @@ class TestGreedyHk:
             assert greedy_size <= harmonic(k) * opt
 
 
+    def test_matches_the_former_loop(self):
+        # greedy_hk is the star phases run to the end; it must pick what the
+        # former loop picked, on tie-heavy systems with repeated sets and on
+        # random ones, for every k from the largest set size up to 6.
+        rng = random.Random(43)
+        calls = duplicated = 0
+        for case in range(2400):
+            top = case % 6 + 1
+            if case % 2:
+                sc = random_set_system(rng, rng.randint(1, 14), rng.randint(1, 12), top)
+            else:
+                sc = TestExactBB.tie_heavy_system(rng, top)
+            duplicated += len(set(sc.sets.values())) < len(sc.sets)
+            with pytest.raises(SizeBoundViolated):
+                greedy_hk(sc, sc.max_set_size() - 1)
+            for k in range(sc.max_set_size(), 7):
+                assert greedy_hk(sc, k) == reference_greedy_hk(sc, k), (case, k, sc)
+                calls += 1
+        assert calls > 4000 and duplicated > 1000
+
     def test_unchecked_infeasible_system_raises_incomplete_cover(self, monkeypatch):
         # With the feasibility check bypassed, an element in no set leaves
         # the greedy without a gain; that must raise, not loop or assert.
@@ -541,24 +563,23 @@ class TestSolveUnitA1:
     def test_small_sets_solved_exactly(self):
         for seed in range(40):
             inst = random_unit(9, 13, seed, r=5)
-            res = reduce_unit(inst)
-            if res.system.max_set_size() <= 2:
-                assert solve_unit_a1(res).value == exact_solve(inst).value
+            sc = reduce_unit(inst)
+            if sc.max_set_size() <= 2:
+                assert solve_unit_a1(inst).value == exact_solve(inst).value
 
     def test_one_big_star(self):
         terminals = [f"t{i}" for i in range(5)]
         inst = Instance.from_data(
             terminals + ["v"], terminals, [(t, "v", 1, 1) for t in terminals]
         )
-        report = solve_unit_a1(reduce_unit(inst))
+        report = solve_unit_a1(inst)
         assert report.value == 6
         assert report.extras["greedy_stars"] == 1
 
     def test_certified_on_seeds(self):
         for seed in range(60):
             inst = random_unit(11, 18, seed)
-            res = reduce_unit(inst)
-            report = solve_unit_a1(res)
+            report = solve_unit_a1(inst)
             assert covers(inst, report.assignment)[0]
             opt = exact_solve(inst).value
             assert report.value / opt <= A1_RATIO
@@ -574,13 +595,12 @@ class TestSolveUnitA1:
         }
         edges = [(t, v, 1, 1) for v, members in sets.items() for t in members]
         inst = Instance.from_data(terminals + sorted(sets), terminals, edges)
-        res = reduce_unit(inst)
-        report = solve_unit_a1(res)
+        report = solve_unit_a1(inst)
         opt = exact_solve(inst).value
         assert opt == 8
         assert report.value == 9  # trap star first, then two singleton fixes
         assert Fraction(report.value, 1) / opt <= A1_RATIO
-        assert solve_unit_a2(res).value == 8
+        assert solve_unit_a2(inst).value == 8
 
 
 class TestSolveUnitA2:
@@ -591,25 +611,23 @@ class TestSolveUnitA2:
             terminals,
             [(t, "v", 1, 1) for t in terminals] + [("t0", "w", 1, 1)],
         )
-        report = solve_unit_a2(reduce_unit(inst))
+        report = solve_unit_a2(inst)
         assert report.value == 7
 
     def test_tight_example(self):
         inst, _ = tight73()
-        res = reduce_unit(inst)
-        exact_report = solve_unit_a2(res)
+        exact_report = solve_unit_a2(inst)
         assert exact_report.value == 60  # subsolver solves phase delta exactly
         assert exact_report.value <= 73
         assert Fraction(exact_report.value, 60) <= RHO
-        greedy_report = solve_unit_a2(res, subsolver=GREEDY_SUBSOLVER)
+        greedy_report = solve_unit_a2(inst, subsolver=GREEDY_SUBSOLVER)
         assert greedy_report.claimed_bound is None
         assert greedy_report.value >= 60
 
     def test_certified_on_seeds(self):
         for seed in range(60):
             inst = random_unit(11, 18, seed)
-            res = reduce_unit(inst)
-            report = solve_unit_a2(res, subsolver=EXACT_SUBSOLVER)
+            report = solve_unit_a2(inst, subsolver=EXACT_SUBSOLVER)
             assert covers(inst, report.assignment)[0]
             opt = exact_solve(inst).value
             assert report.value / opt <= RHO
@@ -625,8 +643,7 @@ class TestSolveUnitA2:
         extra = [(t, "w") for t in terminals[6:]]
         edges = [(u, v, 1, 1) for u, v in big + extra]
         inst = Instance.from_data(terminals + ["v", "w"], terminals, edges)
-        res = reduce_unit(inst)
-        report = solve_unit_a2(res)
+        report = solve_unit_a2(inst)
         phases = report.trace["phases"]
         big_phases = [p for p in phases if p["k"] >= 7]
         assert big_phases, "expected an 8-star extraction"
@@ -650,11 +667,10 @@ class TestSolveUnitA2:
     def test_roadmap_45_terminals_in_bounded_time(self):
         # The 45-terminal instance took about 1.4 s with the reference search.
         inst = facility_unit_instance(45, random.Random(7))
-        res = reduce_unit(inst)
         start = time.perf_counter()
-        report = solve_unit_a2(res)
+        report = solve_unit_a2(inst)
         elapsed = time.perf_counter() - start
-        assert report.to_json() == solve_unit_a2(res, REFERENCE_SUBSOLVER).to_json()
+        assert report.to_json() == solve_unit_a2(inst, REFERENCE_SUBSOLVER).to_json()
         assert elapsed < 10, elapsed
 
     # sha256 of solve_unit_a2(...).to_json() with the former exact_bb, which
@@ -667,9 +683,9 @@ class TestSolveUnitA2:
 
     @pytest.mark.parametrize("n", sorted(PINNED_REPORTS))
     def test_large_instance_matches_pinned_report(self, n):
-        res = reduce_unit(facility_unit_instance(n, random.Random(7)))
+        inst = facility_unit_instance(n, random.Random(7))
         start = time.perf_counter()
-        report = solve_unit_a2(res)
+        report = solve_unit_a2(inst)
         elapsed = time.perf_counter() - start
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == self.PINNED_REPORTS[n]
@@ -694,9 +710,9 @@ class TestSolveUnitA2:
         rng = random.Random(19)
         for n in range(22, 29):
             for _ in range(3):
-                res = reduce_unit(facility_unit_instance(n, rng))
-                report = solve_unit_a2(res, counting)
-                assert report.to_json() == solve_unit_a2(res, REFERENCE_SUBSOLVER).to_json()
+                inst = facility_unit_instance(n, rng)
+                report = solve_unit_a2(inst, counting)
+                assert report.to_json() == solve_unit_a2(inst, REFERENCE_SUBSOLVER).to_json()
         assert 0 < bounded < unbounded
 
     def test_one_search_per_phase_reports_equal_the_shared_search(self):
@@ -709,13 +725,21 @@ class TestSolveUnitA2:
         instances += [generate(family, seed)
                       for family in ("unit", "uniform-unit") for seed in range(200)]
         for inst in instances:
-            res = reduce_unit(inst)
             for subsolver in (EXACT_SUBSOLVER, GREEDY_SUBSOLVER):
                 per_phase = subsolver_of(
                     subsolver.name, one_shot[subsolver.name], subsolver.certified
                 )
-                want = solve_unit_a2(res, per_phase).to_json()
-                assert solve_unit_a2(res, subsolver).to_json() == want
+                want = solve_unit_a2(inst, per_phase).to_json()
+                assert solve_unit_a2(inst, subsolver).to_json() == want
+
+    def test_greedy_subsolver_reports_the_greedy_cover(self):
+        # Each phase's greedy finish is the rest of the same star phases, so
+        # every candidate is the whole greedy cover, and the first one wins.
+        for inst in unit_instances():
+            sc = reduce_unit(inst)
+            report = solve_unit_a2(inst, GREEDY_SUBSOLVER)
+            picked = sorted(v for v in report.assignment.values if v not in inst.terminals)
+            assert tuple(picked) == greedy_hk(sc, sc.max_set_size())
 
     def test_default_solve_builds_one_search(self, monkeypatch):
         # Every solve starts its subsolver once, the greedy as well as the
@@ -759,21 +783,22 @@ class TestSolveUnitA2:
 
     def test_finish_reusing_a_root_raises(self):
         # A subsolver finish that picks a phase root breaks the phase analysis.
-        res = reduce_unit(facility_unit_instance(12, random.Random(1)))
+        inst = facility_unit_instance(12, random.Random(1))
+        every_set = tuple(reduce_unit(inst).sets)
         roots_first = subsolver_of(
-            "bad", lambda sc, k, below: tuple(res.system.sets),
+            "bad", lambda sc, k, below: every_set,
             certified=False,
         )
         with pytest.raises(PhaseInvariantViolated):
-            solve_unit_a2(res, subsolver=roots_first)
+            solve_unit_a2(inst, subsolver=roots_first)
 
     def test_uncovering_subsolver_raises_incomplete_cover(self):
-        res = reduce_unit(facility_unit_instance(12, random.Random(1)))
+        inst = facility_unit_instance(12, random.Random(1))
         nothing = subsolver_of(
             "bad", lambda sc, k, below: (), certified=False
         )
         with pytest.raises(IncompleteCover):
-            solve_unit_a2(res, subsolver=nothing)
+            solve_unit_a2(inst, subsolver=nothing)
 
     def test_phase_check_survives_optimize_flag(self):
         # Under python -O every assert is gone; the check must still raise.
@@ -781,14 +806,14 @@ class TestSolveUnitA2:
             "import random\n"
             "from aecover.core import Instance\n"
             "from aecover.errors import PhaseInvariantViolated\n"
-            "from aecover.unit import reduce_unit, solve_unit_a2\n"
+            "from aecover.unit import solve_unit_a2\n"
             "from conftest import subsolver_of\n"
             "t = [f't{i}' for i in range(4)]\n"
             "edges = [(x, 'v', 1, 1) for x in t[:3]] + [(t[3], 'w', 1, 1), (t[2], 'w', 1, 1)]\n"
-            "res = reduce_unit(Instance.from_data(t + ['v', 'w'], t, edges))\n"
+            "inst = Instance.from_data(t + ['v', 'w'], t, edges)\n"
             "bad = subsolver_of('bad', lambda sc, k, below: ('v', 'w'), False)\n"
             "try:\n"
-            "    solve_unit_a2(res, subsolver=bad)\n"
+            "    solve_unit_a2(inst, subsolver=bad)\n"
             "except PhaseInvariantViolated:\n"
             "    raise SystemExit(7)\n"
         )
@@ -802,11 +827,10 @@ class TestSolveUnitA2:
         inst = Instance.from_data(
             ["a", "b", "v"], ["a", "b"], [("a", "v", 1, 1)]
         )
-        res = reduce_unit(inst)
         with pytest.raises(Infeasible):
-            solve_unit_a2(res)
+            solve_unit_a2(inst)
         with pytest.raises(Infeasible):
-            solve_unit_a1(res)
+            solve_unit_a1(inst)
 
 
 def unit_instances():
@@ -830,7 +854,7 @@ class TestUnitReportSlope:
             want = derive_costs(inst)
             assert degree_bound(inst) == want.delta
             for solve in (solve_unit_a1, solve_unit_a2):
-                rep = solve(reduce_unit(inst))
+                rep = solve(inst)
                 assert (rep.theta, rep.delta) == (want.theta, want.delta)
                 assert type(rep.theta) is Fraction
             assert "costs" not in inst.__dict__
