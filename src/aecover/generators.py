@@ -8,10 +8,12 @@ infeasible graphs instead of repairing them.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import Instance, Rational, as_fraction
@@ -81,12 +83,23 @@ def from_installation(
     each height drawn from its node's menu, and becomes threshold edges.
 
     For each height ``a`` of u, in sorted order, the least height ``b`` of
-    v with ``b >= (h - cu*a)/cv`` gives the edge ``(u, v, a, b)``.  The
+    v with ``cu*a + cv*b >= h`` gives the edge ``(u, v, a, b)``.  The
     coefficients are positive, so the rule is monotone, and every pair that
     opens uv lies above one of these edges.  A Pareto-minimal pair is among
     them, as no lower ``b`` serves its ``a``; any other edge lies above a
     minimal pair, and :meth:`Instance.from_data` prunes it as dominated.
     So the instance keeps exactly the Pareto-minimal pairs.
+
+    The search runs on integers.  With ``D`` the lcm of every demand,
+    coefficient and menu denominator, ``CU = cu*D``, ``ia = a*D`` and
+    ``H = h*D*D`` are integers, and multiplying both sides by ``D*D > 0``
+    keeps the inequality: it reads ``CU*ia + CV*ib >= H``.  As ``ib`` is an
+    integer, that holds exactly when ``ib`` is at least the ceiling of
+    ``(H - CU*ia)/CV``, which is ``-((CU*ia - H) // CV)``; ``bisect_left`` on
+    v's integer keys finds the least such height.  ``x -> x*D`` is strictly
+    increasing, so a stable sort on the integer keys orders each menu as a
+    sort of its ``Fraction`` values would, equal heights included.  The
+    edges carry the menu's own values.
 
     Checks, in order: every pair's coefficients (both positive) and demand
     (non-negative), raising DomainError; every menu literal, by
@@ -97,23 +110,32 @@ def from_installation(
         u, v = pair
         cu, cv = coefficients[pair]
         cu, cv, h = as_fraction(cu), as_fraction(cv), as_fraction(h)
-        if cu <= 0 or cv <= 0:
+        if cu.numerator <= 0 or cv.numerator <= 0:
             raise DomainError(f"coefficients must be positive on pair {pair}")
-        if h < 0:
+        if h.numerator < 0:
             raise DomainError(f"negative demand on pair {pair}")
         rules.append((u, v, h, cu, cv))
-    menus = {n: sorted(as_fraction(x) for x in lv) for n, lv in levels.items()}
+    parsed = {n: [as_fraction(x) for x in lv] for n, lv in levels.items()}
+    D = math.lcm(1, *{x.denominator for rule in rules for x in rule[2:]},
+                 *{x.denominator for lv in parsed.values() for x in lv})
+    menus = {}
+    for n, lv in parsed.items():
+        keyed = sorted([(x.numerator * (D // x.denominator), x) for x in lv], key=itemgetter(0))
+        menus[n] = [k for k, _ in keyed], [x for _, x in keyed]
     node_set = set(nodes)
     edges = []
     for u, v, h, cu, cv in rules:
         for node in (u, v):
             if node not in node_set:
                 raise InvalidInstance(f"pair endpoint {node!r} is not a node")
-            if not menus.get(node):
+            if not parsed.get(node):
                 raise EmptyLevels(node)
-        lv = menus[v]
-        for a in menus[u]:
-            j = bisect_left(lv, (h - cu * a) / cv)
+        H = h.numerator * (D * D // h.denominator)
+        CU = cu.numerator * (D // cu.denominator)
+        CV = cv.numerator * (D // cv.denominator)
+        keys_v, lv = menus[v]
+        for ia, a in zip(*menus[u]):
+            j = bisect_left(keys_v, -((CU * ia - H) // CV))
             if j < len(lv):
                 edges.append((u, v, a, lv[j]))
     return Instance.from_data(nodes, terminals, edges)
@@ -121,6 +143,20 @@ def from_installation(
 
 # ---------------------------------------------------------------------------
 # Seeded random families
+
+
+def _check_graph_size(n: int, m: int, r: Optional[int], r_low: int) -> None:
+    """Refuse, before the first draw, a size the draw cannot meet: r is
+    drawn from ``r_low`` up to ``n - 1`` when not given, a given r picks r
+    of the n nodes, and each of the m edges samples two nodes."""
+    if r is None and n <= r_low:
+        raise DomainError(f"n must exceed {r_low} to draw r, got n={n}")
+    if r is not None and not 0 <= r <= n:
+        raise DomainError(f"r must be in 0..n, got r={r} with n={n}")
+    if m < 0:
+        raise DomainError(f"m must be non-negative, got m={m}")
+    if m and n < 2:
+        raise DomainError(f"n must be at least 2 to draw an edge, got n={n}")
 
 
 def _random_graph_instance(
@@ -144,12 +180,17 @@ def _random_graph_instance(
     raise GenerationFailed(f"no feasible draw after {_RETRY_BUDGET} attempts")
 
 
+# Shared threshold values: Instance.from_data parses each object once, so a
+# draw reuses these instead of building a Fraction per edge or pair.
+_ONE = Fraction(1)
+_ONE_ONE = (_ONE, _ONE)
 _MINPOWER_POOL = tuple(Fraction(x) for x in ("1", "3/2", "2", "3", "4"))
 _GENERAL_POOL = tuple(Fraction(x) for x in ("1", "3/2", "2", "3", "5", "8"))
 
 
 def random_minpower(n: int, m: int, seed: int, r: Optional[int] = None) -> Instance:
     """Equal thresholds on both edge sides; the slope is always at most 1."""
+    _check_graph_size(n, m, r, 2)
     rng = random.Random(seed)
     r = r if r is not None else rng.randint(2, min(6, n - 1))
 
@@ -164,6 +205,7 @@ def random_general(n: int, m: int, levels: int, seed: int, r: Optional[int] = No
     """Independent per-endpoint thresholds from a pool of ``levels`` values."""
     if not 1 <= levels <= len(_GENERAL_POOL):
         raise DomainError(f"levels must be in 1..{len(_GENERAL_POOL)}")
+    _check_graph_size(n, m, r, 2)
     rng = random.Random(seed)
     r = r if r is not None else rng.randint(2, min(6, n - 1))
     pool = _GENERAL_POOL[:levels]
@@ -176,39 +218,40 @@ def random_general(n: int, m: int, levels: int, seed: int, r: Optional[int] = No
 
 def random_unit(n: int, m: int, seed: int, r: Optional[int] = None) -> Instance:
     """All thresholds exactly 1."""
+    _check_graph_size(n, m, r, 3)
     rng = random.Random(seed)
     r = r if r is not None else rng.randint(3, min(8, n - 1))
-
-    def draw():
-        return Fraction(1), Fraction(1)
-
-    return _random_graph_instance(rng, n, m, r, draw)
+    return _random_graph_instance(rng, n, m, r, lambda: _ONE_ONE)
 
 
 _SERVICE_POOL = tuple(Fraction(x) for x in ("1", "3/2", "2"))
+_MULTIPLIERS = (Fraction(1, 2), _ONE, Fraction(2), Fraction(3))
 
 
 def random_uniform(seed: int, theta: Rational = 5, unit: bool = False) -> Instance:
     """Random locally uniform bipartite instance of 3..6 clients and 2..4
     facilities with slope at most theta.
 
-    With ``unit=True`` all weights and thresholds are 1 (the set-cover shape).
+    With ``unit=True`` all weights and thresholds are 1 (the set-cover shape),
+    so the slope is 1 and a theta below 1 is refused.
     """
     th = as_fraction(theta)
     if th <= 0:
         raise DomainError(f"theta must be positive, got {theta!r}")
+    if unit and th < 1:
+        raise DomainError(f"theta must be at least 1 for unit weights, got {theta!r}")
     rng = random.Random(seed)
     nc = rng.randint(3, 6)
     nf = rng.randint(2, 4)
     clients = [f"t{i:02d}" for i in range(nc)]
     facilities = [f"f{i:02d}" for i in range(nf)]
-    multipliers = [f for f in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3), th) if f <= th]
+    multipliers = [f for f in (*_MULTIPLIERS, th) if f <= th]
     for _ in range(_RETRY_BUDGET):
         opening: dict[str, Fraction] = {}
         service: dict[tuple[str, str], Fraction] = {}
         for v in facilities:
-            t = Fraction(1) if unit else rng.choice(_SERVICE_POOL)
-            w = Fraction(1) if unit else t * rng.choice(multipliers)
+            t = _ONE if unit else rng.choice(_SERVICE_POOL)
+            w = _ONE if unit else t * rng.choice(multipliers)
             opening[v] = w
             for u in clients:
                 if rng.random() < 0.6:
@@ -248,10 +291,17 @@ def random_installation(
     n_range: tuple[int, int] = (5, 8),
     r_range: tuple[int, int] = (2, 5),
 ) -> Instance:
-    """Random tower-height instances over a fixed 3-level height menu."""
+    """Random tower-height instances over a fixed 3-level height menu, each
+    pair's coefficients 1 and 1."""
+    n_low, n_high = n_range
+    r_low, r_high = r_range
+    if not 3 <= n_low <= n_high:
+        raise DomainError(f"n_range must have 3 <= low <= high, got {n_range}")
+    if not 0 <= r_low <= r_high or r_low >= n_low:
+        raise DomainError(f"r_range must have 0 <= low <= high and low < {n_low}, got {r_range}")
     rng = random.Random(seed)
-    n = rng.randint(*n_range)
-    r = rng.randint(r_range[0], min(r_range[1], n - 1))
+    n = rng.randint(n_low, n_high)
+    r = rng.randint(r_low, min(r_high, n - 1))
     nodes = [f"v{i:02d}" for i in range(n)]
     terminals = sorted(rng.sample(nodes, r))
     all_pairs = [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)]
@@ -262,7 +312,7 @@ def random_installation(
         if not all(t in touched for t in terminals):
             continue
         demands = {p: rng.choice(_DEMAND_POOL) for p in pairs}
-        coefficients = {p: (Fraction(1), Fraction(1)) for p in pairs}
+        coefficients = dict.fromkeys(pairs, _ONE_ONE)
         level_map = dict.fromkeys(nodes, _HEIGHT_LEVELS)
         return from_installation(nodes, terminals, demands, coefficients, level_map)
     raise GenerationFailed(f"no feasible draw after {_RETRY_BUDGET} attempts")
@@ -289,9 +339,8 @@ def tight73() -> tuple[Instance, tuple[str, ...]]:
     instance and the adversarial facility priority order (bottoms before
     uppers).
     """
-    one = Fraction(1)
     edges = [
-        (_T73_LEAVES[4 * star + slot], up, one, one)
+        (_T73_LEAVES[4 * star + slot], up, _ONE, _ONE)
         for star, up in enumerate(_T73_UPPERS)
         for slot in range(4)
     ]
@@ -299,7 +348,7 @@ def tight73() -> tuple[Instance, tuple[str, ...]]:
     for d in (4, 3, 2):
         for first, w in zip(range(0, 12, d), bottoms):
             for star in range(first, first + d):
-                edges.append((_T73_LEAVES[4 * star + 4 - d], w, one, one))
+                edges.append((_T73_LEAVES[4 * star + 4 - d], w, _ONE, _ONE))
     inst = Instance.from_data(_T73_LEAVES + _T73_UPPERS + _T73_BOTTOMS, _T73_LEAVES, edges)
     return inst, _T73_PRIORITY
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from aecover.generators import (
     from_installation,
     from_theta_setcover,
     generate,
+    random_general,
     random_installation,
     random_minpower,
     random_theta_setcover,
@@ -169,6 +171,14 @@ class TestFacilityLocation:
             ubi = validate_locally_uniform(inst)
             assert ubi.theta <= 4
 
+    def test_unit_weights_refuse_a_slope_below_one(self):
+        # Unit weights and thresholds have slope 1, so no theta below 1 can
+        # be met; without unit=True the slope stays at most theta.
+        with pytest.raises(DomainError, match="theta must be at least 1 for unit weights"):
+            random_uniform(0, theta="1/2", unit=True)
+        assert validate_locally_uniform(random_uniform(0, theta="1/2")).theta <= Fraction(1, 2)
+        assert validate_locally_uniform(random_uniform(0, theta=1, unit=True)).theta == 1
+
     def test_matches_subset_brute_force(self):
         rng = random.Random(9)
         for seed in range(100):
@@ -259,6 +269,50 @@ class TestRandomFamilies:
             assert FAMILIES[family].limits == certify.LIMITS.get(family, {}), family
 
 
+class TestSizeErrors:
+    # A size the draw cannot meet is refused with DomainError, naming the
+    # argument, before the first draw; the smallest sizes it can meet draw.
+    def test_minpower(self):
+        for args, kwargs, text in [
+            ((2, 3, 0), {}, "n must exceed 2"),
+            ((4, 3, 0), {"r": 5}, "r must be in 0..n"),
+            ((4, 3, 0), {"r": -1}, "r must be in 0..n"),
+            ((4, -1, 0), {}, "m must be non-negative"),
+            ((1, 1, 0), {"r": 0}, "n must be at least 2"),
+        ]:
+            with pytest.raises(DomainError, match=text):
+                random_minpower(*args, **kwargs)
+        assert len(random_minpower(3, 3, 0).terminals) == 2
+
+    def test_unit(self):
+        for n in (1, 3):
+            with pytest.raises(DomainError, match="n must exceed 3"):
+                random_unit(n, 1, 0)
+        with pytest.raises(DomainError, match="r must be in 0..n"):
+            random_unit(4, 4, 0, r=5)
+        assert len(random_unit(4, 4, 0).terminals) == 3
+
+    def test_general(self):
+        with pytest.raises(DomainError, match="r must be in 0..n, got r=9 with n=5"):
+            random_general(5, 5, 3, 0, r=9)
+        with pytest.raises(DomainError, match="n must exceed 2"):
+            random_general(2, 3, 3, 0)
+        assert len(random_general(5, 5, 3, 0, r=5).terminals) == 5
+
+    def test_installation(self):
+        for kwargs, text in [
+            ({"n_range": (1, 1)}, "n_range"),
+            ({"n_range": (2, 4)}, "n_range"),
+            ({"n_range": (6, 5)}, "n_range"),
+            ({"r_range": (3, 2)}, "r_range"),
+            ({"r_range": (-1, 2)}, "r_range"),
+            ({"n_range": (5, 8), "r_range": (5, 6)}, "r_range"),
+        ]:
+            with pytest.raises(DomainError, match=text):
+                random_installation(0, **kwargs)
+        assert len(random_installation(0, n_range=(3, 3), r_range=(2, 2)).terminals) == 2
+
+
 class TestInstallation:
     def test_height_menu_5_15_20_slope_four(self):
         # Heights 5/15/20 with demand 25 give q=5 and c=20 at a terminal.
@@ -284,6 +338,30 @@ class TestInstallation:
         costs = exact_costs(inst)
         assert costs.q["u"] == 0 and costs.c["u"] == 0
         assert exact_solve(inst).value == 0
+
+    def test_demands_on_and_beside_a_height_sum_match_the_reference(self):
+        # The least height b of v solves CU*ia + CV*ib >= H on integers by
+        # the ceiling of (H - CU*ia)/CV.  A demand exactly cu*a + cv*b keeps
+        # b for a; one 1/D above must take a higher height, one 1/D below
+        # may not take a lower one.  Over mixed denominators the quotient is
+        # mostly not whole, so a floor in place of the ceiling shows.
+        rng = random.Random(47)
+        values = [Fraction(x) for x in ("0", "1/2", "1", "4/3", "7/5", "5/3", "9/4", "11/6", "3/7")]
+        coefs = [Fraction(x) for x in ("1", "1/3", "2/5", "3/2", "5/7", "7/4", "3")]
+        pair = ("u", "v")
+        for case in range(300):
+            lu = rng.sample(values, rng.randint(1, 4))
+            lv = rng.sample(values, rng.randint(1, 4))
+            cu, cv = rng.choice(coefs), rng.choice(coefs)
+            on = cu * rng.choice(lu) + cv * rng.choice(lv)
+            D = math.lcm(*(x.denominator for x in (*lu, *lv, cu, cv, on)))
+            for h in (on, on + Fraction(1, D), on - Fraction(1, D)):
+                if h < 0:
+                    continue
+                args = (pair, ["u"], {pair: h}, {pair: (cu, cv)}, {"u": lu, "v": lv})
+                got = from_installation(*args)
+                assert got == reference_installation(*args), (case, h)
+                assert got.scaled_edges or h != on, case
 
     def test_oracle_matches_level_brute_force(self):
         for seed in range(50):

@@ -91,6 +91,36 @@ def test_canonical_output_matches_golden_bytes(family, tmp_path):
     assert (sha256_of(bench_path), sha256_of(gen_path)) == GOLDEN[family]
 
 
+# family -> sha256 of `dumps_instance(generate(family, s))` for s in
+# 0..199, concatenated in seed order, recorded before the generators moved
+# onto shared threshold constants and an integer installation rule.  It pins
+# the generation layer alone: the RNG order and every drawn value.
+GOLDEN_GENERATED = {
+    "general": "470ab7b6a463acb398747513bf9bb46bde36e6666f58ddd9147f88b7884d794a",
+    "installation": "9e714462288807f53aef2c242c88136e0c351c50892c33961ef661f6f38ba182",
+    "minpower": "1879e37879f581e7fb4ab0910906b90c48515a64337c1889d684bc31be89c4c8",
+    "setcover-t10": "4eb0ec0bd760f674e316611c8cefe34335f7fdedeb6bb138d673871d749ec3d2",
+    "setcover-t2": "0a216b3048f1b262905b797052c094b8779b5238279aaed74a3972586c75df1f",
+    "setcover-t5": "16723acb9effece7542f7916be423f0f572700531cf6aac8c74ea7b04a491d8d",
+    "tight73": "f84d063a3cb72d611d2e5b52430a30ce69c450f5d4bd66098d3be9ebaaa14385",
+    "uniform": "f944fd02105f9d0da13f69e8a146d28e01662dd6d26aa179572e12e5869d1980",
+    "uniform-unit": "9a2abcbf5a43604d6172dbfcc6810841d8773e24a643aab17c187005b780b635",
+    "unit": "b95ce6f8bc0864c430d827b07cc6b1c51d525b18017a14bea3df01f06e61babe",
+}
+
+
+def test_every_family_has_a_generation_pin():
+    assert set(GOLDEN_GENERATED) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_GENERATED))
+def test_generated_instances_match_golden_bytes(family):
+    digest = hashlib.sha256()
+    for seed in range(200):
+        digest.update(dumps_instance(generate(family, seed)).encode())
+    assert digest.hexdigest() == GOLDEN_GENERATED[family]
+
+
 SEEDS = range(20)
 
 # family -> the `solve` argument lists run on each seed: `auto`, then each

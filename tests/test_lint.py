@@ -25,6 +25,11 @@
 - No module but ``core`` and ``generators`` calls ``as_fraction``: parsing a
   threshold belongs to ``Instance.from_data``, so the loader cannot drift
   from it, and the generators convert their own costs and levels.
+- ``generators`` calls ``Fraction(...)`` only at module level, never in a
+  function or lambda body: a draw reuses the module's shared threshold
+  constants, which ``Instance.from_data`` parses once per object, and the
+  installation rule runs on integers, so no draw, pair or height builds a
+  ``Fraction`` of its own.
 - No module but ``core`` reads an ``.edges`` attribute: the instance holds
   its integer table, ``scaled_edges``, and builds ``Edge`` tuples only when
   a user or a test reads ``Instance.edges``, so no solve or serialization
@@ -163,6 +168,24 @@ def as_fraction_calls(tree: ast.AST) -> list[int]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "as_fraction"
+    })
+
+
+def fraction_calls_in_functions(tree: ast.AST) -> list[int]:
+    """Lines inside a function or lambda body that call ``Fraction``, by name
+    or as an attribute; defaults and decorators run once, at definition."""
+    bodies = [
+        part
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for part in (fn.body if isinstance(fn.body, list) else [fn.body])
+    ]
+    return sorted({
+        node.lineno
+        for part in bodies
+        for node in ast.walk(part)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction"
     })
 
 
@@ -350,6 +373,10 @@ def test_as_fraction_only_in_core_and_generators():
                 if name not in owners and (lines := as_fraction_calls(tree))}
     assert breaches == {}
     assert all(as_fraction_calls(trees[name]) for name in owners), "a parser owner lost its calls"
+
+
+def test_generators_call_fraction_only_at_module_level():
+    assert fraction_calls_in_functions(dict(library_trees())["generators.py"]) == []
 
 
 def test_edges_read_only_in_core():
@@ -620,6 +647,34 @@ def parse(rec, as_fraction_table):
 
 def test_as_fraction_rule_catches_breaches():
     assert as_fraction_calls(ast.parse(BROKEN_PARSING)) == [6, 7]
+
+
+BROKEN_DRAWS = '''
+import fractions
+from fractions import Fraction
+
+ONE = Fraction(1)
+POOL = tuple(Fraction(x) for x in ("1", "3/2"))
+
+def draw(rng, one=Fraction(1)):
+    t = Fraction(rng.choice(POOL))
+    pick = lambda: fractions.Fraction(2)
+    def inner():
+        return [Fraction(x, 2) for x in range(3)]
+    return t, pick, inner, isinstance(t, Fraction)
+
+class Sized:
+    HALF = Fraction(1, 2)
+
+    def scale(self, x):
+        return Fraction(x) * self.HALF
+'''
+
+
+def test_fraction_rule_catches_breaches():
+    # Module-level constants, a default and a class attribute run once; the
+    # calls in the function bodies, nested ones included, run per draw.
+    assert fraction_calls_in_functions(ast.parse(BROKEN_DRAWS)) == [9, 10, 12, 19]
 
 
 BROKEN_EDGES = '''
