@@ -131,7 +131,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     if args.force:
         limits = {"max_terminals": 10**9, "max_nodes": 10**9}
     try:
-        result = exact_solve(inst, time_budget=args.time_budget, **limits)
+        result = exact_solve(inst, max_expanded=args.node_budget, **limits)
     except BudgetExceeded as exc:
         result = exc.best  # the incumbent, with optimal False
     doc = {
@@ -190,7 +190,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         inst = generate(args.family, seed)
         digest = instance_digest(inst)
         try:
-            exact = exact_solve(inst, time_budget=args.time_budget, **family.limits)
+            exact = exact_solve(inst, max_expanded=args.node_budget, **family.limits)
         except (LimitExceeded, BudgetExceeded) as exc:
             bench.skipped.append({"seed": seed, "reason": str(exc)})
             continue
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--max-terminals", type=int, default=DEFAULT_MAX_TERMINALS)
     p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
-    p.add_argument("--time-budget", type=float, default=None)
+    p.add_argument("--node-budget", type=int, help="stop after expanding N search nodes")
     p.add_argument("--force", action="store_true", help="ignore size limits")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_exact)
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithms", help="comma-separated algorithm list")
     p.add_argument("--subsolver", choices=sorted(SUBSOLVERS),
                    help="k-set-cover subsolver of unit-a2 (default exact)")
-    p.add_argument("--time-budget", type=float, default=None)
+    p.add_argument("--node-budget", type=int, help="skip a seed needing more oracle nodes")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)
 

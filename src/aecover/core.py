@@ -118,11 +118,10 @@ class Instance:
                 raise InvalidInstance(f"edge endpoint not a node: {u!r}-{v!r}")
             if iu == iv:
                 raise InvalidInstance(f"self loop at {u!r}")
-            # A known literal passed its sign check on the edge that added
-            # it; only strings are looked up, as hashing a Fraction is slow.
-            a = b = None
-            if type(tu) is str and type(tv) is str:
-                a, b = known(tu), known(tv)
+            # A known threshold passed its sign check on the edge that added
+            # it; hashing a Fraction is slow, so a non-string is keyed by id.
+            a = known(tu if type(tu) is str else id(tu))
+            b = known(tv if type(tv) is str else id(tv))
             if a is None or b is None:
                 a, b = parse(tu), parse(tv)
                 if distinct[a].numerator < 0 or distinct[b].numerator < 0:

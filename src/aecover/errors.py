@@ -75,10 +75,10 @@ class LimitExceeded(AecError):
 
 
 class BudgetExceeded(AecError):
-    """Exact search ran out of time; carries the best incumbent found."""
+    """Exact search used up its node budget; carries the best incumbent found."""
 
     def __init__(self, best):
-        super().__init__("time budget exceeded before proving optimality")
+        super().__init__("node budget exceeded before proving optimality")
         self.best = best
 
 

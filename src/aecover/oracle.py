@@ -8,7 +8,6 @@ The search is the ground truth behind every empirical ratio certificate.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -33,7 +32,7 @@ def exact_solve(
     *,
     max_terminals: int = DEFAULT_MAX_TERMINALS,
     max_nodes: int = DEFAULT_MAX_NODES,
-    time_budget: Optional[float] = None,
+    max_expanded: Optional[int] = None,
 ) -> ExactResult:
     """Globally optimal assignment covering all terminals.
 
@@ -46,11 +45,12 @@ def exact_solve(
     scaling keeps every comparison and the order of the options, and only
     the result is converted back.  Raises LimitExceeded for instances beyond
     the configured limits or too deep for the interpreter's recursion limit,
-    and BudgetExceeded (carrying the non-optimal incumbent) when the time
-    budget runs out.  A negative or NaN budget raises DomainError.
+    and BudgetExceeded (carrying the non-optimal incumbent, which reports
+    ``nodes_expanded == max_expanded``) rather than expand one node more.
+    A budget other than None or a non-negative int raises DomainError.
     """
-    if time_budget is not None and not time_budget >= 0:
-        raise DomainError(f"time budget {time_budget} is not a non-negative number of seconds")
+    if max_expanded is not None and (type(max_expanded) is not int or max_expanded < 0):
+        raise DomainError(f"node budget {max_expanded!r} is not a non-negative integer")
     if len(inst.terminals) > max_terminals:
         raise LimitExceeded(
             f"{len(inst.terminals)} terminals exceed the limit {max_terminals}"
@@ -66,7 +66,6 @@ def exact_solve(
     scaled = inst.scaled_edges
     levels = dict.fromkeys(inst.nodes, 0)
     expanded = 0
-    deadline = None if time_budget is None else time.monotonic() + time_budget
 
     def result(optimal: bool) -> ExactResult:
         return ExactResult(
@@ -75,9 +74,9 @@ def exact_solve(
 
     def search(i: int, total: int) -> None:
         nonlocal best, best_levels, expanded
-        expanded += 1
-        if deadline is not None and time.monotonic() > deadline:
+        if expanded == max_expanded:
             raise BudgetExceeded(result(optimal=False))
+        expanded += 1
         # Every remaining terminal still needs at least q at itself.
         need = 0
         for u in terms[i:]:

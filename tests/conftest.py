@@ -196,7 +196,7 @@ def state_totals(inst, levels):
 def reference_exact_solve(inst, *, max_terminals=10, max_nodes=64):
     """The former ``exact_solve``, kept as the reference: the same branch and
     bound on exact ``Fraction`` values, with its own cheapest-edge incumbent.
-    Returns ``(value, assignment values, nodes_expanded)``; it has no time
+    Returns ``(value, assignment values, nodes_expanded)``; it has no node
     budget."""
     if len(inst.terminals) > max_terminals or len(inst.nodes) > max_nodes:
         raise LimitExceeded("reference limits")

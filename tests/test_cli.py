@@ -16,7 +16,7 @@ from aecover.bounds import g_value
 from aecover.cli import main, pick_algorithm, run_algorithm
 from aecover.errors import DomainError, LimitExceeded
 from aecover.fileio import format_float, load_instance, save_instance
-from aecover.generators import FAMILIES, generate, random_uniform, tight73
+from aecover.generators import FAMILIES, generate, random_general, random_uniform, tight73
 from aecover.core import Instance
 from conftest import assignment_of, assignment_total, covers
 
@@ -87,14 +87,14 @@ def test_malformed_numeric_argument_exit_code(capsys, argv):
         ("bench", "--family", "general", "--seeds", "0", "--subsolver", "greedy"),
         ("bench", "--family", "unit", "--seeds", "0", "--algorithms", "auto,unit-a1",
          "--subsolver", "exact"),
-        # A negative budget would stop at once and a NaN one never.
-        ("exact", "{dir}/general.json", "--time-budget", "-1"),
-        ("exact", "{dir}/general.json", "--time-budget", "nan"),
-        ("bench", "--family", "general", "--seeds", "0", "--time-budget", "-1"),
-        ("bench", "--family", "general", "--seeds", "0", "--time-budget", "nan"),
+        # A search cannot stop after fewer than no nodes.
+        ("exact", "{dir}/general.json", "--node-budget", "-1"),
+        ("exact", "{dir}/general.json", "--node-budget", "-" + "9" * 30),
+        ("bench", "--family", "general", "--seeds", "0", "--node-budget", "-1"),
+        ("bench", "--family", "general", "--seeds", "0", "--node-budget", "-" + "9" * 30),
         ("bench", "--family", "general", "--seeds", "0", "--algorithms", "general,general"),
         # A zero budget skips every seed, so the report certifies nothing.
-        ("bench", "--family", "general", "--seeds", "0..4", "--time-budget", "0",
+        ("bench", "--family", "general", "--seeds", "0..4", "--node-budget", "0",
          "--out", "{dir}/bench.json"),
     ],
 )
@@ -257,13 +257,14 @@ def test_exact_limits_and_force(tmp_path, capsys):
     assert json.loads(out)["value"] == "60"
 
 
-def test_exact_over_its_time_budget_writes_the_incumbent(tmp_path, capsys):
+def test_exact_over_its_node_budget_writes_the_incumbent(tmp_path, capsys):
     path = tmp_path / "tight.json"
     run(capsys, "gen", "--family", "tight73", "--out", str(path))
-    code, out, _ = run(capsys, "exact", str(path), "--force", "--time-budget", "0")
+    code, out, _ = run(capsys, "exact", str(path), "--force", "--node-budget", "0")
     assert code == 0
     doc = json.loads(out)
     assert doc["optimal"] is False
+    assert doc["nodes_expanded"] == 0
     assert Fraction(doc["value"]) >= 60
     assignment = assignment_of({n: Fraction(x) for n, x in doc["assignment"].items()})
     assert assignment_total(assignment) == Fraction(doc["value"])
@@ -326,7 +327,7 @@ def test_bench_refuses_an_unknown_algorithm_before_any_seed(
     monkeypatch.setattr(cli, "exact_solve", no_oracle)
     out = tmp_path / "bench.json"
     code, stdout, err = run(capsys, "bench", "--family", family, "--seeds", seeds,
-                            "--time-budget", "0", "--algorithms", algorithms, "--out", str(out))
+                            "--node-budget", "0", "--algorithms", algorithms, "--out", str(out))
     assert (code, stdout, err) == (1, "", f"error: unknown algorithm {name!r}\n")
     assert not out.exists()
 
@@ -399,7 +400,7 @@ def test_bench_deterministic_and_clean(tmp_path, capsys):
 
 def test_bench_that_skips_every_seed_writes_its_report_and_exits_1(tmp_path, capsys):
     out_path = tmp_path / "bench.json"
-    argv = ["bench", "--family", "general", "--seeds", "0..4", "--time-budget", "0"]
+    argv = ["bench", "--family", "general", "--seeds", "0..4", "--node-budget", "0"]
     code, _, err = run(capsys, *argv, "--out", str(out_path))
     assert code == 1
     assert err == "error: all 5 seeds were skipped; nothing was certified\n"
@@ -512,3 +513,53 @@ def test_bench_bytes_do_not_depend_on_the_hash_seed():
     for done in runs["0"] + runs["1"]:
         assert done.returncode == 0, done.stderr
     assert [d.stdout for d in runs["0"]] == [d.stdout for d in runs["1"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "{dir}/general.json", "--node-budget", "nan"),
+        ("exact", "{dir}/general.json", "--node-budget", "0.5"),
+        ("bench", "--family", "general", "--seeds", "0", "--node-budget", "nan"),
+        ("bench", "--family", "general", "--seeds", "0", "--node-budget", "1e3"),
+    ],
+)
+def test_non_integer_node_budget_is_a_usage_error(tmp_path, capsys, argv):
+    save_instance(generate("general", 0), tmp_path / "general.json")
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (code, out) == (1, "")
+    assert f"error: argument --node-budget: invalid int value: {argv[-1]!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (("exact", "{ladder}", "--force", "--node-budget", "100"), None),
+        (("bench", "--family", "general", "--seeds", "0..199", "--node-budget", "20"), 17),
+        (("bench", "--family", "unit", "--seeds", "0..199", "--node-budget", "20"), 18),
+    ],
+    ids=["exact", "bench-general", "bench-unit"],
+)
+def test_a_node_budget_stop_writes_the_same_bytes_every_run(tmp_path, argv, skipped):
+    ladder = tmp_path / "r26.json"
+    save_instance(random_general(32, 96, 6, seed=2, r=26), ladder)
+    runs = [run_cli(*(a.format(ladder=ladder) for a in argv)) for _ in range(3)]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    doc = json.loads(runs[0].stdout)
+    if skipped is None:
+        assert (doc["value"], doc["nodes_expanded"], doc["optimal"]) == ("61", 100, False)
+    else:
+        assert len(doc["skipped"]) == skipped
+        assert {s["reason"] for s in doc["skipped"]} == {
+            "node budget exceeded before proving optimality"
+        }
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_node_budget_no_seed_needs_leaves_bench_bytes_unchanged(capsys, family):
+    # 129 nodes is the most any family's oracle expands at seeds 0..199.
+    argv = ("bench", "--family", family, "--seeds", "0..19")
+    free = run(capsys, *argv)[:2]  # stderr carries the wall time
+    assert run(capsys, *argv, "--node-budget", "129")[:2] == free

@@ -13,6 +13,9 @@
   ``core.active_at_levels``, on the integer view, is the one predicate.
 - Every import names a standard-library module or the package itself, so the
   library installs and runs with no third-party package.
+- No module but ``cli`` imports ``time``: a search stops on a count, never on
+  the clock, so every value the library returns is the same on any machine,
+  and the front end reads the clock only for the timings it prints to stderr.
 - No module calls a ``.scaled`` or ``.levels`` method, and ``Instance`` has
   none: ``Instance.from_data`` makes the integer view once, every module
   reads it ready-made (``scaled_edges``, ``scaled_rows``,
@@ -134,21 +137,26 @@ def fraction_activation_tests(tree: ast.AST) -> list[int]:
     return sorted(set(found))
 
 
-def third_party_imports(tree: ast.AST) -> list[int]:
-    """Lines that import a module from neither the standard library nor
-    ``aecover``; relative imports are the package's own."""
-    allowed = sys.stdlib_module_names | {"aecover"}
-    found = []
+def absolute_imports(tree: ast.AST):
+    """``(line, module names)`` of each import statement but the relative
+    ones, which name the package's own modules."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            yield node.lineno, [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        if any(name.partition(".")[0] not in allowed for name in names):
-            found.append(node.lineno)
-    return sorted(found)
+            yield node.lineno, [node.module]
+
+
+def third_party_imports(tree: ast.AST) -> list[int]:
+    """Lines that import a module from neither the standard library nor ``aecover``."""
+    allowed = sys.stdlib_module_names | {"aecover"}
+    return sorted(line for line, names in absolute_imports(tree)
+                  if any(name.partition(".")[0] not in allowed for name in names))
+
+
+def time_imports(tree: ast.AST) -> list[int]:
+    """Lines that import the ``time`` module or a name from it."""
+    return sorted(line for line, names in absolute_imports(tree) if "time" in names)
 
 
 def integer_view_calls(tree: ast.AST) -> list[int]:
@@ -360,6 +368,12 @@ def test_json_dumps_only_in_fileio():
     assert json_dumps_uses(trees["fileio.py"]), "the layout owner lost its json.dumps"
 
 
+def test_time_imported_only_in_cli():
+    breaches = {name: lines for name, tree in library_trees()
+                if name != "cli.py" and (lines := time_imports(tree))}
+    assert breaches == {}
+
+
 def test_integer_view_made_only_in_core():
     breaches = {name: lines for name, tree in library_trees() if (lines := integer_view_calls(tree))}
     assert breaches == {}
@@ -523,6 +537,25 @@ def solve():
 
 def test_import_rule_catches_breaches():
     assert third_party_imports(ast.parse(BROKEN_IMPORTS)) == [3, 8, 12]
+
+
+BROKEN_CLOCKS = '''
+import os, time
+import time as clock
+from time import monotonic
+from datetime import time as time_of_day
+from . import timing
+import timeit
+
+def budget():
+    from time import perf_counter
+    return perf_counter()
+'''
+
+
+def test_time_rule_catches_breaches():
+    # The datetime class, a sibling module and timeit are not the clock module.
+    assert time_imports(ast.parse(BROKEN_CLOCKS)) == [2, 3, 4, 10]
 
 
 BROKEN_FAMILIES = '''

@@ -121,17 +121,41 @@ def test_matches_fraction_reference_on_the_ladder(r):
 def test_budget_exceeded_carries_incumbent():
     inst, _ = tight73()
     with pytest.raises(BudgetExceeded) as info:
-        exact_solve(inst, max_terminals=48, max_nodes=80, time_budget=0.0)
+        exact_solve(inst, max_terminals=48, max_nodes=80, max_expanded=0)
     best = info.value.best
     assert not best.optimal
+    assert best.nodes_expanded == 0
     assert covers(inst, best.assignment)[0]  # the cheapest-edge incumbent
 
 
-@pytest.mark.parametrize("budget", [-1.0, -1e-9, math.nan])
+@pytest.mark.parametrize("budget", [-1, -(10**30), -1.0, -1e-9, 0.5, math.nan, True])
 def test_meaningless_budget_is_refused(budget):
     inst, _ = tight73()
     with pytest.raises(DomainError):
-        exact_solve(inst, max_terminals=48, max_nodes=80, time_budget=budget)
+        exact_solve(inst, max_terminals=48, max_nodes=80, max_expanded=budget)
+
+
+@pytest.mark.parametrize("budget, value, nodes", [(100, 61, 100), (500, 59, 500)])
+def test_search_stopped_mid_way_is_pinned(budget, value, nodes):
+    # Unbudgeted, this ladder rung takes 198,558 nodes to prove 57.
+    inst = random_general(32, 96, 6, seed=2, r=26)
+    with pytest.raises(BudgetExceeded) as info:
+        exact_solve(inst, max_terminals=64, max_expanded=budget)
+    best = info.value.best
+    assert (best.value, best.nodes_expanded, best.optimal) == (value, nodes, False)
+    assert covers(inst, best.assignment)[0]
+
+
+def test_budget_of_exactly_the_search_size_proves_optimality():
+    inst = generate("general", 0)
+    full = exact_solve(inst, **FAMILIES["general"].limits)
+    at = exact_solve(inst, max_expanded=full.nodes_expanded, **FAMILIES["general"].limits)
+    assert (at.value, at.assignment, at.nodes_expanded, at.optimal) == (
+        full.value, full.assignment, full.nodes_expanded, True
+    )
+    with pytest.raises(BudgetExceeded) as info:
+        exact_solve(inst, max_expanded=full.nodes_expanded - 1, **FAMILIES["general"].limits)
+    assert info.value.best.nodes_expanded == full.nodes_expanded - 1
 
 
 class TestStarDecomposition:
