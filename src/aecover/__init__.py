@@ -49,9 +49,6 @@ from .locally_uniform import (
 from .oracle import ExactResult, exact_solve
 from .report import BenchReport, SolveReport, solve_report
 from .unit import (
-    EXACT_SUBSOLVER,
-    GREEDY_SUBSOLVER,
-    KSetCoverSolver,
     SetCoverInstance,
     exact_2setcover,
     exact_bb,

@@ -50,7 +50,8 @@ def rho_from_alphas(alphas: dict[int, Fraction]) -> Fraction:
     return (7 * alphas[6] - sigma) / (6 * alphas[6] - sigma + 1)
 
 
-#: Guarantee of the unit-threshold solver with a quality-certified subsolver.
+#: Guarantee of the multi-phase unit-threshold solver, whose finishes stay
+#: within the k-set-cover quality table ALPHA_K for every k <= 6.
 RHO: Fraction = rho_from_alphas(ALPHA_K)
 
 #: Guarantee of the unit-threshold solver using only the exact 2-set-cover phase.

@@ -35,7 +35,7 @@ from .locally_uniform import (
 )
 from .oracle import DEFAULT_MAX_NODES, DEFAULT_MAX_TERMINALS, exact_solve
 from .report import BenchReport, SolveReport
-from .unit import SUBSOLVERS, solve_unit_a1, solve_unit_a2
+from .unit import solve_unit_a1, solve_unit_a2
 
 ALGORITHMS = ("auto", "general", "locally-uniform", "unit-a1", "unit-a2")
 
@@ -51,14 +51,10 @@ def pick_algorithm(inst: Instance) -> tuple[str, Optional[UniformBipartiteInstan
 
 
 def run_algorithm(
-    inst: Instance,
-    algorithm: str,
-    priority: Optional[Sequence[str]] = None,
-    subsolver: Optional[str] = None,
+    inst: Instance, algorithm: str, priority: Optional[Sequence[str]] = None
 ) -> SolveReport:
     """Run ``algorithm`` ("auto" picks one).  Only the locally uniform greedy
-    reads a facility priority list, and only unit-a2 a k-set-cover subsolver
-    (exact when None); any other run given one is refused."""
+    reads a facility priority list; any other run given one is refused."""
     if algorithm not in ALGORITHMS:
         raise DomainError(f"unknown algorithm {algorithm!r}")
     ubi = None
@@ -66,8 +62,6 @@ def run_algorithm(
         algorithm, ubi = pick_algorithm(inst)
     if priority is not None and algorithm != "locally-uniform":
         raise DomainError(f"algorithm {algorithm!r} does not use a priority list")
-    if subsolver is not None and algorithm != "unit-a2":
-        raise DomainError(f"algorithm {algorithm!r} does not use a subsolver")
     if algorithm == "locally-uniform":
         return solve_locally_uniform(ubi or validate_locally_uniform(inst), priority)
     if algorithm == "general":
@@ -75,10 +69,7 @@ def run_algorithm(
     if algorithm == "unit-a1":
         return solve_unit_a1(inst)
     # Only unit-a2 is left.
-    name = "exact" if subsolver is None else subsolver
-    if name not in SUBSOLVERS:
-        raise DomainError(f"unknown subsolver {name!r}; known: {sorted(SUBSOLVERS)}")
-    return solve_unit_a2(inst, subsolver=SUBSOLVERS[name])
+    return solve_unit_a2(inst)
 
 
 def _read_priority(path: Optional[str]) -> Optional[list[str]]:
@@ -102,7 +93,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.input)
     priority = _read_priority(args.priority_file)
     started = time.monotonic()
-    report = run_algorithm(inst, args.algorithm, priority, args.subsolver)
+    report = run_algorithm(inst, args.algorithm, priority)
     elapsed = time.monotonic() - started
     exit_code = 0
     if args.exact_check:
@@ -171,14 +162,13 @@ def _parse_seeds(text: str) -> tuple[int, int]:
 def cmd_bench(args: argparse.Namespace) -> int:
     seed_start, seed_end = _parse_seeds(args.seeds)
     family = FAMILIES[args.family]
-    algorithms = tuple(args.algorithms.split(",")) if args.algorithms else family.algorithms
+    algorithms = (family.algorithms if args.algorithms is None
+                  else tuple(args.algorithms.split(",")))
     for alg in algorithms:
         if alg not in ALGORITHMS:
             raise DomainError(f"unknown algorithm {alg!r}")
     if len(set(algorithms)) != len(algorithms):
         raise DomainError(f"--algorithms {args.algorithms!r} names an algorithm more than once")
-    if args.subsolver is not None and "unit-a2" not in algorithms:
-        raise DomainError(f"--subsolver applies to unit-a2, which {','.join(algorithms)} lacks")
     bench = BenchReport(
         family=args.family,
         seed_start=seed_start,
@@ -196,7 +186,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             continue
         reports = {}
         for alg in algorithms:
-            rep = run_algorithm(inst, alg, subsolver=args.subsolver if alg == "unit-a2" else None)
+            rep = run_algorithm(inst, alg)
             rep.exact_value = exact.value
             reports[alg] = rep
         bench.add_entry(seed, digest, exact.value, reports)
@@ -236,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     p.add_argument("--priority-file", help="facility order that breaks locally-uniform price ties")
-    p.add_argument("--subsolver", choices=sorted(SUBSOLVERS),
-                   help="k-set-cover subsolver of unit-a2 (default exact)")
     p.add_argument("--exact-check", action="store_true", help="attach the exact optimum")
     p.add_argument("--max-terminals", type=int, default=DEFAULT_MAX_TERMINALS)
     p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
@@ -263,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--seeds", default="0..19", help="inclusive range a..b")
     p.add_argument("--algorithms", help="comma-separated algorithm list")
-    p.add_argument("--subsolver", choices=sorted(SUBSOLVERS),
-                   help="k-set-cover subsolver of unit-a2 (default exact)")
     p.add_argument("--node-budget", type=int, help="skip a seed needing more oracle nodes")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)

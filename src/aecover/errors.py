@@ -46,7 +46,7 @@ class NotUnitThresholds(AecError):
 
 
 class SizeBoundViolated(AecError):
-    """A set passed to a k-set-cover subsolver exceeds the size bound k."""
+    """A set passed to a k-set-cover solver exceeds the size bound k."""
 
 
 class DomainError(AecError):

@@ -1,5 +1,5 @@
 """Unit-threshold solvers: residual set-cover reduction, the star-then-exact
-solver, and the multi-phase solver with a pluggable k-set-cover subsolver.
+solver, and the multi-phase solver with exact k-set-cover finishes.
 
 With all thresholds 1, an optimal assignment is 0/1, pays 1 on every terminal,
 and the non-terminal support must cover the terminals that no terminal-
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection, Iterator, Mapping, Optional
+from typing import Collection, Iterator, Mapping, Optional
 
 from .bounds import A1_RATIO, RHO
 from .core import Instance, degree_bound
@@ -82,7 +82,7 @@ def _restrict(sc: SetCoverInstance, remaining: set[str]) -> SetCoverInstance:
 
 
 # ---------------------------------------------------------------------------
-# k-set-cover subsolvers
+# k-set-cover solvers
 
 
 def maximum_matching(adj: list[list[int]]) -> list[int]:
@@ -204,7 +204,7 @@ def exact_2setcover(sc: SetCoverInstance) -> tuple[str, ...]:
 
 
 class CoverSearch:
-    """The exact subsolver's search on one set system ``sc``, built once and
+    """The exact k-set-cover search on one set system ``sc``, built once and
     asked by :meth:`cover` for the first minimum covers of many element sets.
 
     *Value search.*  Bits are numbered by (number of sets containing the
@@ -336,35 +336,6 @@ def greedy_hk(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
     return tuple(sorted(roots))
 
 
-@dataclass(frozen=True)
-class KSetCoverSolver:
-    """Pluggable subsolver; ``certified`` means its quality is within the
-    published k-set-cover table for every k <= 6, which is what the 1555/1347
-    certificate of the multi-phase solver requires.  Once per solve,
-    ``start(sc)`` returns ``finish(uncovered, k, below)``: a cover of
-    ``uncovered`` by the sets of ``sc``, none holding more than k of those
-    elements, or ``None`` when ``below`` is not ``None`` and it has proved
-    that no cover has fewer than ``below`` sets."""
-
-    name: str
-    start: Callable[[SetCoverInstance], Callable[..., Optional[tuple[str, ...]]]]
-    certified: bool
-
-
-EXACT_SUBSOLVER = KSetCoverSolver(
-    name="exact", start=lambda sc: CoverSearch(sc).cover, certified=True
-)
-# The greedy ignores below and always returns its cover.  Each finish is the
-# rest of the same star phases, so unit-a2 with it reports the greedy_hk cover.
-GREEDY_SUBSOLVER = KSetCoverSolver(
-    name="greedy",
-    start=lambda sc: lambda uncovered, k, below: greedy_hk(_restrict(sc, uncovered), k),
-    certified=False,
-)
-
-SUBSOLVERS = {s.name: s for s in (EXACT_SUBSOLVER, GREEDY_SUBSOLVER)}
-
-
 # ---------------------------------------------------------------------------
 # Unit solvers
 
@@ -422,16 +393,16 @@ def solve_unit_a1(inst: Instance) -> SolveReport:
     )
 
 
-def solve_unit_a2(inst: Instance, subsolver: KSetCoverSolver = EXACT_SUBSOLVER) -> SolveReport:
+def solve_unit_a2(inst: Instance) -> SolveReport:
     """Phase down star sizes on :func:`reduce_unit` of ``inst``, keeping the
-    best of roots-so-far plus a subsolver finish at every k <= 6, asked of
-    the one subsolver start (:attr:`KSetCoverSolver.start`) for each phase.
+    best of roots-so-far plus an exact finish at every k <= 6, asked of one
+    :class:`CoverSearch` for each phase.
 
     At phase k a facility with k+1 still-uncovered neighbors claims all of
     them (the phase order guarantees no facility exceeds k+1), so residual
     instances stay feasible and roots are disjoint from later solutions.
 
-    Every phase after the first asks its subsolver only for a finish of
+    Every phase after the first asks the search only for a finish of
     fewer than ``below = best - len(roots)`` sets, ``best`` the smallest
     candidate so far, and is skipped when ``below <= 0``.  A candidate
     replaces the best only when it is strictly smaller, so the first
@@ -441,7 +412,7 @@ def solve_unit_a2(inst: Instance, subsolver: KSetCoverSolver = EXACT_SUBSOLVER) 
     neither the winner nor the phase trace.
     """
     sc = reduce_unit(inst)
-    finish_of = subsolver.start(sc)
+    search = CoverSearch(sc)
     best: Optional[tuple[int, int, int, int, tuple[str, ...]]] = None
     phases: list[dict] = []
     for k, roots, stars, uncovered in _star_phases(sc):
@@ -454,20 +425,17 @@ def solve_unit_a2(inst: Instance, subsolver: KSetCoverSolver = EXACT_SUBSOLVER) 
         below = None if best is None else best[0] - len(roots)
         if below is not None and below <= 0:
             continue
-        finish = finish_of(uncovered, k, below) if uncovered else ()
+        finish = search.cover(uncovered, k, below) if uncovered else ()
         if finish is None:
             continue
         if set(roots) & set(finish):
-            raise PhaseInvariantViolated(f"subsolver finish at k={k} reuses a root")
+            raise PhaseInvariantViolated(f"finish at k={k} reuses a root")
         size = len(roots) + len(finish)
         if best is None or size < best[0]:
             best = (size, k, len(roots), len(finish), (*roots, *finish))
     _, k_winner, c_size, a_size, chosen = best
     return _unit_report(
-        inst, "unit-a2", chosen,
-        claimed_bound=RHO if subsolver.certified else None,
-        bound_label="1555/1347" if subsolver.certified else f"uncertified ({subsolver.name})",
+        inst, "unit-a2", chosen, claimed_bound=RHO, bound_label="1555/1347",
         trace={"phases": phases},
-        extras={"k_winner": k_winner, "C_size": c_size, "A_size": a_size,
-                "subsolver": subsolver.name},
+        extras={"k_winner": k_winner, "C_size": c_size, "A_size": a_size, "subsolver": "exact"},
     )

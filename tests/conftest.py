@@ -22,6 +22,7 @@ from typing import Sequence
 
 import pytest
 
+from aecover import unit
 from aecover.bounds import omega_bar
 from aecover.core import Assignment, DerivedCosts, Edge, Instance, as_fraction, covered_terminals
 from aecover.errors import (
@@ -29,7 +30,7 @@ from aecover.errors import (
     LimitExceeded, SizeBoundViolated,
 )
 from aecover.general import _best_star_at, _min_star
-from aecover.unit import KSetCoverSolver, _restrict
+from aecover.unit import CoverSearch, _restrict
 
 ZERO = Fraction(0)
 
@@ -338,14 +339,22 @@ def reference_greedy_hk(sc, k: int) -> tuple[str, ...]:
     return tuple(sorted(chosen))
 
 
-def subsolver_of(name: str, fn, certified: bool) -> KSetCoverSolver:
-    """A subsolver that runs ``fn(sc, k, below)`` on each phase's system cut
-    down to its uncovered elements, as a fresh call every phase."""
-    return KSetCoverSolver(
-        name,
-        lambda sc: lambda uncovered, k, below: fn(_restrict(sc, uncovered), k, below),
-        certified,
-    )
+def search_of(fn):
+    """A stand-in for ``unit.CoverSearch``: built on a system ``sc``, its
+    ``cover(uncovered, k, below)`` runs ``fn(sc, k, below)`` on ``sc`` cut
+    down to ``uncovered``, as a fresh call every phase.  ``fn`` runs with
+    the real class back in place, so it may call ``exact_bb``."""
+
+    class Search:
+        def __init__(self, sc):
+            self.sc = sc
+
+        def cover(self, uncovered, k, below):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(unit, "CoverSearch", CoverSearch)
+                return fn(_restrict(self.sc, set(uncovered)), k, below)
+
+    return Search
 
 
 def quadratic_prune(sorted_edges):

@@ -34,7 +34,6 @@ from aecover.generators import (
 from aecover.locally_uniform import solve_locally_uniform, validate_locally_uniform
 from aecover.oracle import exact_solve
 from aecover.unit import (
-    EXACT_SUBSOLVER,
     exact_2setcover,
     exact_bb,
     reduce_unit,
@@ -233,7 +232,7 @@ def test_criterion_6_unit_certification():
         assert len(sc.elements) <= 10
         opt = exact_solve(inst).value
         a1 = solve_unit_a1(inst)
-        a2 = solve_unit_a2(inst, subsolver=EXACT_SUBSOLVER)
+        a2 = solve_unit_a2(inst)
         for rep, bound, tag in ((a1, A1_RATIO, "a1"), (a2, RHO, "a2")):
             assert covers(inst, rep.assignment)[0]
             if rep.value / opt > bound:

@@ -1,7 +1,9 @@
 """CLI surface: subcommands, exit codes, and output determinism."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -79,14 +81,6 @@ def test_malformed_numeric_argument_exit_code(capsys, argv):
         ("solve", "{inst}", "--priority-file", "{dir}/priority"),
         ("solve", "{inst}", "--algorithm", "unit-a1", "--priority-file", "{dir}/priority"),
         ("solve", "{inst}", "--algorithm", "unit-a2", "--priority-file", "{dir}/priority"),
-        ("solve", "{inst}", "--algorithm", "general", "--subsolver", "greedy"),
-        ("solve", "{inst}", "--algorithm", "unit-a1", "--subsolver", "greedy"),
-        ("solve", "{inst}", "--algorithm", "locally-uniform", "--subsolver", "exact"),
-        # On a general instance auto picks general, which reads no subsolver.
-        ("solve", "{dir}/general.json", "--subsolver", "greedy"),
-        ("bench", "--family", "general", "--seeds", "0", "--subsolver", "greedy"),
-        ("bench", "--family", "unit", "--seeds", "0", "--algorithms", "auto,unit-a1",
-         "--subsolver", "exact"),
         # A search cannot stop after fewer than no nodes.
         ("exact", "{dir}/general.json", "--node-budget", "-1"),
         ("exact", "{dir}/general.json", "--node-budget", "-" + "9" * 30),
@@ -108,6 +102,30 @@ def test_unusable_input_exit_code(tmp_path, capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+# unit-a2 has one finish, so no command takes a --subsolver.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{inst}", "--algorithm", "general", "--subsolver", "greedy"),
+        ("solve", "{inst}", "--algorithm", "unit-a1", "--subsolver", "greedy"),
+        ("solve", "{inst}", "--algorithm", "locally-uniform", "--subsolver", "exact"),
+        # On a general instance auto picks general.
+        ("solve", "{dir}/general.json", "--subsolver", "greedy"),
+        ("solve", "{inst}", "--algorithm", "unit-a2", "--subsolver", "greedy"),
+        ("bench", "--family", "general", "--seeds", "0", "--subsolver", "greedy"),
+        ("bench", "--family", "unit", "--seeds", "0", "--algorithms", "auto,unit-a1",
+         "--subsolver", "exact"),
+    ],
+)
+def test_subsolver_option_is_a_usage_error(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.json"
+    save_instance(tight73()[0], inst)
+    save_instance(generate("general", 0), tmp_path / "general.json")
+    code, out, err = run(capsys, *(a.format(inst=inst, dir=tmp_path) for a in argv))
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --subsolver" in err
 
 
 def one_facility_instance(path, weight, service="1"):
@@ -286,25 +304,7 @@ def test_exact_too_deep_for_the_recursion_limit_is_a_typed_error(tmp_path, capsy
     assert "Traceback" not in err
 
 
-def test_bench_passes_the_subsolver_to_unit_a2_only(capsys):
-    code, out, _ = run(capsys, "bench", "--family", "unit", "--seeds", "0..4",
-                       "--algorithms", "auto,unit-a1,unit-a2", "--subsolver", "greedy")
-    assert code == 0
-    for entry in json.loads(out)["entries"]:
-        inst = generate("unit", entry["seed"])
-        values = {alg: run_algorithm(inst, alg).value for alg in ("auto", "unit-a1")}
-        values["unit-a2"] = run_algorithm(inst, "unit-a2", subsolver="greedy").value
-        assert {alg: r["value"] for alg, r in entry["results"].items()} == {
-            alg: str(v) for alg, v in values.items()
-        }
-
-
-def test_unknown_subsolver_is_a_domain_error():
-    with pytest.raises(DomainError, match="bogus"):
-        run_algorithm(generate("unit", 0), "unit-a2", subsolver="bogus")
-
-
-@pytest.mark.parametrize("extra", [{}, {"subsolver": "greedy"}, {"priority": ["f"]}])
+@pytest.mark.parametrize("extra", [{}, {"priority": ["f"]}])
 def test_unknown_algorithm_is_named_before_its_options(extra):
     with pytest.raises(DomainError, match="unknown algorithm 'bogus'"):
         run_algorithm(generate("general", 0), "bogus", **extra)
@@ -316,6 +316,7 @@ def test_unknown_algorithm_is_named_before_its_options(extra):
         ("tight73", "0..0", "bogus", "bogus"),
         ("general", "0..3", "general,bogus", "bogus"),
         ("unit", "0..1", "unit-a2,", ""),
+        ("tight73", "0..0", "", ""),
     ],
 )
 def test_bench_refuses_an_unknown_algorithm_before_any_seed(
@@ -563,3 +564,15 @@ def test_a_node_budget_no_seed_needs_leaves_bench_bytes_unchanged(capsys, family
     argv = ("bench", "--family", family, "--seeds", "0..19")
     free = run(capsys, *argv)[:2]  # stderr carries the wall time
     assert run(capsys, *argv, "--node-budget", "129")[:2] == free
+
+
+def test_readme_cli_section_names_the_parser_options():
+    # Every option of every subcommand, --help aside, and no other, is named
+    # in the README's CLI section.
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in subcommands.choices.values() for a in p._actions
+               for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == options

@@ -134,7 +134,7 @@ SOLVE_RUNS = {
     "general": (["auto"], ["general"]),
     "uniform": (["auto"], ["locally-uniform"]),
     "uniform-unit": (["auto"], ["locally-uniform"]),
-    "unit": (["auto"], ["unit-a1"], ["unit-a2"], ["unit-a2", "--subsolver", "greedy"]),
+    "unit": (["auto"], ["unit-a1"], ["unit-a2"]),
     "tight73": (
         ["auto"],
         ["locally-uniform"],
@@ -184,7 +184,7 @@ GOLDEN_SOLVE_EXACT = {
         "bdba2325d043a18596f3acf754363e419f1b2b6c94973ccb5f00a3dd5c59d96f",
     ),
     "unit": (
-        "3b1b548eb33eca3ec6680b904adbf92d00e7e994c0033526d4d1458e83acae7c",
+        "cbac0348534c9c068f84b6942937f9194d74d4f6a891db4ef0bb3fbbbdd56dab",
         "05836fb4568204c3017e9d42a961a926618ab2928edbad1e692309420ab30619",
     ),
 }
@@ -230,7 +230,7 @@ GOLDEN_EXACT_CHECK = {
     "tight73": "cb564cc7a099d113dc306de2449a4f6ee5013afb333afce7d4a753750bdc29ad",
     "uniform": "cdbb08fd55b18fe04f6c56335dc8dd7cc945ce8f9b3c30489fb2e958167fefb4",
     "uniform-unit": "a5b11dfb6eabcf1b88be20da9044621832c6abdbd7d959ac92deaf9994b07c63",
-    "unit": "41ea2a45271c23b23b9766c9b80f6423d2b522ece51b500212983090b89ae5f3",
+    "unit": "7cf1933c10ed946184dca88abb158a94eec92d5a88f5f100c101ca641f611911",
 }
 
 

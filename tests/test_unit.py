@@ -1,4 +1,4 @@
-"""Unit-threshold reduction, exact 2-set-cover, subsolvers, both solvers."""
+"""Unit-threshold reduction, exact 2-set-cover, the k-set-cover searches, both solvers."""
 
 import hashlib
 import importlib.util
@@ -10,8 +10,6 @@ import subprocess
 import sys
 import time
 import types
-from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -34,9 +32,6 @@ from aecover.fileio import loads_instance
 from aecover.generators import generate, random_unit, tight73
 from aecover.oracle import exact_solve
 from aecover.unit import (
-    EXACT_SUBSOLVER,
-    GREEDY_SUBSOLVER,
-    SUBSOLVERS,
     CoverSearch,
     SetCoverInstance,
     _restrict,
@@ -49,7 +44,7 @@ from aecover.unit import (
     solve_unit_a2,
 )
 from conftest import (
-    covers, enum_setcover_optimum, random_set_system, reference_greedy_hk, subsolver_of,
+    covers, enum_setcover_optimum, random_set_system, reference_greedy_hk, search_of,
 )
 
 
@@ -102,10 +97,15 @@ def _reference_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
     return tuple(sorted(picks))
 
 
-# Like greedy_hk, the reference ignores the bound and returns its whole cover.
-REFERENCE_SUBSOLVER = subsolver_of(
-    "exact", lambda sc, k, below: _reference_exact_bb(sc, k), certified=True
-)
+# The reference ignores the bound and returns its whole cover.
+REFERENCE_SEARCH = search_of(lambda sc, k, below: _reference_exact_bb(sc, k))
+
+
+def solve_with(search, inst: Instance):
+    """``solve_unit_a2(inst)`` with ``search`` in place of ``CoverSearch``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(aecover.unit, "CoverSearch", search)
+        return solve_unit_a2(inst)
 
 
 def _parent_exact_bb(sc: SetCoverInstance, k: int) -> tuple[str, ...]:
@@ -179,7 +179,7 @@ def nested_code(code: types.CodeType):
 
 
 def search_calls(fn, *args):
-    """``fn(*args)`` and the number of calls of the exact subsolver's inner
+    """``fn(*args)`` and the number of calls of the exact search's inner
     ``search`` it made, counted with a profile hook.  The code object is
     found wherever it is nested, in a function or a method of the module."""
     unit = aecover.unit
@@ -377,12 +377,11 @@ class TestExactBB:
             calls.append(k)
             return got
 
-        checking = subsolver_of("exact", checked, certified=True)
         rng = random.Random(17)
         for n in range(10, 31):
             inst = facility_unit_instance(n, rng)
-            report = solve_unit_a2(inst, subsolver=checking)
-            assert report.to_json() == solve_unit_a2(inst, REFERENCE_SUBSOLVER).to_json()
+            report = solve_with(search_of(checked), inst)
+            assert report.to_json() == solve_with(REFERENCE_SEARCH, inst).to_json()
         assert len(calls) >= 21
 
     @staticmethod
@@ -426,9 +425,8 @@ class TestExactBB:
             calls.append(k)
             return got
 
-        checking = subsolver_of("exact", checked, certified=True)
         for n in range(10, 46):
-            solve_unit_a2(facility_unit_instance(n, random.Random(7)), checking)
+            solve_with(search_of(checked), facility_unit_instance(n, random.Random(7)))
         assert len(calls) >= 36
 
     def test_below_returns_none_exactly_when_no_smaller_cover(self):
@@ -602,6 +600,27 @@ class TestSolveUnitA1:
         assert Fraction(report.value, 1) / opt <= A1_RATIO
         assert solve_unit_a2(inst).value == 8
 
+    def test_never_worse_than_the_greedy_cover(self):
+        # unit-a1 runs the greedy's own star phases through k=2 and then
+        # takes a minimum cover of the same leftover, where the greedy takes
+        # any cover: its value is at most |R| plus the greedy cover's size.
+        def greedy_value(inst):
+            sc = reduce_unit(inst)
+            return len(inst.terminals) + len(greedy_hk(sc, sc.max_set_size()))
+
+        rng = random.Random(23)
+        instances = [*unit_instances(), tight73()[0]]
+        instances += [random_unit(rng.randint(8, 30), rng.randint(12, 60), seed)
+                      for seed in range(300)]
+        strict = 0
+        for inst in instances:
+            value, greedy = solve_unit_a1(inst).value, greedy_value(inst)
+            assert value <= greedy
+            strict += value < greedy
+        assert strict >= 1
+        inst = facility_unit_instance(125, random.Random(7))
+        assert (solve_unit_a1(inst).value, greedy_value(inst)) == (172, 173)
+
 
 class TestSolveUnitA2:
     def test_one_big_star_first_extraction(self):
@@ -617,17 +636,14 @@ class TestSolveUnitA2:
     def test_tight_example(self):
         inst, _ = tight73()
         exact_report = solve_unit_a2(inst)
-        assert exact_report.value == 60  # subsolver solves phase delta exactly
+        assert exact_report.value == 60  # the finish solves phase delta exactly
         assert exact_report.value <= 73
         assert Fraction(exact_report.value, 60) <= RHO
-        greedy_report = solve_unit_a2(inst, subsolver=GREEDY_SUBSOLVER)
-        assert greedy_report.claimed_bound is None
-        assert greedy_report.value >= 60
 
     def test_certified_on_seeds(self):
         for seed in range(60):
             inst = random_unit(11, 18, seed)
-            report = solve_unit_a2(inst, subsolver=EXACT_SUBSOLVER)
+            report = solve_unit_a2(inst)
             assert covers(inst, report.assignment)[0]
             opt = exact_solve(inst).value
             assert report.value / opt <= RHO
@@ -670,7 +686,7 @@ class TestSolveUnitA2:
         start = time.perf_counter()
         report = solve_unit_a2(inst)
         elapsed = time.perf_counter() - start
-        assert report.to_json() == solve_unit_a2(inst, REFERENCE_SUBSOLVER).to_json()
+        assert report.to_json() == solve_with(REFERENCE_SEARCH, inst).to_json()
         assert elapsed < 10, elapsed
 
     # sha256 of solve_unit_a2(...).to_json() with the former exact_bb, which
@@ -706,54 +722,30 @@ class TestSolveUnitA2:
             assert finish is None or finish == cover
             return finish
 
-        counting = subsolver_of("exact", counted, certified=True)
         rng = random.Random(19)
         for n in range(22, 29):
             for _ in range(3):
                 inst = facility_unit_instance(n, rng)
-                report = solve_unit_a2(inst, counting)
-                assert report.to_json() == solve_unit_a2(inst, REFERENCE_SUBSOLVER).to_json()
+                report = solve_with(search_of(counted), inst)
+                assert report.to_json() == solve_with(REFERENCE_SEARCH, inst).to_json()
         assert 0 < bounded < unbounded
 
     def test_one_search_per_phase_reports_equal_the_shared_search(self):
-        # A subsolver built from exact_bb alone runs a fresh search on each
-        # phase's cut-down system: its reports must equal the shared search's.
-        # The greedy, built the same way, must equal its own start.
-        one_shot = {"exact": exact_bb, "greedy": lambda sc, k, below: greedy_hk(sc, k)}
+        # A search built from exact_bb alone runs afresh on each phase's
+        # cut-down system: its reports must equal the shared search's.
         instances = [facility_unit_instance(n, random.Random(s))
                      for s in range(3) for n in range(8, 61)]
         instances += [generate(family, seed)
                       for family in ("unit", "uniform-unit") for seed in range(200)]
         for inst in instances:
-            for subsolver in (EXACT_SUBSOLVER, GREEDY_SUBSOLVER):
-                per_phase = subsolver_of(
-                    subsolver.name, one_shot[subsolver.name], subsolver.certified
-                )
-                want = solve_unit_a2(inst, per_phase).to_json()
-                assert solve_unit_a2(inst, subsolver).to_json() == want
-
-    def test_greedy_subsolver_reports_the_greedy_cover(self):
-        # Each phase's greedy finish is the rest of the same star phases, so
-        # every candidate is the whole greedy cover, and the first one wins.
-        for inst in unit_instances():
-            sc = reduce_unit(inst)
-            report = solve_unit_a2(inst, GREEDY_SUBSOLVER)
-            picked = sorted(v for v in report.assignment.values if v not in inst.terminals)
-            assert tuple(picked) == greedy_hk(sc, sc.max_set_size())
+            want = solve_with(search_of(exact_bb), inst).to_json()
+            assert solve_unit_a2(inst).to_json() == want
 
     def test_default_solve_builds_one_search(self, monkeypatch):
-        # Every solve starts its subsolver once, the greedy as well as the
-        # exact one: the default solve builds one CoverSearch, however many
-        # phases ask it for a finish.
+        # The default solve builds one CoverSearch, however many phases ask
+        # it for a finish.
         builds = finishes = 0
         build, cover = CoverSearch.__init__, CoverSearch.cover
-        starts = Counter()
-
-        def counting(name, start):
-            def counted_start(sc):
-                starts[name] += 1
-                return start(sc)
-            return counted_start
 
         def counted_build(self, sc):
             nonlocal builds
@@ -767,38 +759,25 @@ class TestSolveUnitA2:
 
         monkeypatch.setattr(CoverSearch, "__init__", counted_build)
         monkeypatch.setattr(CoverSearch, "cover", counted_cover)
-        for name, subsolver in list(SUBSOLVERS.items()):
-            counted = replace(subsolver, start=counting(name, subsolver.start))
-            monkeypatch.setitem(SUBSOLVERS, name, counted)
         solves = 0
         for inst in unit_instances():
             builds = 0
-            starts.clear()
             assert run_algorithm(inst, "auto").algorithm == "unit-a2"
             assert builds == 1
             solves += 1
-            assert run_algorithm(inst, "auto", subsolver="greedy").algorithm == "unit-a2"
-            assert starts == dict.fromkeys(SUBSOLVERS, 1)
         assert finishes > 2 * solves
 
     def test_finish_reusing_a_root_raises(self):
-        # A subsolver finish that picks a phase root breaks the phase analysis.
+        # A finish that picks a phase root breaks the phase analysis.
         inst = facility_unit_instance(12, random.Random(1))
         every_set = tuple(reduce_unit(inst).sets)
-        roots_first = subsolver_of(
-            "bad", lambda sc, k, below: every_set,
-            certified=False,
-        )
         with pytest.raises(PhaseInvariantViolated):
-            solve_unit_a2(inst, subsolver=roots_first)
+            solve_with(search_of(lambda sc, k, below: every_set), inst)
 
     def test_uncovering_subsolver_raises_incomplete_cover(self):
         inst = facility_unit_instance(12, random.Random(1))
-        nothing = subsolver_of(
-            "bad", lambda sc, k, below: (), certified=False
-        )
         with pytest.raises(IncompleteCover):
-            solve_unit_a2(inst, subsolver=nothing)
+            solve_with(search_of(lambda sc, k, below: ()), inst)
 
     def test_phase_check_survives_optimize_flag(self):
         # Under python -O every assert is gone; the check must still raise.
@@ -806,14 +785,15 @@ class TestSolveUnitA2:
             "import random\n"
             "from aecover.core import Instance\n"
             "from aecover.errors import PhaseInvariantViolated\n"
+            "import aecover.unit\n"
             "from aecover.unit import solve_unit_a2\n"
-            "from conftest import subsolver_of\n"
+            "from conftest import search_of\n"
             "t = [f't{i}' for i in range(4)]\n"
             "edges = [(x, 'v', 1, 1) for x in t[:3]] + [(t[3], 'w', 1, 1), (t[2], 'w', 1, 1)]\n"
             "inst = Instance.from_data(t + ['v', 'w'], t, edges)\n"
-            "bad = subsolver_of('bad', lambda sc, k, below: ('v', 'w'), False)\n"
+            "aecover.unit.CoverSearch = search_of(lambda sc, k, below: ('v', 'w'))\n"
             "try:\n"
-            "    solve_unit_a2(inst, subsolver=bad)\n"
+            "    solve_unit_a2(inst)\n"
             "except PhaseInvariantViolated:\n"
             "    raise SystemExit(7)\n"
         )
