@@ -81,6 +81,14 @@ def test_malformed_numeric_argument_exit_code(capsys, argv):
         ("solve", "{inst}", "--priority-file", "{dir}/priority"),
         ("solve", "{inst}", "--algorithm", "unit-a1", "--priority-file", "{dir}/priority"),
         ("solve", "{inst}", "--algorithm", "unit-a2", "--priority-file", "{dir}/priority"),
+        # A named algorithm refuses an instance outside its class.
+        ("solve", "{dir}/general.json", "--algorithm", "locally-uniform"),
+        ("solve", "{dir}/general.json", "--algorithm", "unit-a1"),
+        ("solve", "{dir}/general.json", "--algorithm", "unit-a2"),
+        # tight73 has more terminals than the oracle's default limit.
+        ("solve", "{inst}", "--exact-check"),
+        ("exact", "{dir}/general.json", "--out", "{dir}/no/such/dir/x.json"),
+        ("bench", "--family", "general", "--seeds", "0", "--out", "{dir}/no/such/dir/x.json"),
         # A search cannot stop after fewer than no nodes.
         ("exact", "{dir}/general.json", "--node-budget", "-1"),
         ("exact", "{dir}/general.json", "--node-budget", "-" + "9" * 30),
@@ -304,7 +312,7 @@ def test_exact_too_deep_for_the_recursion_limit_is_a_typed_error(tmp_path, capsy
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("extra", [{}, {"priority": ["f"]}])
+@pytest.mark.parametrize("extra", [{}, {"priority": []}, {"priority": ["f"]}])
 def test_unknown_algorithm_is_named_before_its_options(extra):
     with pytest.raises(DomainError, match="unknown algorithm 'bogus'"):
         run_algorithm(generate("general", 0), "bogus", **extra)
