@@ -16,9 +16,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .errors import DomainError
 
@@ -223,12 +222,6 @@ TABLE1_ROWS: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class BoundTable:
-    thetas: tuple[ThetaLike, ...]
-    rows: dict[str, tuple[Optional[float], ...]]
-
-
 def bound_row(theta: ThetaLike) -> dict[str, Optional[float]]:
     t = _float_slope(_theta_fraction(theta))
     lnln = math.log(t) - math.log(math.log(t)) if t > 1 else None
@@ -240,10 +233,12 @@ def bound_row(theta: ThetaLike) -> dict[str, Optional[float]]:
     }
 
 
-def table1(thetas: tuple[ThetaLike, ...] = TABLE1_THETAS) -> BoundTable:
+def table1(
+    thetas: tuple[ThetaLike, ...] = TABLE1_THETAS,
+) -> dict[str, tuple[Optional[float], ...]]:
+    """Each row of :data:`TABLE1_ROWS` at every slope of ``thetas``."""
     cols = [bound_row(t) for t in thetas]
-    rows = {name: tuple(col[name] for col in cols) for name in TABLE1_ROWS}
-    return BoundTable(thetas=thetas, rows=rows)
+    return {name: tuple(col[name] for col in cols) for name in TABLE1_ROWS}
 
 
 def format_bound_up(x: float, decimals: int = 4) -> str:
@@ -256,14 +251,17 @@ def format_bound_up(x: float, decimals: int = 4) -> str:
     return f"{math.ceil(x * scale - 1e-9) / scale:.{decimals}f}"
 
 
-def render_table(table: BoundTable) -> str:
+def render_table(
+    thetas: tuple[ThetaLike, ...], rows: Mapping[str, tuple[Optional[float], ...]]
+) -> str:
+    """The rows of :func:`table1` under a header of their slopes."""
     width = 12
-    head = "theta".ljust(22) + "".join(str(t).rjust(width) for t in table.thetas)
+    head = "theta".ljust(22) + "".join(str(t).rjust(width) for t in thetas)
     lines = [head]
     for name in TABLE1_ROWS:
         cells = [
             ("-" if x is None else format_bound_up(x)).rjust(width)
-            for x in table.rows[name]
+            for x in rows[name]
         ]
         lines.append(name.ljust(22) + "".join(cells))
     return "\n".join(lines)

@@ -205,13 +205,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.table1:
-        print(bounds_mod.render_table(bounds_mod.table1()))
-        return 0
-    try:
-        thetas = tuple(Fraction(tok) for tok in args.theta.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"--theta takes comma-separated rationals, not {args.theta!r}") from None
-    print(bounds_mod.render_table(bounds_mod.table1(thetas)))
+        thetas = bounds_mod.TABLE1_THETAS
+    else:
+        try:
+            thetas = tuple(Fraction(tok) for tok in args.theta.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(
+                f"--theta takes comma-separated rationals, not {args.theta!r}"
+            ) from None
+    print(bounds_mod.render_table(thetas, bounds_mod.table1(thetas)))
     return 0
 
 

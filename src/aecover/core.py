@@ -82,32 +82,37 @@ class Instance:
         edges: Iterable[tuple[str, str, Rational, Rational]],
     ) -> "Instance":
         """The instance of ``nodes``, ``terminals`` and ``(u, v, tu, tv)``
-        edges; raises InvalidInstance at the first fault.  It checks for a
-        repeated node and for a terminal that is no node, then each edge
-        before it reads the next: both endpoints are nodes and differ,
-        ``tu`` and then ``tv`` are exact rationals (:func:`as_fraction`),
-        and neither is negative.  A threshold string is parsed and
-        sign-checked once per distinct literal, any other value once per
-        object.  The scale and the threshold table cover the kept edges
-        only, so :meth:`is_unit` reads them.  No ``Edge`` tuple is built."""
-        node_list = list(nodes)
+        edges; raises InvalidInstance at the first fault.  It checks that
+        every node id and then every terminal id is a string, then for a
+        repeated node and for a terminal that is no node, in the order the
+        terminals are given, then each edge before it reads the next: both
+        endpoints are nodes and differ, ``tu`` and then ``tv`` are exact
+        rationals (:func:`as_fraction`), and neither is negative.  A
+        threshold is parsed and sign-checked once per distinct string
+        literal and once per other object, an int or a Fraction alike.  The
+        scale and the threshold table cover the kept edges only, so
+        :meth:`is_unit` reads them.  No ``Edge`` tuple is built."""
+        node_list, term_list = list(nodes), list(terminals)
+        for key, ids in (("nodes", node_list), ("terminals", term_list)):
+            if not all(isinstance(x, str) for x in ids):
+                raise InvalidInstance(f"{key} must be strings")
         if len(set(node_list)) != len(node_list):
             raise InvalidInstance("duplicate node ids")
         idx = {n: i for i, n in enumerate(node_list)}
-        term_set = frozenset(terminals)
-        for t in term_set:
+        for t in term_list:
             if t not in idx:
                 raise InvalidInstance(f"terminal {t!r} is not a node")
         distinct: list[Fraction] = []  # every parsed threshold, once
-        seen: dict[Union[str, int], int] = {}  # index in distinct: a string, or another value by id
+        held: list[Rational] = []  # each threshold as handed in, so its id stays its own
+        seen: dict[Union[str, int], int] = {}  # index in distinct: a string, else an object's id
 
         def parse(raw: Rational) -> int:
-            x = raw if type(raw) in (str, Fraction) else as_fraction(raw)
-            key = x if type(x) is str else id(x)  # distinct holds x, so the id stays its own
+            key = raw if type(raw) is str else id(raw)
             k = seen.get(key)
             if k is None:
                 k = seen[key] = len(distinct)
-                distinct.append(as_fraction(x))
+                distinct.append(as_fraction(raw))
+                held.append(raw)
             return k
 
         get, known = idx.get, seen.get
@@ -141,7 +146,7 @@ class Instance:
             L //= f
             thresholds = {t // f: thresholds[t] for t in used}
             kept = [(iu, iv, tu // f, tv // f) for iu, iv, tu, tv in kept]
-        return cls(tuple(node_list), term_set, tuple([
+        return cls(tuple(node_list), frozenset(term_list), tuple([
             (node_list[iu], node_list[iv], tu, tv) for iu, iv, tu, tv in kept
         ]), L, thresholds)
 

@@ -4,9 +4,10 @@ Instance files are JSON documents with exactly the keys ``nodes``,
 ``terminals`` and ``edges``; thresholds are rational-valued strings such as
 "3/2" or decimal/integer literals, parsed exactly.  Files written by
 :func:`save_instance` are canonical: loading and re-saving one reproduces the
-bytes.  The loader, :func:`parse_instance_doc`, checks the document's shape
-and hands its edge records to :meth:`Instance.from_data`, which checks and
-builds the edges.
+bytes.  The loader, :func:`parse_instance_doc`, checks the document's keys,
+its lists and its edge records' shape, and hands the node and terminal ids
+and the records' ``(u, v, tu, tv)`` to :meth:`Instance.from_data`, which
+checks the ids and the edges and builds the instance.
 
 The canonical text is what ``json.dumps(doc, sort_keys=True, indent=2)``
 followed by a newline gives for the document ``{"nodes": [...], "terminals":
@@ -89,8 +90,6 @@ def _write_value(value: Any, pad: str, out: list[str]) -> None:
                 _write_value(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
     elif isinstance(value, int) and not isinstance(value, bool):
         out.append(int.__repr__(value))
     else:
@@ -140,9 +139,6 @@ def parse_instance_doc(doc: Mapping[str, Any]) -> Instance:
     for key in ("nodes", "terminals", "edges"):
         if not isinstance(doc[key], list):
             raise InvalidInstance(f"{key} must be a list")
-    for key in ("nodes", "terminals"):
-        if not all(isinstance(x, str) for x in doc[key]):
-            raise InvalidInstance(f"{key} must be strings")
     nodes, terminals, records = doc["nodes"], doc["terminals"], doc["edges"]
     try:
         inst = Instance.from_data(nodes, terminals, map(_EDGE_TUPLE, records))

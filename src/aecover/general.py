@@ -65,8 +65,6 @@ def _best_star_at(
             if not c.get(u) or u in covered:
                 continue
             need = t_there - levels[u]
-            if need < 0:
-                need = 0
             if need < reachable.get(u, need + 1):
                 reachable[u] = need
                 grew = True
@@ -119,12 +117,16 @@ def density_greedy(
     Each root's best star is cached; after a step only the roots whose
     best star can change are recomputed: every raised node, every newly
     covered terminal u, each neighbour x of such a u whose cached star has u
-    as a leaf or that is itself an uncovered terminal with c > 0, and the
-    neighbours of a raised terminal still uncovered.  That is complete:
+    as a leaf or that is itself an uncovered terminal with c > 0.  That is
+    complete:
 
     - a root's star reads only its own level and covered flag and, among its
       neighbours, only the uncovered terminals with c > 0, so a raised node
       that is not such a terminal after the step dirties only itself;
+    - no raised node is such a terminal, as every terminal a step raises
+      ends covered: a raised leaf meets its edge to the root, and an
+      uncovered-terminal root forces its first leaf.  So an uncovered
+      terminal stays at its q level, and no leaf's shortfall is negative;
     - for a root with no gain of its own, the leaf prefix taken at each
       increment is the least-density non-empty leaf set there, so losing a
       leaf its best star did not use raises no increment's least density
@@ -184,9 +186,6 @@ def density_greedy(
                 s = stars.get(x)
                 if (c.get(x) and x not in covered) or (s and any(v == u for v, _ in s[4])):
                     dirty.add(x)
-        for u in changed:
-            if u in inst.terminals and u not in covered:
-                dirty.update(x for _, x, _ in inst.scaled_rows[u])
         for v in dirty:
             if s := _best_star_at(inst, c, levels, covered, v):
                 stars[v] = s

@@ -34,20 +34,11 @@ def from_facility_location(
 ) -> Instance:
     """Facility location as a bipartite instance: an edge per available
     (client, facility) pair with the service cost on the client side and the
-    opening cost on the facility side.  Each opening cost is converted and
-    sign-checked at the facility's first pair, after that pair's service
-    cost is converted; a negative one raises there."""
-    weights: dict[str, Fraction] = {}
-    edges = []
-    for (u, v), d in service.items():
-        w = weights.get(v)
-        first = w is None
-        if first:
-            w = weights[v] = as_fraction(opening[v])
-        d = as_fraction(d)
-        if d.numerator < 0 or first and w.numerator < 0:
-            raise DomainError(f"negative cost on pair ({u}, {v})")
-        edges.append((u, v, d, w))
+    opening cost on the facility side.  The costs reach
+    :meth:`Instance.from_data` as given, so each is parsed once per literal
+    or object and checked pair by pair there: a negative one is refused as
+    InvalidInstance naming the pair."""
+    edges = [(u, v, d, opening[v]) for (u, v), d in service.items()]
     return Instance.from_data(list(clients) + list(facilities), clients, edges)
 
 
@@ -58,15 +49,15 @@ def from_theta_setcover(
     theta: Rational,
 ) -> Instance:
     """Weighted set cover where picking a set also charges weight/theta per
-    covered element; the resulting slope is at most theta."""
+    covered element; the resulting slope is at most theta.  A negative
+    weight is refused by :meth:`Instance.from_data`, as a negative threshold
+    on the set's first edge."""
     th = as_fraction(theta)
     if th <= 0:
         raise DomainError(f"theta must be positive, got {theta!r}")
     edges = []
     for v, members in sets.items():
         w = as_fraction(weights[v])
-        if w.numerator < 0:
-            raise DomainError(f"negative weight for set {v!r}")
         per_element = w / th
         edges.extend((u, v, per_element, w) for u in members)
     return Instance.from_data(list(elements) + list(sets), elements, edges)

@@ -52,7 +52,7 @@ def validate_locally_uniform(inst: Instance) -> UniformBipartiteInstance:
     facilities = tuple(n for n in inst.nodes if n not in terminals)
     first: dict[str, tuple[int, int]] = {}  # each facility's first (w, t)
     adjacency: dict[str, list[str]] = {v: [] for v in facilities}
-    facilities_of: dict[str, list[str]] = {c: [] for c in terminals}
+    facilities_of: dict[str, list[str]] = {c: [] for c in inst.terminal_list}
     mismatch = None
     for u, v, tu, tv in inst.scaled_edges:
         if u in terminals:

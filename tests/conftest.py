@@ -371,15 +371,19 @@ def quadratic_prune(sorted_edges):
 
 
 def reference_from_data(nodes, terminals, edges):
-    """The former Instance.from_data, kept as the reference: per-edge parsing
-    and checks, a key sort on (u index, v index, tu, tv) and the quadratic
-    prune.  Returns the node tuple, terminal set and edge tuples."""
-    node_list = list(nodes)
+    """The former Instance.from_data, kept as the reference: the id checks,
+    per-edge parsing and checks, a key sort on (u index, v index, tu, tv)
+    and the quadratic prune.  Returns the node tuple, terminal set and edge
+    tuples."""
+    node_list, term_list = list(nodes), list(terminals)
+    for key, ids in (("nodes", node_list), ("terminals", term_list)):
+        if not all(isinstance(x, str) for x in ids):
+            raise InvalidInstance(f"{key} must be strings")
     if len(set(node_list)) != len(node_list):
         raise InvalidInstance("duplicate node ids")
     idx = {n: i for i, n in enumerate(node_list)}
-    term_set = frozenset(terminals)
-    for t in term_set:
+    term_set = frozenset(term_list)
+    for t in term_list:
         if t not in idx:
             raise InvalidInstance(f"terminal {t!r} is not a node")
     canon = []

@@ -117,7 +117,7 @@ def test_criterion_1_table_reproduction(capsys):
     started = time.monotonic()
     table = table1()
     for row, printed in PRINTED_TABLE1.items():
-        for value, want in zip(table.rows[row], printed):
+        for value, want in zip(table[row], printed):
             if want is None:
                 assert value is None
             else:

@@ -214,6 +214,12 @@ class TestMemoizedBounds:
                 omega_bar(math.inf, delta_cap=0)
             assert omega_bar(math.inf, delta_cap=4) == harmonic(4) - 1
 
+    def test_a_count_or_cap_below_one_is_refused(self):
+        with pytest.raises(DomainError, match="^g needs k >= 1, got 0$"):
+            g_value(2, 0)
+        with pytest.raises(DomainError, match="^cap must be >= 1, got 0$"):
+            omega_bar(2, delta_cap=0)
+
 
 # Sum of the first five quality values, the sigma of rho_from_alphas.
 SIGMA = sum((ALPHA_K[k] for k in range(1, 6)), Fraction(0))
@@ -265,7 +271,7 @@ class TestTable1:
     def test_matches_printed_entries(self):
         table = table1()
         for row, printed in PRINTED_TABLE.items():
-            for value, want in zip(table.rows[row], printed):
+            for value, want in zip(table[row], printed):
                 if want is None:
                     assert value is None
                     continue
@@ -275,4 +281,4 @@ class TestTable1:
 
     def test_theta_one_lnln_undefined(self):
         table = table1()
-        assert table.rows["ln(theta)-lnln(theta)"][0] is None
+        assert table["ln(theta)-lnln(theta)"][0] is None

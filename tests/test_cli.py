@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import aecover
-from aecover import cli
+from aecover import cli, locally_uniform
 from aecover.bounds import g_value
 from aecover.cli import main, pick_algorithm, run_algorithm
 from aecover.errors import DomainError, LimitExceeded
@@ -436,6 +436,34 @@ def test_bench_that_skips_some_seeds_exits_0(capsys, monkeypatch):
     assert err.startswith("benchmarked 2 instances")
 
 
+def claim_ratio_one(monkeypatch):
+    """Make the locally uniform greedy claim ratio 1, which its value of 24
+    against the optimum 22 on ``uniform`` seed 0 breaks."""
+    monkeypatch.setattr(locally_uniform, "uniform_bound", lambda ubi: ("claimed 1", Fraction(1)))
+
+
+def test_solve_exact_check_violation_exits_3_and_writes_the_report(tmp_path, capsys, monkeypatch):
+    claim_ratio_one(monkeypatch)
+    path, out_path = tmp_path / "uniform.json", tmp_path / "report.json"
+    save_instance(generate("uniform", 0), path)
+    code, out, err = run(capsys, "solve", str(path), "--exact-check", "--out", str(out_path))
+    assert (code, out) == (3, "")
+    assert err.startswith("certification violation: value 24 vs optimum 22 exceeds bound 1\n")
+    doc = json.loads(out_path.read_text())
+    assert (doc["value"], doc["exact_value"], doc["bound_label"]) == ("24", "22", "claimed 1")
+
+
+def test_bench_violation_exits_3_and_lists_it(capsys, monkeypatch):
+    claim_ratio_one(monkeypatch)
+    code, out, err = run(capsys, "bench", "--family", "uniform", "--seeds", "0..0")
+    assert code == 3
+    assert json.loads(out)["violations"] == [{
+        "seed": 0, "algorithm": "locally-uniform", "value": "24", "exact_value": "22",
+        "claimed_bound": "1.0000",
+    }]
+    assert err.startswith("benchmarked 1 instances") and err.endswith(", 1 violations\n")
+
+
 def test_bench_minpower_campaign_stays_under_omega_one(capsys):
     code, out, _ = run(capsys, "bench", "--family", "minpower", "--seeds", "0..199")
     assert code == 0
@@ -522,6 +550,17 @@ def test_bench_bytes_do_not_depend_on_the_hash_seed():
     for done in runs["0"] + runs["1"]:
         assert done.returncode == 0, done.stderr
     assert [d.stdout for d in runs["0"]] == [d.stdout for d in runs["1"]]
+
+
+def test_missing_terminal_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # Three terminals are not nodes; the error names the first in file order.
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps({"nodes": ["a", "b"], "terminals": ["t3", "a", "t1", "t2"],
+                                "edges": [{"u": "a", "v": "b", "tu": "1", "tv": "1"}]}))
+    runs = [run_cli("solve", str(path), hash_seed=seed) for seed in ("0", "1")]
+    for done in runs:
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: terminal 't3' is not a node\n"
 
 
 @pytest.mark.parametrize(

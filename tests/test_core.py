@@ -16,6 +16,7 @@ from aecover.core import (
     Edge,
     _prune_dominated,
     active_at_levels,
+    as_fraction,
     complete,
     covered_terminals,
     derive_costs,
@@ -177,6 +178,53 @@ class TestInstance:
         got = build_outcome(Instance.from_data, *args)
         assert got == build_outcome(reference_from_data, *args)
         assert got[0] is InvalidInstance
+
+    @pytest.mark.parametrize(
+        "nodes, terminals, message",
+        [
+            ([1, 2, 3], [1, 2], "nodes must be strings"),
+            (["a", ["b"]], ["a"], "nodes must be strings"),
+            (["a", "b"], ["a", 2], "terminals must be strings"),
+            ([1, "b"], [2], "nodes must be strings"),
+            (["a", "a"], [2], "terminals must be strings"),
+        ],
+    )
+    def test_from_data_refuses_ids_that_are_not_strings(self, nodes, terminals, message):
+        args = (nodes, terminals, [])
+        assert build_outcome(Instance.from_data, *args) == (InvalidInstance, message)
+        assert build_outcome(reference_from_data, *args) == (InvalidInstance, message)
+
+    def test_missing_terminals_are_named_in_input_order(self):
+        for terminals in itertools.permutations(["t1", "t2", "t3", "a"]):
+            first = next(t for t in terminals if t != "a")
+            with pytest.raises(InvalidInstance, match=f"^terminal '{first}' is not a node$"):
+                Instance.from_data(["a", "b"], terminals, [("a", "b", 1, 1)])
+
+    def test_an_int_threshold_is_parsed_once_per_object(self, monkeypatch):
+        # A 2,000-edge ring with int thresholds parses each int object once,
+        # as it parses each string literal once.
+        calls = []
+        monkeypatch.setattr(core, "as_fraction", lambda x: calls.append(x) or as_fraction(x))
+        big = 10**30
+        nodes = [f"n{i}" for i in range(2000)]
+        edges = [(nodes[i - 1], nodes[i], 2 if i % 2 else big, 3) for i in range(2000)]
+        inst = Instance.from_data(nodes, nodes[:1], edges)
+        assert calls == [big, 3, 2]
+        assert inst.thresholds == {2: 2, 3: 3, big: big}
+
+    def test_fresh_threshold_objects_keep_their_own_values(self):
+        # Each edge brings new threshold objects that nothing else holds; a
+        # str subclass is keyed by id like any object but not a str, and its
+        # Fraction keeps no reference to it.  The build holds each one, so no
+        # later object reuses an id with another value.
+        class Literal(str):
+            pass
+
+        nodes = [f"n{i}" for i in range(400)]
+        edges = [(nodes[i - 1], nodes[i], f"{i % 3}/7", f"{i % 5}/3") for i in range(400)]
+        fresh = ((u, v, Literal(tu), Literal(tv)) for u, v, tu, tv in edges)
+        inst = Instance.from_data(nodes, [], fresh)
+        assert [tuple(e) for e in inst.edges] == reference_from_data(nodes, [], edges)[2]
 
     def test_scaled_rows_are_exact(self):
         for seed in range(10):

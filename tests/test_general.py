@@ -13,12 +13,15 @@ from aecover.core import Instance, complete
 from aecover.errors import IncompleteCover, IsolatedTerminal
 from aecover.general import density_greedy, solve_general
 from aecover.generators import (
+    FAMILIES,
+    generate,
     random_general,
     random_installation,
     random_minpower,
     random_theta_setcover,
 )
 from aecover.oracle import exact_solve
+import conftest
 from conftest import (
     ZERO,
     assignment_total,
@@ -265,6 +268,26 @@ class TestStarCache:
                     closed += len(touched | {x for v in touched for _, x, _ in rows[v]})
                 last = now
             assert 0 < calls < closed
+
+    def test_uncovered_terminals_stay_at_their_q_level(self):
+        # Every terminal a step raises ends covered, so the cache needs no
+        # rule for a raised terminal left uncovered, and a leaf's shortfall
+        # over its q level is never negative.
+        rng = random.Random(13)
+        draws = itertools.chain(
+            (generate(family, seed) for family in sorted(FAMILIES) for seed in range(60)),
+            (conftest.random_multigraph(rng) for _ in range(1500)),
+        )
+        steps = 0
+        for inst in draws:
+            try:
+                q = inst.costs.q
+            except IsolatedTerminal:
+                continue
+            for levels, covered, _, _ in density_greedy(inst):
+                assert all(levels[u] == q[u] for u in inst.terminal_list if u not in covered)
+                steps += 1
+        assert steps > 2000
 
 
 class TestSolveGeneral:

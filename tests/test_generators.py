@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from aecover import generators
 from aecover.core import Instance, as_fraction, derive_costs
-from aecover.errors import AecError, DomainError, EmptyLevels, InvalidInstance
+from aecover.errors import AecError, DomainError, EmptyLevels, GenerationFailed, InvalidInstance
 from aecover.fileio import dumps_instance
 from aecover.generators import (
     FAMILIES,
@@ -32,31 +33,33 @@ from conftest import ZERO, exact_costs, other_end, reference_installation, thres
 
 
 def reference_facility_location(clients, facilities, opening, service):
-    """The former per-pair ``from_facility_location``, kept as the
-    reference: every pair converts its facility's opening cost again."""
+    """Facility location built pair by pair, kept as the reference: every
+    opening cost is looked up first, then each pair converts its service
+    and then its opening cost again and refuses a negative one."""
+    pairs = [(u, v, d, opening[v]) for (u, v), d in service.items()]
     edges = []
-    for (u, v), d in service.items():
-        w = as_fraction(opening[v])
-        d = as_fraction(d)
+    for u, v, d, w in pairs:
+        d, w = as_fraction(d), as_fraction(w)
         if w < 0 or d < 0:
-            raise DomainError(f"negative cost on pair ({u}, {v})")
+            raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
         edges.append((u, v, d, w))
     return Instance.from_data(list(clients) + list(facilities), clients, edges)
 
 
 def reference_theta_setcover(sets, elements, weights, theta):
-    """The former ``from_theta_setcover``, kept as the reference: every
-    member divides its set's weight by theta again."""
+    """``from_theta_setcover`` built member by member, kept as the
+    reference: every weight is converted first, then every member divides
+    its set's weight by theta again and refuses a negative one."""
     th = as_fraction(theta)
     if th <= 0:
         raise DomainError(f"theta must be positive, got {theta!r}")
+    w = {v: as_fraction(weights[v]) for v in sets}
     edges = []
     for v, members in sets.items():
-        w = as_fraction(weights[v])
-        if w < 0:
-            raise DomainError(f"negative weight for set {v!r}")
         for u in members:
-            edges.append((u, v, w / th, w))
+            if w[v] < 0:
+                raise InvalidInstance(f"negative threshold on edge {u!r}-{v!r}")
+            edges.append((u, v, w[v] / th, w[v]))
     return Instance.from_data(list(elements) + list(sets), elements, edges)
 
 
@@ -95,7 +98,7 @@ class TestReductionsAgainstReference:
             got = build_outcome(from_facility_location, *args)
             assert got == build_outcome(reference_facility_location, *args), case
             kinds.add(got[0] if isinstance(got, tuple) else str)
-        assert kinds == {str, DomainError, InvalidInstance, KeyError}
+        assert kinds == {str, InvalidInstance, KeyError}
 
     def test_theta_setcover(self):
         rng = random.Random(37)
@@ -162,8 +165,12 @@ class TestFacilityLocation:
         assert exact_solve(inst).value == 6  # min(5+1, 1+10)
 
     def test_negative_cost_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInstance, match="^negative threshold on edge 'c'-'f'$"):
             from_facility_location(["c"], ["f"], {"f": -1}, {("c", "f"): 1})
+
+    def test_negative_set_weight_rejected(self):
+        with pytest.raises(InvalidInstance, match="^negative threshold on edge 'e'-'s'$"):
+            from_theta_setcover({"s": ["e"]}, ["e"], {"s": "-1/2"}, 2)
 
     def test_uniform_instances_validate(self):
         for seed in range(20):
@@ -298,6 +305,25 @@ class TestSizeErrors:
         with pytest.raises(DomainError, match="n must exceed 2"):
             random_general(2, 3, 3, 0)
         assert len(random_general(5, 5, 3, 0, r=5).terminals) == 5
+
+    def test_general_levels_and_uniform_theta(self):
+        with pytest.raises(DomainError, match="^levels must be in 1..6$"):
+            random_general(5, 5, 0, 0)
+        with pytest.raises(DomainError, match="^theta must be positive, got 0$"):
+            random_uniform(0, theta=0)
+
+    @pytest.mark.parametrize("draw", [
+        lambda: random_minpower(6, 6, 0),
+        lambda: random_general(6, 6, 3, 0),
+        lambda: random_unit(6, 6, 0),
+        lambda: random_uniform(0),
+        lambda: random_theta_setcover(0, 2),
+        lambda: random_installation(0),
+    ], ids=["minpower", "general", "unit", "uniform", "theta-setcover", "installation"])
+    def test_an_exhausted_retry_budget_raises_generation_failed(self, monkeypatch, draw):
+        monkeypatch.setattr(generators, "_RETRY_BUDGET", 0)
+        with pytest.raises(GenerationFailed, match="^no feasible draw after 0 attempts$"):
+            draw()
 
     def test_installation(self):
         for kwargs, text in [

@@ -7,7 +7,8 @@
 - ``json.dumps`` is called only in ``fileio``, which owns the canonical
   document layout.
 - ``SolveReport`` is constructed only by ``report.solve_report``, the one
-  builder, which derives the value, slope and degree bound itself.
+  builder, which derives the value itself; every solver passes the slope
+  and the degree bound as ``theta`` and ``delta``.
 - No module tests a value against an edge's ``.tu`` or ``.tv`` with ``>=``
   (or the threshold with ``<=``), the Fraction form of the activation test:
   ``core.active_at_levels``, on the integer view, is the one predicate.
